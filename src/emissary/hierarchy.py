@@ -450,6 +450,15 @@ class BatchedHierarchyEngine:
         with per-``(core, line)`` measured L1I miss counts on the cost
         channel and the issuing core on the core channel, so a
         partitioned-budget EMISSARY L2 can enforce per-core HP quotas.
+
+        Interleaving defeats trace-order run collapse (consecutive
+        accesses usually come from different cores), but each core's
+        accesses land in its own bank of virtual sets.  So the L1
+        engine's set-order fold (see :class:`~emissary.engine.
+        BatchedEngine`) still finds each core's line repeats: on a 2:1
+        two-core interleave about 8% of accesses reach the L1 kernel,
+        against 68% after trace-order collapse alone.  The compiled
+        backend applies only the trace-order collapse.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.run_multicore")
@@ -465,22 +474,27 @@ class BatchedHierarchyEngine:
         core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
         offset_bits = config.l1.offset_bits
 
-        lines = addrs >> np.uint64(offset_bits)
+        # One trace-length buffer turns, in place, from lines into the
+        # core-virtualized addresses the L1 stage reads, so no separate
+        # line or virtual-line copy is live during that stage.
+        vaddrs = addrs >> np.uint64(offset_bits)
         if n and core_bits and (
-                int(lines.max()) >> (64 - offset_bits - core_bits)):
+                int(vaddrs.max()) >> (64 - offset_bits - core_bits)):
             raise ValueError(
                 f"address lines need more than {64 - offset_bits - core_bits} "
                 f"bits; no headroom for {core_bits} core bits")
-        vlines = (lines << np.uint64(core_bits)) | core.astype(np.uint64)
+        vaddrs <<= np.uint64(core_bits)
+        vaddrs |= core.view(np.uint64)  # ids are validated non-negative
+        vaddrs <<= np.uint64(offset_bits)
 
         l1 = self._stage_engine(v_l1, l1_tel)
         with span("l1_stage"):
-            l1_result = l1.run(vlines << np.uint64(offset_bits),
-                               PolicySpec(config.l1_policy), seed=seed,
-                               keep_hits=True)
+            l1_result = l1.run(vaddrs, PolicySpec(config.l1_policy),
+                               seed=seed, keep_hits=True)
 
         with span("miss_extract"):
-            miss_vlines = vlines[~l1_result.hits]
+            miss_vlines = vaddrs[~l1_result.hits] >> np.uint64(offset_bits)
+            del vaddrs
             miss_cores = (miss_vlines
                           & np.uint64(core_pad - 1)).astype(np.int64)
             miss_addrs = (miss_vlines >> np.uint64(core_bits)) \
@@ -714,16 +728,20 @@ class BatchedHierarchyEngine:
             addr_chunk = np.ascontiguousarray(addr_chunk, dtype=np.uint64)
             core_chunk, _ = _check_core_ids(core_chunk, len(addr_chunk),
                                             num_cores)
-            line_chunk = addr_chunk >> np.uint64(offset_bits)
-            if len(line_chunk) and core_bits and (
-                    int(line_chunk.max()) >> line_cap_bits):
+            # Lines -> core-virtualized addresses in one buffer, in place
+            # (as in :meth:`run_multicore`).
+            vaddrs = addr_chunk >> np.uint64(offset_bits)
+            if len(vaddrs) and core_bits and (
+                    int(vaddrs.max()) >> line_cap_bits):
                 raise ValueError(
                     f"address lines need more than {line_cap_bits} bits; "
                     f"no headroom for {core_bits} core bits")
             n_by_core += np.bincount(core_chunk, minlength=num_cores)
-            vlines = (line_chunk << np.uint64(core_bits)) \
-                | core_chunk.astype(np.uint64)
-            _, miss_vlines = l1_stream.feed(vlines << np.uint64(offset_bits))
+            vaddrs <<= np.uint64(core_bits)
+            vaddrs |= core_chunk.view(np.uint64)
+            vaddrs <<= np.uint64(offset_bits)
+            _, miss_vlines = l1_stream.feed(vaddrs)
+            del vaddrs
             enqueue(miss_vlines)
         _, tail_miss = l1_stream.flush()
         enqueue(tail_miss, flush=True)
@@ -911,11 +929,13 @@ class HierarchyReferenceEngine:
             l2_impl.telemetry_finalize(tel, prefix="l2.")
         l1_result = SimResult(policy=config.l1_policy, n=n, hit_count=l1_hit_count,
                               miss_count=n - l1_hit_count, elapsed_s=elapsed,
-                              hits=l1_hits if keep_hits else None, policy_stats={})
+                              hits=l1_hits if keep_hits else None,
+                              policy_stats=l1_impl.extra_stats())
         l2_result = SimResult(policy=spec.name, n=j, hit_count=l2_hit_count,
                               miss_count=j - l2_hit_count, elapsed_s=elapsed,
                               hits=l2_hits if keep_hits else None,
-                              policy_stats={"unique_l1_miss_lines": len(miss_counts)})
+                              policy_stats={**l2_impl.extra_stats(),
+                                            "unique_l1_miss_lines": len(miss_counts)})
         return HierarchyResult(policy=spec.name, n=n, l1=l1_result, l2=l2_result,
                                elapsed_s=elapsed,
                                telemetry=tel.to_dict() if tel is not None else None)
@@ -1098,11 +1118,15 @@ class HierarchyReferenceEngine:
                               hit_count=l1_hit_count,
                               miss_count=n - l1_hit_count, elapsed_s=elapsed,
                               hits=l1_hits if keep_hits else None,
-                              policy_stats={})
+                              # The L1I policy is deterministic (LRU or
+                              # SRRIP) and keeps no statistics, so any
+                              # core's instance speaks for all of them.
+                              policy_stats=l1_impls[0].extra_stats())
         l2_result = SimResult(policy=spec.name, n=j, hit_count=l2_hit_count,
                               miss_count=j - l2_hit_count, elapsed_s=elapsed,
                               hits=l2_hits if keep_hits else None,
-                              policy_stats={"unique_l1_miss_lines":
+                              policy_stats={**l2_impl.extra_stats(),
+                                            "unique_l1_miss_lines":
                                             len(miss_counts)})
         return MultiCoreHierarchyResult(
             policy=spec.name, n=n, l1=l1_result, l2=l2_result,

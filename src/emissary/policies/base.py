@@ -143,6 +143,12 @@ class NaivePolicy:
         ``core_i`` the issuing core id or None for single-core callers."""
         raise NotImplementedError
 
+    def extra_stats(self) -> dict[str, Any]:
+        """Policy-specific counters folded into the simulation result —
+        the same keys and values as the batched kernel's
+        :meth:`PolicyKernel.extra_stats`."""
+        return {}
+
     def telemetry_finalize(self, telemetry: "Telemetry", prefix: str = "") -> None:
         """Dump policy-specific counters into ``telemetry``.
 

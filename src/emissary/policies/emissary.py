@@ -537,6 +537,22 @@ class NaiveEmissary(NaivePolicy):
             self.priority[idx] = 0
         self._touch(set_index, way)
 
+    def extra_stats(self) -> dict[str, Any]:
+        stats: dict[str, Any] = {
+            "hp_threshold": self.hp_threshold,
+            "prob_inv": self.prob_inv,
+            "min_l1_misses": self.min_l1_misses,
+            "hp_promotions": self.hp_promotions,
+            "hp_evictions": self.evictions_hp,
+            "hp_lines_final": sum(self.hp_counts),
+        }
+        if self.partitioned:
+            stats["hp_budget"] = self.hp_budget
+            stats["hp_lines_final_by_core"] = [
+                sum(per_set[c] for per_set in self.hp_by_core)
+                for c in range(self.num_cores)]
+        return stats
+
     def telemetry_finalize(self, telemetry: "Telemetry", prefix: str = "") -> None:
         telemetry.inc(prefix + "evictions_hp", self.evictions_hp)
         telemetry.inc(prefix + "evictions_lp", self.evictions_lp)

@@ -54,6 +54,7 @@ def test_batched_matches_reference(policy, trace_name, collapse):
         f"{int(np.argmax(batched.hits != reference.hits))}")
     assert batched.hit_count == reference.hit_count
     assert batched.miss_count == reference.miss_count
+    assert batched.policy_stats == reference.policy_stats
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -72,6 +73,7 @@ def test_batched_matches_reference_with_cost(policy, collapse):
                                                              seed=SEED, cost=cost)
     reference = ReferenceEngine(cfg).run(trace, spec, seed=SEED, cost=cost)
     assert np.array_equal(batched.hits, reference.hits)
+    assert batched.policy_stats == reference.policy_stats
 
 
 def test_cost_gating_changes_emissary_outcomes():

@@ -68,6 +68,8 @@ def test_batched_matches_reference(policy, trace_name, seed):
     assert batched.l2.miss_count == reference.l2.miss_count
     assert (batched.l2.policy_stats["unique_l1_miss_lines"]
             == reference.l2.policy_stats["unique_l1_miss_lines"])
+    assert batched.l1.policy_stats == reference.l1.policy_stats
+    assert batched.l2.policy_stats == reference.l2.policy_stats
 
 
 def test_l2_only_sees_l1_misses():
@@ -244,6 +246,8 @@ def test_multicore_engines_dispatch_and_agree():
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
+    assert batched.l1.policy_stats == reference.l1.policy_stats
+    assert batched.l2.policy_stats == reference.l2.policy_stats
 
 
 def test_multicore_interleave_stream_matches_oneshot():

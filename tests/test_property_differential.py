@@ -82,14 +82,14 @@ geometries = st.sampled_from([
 
 
 @st.composite
-def traces(draw, max_len=400):
+def traces(draw, max_len=400, min_events=1):
     """A short line-granular access pattern over a tiny address pool,
     with explicit repeat runs so MRU collapsing always has work."""
     pool = draw(st.integers(min_value=1, max_value=24))
     events = draw(st.lists(
         st.tuples(st.integers(0, pool - 1),      # which line
                   st.integers(1, 6)),            # immediate repeats
-        min_size=1, max_size=max_len // 2))
+        min_size=min_events, max_size=max_len // 2))
     lines = np.repeat(np.array([line for line, _ in events], dtype=np.uint64),
                       [reps for _, reps in events])[:max_len]
     return lines * np.uint64(LINE_BYTES) + np.uint64(0x400000)
@@ -132,6 +132,7 @@ def test_flat_batched_matches_reference(policy, config, addresses):
     reference = reference_engine.run(addresses, policy, seed=SEED)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.hit_count == reference.hit_count
+    assert batched.policy_stats == reference.policy_stats
     assert batched_engine.sanitizer.checks > 0
     assert reference_engine.sanitizer.checks > 0
 
@@ -147,6 +148,8 @@ def test_hierarchy_batched_matches_reference(policy, addresses):
         addresses, policy, seed=SEED)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
+    assert batched.l1.policy_stats == reference.l1.policy_stats
+    assert batched.l2.policy_stats == reference.l2.policy_stats
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,6 +188,7 @@ def test_flat_compiled_matches_reference(policy, config, addresses):
     reference = reference_engine.run(addresses, policy, seed=SEED)
     assert np.array_equal(compiled.hits, reference.hits)
     assert compiled.hit_count == reference.hit_count
+    assert compiled.policy_stats == reference.policy_stats
     assert compiled_engine.sanitizer.checks > 0
 
 
@@ -235,13 +239,13 @@ MC_CONFIG = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
 
 
 @st.composite
-def multicore_traces(draw, max_len=300):
+def multicore_traces(draw, max_len=300, min_events=1):
     """An adversarial shared-L2 workload: a tiny-pool access pattern plus
     a drawn per-access core-id pattern (tiled across the trace), so the
     cores' streams constantly interleave and contend in the same sets.
     Cores may be absent from the pattern — ``num_cores`` is explicit."""
     num_cores = draw(st.integers(min_value=1, max_value=4))
-    addresses = draw(traces(max_len=max_len))
+    addresses = draw(traces(max_len=max_len, min_events=min_events))
     pattern = draw(st.lists(st.integers(0, num_cores - 1),
                             min_size=1, max_size=12))
     core_ids = np.resize(np.array(pattern, dtype=np.int64), len(addresses))
@@ -249,10 +253,11 @@ def multicore_traces(draw, max_len=300):
 
 
 @st.composite
-def chunked_multicore(draw):
+def chunked_multicore(draw, min_events=1):
     """A multi-core workload plus a random partition of the aligned
     (addresses, core_ids) pair into contiguous chunk tuples."""
-    num_cores, addresses, core_ids = draw(multicore_traces())
+    num_cores, addresses, core_ids = draw(multicore_traces(
+        min_events=min_events))
     n = len(addresses)
     if n > 1:
         cut_count = draw(st.integers(min_value=0, max_value=min(8, n - 1)))
@@ -277,10 +282,13 @@ def test_multicore_batched_matches_reference(policy, mc):
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
-    # The naive oracle reports only the shared unique-footprint stat
-    # (hierarchy convention); it must agree with the batched engine's.
     assert (batched.l2.policy_stats["unique_l1_miss_lines"]
             == reference.l2.policy_stats["unique_l1_miss_lines"])
+    # The oracle reports the full policy statistics too (including the
+    # partitioned budget's per-core HP lines), so a reference-computed
+    # result is interchangeable with a batched one.
+    assert batched.l1.policy_stats == reference.l1.policy_stats
+    assert batched.l2.policy_stats == reference.l2.policy_stats
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,3 +349,31 @@ def test_partitioned_budget_equals_shared_on_one_core(addresses):
     by_core = b_stats.pop("hp_lines_final_by_core")
     assert sum(by_core) == b_stats["hp_lines_final"]
     assert a.l2.policy_stats == b_stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=multicore_policies, mc=chunked_multicore(min_events=60))
+def test_multicore_folds_match_no_collapse(policy, mc):
+    """The trace-order collapse and the set-order fold only skip kernel
+    work: on interleaved multi-core input (where the set-order fold does
+    most of the folding) the python backend gives the same outcomes with
+    ``collapse_runs=True`` as with both folds off, one-shot and
+    streamed.  Traces are kept long enough that sets fill and evict, so
+    a wrong repeat flag or a dropped state update changes a victim."""
+    num_cores, addresses, core_ids, chunks = mc
+
+    def engine(collapse):
+        return BatchedHierarchyEngine(MC_CONFIG, collapse_runs=collapse,
+                                      sanitizer=Sanitizer())
+
+    plain = engine(False).run_multicore(
+        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+    oneshot = engine(True).run_multicore(
+        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+    streamed = engine(True).simulate_stream_multicore(
+        chunks, policy, num_cores=num_cores, seed=SEED)
+    for folded in (oneshot, streamed):
+        assert np.array_equal(folded.l1.hits, plain.l1.hits)
+        assert np.array_equal(folded.l2.hits, plain.l2.hits)
+        assert folded.per_core == plain.per_core
+        assert folded.l2.policy_stats == plain.l2.policy_stats

@@ -187,7 +187,12 @@ def test_telemetry_parity_with_oneshot():
     run_d, stream_d = t_run.to_dict(), t_stream.to_dict()
     stream_counters = dict(stream_d["counters"])
     assert stream_counters.pop("engine.stream_chunks") == (N + 996) // 997
-    assert stream_counters == run_d["counters"]
+    # The set-order fold works per dispatch, so how many accesses reach
+    # the kernel depends on the chunk cuts (never below the one-shot run).
+    run_counters = dict(run_d["counters"])
+    assert (stream_counters.pop("engine.kernel_accesses")
+            >= run_counters.pop("engine.kernel_accesses"))
+    assert stream_counters == run_counters
     assert stream_d["histograms"] == run_d["histograms"]
     names = {s["name"] for s in stream_d["spans"]}
     assert "stream_chunk" in names and "stream_ingest" in names
