@@ -44,7 +44,7 @@ import time
 import warnings
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar, overload
 
 import numpy as np
 from numpy.typing import NDArray
@@ -262,6 +262,27 @@ def _run_flags(kernel: "PolicyKernel | CompiledKernel", with_extra: bool,
         lengths = np.ones(m, dtype=np.int64)
     return (lengths > 1 if kernel.needs_repeat_flags else None,
             lengths - 1 if with_extra else None)
+
+
+_Array = TypeVar("_Array", bound="NDArray[Any]")
+
+
+@overload
+def _prepend(value: Any, arr: _Array) -> _Array: ...
+
+
+@overload
+def _prepend(value: Any, arr: None) -> None: ...
+
+
+def _prepend(value: Any, arr: NDArray[Any] | None) -> NDArray[Any] | None:
+    """``arr`` with ``value`` in front (None stays None)."""
+    if arr is None:
+        return None
+    out = np.empty(len(arr) + 1, dtype=arr.dtype)
+    out[0] = value
+    out[1:] = arr
+    return out
 
 
 def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
@@ -496,29 +517,25 @@ class BatchedEngine:
 
     def simulate_stream(self, chunks: Iterable[AddressArray],
                         policy: PolicySpec, seed: int = 0,
-                        keep_hits: bool = True,
-                        cost_chunks: Iterable[AddressArray] | None = None
-                        ) -> SimResult:
+                        keep_hits: bool = True) -> SimResult:
         """Run ``policy`` over a chunked trace in bounded memory.
 
         ``chunks`` is any iterable of ``uint64`` address arrays in trace
         order — typically a :class:`~emissary.trace_io.TraceSource`
         reading a file under a memory budget.  Outcomes (hit vector,
         counts, policy stats) are bit-identical to :meth:`run` on the
-        concatenated trace.  ``cost_chunks``, when given, must yield one
-        cost array per address chunk (aligned lengths).
+        concatenated trace.  Per-access costs go through
+        :meth:`EngineStream.feed`.
         """
         stream = self.stream(policy, seed=seed, keep_hits=keep_hits)
         span = span_factory(self.telemetry)
-        cost_iter = iter(cost_chunks) if cost_chunks is not None else None
         chunk_iter = iter(chunks)
         while True:
             with span("stream_ingest"):
                 chunk = next(chunk_iter, None)
             if chunk is None:
                 break
-            cost = next(cost_iter) if cost_iter is not None else None
-            stream.feed(chunk, cost=cost)
+            stream.feed(chunk)
         return stream.finish()
 
 
@@ -601,8 +618,7 @@ class EngineStream:
         """
         if self._flushed:
             raise RuntimeError("stream already flushed; start a new stream")
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-        k_total = len(addrs)
+        k_total = len(addresses)
         if cost is not None:
             if len(cost) != k_total:
                 raise ValueError(f"cost has {len(cost)} entries for "
@@ -623,80 +639,90 @@ class EngineStream:
             # Reset every call so early returns (empty chunk, run
             # continuation) never leave a stale attribution array.
             self.last_miss_cores = np.zeros(0, dtype=np.int64)
-        u_chunk = self._rng.random(k_total) if self._rng is not None else None
         self.n += k_total
         index = self._chunk_index
         self._chunk_index += 1
         if k_total == 0:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-        with self._span("stream_chunk", chunk=index, accesses=k_total):
-            lines = addrs >> np.uint64(self.config.offset_bits)
+        span = self._span
+        with span("stream_chunk", chunk=index, accesses=k_total):
+            with span("decode"):
+                lines = np.ascontiguousarray(addresses, dtype=np.uint64) \
+                    >> np.uint64(self.config.offset_bits)
+                u = self._rng.random(k_total) if self._rng is not None else None
 
             if not self.collapse_runs:
                 # Every access is its own length-1 run; nothing is carried.
-                return self._dispatch(lines, u_chunk, cost, core,
-                                      np.ones(k_total, dtype=np.int64))
+                return self._dispatch(lines, u, cost, core, None, None, 0)
 
-            pending = self._pending
-            if pending is not None:
-                pline, pu, pcost, pcore, pcount = pending
-                differs = np.flatnonzero(lines != np.uint64(pline))
-                if differs.size == 0:
-                    # Whole chunk continues the carried run.
-                    self._pending = (pline, pu, pcost, pcore,
-                                     pcount + k_total)
-                    return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-                k = int(differs[0])
-                pcount += k
-            else:
-                k = 0
-
-            sub = lines[k:]
-            edge_mask = np.empty(len(sub), dtype=bool)
-            edge_mask[0] = True
-            np.not_equal(sub[1:], sub[:-1], out=edge_mask[1:])
-            edge_pos = np.flatnonzero(edge_mask) + k
-            last_edge = int(edge_pos[-1])
-            inner = edge_pos[:-1]
-
-            run_lines = lines[inner]
-            run_u = u_chunk[inner] if u_chunk is not None else None
-            run_cost = cost[inner] if cost is not None else None
-            run_core = core[inner] if core is not None else None
-            run_lengths = np.diff(edge_pos).astype(np.int64)
-            if pending is not None:
-                run_lines = np.concatenate(
-                    [np.array([pline], dtype=np.uint64), run_lines])
-                run_lengths = np.concatenate(
-                    [np.array([pcount], dtype=np.int64), run_lengths])
-                if run_u is not None:
-                    run_u = np.concatenate(
-                        [np.array([pu], dtype=np.float64), run_u])
-                if run_cost is not None:
-                    run_cost = np.concatenate(
-                        [np.array([pcost], dtype=np.int64), run_cost])
-                if run_core is not None:
-                    run_core = np.concatenate(
-                        [np.array([pcore], dtype=np.int64), run_core])
-            self._pending = (
-                int(lines[last_edge]),
-                float(u_chunk[last_edge]) if u_chunk is not None else None,
-                int(cost[last_edge]) if cost is not None else None,
-                int(core[last_edge]) if core is not None else None,
-                k_total - last_edge,
-            )
+            # Trace-length temporaries are dropped before the dispatch: a
+            # one-shot run is a single chunk holding the whole trace.
+            with span("run_collapse"):
+                pending = self._pending
+                k = carried = 0
+                if pending is not None:
+                    pline, pu, pcost, pcore, carried = pending
+                    differs = lines != np.uint64(pline)
+                    k = int(differs.argmax())
+                    if not differs[k]:
+                        # Whole chunk continues the carried run.
+                        self._pending = (pline, pu, pcost, pcore,
+                                         carried + k_total)
+                        return (np.zeros(0, dtype=bool),
+                                np.zeros(0, dtype=np.uint64))
+                    del differs
+                edge_mask = np.empty(k_total - k, dtype=bool)
+                edge_mask[0] = True
+                np.not_equal(lines[k + 1:], lines[k:-1], out=edge_mask[1:])
+                edges = np.flatnonzero(edge_mask)
+                del edge_mask
+                edges += k
+                last_edge = int(edges[-1])
+                self._pending = (
+                    int(lines[last_edge]),
+                    float(u[last_edge]) if u is not None else None,
+                    int(cost[last_edge]) if cost is not None else None,
+                    int(core[last_edge]) if core is not None else None,
+                    k_total - last_edge,
+                )
+                # Resolved runs: the carried one (if any), then every run
+                # that starts in this chunk except the last.
+                lengths: IndexArray | None = None
+                if self.kernel.needs_repeat_flags or self.telemetry is not None:
+                    lengths = np.diff(edges)
+                edges = edges[:-1]
+                run_lines = lines[edges]
+                del lines
+                run_u = u[edges] if u is not None else None
+                del u
+                run_cost = cost[edges] if cost is not None else None
+                run_core = core[edges] if core is not None else None
+                if pending is not None:
+                    run_lines = _prepend(pline, run_lines)
+                    run_u = _prepend(pu, run_u)
+                    run_cost = _prepend(pcost, run_cost)
+                    run_core = _prepend(pcore, run_core)
+                    lengths = _prepend(carried + k, lengths)
+                    # Positions among this call's resolved accesses, which
+                    # start with the carried run.
+                    edges = _prepend(0, edges + carried)
             return self._dispatch(run_lines, run_u, run_cost, run_core,
-                                  run_lengths)
+                                  lengths, edges, carried + last_edge)
 
     def _dispatch(self, run_lines: AddressArray, run_u: UniformArray | None,
                   run_cost: IndexArray | None,
                   run_core: IndexArray | None,
-                  run_lengths: IndexArray) -> tuple[BoolArray, AddressArray]:
+                  run_lengths: IndexArray | None,
+                  starts: IndexArray | None,
+                  total: int) -> tuple[BoolArray, AddressArray]:
         """Run the resolved runs' edge accesses through the kernel
         (exactly like the one-shot path) and expand outcomes back to
-        per-access hits."""
-        m = len(run_lines)
-        if m == 0:
+        per-access hits.
+
+        ``run_lengths`` is None when no side channel needs it; ``starts``
+        gives each run's first position among the ``total`` resolved
+        accesses (None: every access is its own run)."""
+        if len(run_lines) == 0:
             if run_core is not None:
                 self.last_miss_cores = np.zeros(0, dtype=np.int64)
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
@@ -708,26 +734,22 @@ class EngineStream:
         edge_hits, k = _dispatch(kernel, self.config, run_lines, run_u,
                                  run_cost, kern_core, run_lengths,
                                  fold=self.collapse_runs,
-                                 with_extra=self.telemetry is not None)
+                                 with_extra=self.telemetry is not None,
+                                 span=self._span)
         self._kernel_count += k
-        return self._expand(run_lines, run_core, run_lengths, edge_hits)
-
-    def _expand(self, run_lines: AddressArray, run_core: IndexArray | None,
-                run_lengths: IndexArray,
-                edge_hits: BoolArray) -> tuple[BoolArray, AddressArray]:
-        """Expand run outcomes to per-access hits: each run contributes
-        its edge outcome followed by (length - 1) collapsed hits."""
-        total = int(run_lengths.sum())
-        hits = np.ones(total, dtype=bool)
-        starts = np.cumsum(run_lengths) - run_lengths
-        hits[starts] = edge_hits
         self._edge_count += len(edge_hits)
-        self._hit_count += int(hits.sum())
+        if starts is None:
+            hits = edge_hits
+        else:
+            hits = np.ones(total, dtype=bool)  # collapsed accesses are hits
+            hits[starts] = edge_hits
+        self._hit_count += int(np.count_nonzero(hits))
         if self.keep_hits:
             self._hit_chunks.append(hits)
+        misses = ~edge_hits
         if run_core is not None:
-            self.last_miss_cores = run_core[~edge_hits]
-        return hits, run_lines[~edge_hits]
+            self.last_miss_cores = run_core[misses]
+        return hits, run_lines[misses]
 
     def flush(self) -> tuple[BoolArray, AddressArray]:
         """Resolve the carried trailing run (stream end).  Returns its
@@ -747,7 +769,8 @@ class EngineStream:
             np.array([pu], dtype=np.float64) if pu is not None else None,
             np.array([pcost], dtype=np.int64) if pcost is not None else None,
             np.array([pcore], dtype=np.int64) if pcore is not None else None,
-            np.array([pcount], dtype=np.int64))
+            np.array([pcount], dtype=np.int64), np.zeros(1, dtype=np.intp),
+            pcount)
 
     def finish(self) -> SimResult:
         """Flush (if not already flushed) and assemble the SimResult."""

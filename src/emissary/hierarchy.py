@@ -2,25 +2,26 @@
 
 EMISSARY is an *L2* instruction cache policy: its miss-awareness signal
 is which lines cost L1I demand misses, so the paper's setting is an L2
-sitting behind an L1I filter.  This module provides that setting:
+behind L1I filters, shared by several cores.  This module provides it:
 
 :class:`BatchedHierarchyEngine` (the hot path)
-    Stage 1 simulates the L1I over the full trace with the batched
-    set-major engine (MRU run collapsing removes the ~90% of fetches
-    that re-touch the current line — those can never reach L2).  Only
-    the L1I *miss stream* proceeds to stage 2, together with each miss
-    line's running L1I miss count — the paper's priority signal,
-    measured rather than assumed.  Stage 2 runs the policy under test
-    over the miss stream on a second batched engine; cost-aware policies
-    (EMISSARY) receive the measured counts through the kernel ``cost``
+    One streamed N-core path serves all four entry points; a one-shot
+    run is a stream of one chunk, a single-core run has one core.  The
+    N private L1Is run core-virtualized on one incremental batched
+    engine (MRU run collapsing and the set-order fold drop the fetches
+    that re-touch a line, which can never reach L2).  Only the L1I
+    *miss stream* goes on, with each miss's running per-(core, line)
+    L1I miss count (the paper's priority signal, measured rather than
+    assumed), into a second stream for the shared L2.  Cost-aware
+    policies (EMISSARY) receive the counts through the kernel ``cost``
     channel and gate HP candidacy on them (``min_l1_misses``).
 
 :class:`HierarchyReferenceEngine` (the oracle)
-    One straightforward Python iteration per trace access, interleaving
-    the L1I lookup, the per-line miss counter, and the L2 access exactly
-    as a real fetch would.  The equivalence suite asserts bit-identical
-    L1 hit vectors, L2 hit vectors, and per-level stats against the
-    batched path.
+    One straightforward Python iteration per trace access through N
+    separate naive L1Is and one shared naive L2, interleaving the L1I
+    lookup, the miss counter, and the L2 access exactly as a real fetch
+    would.  The equivalence suites assert bit-identical hit vectors,
+    per-level stats and per-core rows against the batched path.
 
 Randomness: only the L2 policy may consume uniforms (the L1I policy is
 required to be deterministic — LRU or SRRIP), drawn positionally over
@@ -44,6 +45,7 @@ from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
 from emissary.engine import BatchedEngine, CacheConfig, IndexArray, SimResult
 from emissary.policies import make_naive, policy_needs_rng
+from emissary.policies.base import NaivePolicy
 from emissary.telemetry import Telemetry, span_factory
 from emissary.traces import MAX_CORES, AddressArray, CoreIdArray
 
@@ -208,7 +210,12 @@ def _check_core_ids(core_ids: CoreIdArray, n: int,
                     num_cores: int | None) -> tuple[IndexArray, int]:
     """Validate the per-access core-id channel; resolve ``num_cores``
     (``None`` means infer from the ids)."""
-    core = np.ascontiguousarray(core_ids, dtype=np.int64)
+    # The inferred dtype is only inspected: a float id must fail loudly,
+    # not be truncated by the int64 cast below.
+    core = np.asarray(core_ids)  # emi: ignore[EMI006]
+    if core.dtype.kind not in "iu":
+        raise TypeError(f"core_ids must be integers, got dtype {core.dtype}")
+    core = np.ascontiguousarray(core, dtype=np.int64)
     if len(core) != n:
         raise ValueError(f"core_ids length {len(core)} != trace length {n}")
     observed_max = int(core.max()) if n else 0
@@ -245,17 +252,26 @@ def _core_virtual_layout(l1: CacheConfig,
     return core_bits, core_pad, virtual
 
 
-def _per_core_stats(num_cores: int, n_by_core: IndexArray,
-                    l1_miss_by_core: IndexArray,
-                    l2_miss_by_core: IndexArray) -> list[dict[str, Any]]:
-    """Assemble the per-core breakdown rows (shared by every engine so
-    the payloads are comparable bit for bit)."""
-    rows = []
-    for c in range(num_cores):
-        n_c = int(n_by_core[c])
-        l1m = int(l1_miss_by_core[c])
-        l2m = int(l2_miss_by_core[c])
-        rows.append({
+#: Accesses, L1I misses and L2 misses per core.
+_PerCoreCounts = tuple[Iterable[Any], Iterable[Any], Iterable[Any]]
+
+
+def _hierarchy_result(policy: str, l1: SimResult, l2: SimResult,
+                      elapsed: float, tel: Telemetry | None,
+                      by_core: _PerCoreCounts | None) -> HierarchyResult:
+    """Wrap both levels' results.  ``by_core`` (accesses, L1I misses and
+    L2 misses per core) makes it a :class:`MultiCoreHierarchyResult`
+    whose per-core rows are built here for every engine, so they compare
+    bit for bit, and mirrored into ``core{c}.*`` telemetry counters."""
+    if by_core is None:
+        return HierarchyResult(policy=policy, n=l1.n, l1=l1, l2=l2,
+                               elapsed_s=elapsed,
+                               telemetry=tel.to_dict() if tel is not None
+                               else None)
+    per_core = []
+    for c, counts in enumerate(zip(*by_core)):
+        n_c, l1m, l2m = (int(x) for x in counts)
+        per_core.append({
             "core": c,
             "n": n_c,
             "l1_misses": l1m,
@@ -264,20 +280,14 @@ def _per_core_stats(num_cores: int, n_by_core: IndexArray,
             "l1_mpki": 1000.0 * l1m / n_c if n_c else 0.0,
             "l2_mpki": 1000.0 * l2m / n_c if n_c else 0.0,
         })
-    return rows
-
-
-def _record_per_core(tel: Telemetry | None,
-                     per_core: list[dict[str, Any]]) -> None:
-    """Mirror the per-core breakdown into telemetry counters
-    (``core{c}.n`` / ``core{c}.l1_misses`` / ``core{c}.l2_misses``)."""
-    if tel is None:
-        return
-    for row in per_core:
-        c = row["core"]
-        tel.inc(f"core{c}.n", row["n"])
-        tel.inc(f"core{c}.l1_misses", row["l1_misses"])
-        tel.inc(f"core{c}.l2_misses", row["l2_misses"])
+        if tel is not None:
+            tel.inc(f"core{c}.n", n_c)
+            tel.inc(f"core{c}.l1_misses", l1m)
+            tel.inc(f"core{c}.l2_misses", l2m)
+    return MultiCoreHierarchyResult(
+        policy=policy, n=l1.n, l1=l1, l2=l2, elapsed_s=elapsed,
+        telemetry=tel.to_dict() if tel is not None else None,
+        num_cores=len(per_core), per_core=per_core)
 
 
 class MissCountTable:
@@ -360,7 +370,12 @@ def running_miss_counts(lines: AddressArray) -> IndexArray:
 
 
 class BatchedHierarchyEngine:
-    """L1I filter stage + L2 policy stage, both on the batched engine."""
+    """L1I filter stage + L2 policy stage, both on the batched engine.
+
+    All four entry points run one path, :meth:`_run`: N private L1Is
+    over a chunked trace feeding one shared L2.  One-shot runs are a
+    single chunk; single-core runs have one core.
+    """
 
     def __init__(self, config: HierarchyConfig | None = None,
                  collapse_runs: bool = True,
@@ -394,47 +409,10 @@ class BatchedHierarchyEngine:
 
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True) -> HierarchyResult:
+        """One core, whole trace in memory: a stream of one chunk."""
         spec = require_policy_spec(policy, caller="BatchedHierarchyEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        n = len(addresses)
-        start = time.perf_counter()
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-
-        l1 = self._stage_engine(config.l1, l1_tel)
-        with span("l1_stage"):
-            l1_result = l1.run(addrs, PolicySpec(config.l1_policy), seed=seed,
-                               keep_hits=True)
-
-        with span("miss_extract"):
-            miss_addrs = addrs[~l1_result.hits]
-            miss_lines = miss_addrs >> np.uint64(config.l1.offset_bits)
-            l1_miss_counts = running_miss_counts(miss_lines)
-
-        l2 = self._stage_engine(config.l2, l2_tel)
-        with span("l2_stage"):
-            l2_result = l2.run(miss_addrs, spec, seed=seed, keep_hits=keep_hits,
-                               cost=l1_miss_counts)
-        l2_result.policy_stats.setdefault(
-            "unique_l1_miss_lines", int(len(np.unique(miss_lines))))
-
-        if not keep_hits:
-            l1_result.hits = None
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            # The merged payload is the single canonical blob; drop the
-            # per-stage copies so the serialized result stays compact.
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return HierarchyResult(policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-                               elapsed_s=elapsed, telemetry=telemetry_payload)
+        return self._run([(addresses, None)], spec, 1, seed, keep_hits,
+                         DEFAULT_L2_CHUNK_BYTES, multicore=False)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
                       policy: PolicySpec, num_cores: int | None = None,
@@ -444,96 +422,23 @@ class BatchedHierarchyEngine:
 
         ``core_ids`` gives, per access, which core issued it (the
         interleaved trace order *is* the arrival order at the shared
-        L2).  The private L1Is are simulated core-virtualized in one
-        batched engine (see :func:`_core_virtual_layout`); the combined
-        miss stream — still in global order — then drives the shared L2
-        with per-``(core, line)`` measured L1I miss counts on the cost
-        channel and the issuing core on the core channel, so a
+        L2); ``num_cores=None`` infers the count from the ids.  The
+        private L1Is share one core-virtualized engine (see
+        :func:`_core_virtual_layout`), whose set-order fold still finds
+        each core's line repeats that interleaving hides from
+        trace-order collapse: on a 2:1 two-core interleave about 8% of
+        accesses reach the L1 kernel, against 68% after trace-order
+        collapse alone (the compiled backend applies only the latter).
+        The shared L2 gets the issuing core on the core channel, so a
         partitioned-budget EMISSARY L2 can enforce per-core HP quotas.
-
-        Interleaving defeats trace-order run collapse (consecutive
-        accesses usually come from different cores), but each core's
-        accesses land in its own bank of virtual sets.  So the L1
-        engine's set-order fold (see :class:`~emissary.engine.
-        BatchedEngine`) still finds each core's line repeats: on a 2:1
-        two-core interleave about 8% of accesses reach the L1 kernel,
-        against 68% after trace-order collapse alone.  The compiled
-        backend applies only the trace-order collapse.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.run_multicore")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        n = len(addresses)
-        start = time.perf_counter()
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-        core, num_cores = _check_core_ids(core_ids, n, num_cores)
-        core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
-        offset_bits = config.l1.offset_bits
-
-        # One trace-length buffer turns, in place, from lines into the
-        # core-virtualized addresses the L1 stage reads, so no separate
-        # line or virtual-line copy is live during that stage.
-        vaddrs = addrs >> np.uint64(offset_bits)
-        if n and core_bits and (
-                int(vaddrs.max()) >> (64 - offset_bits - core_bits)):
-            raise ValueError(
-                f"address lines need more than {64 - offset_bits - core_bits} "
-                f"bits; no headroom for {core_bits} core bits")
-        vaddrs <<= np.uint64(core_bits)
-        vaddrs |= core.view(np.uint64)  # ids are validated non-negative
-        vaddrs <<= np.uint64(offset_bits)
-
-        l1 = self._stage_engine(v_l1, l1_tel)
-        with span("l1_stage"):
-            l1_result = l1.run(vaddrs, PolicySpec(config.l1_policy),
-                               seed=seed, keep_hits=True)
-
-        with span("miss_extract"):
-            miss_vlines = vaddrs[~l1_result.hits] >> np.uint64(offset_bits)
-            del vaddrs
-            miss_cores = (miss_vlines
-                          & np.uint64(core_pad - 1)).astype(np.int64)
-            miss_addrs = (miss_vlines >> np.uint64(core_bits)) \
-                << np.uint64(offset_bits)
-            # Per-(core, line) running counts: the virtual line *is* the
-            # (core, line) key, so each private L1I's miss count for a
-            # line advances independently.
-            l1_miss_counts = running_miss_counts(miss_vlines)
-
-        l2 = self._stage_engine(config.l2, l2_tel, num_cores=num_cores)
-        with span("l2_stage"):
-            l2_result = l2.run(miss_addrs, spec, seed=seed, keep_hits=True,
-                               cost=l1_miss_counts, core=miss_cores)
-        l2_result.policy_stats.setdefault(
-            "unique_l1_miss_lines", int(len(np.unique(miss_vlines))))
-
-        n_by_core = np.bincount(core, minlength=num_cores)
-        l1_miss_by_core = np.bincount(miss_cores, minlength=num_cores)
-        l2_miss_by_core = np.bincount(miss_cores[~l2_result.hits],
-                                      minlength=num_cores)
-        per_core = _per_core_stats(num_cores, n_by_core, l1_miss_by_core,
-                                   l2_miss_by_core)
-
-        if not keep_hits:
-            l1_result.hits = None
-            l2_result.hits = None
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            _record_per_core(tel, per_core)
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed, telemetry=telemetry_payload,
-            num_cores=num_cores, per_core=per_core)
+        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
+        result = self._run([(addresses, core)], spec, num_cores, seed,
+                           keep_hits, DEFAULT_L2_CHUNK_BYTES, multicore=True)
+        assert isinstance(result, MultiCoreHierarchyResult)
+        return result
 
     def simulate_stream(self, chunks: Iterable[AddressArray],
                         policy: PolicySpec, seed: int = 0,
@@ -543,95 +448,21 @@ class BatchedHierarchyEngine:
         """Run the two-level hierarchy over a chunked trace in bounded memory.
 
         ``chunks`` is any iterable of ``uint64`` address arrays in trace
-        order (e.g. a :class:`~emissary.trace_io.TraceSource`).  Both
-        stages run as incremental :class:`~emissary.engine.EngineStream`\\ s:
-        each resolved L1I chunk's miss lines flow into the L2 stream
-        together with their running L1I miss counts, which carry across
-        chunk boundaries in a per-line counter table.
-
-        Because the L1I filters out most accesses, per-chunk miss arrays
-        can be tiny; forwarding each one separately makes the L2 stage
-        pay fixed dispatch overhead per sliver.  Miss lines are therefore
-        buffered and forwarded only once ``chunk_bytes`` of them have
-        accumulated (or at end of trace).  Pass ``chunk_bytes=None`` to
-        forward every chunk's misses immediately.  Either way, L1/L2 hit
-        vectors and per-level stats are bit-identical to :meth:`run` on
-        the concatenated trace: the cost computation depends only on the
-        order of the miss stream, not on where it is cut.
+        order (e.g. a :class:`~emissary.trace_io.TraceSource`).  L1I miss
+        lines are buffered and forwarded to L2 once ``chunk_bytes`` of
+        them have accumulated (or at end of trace): the L1I filters out
+        most accesses, and forwarding each chunk's sliver separately
+        would make the L2 stage pay fixed dispatch overhead per sliver.
+        Pass ``chunk_bytes=None`` to forward every chunk's misses
+        immediately.  Either way, L1/L2 hit vectors and per-level stats
+        are bit-identical to :meth:`run` on the concatenated trace: the
+        cost computation depends only on the order of the miss stream,
+        not on where it is cut.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive or None, "
-                             f"got {chunk_bytes}")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        start = time.perf_counter()
-
-        l1_engine = self._stage_engine(config.l1, l1_tel)
-        l2_engine = self._stage_engine(config.l2, l2_tel)
-        l1_stream = l1_engine.stream(PolicySpec(config.l1_policy), seed=seed,
-                                     keep_hits=keep_hits)
-        l2_stream = l2_engine.stream(spec, seed=seed, keep_hits=keep_hits)
-
-        offset_bits = np.uint64(config.l1.offset_bits)
-        miss_counts = MissCountTable()
-        pending: list[AddressArray] = []
-        pending_bytes = 0
-
-        def advance(miss_lines: AddressArray) -> None:
-            """Extend the running per-line L1I miss counts and feed the
-            resolved miss stream (with measured costs) into L2."""
-            if len(miss_lines) == 0:
-                return
-            with span("miss_extract"):
-                cost = miss_counts.advance(miss_lines)
-            l2_stream.feed(miss_lines << offset_bits, cost=cost)
-
-        def enqueue(miss_lines: AddressArray, flush: bool = False) -> None:
-            """Buffer miss lines; forward to L2 once the coalescing
-            budget fills (or unconditionally on flush)."""
-            nonlocal pending_bytes
-            if len(miss_lines):
-                pending.append(miss_lines)
-                pending_bytes += miss_lines.nbytes
-            if pending and (flush or chunk_bytes is None
-                            or pending_bytes >= chunk_bytes):
-                batch = (pending[0] if len(pending) == 1
-                         else np.concatenate(pending))
-                pending.clear()
-                pending_bytes = 0
-                advance(batch)
-
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                chunk = next(chunk_iter, None)
-            if chunk is None:
-                break
-            _, miss_lines = l1_stream.feed(chunk)
-            enqueue(miss_lines)
-        _, tail_miss = l1_stream.flush()
-        enqueue(tail_miss, flush=True)
-
-        l1_result = l1_stream.finish()
-        l2_result = l2_stream.finish()
-        l2_result.policy_stats.setdefault("unique_l1_miss_lines",
-                                          len(miss_counts))
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return HierarchyResult(policy=spec.name, n=l1_result.n, l1=l1_result,
-                               l2=l2_result, elapsed_s=elapsed,
-                               telemetry=telemetry_payload)
+        return self._run(((chunk, None) for chunk in chunks), spec, 1, seed,
+                         keep_hits, chunk_bytes, multicore=False)
 
     def simulate_stream_multicore(
             self, chunks: Iterable[tuple[AddressArray, CoreIdArray]],
@@ -645,22 +476,40 @@ class BatchedHierarchyEngine:
         trace order (e.g. :meth:`emissary.traces.InterleaveSpec.generate_chunks`).
         Same contract as :meth:`simulate_stream`: bit-identical to
         :meth:`run_multicore` on the concatenated trace for any chunk
-        cuts, because the per-``(core, line)`` miss-count carry (keyed by
-        virtual line in a :class:`MissCountTable`) and the L2 stream's
-        pending-run carry are both cut-invariant.  ``num_cores`` must be
-        given up front: the core-virtualized L1 geometry depends on it.
+        cuts.  ``num_cores`` must be given up front: the core-virtualized
+        L1 geometry depends on it.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream_multicore")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive or None, "
-                             f"got {chunk_bytes}")
         if num_cores is None:
             raise ValueError("simulate_stream_multicore needs an explicit "
                              "num_cores (the virtual L1 geometry is fixed "
                              "before the first chunk arrives)")
         _, num_cores = _check_core_ids(np.zeros(0, dtype=np.int64), 0,
                                        num_cores)
+        result = self._run(chunks, spec, num_cores, seed, keep_hits,
+                           chunk_bytes, multicore=True)
+        assert isinstance(result, MultiCoreHierarchyResult)
+        return result
+
+    def _run(self, chunks: Iterable[tuple[AddressArray, CoreIdArray | None]],
+             spec: PolicySpec, num_cores: int, seed: int, keep_hits: bool,
+             chunk_bytes: int | None, multicore: bool) -> HierarchyResult:
+        """The one execution path: both stages as incremental
+        :class:`~emissary.engine.EngineStream`\\ s.
+
+        ``chunks`` yields ``(addresses, core_ids)`` pairs in trace order
+        (``core_ids`` may be None on one core).  Each resolved L1I
+        chunk's miss lines go, coalesced up to ``chunk_bytes``, into the
+        L2 stream with their running per-``(core, line)`` L1I miss
+        counts, carried across chunks in a :class:`MissCountTable`.  At
+        one core ``core_bits`` is 0: the virtual line is the line, and
+        none of the core bookkeeping runs.  ``multicore`` picks the
+        result type (per-core rows and ``core{c}.*`` counters or not).
+        """
+        if chunk_bytes is not None and chunk_bytes <= 0:
+            raise ValueError(f"chunk_bytes must be positive or None, "
+                             f"got {chunk_bytes}")
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
@@ -668,44 +517,45 @@ class BatchedHierarchyEngine:
         l2_tel = Telemetry() if tel is not None else None
         start = time.perf_counter()
         core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
-        offset_bits = config.l1.offset_bits
-        line_cap_bits = 64 - offset_bits - core_bits
+        offset_bits = np.uint64(config.l1.offset_bits)
+        line_cap_bits = 64 - config.l1.offset_bits - core_bits
 
-        l1_engine = self._stage_engine(v_l1, l1_tel)
-        l2_engine = self._stage_engine(config.l2, l2_tel,
-                                       num_cores=num_cores)
-        l1_stream = l1_engine.stream(PolicySpec(config.l1_policy), seed=seed,
-                                     keep_hits=keep_hits)
-        l2_stream = l2_engine.stream(spec, seed=seed, keep_hits=keep_hits)
-
+        l1_stream = self._stage_engine(v_l1, l1_tel).stream(
+            PolicySpec(config.l1_policy), seed=seed, keep_hits=keep_hits)
+        l2_stream = self._stage_engine(config.l2, l2_tel,
+                                       num_cores=num_cores).stream(
+            spec, seed=seed, keep_hits=keep_hits)
         miss_counts = MissCountTable()
         pending: list[AddressArray] = []
         pending_bytes = 0
         n_by_core = np.zeros(num_cores, dtype=np.int64)
         l2_miss_by_core = np.zeros(num_cores, dtype=np.int64)
 
-        def take_l2_misses() -> None:
-            """Fold the L2 stream's latest per-miss core attribution into
-            the fairness tally (valid right after a feed or flush)."""
-            nonlocal l2_miss_by_core
-            attributed = l2_stream.last_miss_cores
-            if attributed is not None and len(attributed):
-                l2_miss_by_core += np.bincount(attributed,
-                                               minlength=num_cores)
+        def tally_l2_misses() -> None:
+            """Fold the L2 stream's latest per-miss core attribution
+            (None: no core channel) into the fairness tally."""
+            cores = l2_stream.last_miss_cores
+            if cores is not None:
+                l2_miss_by_core[:] += np.bincount(cores, minlength=num_cores)
 
         def advance(miss_vlines: AddressArray) -> None:
-            if len(miss_vlines) == 0:
-                return
+            """Extend the running L1I miss counts and feed the resolved
+            miss stream (with measured costs) into L2."""
             with span("miss_extract"):
                 cost = miss_counts.advance(miss_vlines)
-                miss_cores = (miss_vlines
-                              & np.uint64(core_pad - 1)).astype(np.int64)
-                miss_addrs = (miss_vlines >> np.uint64(core_bits)) \
-                    << np.uint64(offset_bits)
-            l2_stream.feed(miss_addrs, cost=cost, core=miss_cores)
-            take_l2_misses()
+                miss_cores = None
+                if core_bits:
+                    miss_cores = (miss_vlines
+                                  & np.uint64(core_pad - 1)).astype(np.int64)
+                    miss_vlines = miss_vlines >> np.uint64(core_bits)
+                miss_addrs = miss_vlines << offset_bits
+            with span("l2_stage"):
+                l2_stream.feed(miss_addrs, cost=cost, core=miss_cores)
+            tally_l2_misses()
 
         def enqueue(miss_vlines: AddressArray, flush: bool = False) -> None:
+            """Buffer miss lines; forward to L2 once the coalescing
+            budget fills (or unconditionally on flush)."""
             nonlocal pending_bytes
             if len(miss_vlines):
                 pending.append(miss_vlines)
@@ -724,62 +574,146 @@ class BatchedHierarchyEngine:
                 pair = next(chunk_iter, None)
             if pair is None:
                 break
-            addr_chunk, core_chunk = pair
-            addr_chunk = np.ascontiguousarray(addr_chunk, dtype=np.uint64)
-            core_chunk, _ = _check_core_ids(core_chunk, len(addr_chunk),
-                                            num_cores)
-            # Lines -> core-virtualized addresses in one buffer, in place
-            # (as in :meth:`run_multicore`).
-            vaddrs = addr_chunk >> np.uint64(offset_bits)
-            if len(vaddrs) and core_bits and (
-                    int(vaddrs.max()) >> line_cap_bits):
-                raise ValueError(
-                    f"address lines need more than {line_cap_bits} bits; "
-                    f"no headroom for {core_bits} core bits")
-            n_by_core += np.bincount(core_chunk, minlength=num_cores)
-            vaddrs <<= np.uint64(core_bits)
-            vaddrs |= core_chunk.view(np.uint64)
-            vaddrs <<= np.uint64(offset_bits)
-            _, miss_vlines = l1_stream.feed(vaddrs)
-            del vaddrs
+            addrs, core_ids = pair
+            del pair
+            addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
+            core = (None if core_ids is None
+                    else _check_core_ids(core_ids, len(addrs), num_cores)[0])
+            if core_bits:
+                if core is None:
+                    raise TypeError(f"{num_cores}-core chunks need core ids")
+                # Lines -> core-virtualized addresses, in place in one
+                # new buffer.
+                addrs = addrs >> offset_bits
+                if len(addrs) and int(addrs.max()) >> line_cap_bits:
+                    raise ValueError(
+                        f"address lines need more than {line_cap_bits} "
+                        f"bits; no headroom for {core_bits} core bits")
+                n_by_core += np.bincount(core, minlength=num_cores)
+                addrs <<= np.uint64(core_bits)
+                addrs |= core.view(np.uint64)  # ids are validated >= 0
+                addrs <<= offset_bits
+            with span("l1_stage"):
+                _, miss_vlines = l1_stream.feed(addrs)
+            del addrs
             enqueue(miss_vlines)
-        _, tail_miss = l1_stream.flush()
-        enqueue(tail_miss, flush=True)
-        l2_stream.flush()
-        take_l2_misses()
+        with span("l1_stage"):
+            _, miss_vlines = l1_stream.flush()
+        enqueue(miss_vlines, flush=True)
+        with span("l2_stage"):
+            l2_stream.flush()
+        tally_l2_misses()
 
         l1_result = l1_stream.finish()
         l2_result = l2_stream.finish()
         l2_result.policy_stats.setdefault("unique_l1_miss_lines",
                                           len(miss_counts))
-        # Per-core L1I misses come straight off the compacted table: the
-        # key's low bits are the core, the count is that (core, line)'s
-        # total misses.
-        key_cores = (miss_counts.keys
-                     & np.uint64(core_pad - 1)).astype(np.int64)
-        l1_miss_by_core = np.bincount(
-            key_cores, weights=miss_counts.counts,
-            minlength=num_cores).astype(np.int64)
-        per_core = _per_core_stats(num_cores, n_by_core, l1_miss_by_core,
-                                   l2_miss_by_core)
+        by_core: _PerCoreCounts | None = None
+        if multicore and core_bits:
+            # Per-core L1I misses come straight off the compacted table:
+            # the key's low bits are the core, the count is that
+            # (core, line)'s total misses.
+            key_cores = (miss_counts.keys
+                         & np.uint64(core_pad - 1)).astype(np.int64)
+            by_core = (n_by_core,
+                       np.bincount(key_cores, weights=miss_counts.counts,
+                                   minlength=num_cores).astype(np.int64),
+                       l2_miss_by_core)
+        elif multicore:  # one core: its row is the totals
+            by_core = ([l1_result.n], [l1_result.miss_count],
+                       [l2_result.miss_count])
         elapsed = time.perf_counter() - start
-        telemetry_payload = None
         if tel is not None:
             tel.merge_prefixed(l1_tel, "l1.")
             tel.merge_prefixed(l2_tel, "l2.")
-            _record_per_core(tel, per_core)
+            # The merged payload is the single canonical blob; drop the
+            # per-stage copies so the serialized result stays compact.
             l1_result.telemetry = None
             l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=l1_result.n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed, telemetry=telemetry_payload,
-            num_cores=num_cores, per_core=per_core)
+        return _hierarchy_result(spec.name, l1_result, l2_result, elapsed,
+                                 tel, by_core)
+
+
+class _NaiveLevel:
+    """One cache level of the per-access oracle: tag lookup, then
+    fill/victim selection through a naive policy, plus the generic
+    per-(set, way) line-lifetime accounting when instrumented (the
+    names the instrumented batched kernels produce)."""
+
+    def __init__(self, impl: NaivePolicy, config: CacheConfig,
+                 tel: Telemetry | None, prefix: str) -> None:
+        self.impl = impl
+        self.ways = config.ways
+        self.set_mask = config.num_sets - 1
+        self.set_bits = config.set_bits
+        self.tags: list[list[int | None]] = [
+            [None] * config.ways for _ in range(config.num_sets)]
+        self.tel = tel
+        self.prefix = prefix
+        #: Hits since fill per (set, way); only kept when instrumented.
+        self.line_hits = ([0] * (config.num_sets * config.ways)
+                          if tel is not None else [])
+        self.fills = self.evictions = self.dead = 0
+
+    def access(self, line: int, pos: int, u: float = 0.0,
+               cost: int | None = None, core: int | None = None) -> bool:
+        """Look ``line`` up at access position ``pos``; fill on a miss.
+        Returns whether it hit."""
+        s = line & self.set_mask
+        tag = line >> self.set_bits
+        set_tags = self.tags[s]
+        impl = self.impl
+        tel = self.tel
+        line_hits = self.line_hits
+        if tag in set_tags:
+            way = set_tags.index(tag)
+            impl.on_hit(s, way, pos)
+            if tel is not None:
+                line_hits[s * self.ways + way] += 1
+            return True
+        if None in set_tags:
+            way = set_tags.index(None)
+        else:
+            way = impl.find_victim(s, u)
+            impl.replaced(s, way)
+            if tel is not None:
+                victim_hits = line_hits[s * self.ways + way]
+                tel.observe(self.prefix + "line_hits", victim_hits)
+                self.evictions += 1
+                if victim_hits == 0:
+                    self.dead += 1
+        set_tags[way] = tag
+        impl.on_fill(s, way, pos, u, cost, core)
+        if tel is not None:
+            line_hits[s * self.ways + way] = 0
+            self.fills += 1
+        return False
+
+
+def _record_levels(tel: Telemetry, levels: list[_NaiveLevel]) -> None:
+    """Lifetime counters of one level's instances (the N private L1Is
+    count as one level), plus the resident lines' hit histogram."""
+    prefix = levels[0].prefix
+    tel.inc(prefix + "fills", sum(level.fills for level in levels))
+    tel.inc(prefix + "evictions", sum(level.evictions for level in levels))
+    tel.inc(prefix + "dead_on_fill", sum(level.dead for level in levels))
+    for level in levels:
+        for s, set_tags in enumerate(level.tags):
+            for w, tag in enumerate(set_tags):
+                if tag is not None:
+                    tel.observe(prefix + "resident_line_hits",
+                                level.line_hits[s * level.ways + w])
 
 
 class HierarchyReferenceEngine:
     """Naive per-access oracle: L1I lookup, miss counting, and L2 access
-    interleaved in trace order, one Python step per fetch."""
+    interleaved in trace order, one Python step per fetch.
+
+    One loop serves both entry points: N genuinely separate naive L1I
+    instances (one per core) in front of one shared naive L2 — the
+    ground truth the core-virtualized batched path must reproduce bit
+    for bit.  :meth:`run` is that loop at one core.
+    """
 
     def __init__(self, config: HierarchyConfig | None = None,
                  telemetry: Telemetry | None = None,
@@ -791,329 +725,84 @@ class HierarchyReferenceEngine:
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True) -> HierarchyResult:
         spec = require_policy_spec(policy, caller="HierarchyReferenceEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1c, l2c = config.l1, config.l2
-        n = len(addresses)
-        start = time.perf_counter()
-
-        l1_impl = make_naive(config.l1_policy, l1c.num_sets, l1c.ways)
-        l2_impl = make_naive(spec.name, l2c.num_sets, l2c.ways, **spec.params)
-        if self.sanitizer is not None:
-            self.sanitizer.attach_naive(l1_impl)
-            self.sanitizer.attach_naive(l2_impl)
-        rng = (np.random.default_rng(seed)
-               if policy_needs_rng(spec.name) else None)
-
-        l1_tags = [[None] * l1c.ways for _ in range(l1c.num_sets)]
-        l2_tags = [[None] * l2c.ways for _ in range(l2c.num_sets)]
-        miss_counts: dict[int, int] = {}
-
-        l1_hits = np.empty(n, dtype=bool)
-        l2_hits_list = []
-        l1_set_mask = l1c.num_sets - 1
-        l2_set_mask = l2c.num_sets - 1
-        offset_bits = l1c.offset_bits  # == l2c.offset_bits (validated)
-        j = 0  # L2 access index (position in the miss stream)
-
-        # Generic per-(set, way) lifetime accounting, per level, matching
-        # the names the instrumented batched kernels produce.
-        track = tel is not None
-        l1_line_hits = [0] * (l1c.num_sets * l1c.ways) if track else None
-        l2_line_hits = [0] * (l2c.num_sets * l2c.ways) if track else None
-        l1_fills = l1_evictions = l1_dead = 0
-        l2_fills = l2_evictions = l2_dead = 0
-
-        with span("naive_loop"):
-            for i, addr in enumerate(addresses.tolist()):
-                line = addr >> offset_bits
-                s1 = line & l1_set_mask
-                t1 = line >> l1c.set_bits
-                set_tags = l1_tags[s1]
-                way = -1
-                for w in range(l1c.ways):
-                    if set_tags[w] == t1:
-                        way = w
-                        break
-                if way >= 0:
-                    l1_impl.on_hit(s1, way, i)
-                    if track:
-                        l1_line_hits[s1 * l1c.ways + way] += 1
-                    l1_hits[i] = True
-                    continue
-                # L1I miss: fill L1, bump the line's measured miss count, go to L2.
-                l1_hits[i] = False
-                for w in range(l1c.ways):
-                    if set_tags[w] is None:
-                        way = w
-                        break
-                else:
-                    way = l1_impl.find_victim(s1, 0.0)
-                    l1_impl.replaced(s1, way)
-                    if track:
-                        victim_hits = l1_line_hits[s1 * l1c.ways + way]
-                        tel.observe("l1.line_hits", victim_hits)
-                        l1_evictions += 1
-                        if victim_hits == 0:
-                            l1_dead += 1
-                set_tags[way] = t1
-                l1_impl.on_fill(s1, way, i, 0.0)
-                if track:
-                    l1_line_hits[s1 * l1c.ways + way] = 0
-                    l1_fills += 1
-
-                cost_i = miss_counts.get(line, 0) + 1
-                miss_counts[line] = cost_i
-                u_j = rng.random() if rng is not None else 0.0
-
-                s2 = line & l2_set_mask
-                t2 = line >> l2c.set_bits
-                set_tags2 = l2_tags[s2]
-                way = -1
-                for w in range(l2c.ways):
-                    if set_tags2[w] == t2:
-                        way = w
-                        break
-                if way >= 0:
-                    l2_impl.on_hit(s2, way, j)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] += 1
-                    l2_hits_list.append(True)
-                else:
-                    for w in range(l2c.ways):
-                        if set_tags2[w] is None:
-                            way = w
-                            break
-                    else:
-                        way = l2_impl.find_victim(s2, u_j)
-                        l2_impl.replaced(s2, way)
-                        if track:
-                            victim_hits = l2_line_hits[s2 * l2c.ways + way]
-                            tel.observe("l2.line_hits", victim_hits)
-                            l2_evictions += 1
-                            if victim_hits == 0:
-                                l2_dead += 1
-                    set_tags2[way] = t2
-                    l2_impl.on_fill(s2, way, j, u_j, cost_i)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] = 0
-                        l2_fills += 1
-                    l2_hits_list.append(False)
-                j += 1
-
-        elapsed = time.perf_counter() - start
-        l1_hit_count = int(l1_hits.sum())
-        l2_hits = np.array(l2_hits_list, dtype=bool)
-        l2_hit_count = int(l2_hits.sum())
-        if track:
-            for prefix, fills, evictions, dead, cfg, tags_table, hits_table in (
-                    ("l1.", l1_fills, l1_evictions, l1_dead, l1c, l1_tags,
-                     l1_line_hits),
-                    ("l2.", l2_fills, l2_evictions, l2_dead, l2c, l2_tags,
-                     l2_line_hits)):
-                tel.inc(prefix + "fills", fills)
-                tel.inc(prefix + "evictions", evictions)
-                tel.inc(prefix + "dead_on_fill", dead)
-                for s in range(cfg.num_sets):
-                    for w in range(cfg.ways):
-                        if tags_table[s][w] is not None:
-                            tel.observe(prefix + "resident_line_hits",
-                                        hits_table[s * cfg.ways + w])
-            tel.inc("l1.hits", l1_hit_count)
-            tel.inc("l1.misses", n - l1_hit_count)
-            tel.inc("l2.hits", l2_hit_count)
-            tel.inc("l2.misses", j - l2_hit_count)
-            tel.inc("engine.accesses", n)
-            l1_impl.telemetry_finalize(tel, prefix="l1.")
-            l2_impl.telemetry_finalize(tel, prefix="l2.")
-        l1_result = SimResult(policy=config.l1_policy, n=n, hit_count=l1_hit_count,
-                              miss_count=n - l1_hit_count, elapsed_s=elapsed,
-                              hits=l1_hits if keep_hits else None,
-                              policy_stats=l1_impl.extra_stats())
-        l2_result = SimResult(policy=spec.name, n=j, hit_count=l2_hit_count,
-                              miss_count=j - l2_hit_count, elapsed_s=elapsed,
-                              hits=l2_hits if keep_hits else None,
-                              policy_stats={**l2_impl.extra_stats(),
-                                            "unique_l1_miss_lines": len(miss_counts)})
-        return HierarchyResult(policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-                               elapsed_s=elapsed,
-                               telemetry=tel.to_dict() if tel is not None else None)
+        return self._run(addresses, np.zeros(len(addresses), dtype=np.int64),
+                         1, spec, seed, keep_hits, multicore=False)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
                       policy: PolicySpec, num_cores: int | None = None,
                       seed: int = 0,
                       keep_hits: bool = True) -> MultiCoreHierarchyResult:
-        """Per-access multi-core oracle: N genuinely separate naive L1I
-        instances (one per core) in front of one shared naive L2, walked
-        in interleaved trace order — the ground truth the
-        core-virtualized batched path must reproduce bit for bit.
-        """
         spec = require_policy_spec(
             policy, caller="HierarchyReferenceEngine.run_multicore")
+        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
+        result = self._run(addresses, core, num_cores, spec, seed, keep_hits,
+                           multicore=True)
+        assert isinstance(result, MultiCoreHierarchyResult)
+        return result
+
+    def _run(self, addresses: AddressArray, core: IndexArray, num_cores: int,
+             spec: PolicySpec, seed: int, keep_hits: bool,
+             multicore: bool) -> HierarchyResult:
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
-        l1c, l2c = config.l1, config.l2
         n = len(addresses)
-        core, num_cores = _check_core_ids(core_ids, n, num_cores)
-        core_list = core.tolist()
         start = time.perf_counter()
 
-        l1_impls = [make_naive(config.l1_policy, l1c.num_sets, l1c.ways)
-                    for _ in range(num_cores)]
+        l1 = [_NaiveLevel(make_naive(config.l1_policy, config.l1.num_sets,
+                                     config.l1.ways), config.l1, tel, "l1.")
+              for _ in range(num_cores)]
         extra = {"num_cores": num_cores} if spec.name == "emissary" else {}
-        l2_impl = make_naive(spec.name, l2c.num_sets, l2c.ways,
-                             **spec.params, **extra)
+        l2 = _NaiveLevel(make_naive(spec.name, config.l2.num_sets,
+                                    config.l2.ways, **spec.params, **extra),
+                         config.l2, tel, "l2.")
         if self.sanitizer is not None:
-            for impl in l1_impls:
-                self.sanitizer.attach_naive(impl)
-            self.sanitizer.attach_naive(l2_impl)
+            for level in (*l1, l2):
+                self.sanitizer.attach_naive(level.impl)
         rng = (np.random.default_rng(seed)
                if policy_needs_rng(spec.name) else None)
-
-        l1_tags = [[[None] * l1c.ways for _ in range(l1c.num_sets)]
-                   for _ in range(num_cores)]
-        l2_tags = [[None] * l2c.ways for _ in range(l2c.num_sets)]
         miss_counts: dict[tuple[int, int], int] = {}
-
         l1_hits = np.empty(n, dtype=bool)
-        l2_hits_list = []
-        l2_miss_cores = []
-        l1_set_mask = l1c.num_sets - 1
-        l2_set_mask = l2c.num_sets - 1
-        offset_bits = l1c.offset_bits  # == l2c.offset_bits (validated)
-        j = 0  # L2 access index (position in the combined miss stream)
-        n_by_core = [0] * num_cores
-        l1_miss_by_core = [0] * num_cores
-
-        track = tel is not None
-        l1_line_hits = ([[0] * (l1c.num_sets * l1c.ways)
-                         for _ in range(num_cores)] if track else None)
-        l2_line_hits = [0] * (l2c.num_sets * l2c.ways) if track else None
-        l1_fills = l1_evictions = l1_dead = 0
-        l2_fills = l2_evictions = l2_dead = 0
+        l2_hits_list: list[bool] = []
+        offset_bits = config.l1.offset_bits  # == l2 offset_bits (validated)
 
         with span("naive_loop"):
-            for i, addr in enumerate(addresses.tolist()):
-                c = core_list[i]
-                n_by_core[c] += 1
+            for i, (addr, c) in enumerate(zip(addresses.tolist(),
+                                               core.tolist())):
                 line = addr >> offset_bits
-                s1 = line & l1_set_mask
-                t1 = line >> l1c.set_bits
-                l1_impl = l1_impls[c]
-                set_tags = l1_tags[c][s1]
-                way = -1
-                for w in range(l1c.ways):
-                    if set_tags[w] == t1:
-                        way = w
-                        break
-                if way >= 0:
-                    l1_impl.on_hit(s1, way, i)
-                    if track:
-                        l1_line_hits[c][s1 * l1c.ways + way] += 1
+                if l1[c].access(line, i):
                     l1_hits[i] = True
                     continue
-                # Private L1I miss: fill that core's L1I, bump its
-                # per-(core, line) miss count, go to the shared L2.
+                # Private L1I miss: bump that core's measured miss count
+                # for the line, then access the shared L2.
                 l1_hits[i] = False
-                l1_miss_by_core[c] += 1
-                for w in range(l1c.ways):
-                    if set_tags[w] is None:
-                        way = w
-                        break
-                else:
-                    way = l1_impl.find_victim(s1, 0.0)
-                    l1_impl.replaced(s1, way)
-                    if track:
-                        victim_hits = l1_line_hits[c][s1 * l1c.ways + way]
-                        tel.observe("l1.line_hits", victim_hits)
-                        l1_evictions += 1
-                        if victim_hits == 0:
-                            l1_dead += 1
-                set_tags[way] = t1
-                l1_impl.on_fill(s1, way, i, 0.0)
-                if track:
-                    l1_line_hits[c][s1 * l1c.ways + way] = 0
-                    l1_fills += 1
-
-                cost_i = miss_counts.get((c, line), 0) + 1
-                miss_counts[(c, line)] = cost_i
-                u_j = rng.random() if rng is not None else 0.0
-
-                s2 = line & l2_set_mask
-                t2 = line >> l2c.set_bits
-                set_tags2 = l2_tags[s2]
-                way = -1
-                for w in range(l2c.ways):
-                    if set_tags2[w] == t2:
-                        way = w
-                        break
-                if way >= 0:
-                    l2_impl.on_hit(s2, way, j)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] += 1
-                    l2_hits_list.append(True)
-                else:
-                    for w in range(l2c.ways):
-                        if set_tags2[w] is None:
-                            way = w
-                            break
-                    else:
-                        way = l2_impl.find_victim(s2, u_j)
-                        l2_impl.replaced(s2, way)
-                        if track:
-                            victim_hits = l2_line_hits[s2 * l2c.ways + way]
-                            tel.observe("l2.line_hits", victim_hits)
-                            l2_evictions += 1
-                            if victim_hits == 0:
-                                l2_dead += 1
-                    set_tags2[way] = t2
-                    l2_impl.on_fill(s2, way, j, u_j, cost_i, c)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] = 0
-                        l2_fills += 1
-                    l2_hits_list.append(False)
-                    l2_miss_cores.append(c)
-                j += 1
+                cost = miss_counts.get((c, line), 0) + 1
+                miss_counts[(c, line)] = cost
+                u = rng.random() if rng is not None else 0.0
+                l2_hits_list.append(
+                    l2.access(line, len(l2_hits_list), u, cost, c))
 
         elapsed = time.perf_counter() - start
+        m = len(l2_hits_list)
         l1_hit_count = int(l1_hits.sum())
         l2_hits = np.array(l2_hits_list, dtype=bool)
         l2_hit_count = int(l2_hits.sum())
-        l2_miss_by_core = np.bincount(
-            np.array(l2_miss_cores, dtype=np.int64), minlength=num_cores)
-        per_core = _per_core_stats(num_cores,
-                                   np.array(n_by_core, dtype=np.int64),
-                                   np.array(l1_miss_by_core, dtype=np.int64),
-                                   l2_miss_by_core)
-        if track:
-            tel.inc("l1.fills", l1_fills)
-            tel.inc("l1.evictions", l1_evictions)
-            tel.inc("l1.dead_on_fill", l1_dead)
-            for c in range(num_cores):
-                for s in range(l1c.num_sets):
-                    for w in range(l1c.ways):
-                        if l1_tags[c][s][w] is not None:
-                            tel.observe("l1.resident_line_hits",
-                                        l1_line_hits[c][s * l1c.ways + w])
-            tel.inc("l2.fills", l2_fills)
-            tel.inc("l2.evictions", l2_evictions)
-            tel.inc("l2.dead_on_fill", l2_dead)
-            for s in range(l2c.num_sets):
-                for w in range(l2c.ways):
-                    if l2_tags[s][w] is not None:
-                        tel.observe("l2.resident_line_hits",
-                                    l2_line_hits[s * l2c.ways + w])
+        by_core: _PerCoreCounts | None = None
+        if multicore:
+            miss_cores = core[~l1_hits]  # the L2 access stream's cores
+            by_core = (np.bincount(core, minlength=num_cores),
+                       np.bincount(miss_cores, minlength=num_cores),
+                       np.bincount(miss_cores[~l2_hits], minlength=num_cores))
+        if tel is not None:
+            _record_levels(tel, l1)
+            _record_levels(tel, [l2])
             tel.inc("l1.hits", l1_hit_count)
             tel.inc("l1.misses", n - l1_hit_count)
             tel.inc("l2.hits", l2_hit_count)
-            tel.inc("l2.misses", j - l2_hit_count)
+            tel.inc("l2.misses", m - l2_hit_count)
             tel.inc("engine.accesses", n)
-            for impl in l1_impls:
-                impl.telemetry_finalize(tel, prefix="l1.")
-            l2_impl.telemetry_finalize(tel, prefix="l2.")
-            _record_per_core(tel, per_core)
+            for level in (*l1, l2):
+                level.impl.telemetry_finalize(tel, prefix=level.prefix)
         l1_result = SimResult(policy=config.l1_policy, n=n,
                               hit_count=l1_hit_count,
                               miss_count=n - l1_hit_count, elapsed_s=elapsed,
@@ -1121,39 +810,15 @@ class HierarchyReferenceEngine:
                               # The L1I policy is deterministic (LRU or
                               # SRRIP) and keeps no statistics, so any
                               # core's instance speaks for all of them.
-                              policy_stats=l1_impls[0].extra_stats())
-        l2_result = SimResult(policy=spec.name, n=j, hit_count=l2_hit_count,
-                              miss_count=j - l2_hit_count, elapsed_s=elapsed,
+                              policy_stats=l1[0].impl.extra_stats())
+        l2_result = SimResult(policy=spec.name, n=m, hit_count=l2_hit_count,
+                              miss_count=m - l2_hit_count, elapsed_s=elapsed,
                               hits=l2_hits if keep_hits else None,
-                              policy_stats={**l2_impl.extra_stats(),
+                              policy_stats={**l2.impl.extra_stats(),
                                             "unique_l1_miss_lines":
                                             len(miss_counts)})
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed,
-            telemetry=tel.to_dict() if tel is not None else None,
-            num_cores=num_cores, per_core=per_core)
-
-
-def simulate_multicore(addresses: AddressArray, core_ids: CoreIdArray,
-                       policy: PolicySpec,
-                       config: HierarchyConfig | None = None,
-                       num_cores: int | None = None, seed: int = 0,
-                       engine: str = "batched") -> MultiCoreHierarchyResult:
-    """Convenience wrapper: run the N-core shared-L2 hierarchy on any
-    engine."""
-    if engine == "batched":
-        return BatchedHierarchyEngine(config).run_multicore(
-            addresses, core_ids, policy, num_cores=num_cores, seed=seed)
-    if engine == "compiled":
-        return BatchedHierarchyEngine(config, kernel_backend="compiled") \
-            .run_multicore(addresses, core_ids, policy, num_cores=num_cores,
-                           seed=seed)
-    if engine == "reference":
-        return HierarchyReferenceEngine(config).run_multicore(
-            addresses, core_ids, policy, num_cores=num_cores, seed=seed)
-    raise ValueError(f"unknown engine {engine!r} "
-                     f"(expected 'batched', 'compiled', or 'reference')")
+        return _hierarchy_result(spec.name, l1_result, l2_result, elapsed,
+                                 tel, by_core)
 
 
 def simulate_hierarchy(addresses: AddressArray, policy: PolicySpec,

@@ -8,8 +8,8 @@ import pytest
 
 from emissary.api import PolicySpec, SimRequest, require_policy_spec, simulate
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine, SimResult
-from emissary.hierarchy import (HierarchyConfig, HierarchyResult,
-                                MultiCoreHierarchyResult, simulate_multicore)
+from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
+                                HierarchyResult, MultiCoreHierarchyResult)
 from emissary.results_cache import ResultsCache, config_key
 from emissary.traces import InterleaveSpec, TraceSpec
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
@@ -139,8 +139,8 @@ class TestMultiCoreRequest:
         assert result.num_cores == 2
         assert [row["n"] for row in result.per_core] == [4_000, 2_000]
         addresses, core_ids = MIX.generate()
-        direct = simulate_multicore(addresses, core_ids, request.policy,
-                                    config=HierarchyConfig(), seed=9)
+        direct = BatchedHierarchyEngine(HierarchyConfig()).run_multicore(
+            addresses, core_ids, request.policy, seed=9)
         assert result.per_core == direct.per_core
         assert np.array_equal(result.l2.hits, direct.l2.hits)
 

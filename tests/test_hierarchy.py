@@ -12,7 +12,7 @@ from emissary.engine import BatchedEngine, CacheConfig
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                 HierarchyReferenceEngine, HierarchyResult,
                                 MultiCoreHierarchyResult, running_miss_counts,
-                                simulate_hierarchy, simulate_multicore)
+                                simulate_hierarchy)
 from emissary.policies import POLICY_NAMES
 from emissary.telemetry import Telemetry
 from emissary.traces import MAX_CORES, InterleaveSpec, TraceSpec
@@ -239,10 +239,10 @@ def test_multicore_telemetry_parity_batched_vs_oracle():
 
 def test_multicore_engines_dispatch_and_agree():
     spec = POLICY_SPECS["emissary"]
-    batched = simulate_multicore(MIX_ADDRESSES, MIX_CORE_IDS, spec,
-                                 config=CONFIG, seed=7)
-    reference = simulate_multicore(MIX_ADDRESSES, MIX_CORE_IDS, spec,
-                                   config=CONFIG, seed=7, engine="reference")
+    batched = BatchedHierarchyEngine(CONFIG).run_multicore(
+        MIX_ADDRESSES, MIX_CORE_IDS, spec, seed=7)
+    reference = HierarchyReferenceEngine(CONFIG).run_multicore(
+        MIX_ADDRESSES, MIX_CORE_IDS, spec, seed=7)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
@@ -278,4 +278,7 @@ def test_multicore_core_id_validation():
                              PolicySpec("lru"), num_cores=2)
     with pytest.raises(ValueError, match=str(MAX_CORES)):
         engine.run_multicore(addresses, np.array([0, MAX_CORES, 0, 0]),
+                             PolicySpec("lru"))
+    with pytest.raises(TypeError, match="integers"):
+        engine.run_multicore(addresses, np.array([0.2, 1.9, 0.0, 1.0]),
                              PolicySpec("lru"))

@@ -11,11 +11,17 @@ maps to set 0 of both levels.
 Every case runs on the batched python engine, the compiled kernel
 backend, the per-access reference engine, and the streamed engine with
 a chunk cut in the middle of the trace.
+
+A hypothesis property closes the file: on both hierarchy engines a
+single-core run is the multi-core run with every access on core 0.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emissary.analysis.sanitizer import Sanitizer
 from emissary.api import PolicySpec
 from emissary.compiled import CompiledUnavailableError, get_kernels
 from emissary.engine import CacheConfig
@@ -137,3 +143,33 @@ def test_two_cores_count_l1_misses_per_core_and_line(kind):
          "l1_mpki": 1000.0, "l2_mpki": 800.0},
         {"core": 1, "n": 2, "l1_misses": 1, "l2_misses": 1, "l2_hits": 0,
          "l1_mpki": 500.0, "l2_mpki": 500.0}]
+
+
+@pytest.mark.parametrize("engine_cls", [BatchedHierarchyEngine,
+                                        HierarchyReferenceEngine])
+@settings(max_examples=25, deadline=None)
+@given(policy=st.sampled_from([
+           PolicySpec("lru"), PolicySpec("random"), PolicySpec("srrip"), SPEC,
+           PolicySpec("emissary", {"hp_threshold": 1, "prob_inv": 2,
+                                   "hp_budget": "partitioned"})]),
+       lines=st.lists(st.integers(0, 11), min_size=1, max_size=200))
+def test_single_core_run_is_the_one_core_multicore_run(engine_cls, policy,
+                                                      lines):
+    """``run`` equals ``run_multicore`` with every access on core 0: the
+    same hits, counts and policy statistics, and one per-core row that
+    is the totals.  Both runs are sanitized."""
+    addresses = _addresses(lines)
+    solo = engine_cls(CONFIG, sanitizer=Sanitizer()).run(addresses, policy,
+                                                         seed=3)
+    one = engine_cls(CONFIG, sanitizer=Sanitizer()).run_multicore(
+        addresses, np.zeros(len(lines), dtype=np.int64), policy,
+        num_cores=1, seed=3)
+    for a, b in ((solo.l1, one.l1), (solo.l2, one.l2)):
+        assert np.array_equal(a.hits, b.hits)
+        assert (a.n, a.hit_count, a.miss_count) == (b.n, b.hit_count,
+                                                    b.miss_count)
+        assert a.policy_stats == b.policy_stats
+    assert one.per_core == [{
+        "core": 0, "n": solo.n, "l1_misses": solo.l1.miss_count,
+        "l2_misses": solo.l2.miss_count, "l2_hits": solo.l2.hit_count,
+        "l1_mpki": solo.l1_mpki, "l2_mpki": solo.l2_mpki}]

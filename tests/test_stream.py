@@ -204,10 +204,10 @@ def test_cost_chunks_match_oneshot_cost():
     cost = rng.integers(0, 5, size=len(addresses)).astype(np.int64)
     spec = _spec("emissary")
     oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=SEED, cost=cost)
-    streamed = BatchedEngine(CONFIG).simulate_stream(
-        _chunks(addresses, 313), spec, seed=SEED,
-        cost_chunks=_chunks(cost, 313))
-    _assert_same(streamed, oneshot)
+    stream = BatchedEngine(CONFIG).stream(spec, seed=SEED)
+    for chunk, cost_chunk in zip(_chunks(addresses, 313), _chunks(cost, 313)):
+        stream.feed(chunk, cost=cost_chunk)
+    _assert_same(stream.finish(), oneshot)
 
 
 def test_keep_hits_false_drops_vector_keeps_counts():
