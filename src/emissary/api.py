@@ -40,7 +40,7 @@ from emissary.policies import PARAM_SCHEMAS, REGISTRY
 from emissary.traces import (FILE_KIND, FrozenParams, InterleaveSpec,
                              TraceSpec, trace_spec_from_dict)
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
-                           check_known_keys, check_wire_version)
+                           check_int, check_known_keys, check_wire_version)
 
 #: Engine/kernel backends a :class:`SimRequest` may select.  All three
 #: produce bit-identical outcomes (the differential suite enforces it);
@@ -219,7 +219,8 @@ class SimRequest:
                   else CacheConfig.from_dict(cfg))
         return cls(trace=trace_spec_from_dict(d["trace"]),
                    policy=PolicySpec.from_dict(d["policy"]),
-                   config=config, seed=int(d.get("seed", 0)),
+                   config=config,
+                   seed=check_int(d.get("seed", 0), "SimRequest.seed"),
                    telemetry=bool(d.get("telemetry", False)),
                    backend=str(d.get("backend", "batched")))
 

@@ -6,6 +6,17 @@ exercisable without external trace files.  Generators are deterministic
 for a given :class:`TraceSpec` (kind, size, params, seed), which is also
 what the sweep runner uses as the content key for its results cache.
 
+That makes a generator's output bits part of the cache's identity, so
+the generators keep one draw-order contract: each trace seeds one NumPy
+``Generator`` and consumes it positionally.  NumPy's draws are
+positional — ``random(a)`` then ``random(b)`` equals ``random(a + b)``,
+and a bounded ``integers`` call with array bounds draws each element
+from the same Lemire bounded-integer stream as one scalar call per
+element — so a generator may draw in blocks of any size, scalar or
+broadcast, without changing a bit.  The chunked twins and the vectorised ``call`` builder
+rely on this; ``tests/test_trace_digests.py`` pins the output digests
+that guard it.
+
 Beyond the synthetic kinds, a spec with ``kind="file"`` describes a
 trace stored on disk (ChampSim-style binary, gzip variant, or
 ``.npy``/``.npz`` — see :mod:`emissary.trace_io`).  Its content identity
@@ -22,13 +33,15 @@ spec has been handed out.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+import math
+import numbers
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from emissary.wire import check_known_keys
+from emissary.wire import check_int, check_known_keys
 from numpy.typing import NDArray
 
 #: Byte-granular instruction fetch addresses — the currency every
@@ -47,6 +60,38 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: Generator parameters that count accesses, lines, callees, instructions
+#: or phases: each must be a positive int.
+_COUNT_PARAMS = frozenset({"n", "footprint_lines", "caller_lines",
+                           "num_callees", "callee_lines", "call_period",
+                           "phases"})
+
+
+def _check_params(**params: Any) -> None:
+    """Validate generator parameters by name, one rule per name.
+
+    Count params must be positive ints, ``base`` a non-negative int and
+    ``branch_noise`` a finite probability in [0, 1].  A wrong type
+    raises ``TypeError``, a bad value ``ValueError``; other names pass
+    through unchecked.
+    """
+    for name, value in params.items():
+        if name == "branch_noise":
+            if (isinstance(value, (bool, np.bool_))
+                    or not isinstance(value, numbers.Real)):
+                raise TypeError(f"branch_noise must be a real number, got "
+                                f"{type(value).__name__} {value!r}")
+            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"branch_noise must be in [0, 1], "
+                                 f"got {value!r}")
+        elif name == "base":
+            if check_int(value, name) < 0:
+                raise ValueError(f"base must be non-negative, got {value!r}")
+        elif name in _COUNT_PARAMS:
+            if check_int(value, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def looping_code(
     n: int,
     footprint_lines: int = 4096,
@@ -60,10 +105,8 @@ def looping_code(
     wraps, with a small probability per access of branching to a random
     line inside the footprint (taken branches / indirect calls).
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if footprint_lines <= 0:
-        raise ValueError("footprint_lines must be positive")
+    _check_params(n=n, footprint_lines=footprint_lines,
+                  branch_noise=branch_noise, base=base)
     rng = _rng(seed)
     instrs_per_line = LINE_BYTES // INSTR_BYTES
     seq = np.arange(n, dtype=np.uint64) % np.uint64(footprint_lines * instrs_per_line)
@@ -86,10 +129,8 @@ def working_set_shift(
     Models a program moving between program regions (init, steady state,
     teardown), which defeats policies that over-protect stale lines.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if phases <= 0:
-        raise ValueError("phases must be positive")
+    _check_params(n=n, phases=phases, footprint_lines=footprint_lines,
+                  branch_noise=branch_noise, base=base)
     rng = _rng(seed)
     chunks = []
     per_phase = max(1, n // phases)
@@ -112,6 +153,66 @@ def working_set_shift(
     return np.concatenate(chunks)[:n]
 
 
+def _call_blocks(n: int, block: int, caller_lines: int, num_callees: int,
+                 callee_lines: int, call_period: int, base: int,
+                 seed: int) -> Iterator[AddressArray]:
+    """:func:`call_heavy`'s addresses as consecutive blocks of about
+    ``block`` accesses (the last block ends exactly at ``n``).
+
+    The trace alternates caller runs of ``call_period`` instructions
+    with callee bursts.  Each block draws ``k`` (callee, burst) pairs in
+    one broadcast ``integers`` call, in the order the per-call scalar
+    draws would make them, lays out the ``2k`` segment lengths (caller
+    run, burst, caller run, ...), cuts them at ``n`` and fills the
+    addresses in instruction units: one cumulative sum over the
+    per-segment jumps, one masked in-place remainder (the caller PC
+    wraps at its region) and one multiply-add.  A block that ends before
+    ``n`` has used every pair it drew; pairs drawn past ``n`` in the
+    last block are never used, so over-drawing changes no address.  The
+    caller PC carries across blocks.
+    """
+    rng = _rng(seed)
+    instrs_per_line = LINE_BYTES // INSTR_BYTES
+    caller_span = caller_lines * instrs_per_line
+    callee_span = callee_lines * instrs_per_line
+    # The callee region starts 4x the caller region past ``base``.
+    callee_origin = caller_lines * instrs_per_line * 4
+    low = np.array([0, 4], dtype=np.int64)
+    high = np.array([num_callees, callee_span + 1], dtype=np.int64)
+    mean_pair = call_period + (4 + callee_span) / 2
+    caller_pc = 0
+    produced = 0
+    while produced < n:
+        remaining = n - produced
+        # ~5% over the expected need: a short draw costs one more block.
+        k = int(min(block, remaining) * 1.05 / mean_pair) + 1
+        draws = rng.integers(np.tile(low, k), np.tile(high, k))
+        lens = np.full(2 * k, call_period, dtype=np.int64)
+        lens[1::2] = draws[1::2]
+        origins = np.empty(2 * k, dtype=np.int64)
+        origins[0::2] = caller_pc + call_period * np.arange(k, dtype=np.int64)
+        origins[1::2] = callee_origin + callee_span * draws[0::2]
+        ends = np.cumsum(lens)
+        starts = ends - lens  # before the cut below shortens lens[-1]
+        size = min(int(ends[-1]), remaining)
+        segs = int(np.searchsorted(ends, size)) + 1
+        lens, origins, starts = lens[:segs], origins[:segs], starts[:segs]
+        jumps = origins.copy()
+        jumps[1:] -= origins[:-1] + lens[:-1] - 1
+        lens[-1] = size - starts[-1]
+        units = np.ones(size, dtype=np.int64)
+        units[starts] = jumps
+        np.cumsum(units, out=units)
+        is_caller = np.repeat(np.arange(segs, dtype=np.int64) % 2 == 0, lens)
+        np.remainder(units, caller_span, out=units, where=is_caller)
+        addresses = units.view(np.uint64)
+        addresses *= np.uint64(INSTR_BYTES)
+        addresses += np.uint64(base)
+        yield addresses
+        produced += size
+        caller_pc = (caller_pc + k * call_period) % caller_span
+
+
 def call_heavy(
     n: int,
     caller_lines: int = 1024,
@@ -127,41 +228,21 @@ def call_heavy(
     it calls a randomly chosen callee (a short sequential run in a distant
     region) and returns.  This produces the call-dense interleavings that
     EMISSARY targets: many discontinuities, each touching a few lines.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if caller_lines <= 0:
-        raise ValueError("caller_lines must be positive")
-    if num_callees <= 0:
-        raise ValueError("num_callees must be positive")
-    if callee_lines <= 0:
-        raise ValueError("callee_lines must be positive")
-    if call_period <= 0:
-        raise ValueError("call_period must be positive")
-    rng = _rng(seed)
-    instrs_per_line = LINE_BYTES // INSTR_BYTES
-    callee_base = base + caller_lines * LINE_BYTES * 4
-    callee_span = callee_lines * instrs_per_line
 
-    segments = []
-    produced = 0
-    caller_pc = 0
-    caller_span = caller_lines * instrs_per_line
-    while produced < n:
-        run = min(call_period, n - produced)
-        seg = (np.arange(caller_pc, caller_pc + run, dtype=np.uint64) % np.uint64(caller_span))
-        segments.append(np.uint64(base) + seg * np.uint64(INSTR_BYTES))
-        caller_pc = (caller_pc + run) % caller_span
-        produced += run
-        if produced >= n:
-            break
-        callee = int(rng.integers(0, num_callees))
-        burst = min(int(rng.integers(4, callee_span + 1)), n - produced)
-        cb = callee_base + callee * callee_lines * LINE_BYTES
-        seg = np.arange(burst, dtype=np.uint64)
-        segments.append(np.uint64(cb) + seg * np.uint64(INSTR_BYTES))
-        produced += burst
-    return np.concatenate(segments)[:n]
+    Draw order: call ``j`` draws its callee index from ``[0,
+    num_callees)`` and then its burst length from ``[4, callee_lines *
+    16]``, so the RNG stream is callee, burst, callee, burst, ...  The
+    builder draws those pairs in broadcast blocks, which NumPy serves
+    from the same stream as one scalar call per draw; the output is
+    bit-identical to a per-call loop, and the digests in
+    ``tests/test_trace_digests.py`` pin it.
+    """
+    _check_params(n=n, caller_lines=caller_lines, num_callees=num_callees,
+                  callee_lines=callee_lines, call_period=call_period,
+                  base=base)
+    blocks = list(_call_blocks(n, n, caller_lines, num_callees, callee_lines,
+                               call_period, base, seed))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 GENERATORS: dict[str, Callable[..., AddressArray]] = {
@@ -224,10 +305,8 @@ def looping_code_chunks(
     noise uniforms in place, the other is pre-advanced past all of them
     and then serves each chunk's jump targets.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if footprint_lines <= 0:
-        raise ValueError("footprint_lines must be positive")
+    _check_params(n=n, footprint_lines=footprint_lines,
+                  branch_noise=branch_noise, base=base)
     step = _chunk_step(chunk_bytes)
     instrs_per_line = LINE_BYTES // INSTR_BYTES
     span = footprint_lines * instrs_per_line
@@ -257,10 +336,8 @@ def working_set_shift_chunks(
     the same order as the one-shot generator, each phase streams through
     :func:`looping_code_chunks`, and phase boundaries are regrouped so
     every emitted chunk except the last fills the whole budget."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if phases <= 0:
-        raise ValueError("phases must be positive")
+    _check_params(n=n, phases=phases, footprint_lines=footprint_lines,
+                  branch_noise=branch_noise, base=base)
     step = _chunk_step(chunk_bytes)  # validate before the first yield
     rng = _rng(seed)
     per_phase = max(1, n // phases)
@@ -292,46 +369,16 @@ def call_heavy_chunks(
     seed: int = 0,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> Iterator[AddressArray]:
-    """Chunked :func:`call_heavy`: the caller/callee segment loop runs
-    unchanged (identical RNG consumption order), segments are regrouped
-    into budget-sized chunks instead of one concatenation."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if caller_lines <= 0:
-        raise ValueError("caller_lines must be positive")
-    if num_callees <= 0:
-        raise ValueError("num_callees must be positive")
-    if callee_lines <= 0:
-        raise ValueError("callee_lines must be positive")
-    if call_period <= 0:
-        raise ValueError("call_period must be positive")
+    """Chunked :func:`call_heavy`: the same block builder, with blocks
+    sized from the chunk budget instead of ``n`` (identical RNG
+    consumption order), regrouped into budget-sized chunks."""
+    _check_params(n=n, caller_lines=caller_lines, num_callees=num_callees,
+                  callee_lines=callee_lines, call_period=call_period,
+                  base=base)
     step = _chunk_step(chunk_bytes)
-
-    def segments() -> Iterator[AddressArray]:
-        rng = _rng(seed)
-        instrs_per_line = LINE_BYTES // INSTR_BYTES
-        callee_base = base + caller_lines * LINE_BYTES * 4
-        callee_span = callee_lines * instrs_per_line
-        produced = 0
-        caller_pc = 0
-        caller_span = caller_lines * instrs_per_line
-        while produced < n:
-            run = min(call_period, n - produced)
-            seg = (np.arange(caller_pc, caller_pc + run, dtype=np.uint64)
-                   % np.uint64(caller_span))
-            yield np.uint64(base) + seg * np.uint64(INSTR_BYTES)
-            caller_pc = (caller_pc + run) % caller_span
-            produced += run
-            if produced >= n:
-                break
-            callee = int(rng.integers(0, num_callees))
-            burst = min(int(rng.integers(4, callee_span + 1)), n - produced)
-            cb = callee_base + callee * callee_lines * LINE_BYTES
-            seg = np.arange(burst, dtype=np.uint64)
-            yield np.uint64(cb) + seg * np.uint64(INSTR_BYTES)
-            produced += burst
-
-    yield from _emit_chunks(segments(), step)
+    yield from _emit_chunks(
+        _call_blocks(n, step, caller_lines, num_callees, callee_lines,
+                     call_period, base, seed), step)
 
 
 CHUNK_GENERATORS: dict[str, Callable[..., Iterator[AddressArray]]] = {
@@ -420,6 +467,11 @@ class TraceSpec:
     build those with :func:`emissary.trace_io.file_spec`, which fills in
     the content identity (``sha256``, ``format``, record count) and the
     advisory ``_path``.
+
+    Construction validates what generation would otherwise reject late:
+    ``n`` and ``seed`` must be ints (``TypeError``; NumPy integers are
+    normalised to ``int``), and a synthetic spec needs ``n > 0`` and
+    generator params that pass the generators' own checks.
     """
 
     kind: str
@@ -431,8 +483,12 @@ class TraceSpec:
         known = sorted(GENERATORS) + [FILE_KIND]
         if self.kind not in known:
             raise ValueError(f"unknown trace kind {self.kind!r}; known: {known}")
+        object.__setattr__(self, "n", check_int(self.n, "TraceSpec.n"))
+        object.__setattr__(self, "seed", check_int(self.seed, "TraceSpec.seed"))
         object.__setattr__(self, "params", FrozenParams(self.params))
-        if self.kind == FILE_KIND:
+        if self.kind != FILE_KIND:
+            _check_params(n=self.n, **self.params)
+        else:
             sha = self.params.get("sha256")
             if not isinstance(sha, str) or len(sha) != 64:
                 raise ValueError(
@@ -471,7 +527,7 @@ class TraceSpec:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TraceSpec":
         check_known_keys(d, ("kind", "n", "seed", "params"), "TraceSpec")
-        return cls(kind=d["kind"], n=int(d["n"]), seed=int(d.get("seed", 0)),
+        return cls(kind=d["kind"], n=d["n"], seed=d.get("seed", 0),
                    params=dict(d.get("params", {})))
 
 
@@ -521,6 +577,54 @@ class _CoreFeed:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
+                ) -> tuple[AddressArray, CoreIdArray]:
+    """Weighted round-robin merge of per-core address arrays.
+
+    Round ``r`` takes core ``i``'s accesses ``[r * w_i, (r + 1) * w_i)``,
+    cores in index order; a core that cannot fill a round contributes
+    what it has left and drops out.  While a set of cores is active, the
+    ``R`` full rounds they can all supply form one ``(R, sum(w))`` block
+    of the output, and each core's ``R * w_i`` accesses go into its
+    column slice; then one partial round is written, which drops at
+    least one core.  So the loop runs at most once per core.
+    """
+    counts = [len(part) for part in parts]
+    total = sum(counts)
+    addresses = np.empty(total, dtype=np.uint64)
+    core_ids: CoreIdArray = np.empty(total, dtype=np.int64)
+    active = [i for i, count in enumerate(counts) if count]
+    pos = 0
+    rounds_done = 0
+    while active:
+        widths = [weights[i] for i in active]
+        rounds = min(counts[i] // weights[i] for i in active) - rounds_done
+        if rounds:
+            end = pos + rounds * sum(widths)
+            block = addresses[pos:end].reshape(rounds, -1)
+            col = 0
+            for i, w in zip(active, widths):
+                lo = rounds_done * w
+                block[:, col:col + w] = parts[i][lo:lo + rounds * w].reshape(
+                    rounds, w)
+                col += w
+            core_ids[pos:end].reshape(rounds, -1)[:] = np.repeat(active, widths)
+            pos = end
+            rounds_done += rounds
+        still_active = []
+        for i, w in zip(active, widths):
+            lo = rounds_done * w
+            take = min(w, counts[i] - lo)
+            addresses[pos:pos + take] = parts[i][lo:lo + take]
+            core_ids[pos:pos + take] = i
+            pos += take
+            if counts[i] - lo > w:
+                still_active.append(i)
+        active = still_active
+        rounds_done += 1
+    return addresses, core_ids
+
+
 @dataclass(frozen=True)
 class InterleaveSpec:
     """Deterministic weighted round-robin interleaving of per-core traces.
@@ -555,8 +659,9 @@ class InterleaveSpec:
         if len(weights) != len(cores):
             raise ValueError(f"got {len(weights)} weights for "
                              f"{len(cores)} cores")
+        weights = tuple(check_int(w, "InterleaveSpec.weights") for w in weights)
         for w in weights:
-            if isinstance(w, bool) or not isinstance(w, int) or w <= 0:
+            if w <= 0:
                 raise ValueError(f"weights must be positive ints, got {w!r}")
         object.__setattr__(self, "cores", cores)
         object.__setattr__(self, "weights", weights)
@@ -569,34 +674,17 @@ class InterleaveSpec:
     def n(self) -> int:
         return sum(spec.n for spec in self.cores)
 
-    def _keys(self, counts: list[int]) -> CoreIdArray:
-        """Interleave sort keys: position ``p`` of core ``i`` belongs to
-        round ``p // weights[i]``; ``key = round * C + i`` makes a stable
-        argsort produce (round, core, within-burst) order — exactly the
-        weighted round-robin schedule."""
-        num_cores = self.num_cores
-        return np.concatenate([
-            np.arange(count, dtype=np.int64) // self.weights[i]
-            * num_cores + i
-            for i, count in enumerate(counts)])
-
     def generate(self) -> tuple[AddressArray, CoreIdArray]:
         """(interleaved byte addresses, aligned per-access core ids)."""
-        parts = [spec.generate() for spec in self.cores]
-        counts = [len(part) for part in parts]
-        order = np.argsort(self._keys(counts), kind="stable")
-        addresses = np.concatenate(parts)[order]
-        core_ids = np.concatenate([
-            np.full(count, i, dtype=np.int64)
-            for i, count in enumerate(counts)])[order]
-        return addresses, core_ids
+        return _interleave([spec.generate() for spec in self.cores],
+                           self.weights)
 
     def generate_chunks(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES
                         ) -> Iterator[tuple[AddressArray, CoreIdArray]]:
         """Stream the interleave as ``(addresses, core_ids)`` chunk pairs.
 
-        Blocks cover a whole number of rounds, so each block's local
-        stable argsort reproduces the global schedule restricted to that
+        Blocks cover a whole number of rounds, so interleaving each block
+        on its own reproduces the global schedule restricted to that
         block: concatenating the chunks is bit-identical to
         :meth:`generate`.  Peak memory is one block (~``chunk_bytes``)
         plus each core's own chunk buffer — bounded by the budget times
@@ -609,15 +697,9 @@ class InterleaveSpec:
         while True:
             parts = [feed.take(rounds * self.weights[i])
                      for i, feed in enumerate(feeds)]
-            counts = [len(part) for part in parts]
-            if not any(counts):
+            if not any(len(part) for part in parts):
                 return
-            order = np.argsort(self._keys(counts), kind="stable")
-            addresses = np.concatenate(parts)[order]
-            core_ids = np.concatenate([
-                np.full(count, i, dtype=np.int64)
-                for i, count in enumerate(counts)])[order]
-            yield addresses, core_ids
+            yield _interleave(parts, self.weights)
 
     def to_dict(self) -> dict[str, Any]:
         return {"cores": [spec.to_dict() for spec in self.cores],
@@ -627,7 +709,7 @@ class InterleaveSpec:
     def from_dict(cls, d: Mapping[str, Any]) -> "InterleaveSpec":
         check_known_keys(d, ("cores", "weights"), "InterleaveSpec")
         return cls(cores=tuple(TraceSpec.from_dict(c) for c in d["cores"]),
-                   weights=tuple(int(w) for w in d.get("weights", ())))
+                   weights=tuple(d.get("weights", ())))
 
 
 def trace_spec_from_dict(d: Mapping[str, Any]) -> "TraceSpec | InterleaveSpec":

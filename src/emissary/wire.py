@@ -25,6 +25,7 @@ discipline:
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Mapping
 from typing import Any
 
@@ -73,6 +74,19 @@ def check_known_keys(d: Mapping[str, Any], allowed: Iterable[str],
     if unknown:
         raise ValueError(f"{kind}: unknown wire keys {unknown}; "
                          f"allowed: {sorted(allowed)}")
+
+
+def check_int(value: Any, what: str) -> int:
+    """Return ``value`` as a Python ``int`` or raise ``TypeError``.
+
+    Python and NumPy integers pass; ``bool``, floats (even integral
+    ones), strings and everything else are refused rather than cast, so
+    a wire ``"n": 5.7`` can never silently decode as ``5``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an int, got "
+                        f"{type(value).__name__} {value!r}")
+    return int(value)
 
 
 def migrate_wire_dict(d: Mapping[str, Any], kind: str) -> dict[str, Any]:

@@ -197,6 +197,50 @@ class TestWireSchema:
             with pytest.raises(ValueError, match="unknown wire keys"):
                 SimRequest.from_dict(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 5.7), ("n", 12.0), ("n", "12"), ("n", True), ("n", None),
+        ("seed", 1.9), ("seed", "1"), ("seed", False),
+    ])
+    def test_trace_numbers_never_truncated(self, field, value):
+        # Regression: from_dict cast with int(), so "n": 5.7 ran as n=5
+        # and "n": "12" / true were accepted.
+        d = TraceSpec("loop", 100, 1).to_dict()
+        d[field] = value
+        with pytest.raises(TypeError, match=f"TraceSpec.{field}"):
+            TraceSpec.from_dict(d)
+        payload = SimRequest(TraceSpec("loop", 100, 1),
+                             PolicySpec("lru")).to_dict()
+        payload["trace"] = d
+        with pytest.raises(TypeError, match=f"TraceSpec.{field}"):
+            SimRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True])
+    def test_request_seed_never_truncated(self, seed):
+        d = SimRequest(TRACE, PolicySpec("lru")).to_dict()
+        d["seed"] = seed
+        with pytest.raises(TypeError, match="SimRequest.seed"):
+            SimRequest.from_dict(d)
+
+    def test_interleave_weights_never_truncated(self):
+        d = InterleaveSpec(cores=(TRACE, TRACE), weights=(2, 1)).to_dict()
+        d["weights"] = [1.5, 1]
+        with pytest.raises(TypeError, match="weights"):
+            InterleaveSpec.from_dict(d)
+
+    def test_nonpositive_n_fails_at_decode(self):
+        # Regression: "n": 0 decoded and failed only inside the worker.
+        d = SimRequest(TRACE, PolicySpec("lru")).to_dict()
+        for n in (0, -3):
+            d["trace"]["n"] = n
+            with pytest.raises(ValueError, match="n must be positive"):
+                SimRequest.from_dict(d)
+
+    def test_numpy_integers_normalised(self):
+        spec = TraceSpec("loop", np.int64(100), np.int32(1))
+        assert spec == TraceSpec("loop", 100, 1)
+        assert type(spec.n) is int and type(spec.seed) is int
+        assert spec.to_dict() == TraceSpec("loop", 100, 1).to_dict()
+
     def test_advisory_keys_still_tolerated(self):
         # _-prefixed keys carry location hints (e.g. a file trace's
         # _path); strict decode must not trip over them.

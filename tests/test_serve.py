@@ -360,6 +360,32 @@ class TestHttpServer:
         assert results["no_route"][0] == 404
         assert results["bad_method"][0] == 405
 
+    def test_bad_trace_numbers_are_400_at_decode(self, tmp_path):
+        # Regression: "n": 0 decoded and failed only in the worker, and
+        # "n": 5.7 silently ran as n=5.
+        async def scenario():
+            service = SimService(cache_dir=tmp_path / "cache",
+                                 worker_fn=fake_worker)
+            server = await start_server(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            results = []
+            try:
+                for n in (0, 5.7, "12"):
+                    bad = make_request().to_dict()
+                    bad["trace"]["n"] = n
+                    results.append(await fetch_json(
+                        "127.0.0.1", port, "/v1/simulate", "POST", bad))
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.aclose()
+            return results
+
+        results = run(scenario())
+        assert [status for status, _ in results] == [400, 400, 400]
+        assert "n must be positive" in results[0][1]["error"]
+        assert "TraceSpec.n must be an int" in results[1][1]["error"]
+
     def test_queue_full_gets_429_with_retry_after(self, tmp_path):
         async def scenario():
             service = SimService(cache_dir=tmp_path / "cache",

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emissary.traces import (
     CHUNK_GENERATORS,
     FILE_KIND,
     GENERATORS,
+    INSTR_BYTES,
     LINE_BYTES,
     MAX_CORES,
     FrozenParams,
     InterleaveSpec,
     TraceSpec,
     _ADDR_ITEMSIZE,
+    _interleave,
     call_heavy,
+    call_heavy_chunks,
     looping_code,
     trace_spec_from_dict,
     working_set_shift,
@@ -65,6 +70,28 @@ def test_spec_roundtrip_and_generate():
     assert np.array_equal(spec.generate(), again.generate())
 
 
+@pytest.mark.parametrize("kind, params, exc", [
+    ("loop", {"branch_noise": 1.5}, ValueError),
+    ("loop", {"footprint_lines": 2.5}, TypeError),
+    ("shift", {"phases": 2.5}, TypeError),
+    ("call", {"call_period": 0}, ValueError),
+    ("call", {"base": -1}, ValueError),
+])
+def test_spec_validates_params_at_construction(kind, params, exc):
+    (name, _value), = params.items()
+    with pytest.raises(exc, match=name):
+        TraceSpec(kind, 1000, 0, params)
+    with pytest.raises(exc, match=name):
+        TraceSpec.from_dict({"kind": kind, "n": 1000, "params": params})
+
+
+def test_spec_n_must_be_positive_for_synthetic_kinds_only():
+    for kind in sorted(GENERATORS):
+        with pytest.raises(ValueError, match="n must be positive"):
+            TraceSpec(kind, 0)
+    assert TraceSpec(FILE_KIND, 0, params={"sha256": "0" * 64}).n == 0
+
+
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         TraceSpec("fractal", 1000)
@@ -87,6 +114,137 @@ def test_call_heavy_rejects_nonpositive_params(bad):
     (name, _value), = bad.items()
     with pytest.raises(ValueError, match=name):
         call_heavy(1000, **bad)
+
+
+def _one_shot_and_chunked(kind):
+    """The kind's one-shot generator and its chunked twin, both as
+    callables that run the whole generator."""
+    chunked = CHUNK_GENERATORS[kind]
+    return [GENERATORS[kind], lambda n, **p: list(chunked(n, **p))]
+
+
+@pytest.mark.parametrize("kind, bad, exc", [
+    ("loop", {"branch_noise": 1.5}, ValueError),
+    ("loop", {"branch_noise": -0.5}, ValueError),
+    ("loop", {"branch_noise": float("nan")}, ValueError),
+    ("loop", {"branch_noise": float("inf")}, ValueError),
+    ("loop", {"branch_noise": "0.1"}, TypeError),
+    ("loop", {"branch_noise": True}, TypeError),
+    ("loop", {"footprint_lines": 2.5}, TypeError),
+    ("loop", {"base": -64}, ValueError),
+    ("loop", {"base": 64.0}, TypeError),
+    ("shift", {"phases": 2.5}, TypeError),
+    ("shift", {"phases": True}, TypeError),
+    ("shift", {"branch_noise": 2.0}, ValueError),
+    ("call", {"call_period": 2.5}, TypeError),
+    ("call", {"num_callees": "8"}, TypeError),
+    ("call", {"callee_lines": np.float64(2.0)}, TypeError),
+    ("call", {"base": -1}, ValueError),
+])
+def test_generators_reject_bad_params(kind, bad, exc):
+    # Regression: these ran without error (branch_noise outside [0, 1]
+    # or fractional line counts) or failed with an untyped NumPy error
+    # deep inside (phases=2.5).  The chunked twins share the validator.
+    (name, _value), = bad.items()
+    for gen in _one_shot_and_chunked(kind):
+        with pytest.raises(exc, match=name):
+            gen(1000, **bad)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("n, exc", [(0, ValueError), (-5, ValueError),
+                                    (10.0, TypeError), (True, TypeError)])
+def test_generators_reject_bad_n(kind, n, exc):
+    for gen in _one_shot_and_chunked(kind):
+        with pytest.raises(exc, match="n must be"):
+            gen(n)
+
+
+def test_generators_accept_numpy_ints_and_boundary_noise():
+    a = looping_code(np.int64(500), footprint_lines=np.int32(8),
+                     branch_noise=1, base=np.uint64(0), seed=3)
+    b = looping_code(500, footprint_lines=8, branch_noise=1.0, base=0, seed=3)
+    assert np.array_equal(a, b)
+    assert len(looping_code(100, branch_noise=0)) == 100
+
+
+def _call_heavy_oracle(n, caller_lines=1024, num_callees=64, callee_lines=32,
+                       call_period=24, base=0x400000, seed=0):
+    """The original per-call loop, kept verbatim as the oracle for the
+    vectorised block builder."""
+    rng = np.random.default_rng(seed)
+    instrs_per_line = LINE_BYTES // INSTR_BYTES
+    callee_base = base + caller_lines * LINE_BYTES * 4
+    callee_span = callee_lines * instrs_per_line
+
+    segments = []
+    produced = 0
+    caller_pc = 0
+    caller_span = caller_lines * instrs_per_line
+    while produced < n:
+        run = min(call_period, n - produced)
+        seg = (np.arange(caller_pc, caller_pc + run, dtype=np.uint64) % np.uint64(caller_span))
+        segments.append(np.uint64(base) + seg * np.uint64(INSTR_BYTES))
+        caller_pc = (caller_pc + run) % caller_span
+        produced += run
+        if produced >= n:
+            break
+        callee = int(rng.integers(0, num_callees))
+        burst = min(int(rng.integers(4, callee_span + 1)), n - produced)
+        cb = callee_base + callee * callee_lines * LINE_BYTES
+        seg = np.arange(burst, dtype=np.uint64)
+        segments.append(np.uint64(cb) + seg * np.uint64(INSTR_BYTES))
+        produced += burst
+    return np.concatenate(segments)[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), call_period=st.integers(1, 40),
+       callee_lines=st.integers(1, 4), num_callees=st.integers(1, 8),
+       caller_lines=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       chunk_bytes=st.integers(1, 1 << 14))
+def test_call_heavy_matches_per_call_oracle(n, call_period, callee_lines,
+                                            num_callees, caller_lines, seed,
+                                            chunk_bytes):
+    params = dict(caller_lines=caller_lines, num_callees=num_callees,
+                  callee_lines=callee_lines, call_period=call_period,
+                  seed=seed)
+    expected = _call_heavy_oracle(n, **params)
+    assert np.array_equal(call_heavy(n, **params), expected)
+    chunks = list(call_heavy_chunks(n, chunk_bytes=chunk_bytes, **params))
+    assert np.array_equal(np.concatenate(chunks), expected)
+
+
+def _interleave_oracle(parts, weights):
+    """The original schedule: a stable argsort of ``round * C + core``
+    keys, where position ``p`` of core ``i`` is in round ``p // w_i``."""
+    num_cores = len(parts)
+    keys = np.concatenate([
+        np.arange(len(part), dtype=np.int64) // weights[i] * num_cores + i
+        for i, part in enumerate(parts)])
+    order = np.argsort(keys, kind="stable")
+    addresses = np.concatenate(parts)[order]
+    core_ids = np.concatenate([np.full(len(part), i, dtype=np.int64)
+                               for i, part in enumerate(parts)])[order]
+    return addresses, core_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 5)),
+                      min_size=1, max_size=6))
+def test_interleave_matches_argsort_schedule(shape):
+    # Zero-length parts occur in generate_chunks' tail, where some cores
+    # have already run dry.
+    counts = [count for count, _ in shape]
+    weights = [w for _, w in shape]
+    offsets = np.cumsum([0] + counts)
+    parts = [np.arange(lo, hi, dtype=np.uint64) + np.uint64(1 << 40)
+             for lo, hi in zip(offsets[:-1], offsets[1:])]
+    addresses, core_ids = _interleave(parts, weights)
+    expected_addresses, expected_ids = _interleave_oracle(parts, weights)
+    assert addresses.dtype == np.uint64 and core_ids.dtype == np.int64
+    assert np.array_equal(addresses, expected_addresses)
+    assert np.array_equal(core_ids, expected_ids)
 
 
 class TestFrozenSpec:
