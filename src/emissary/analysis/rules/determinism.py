@@ -64,6 +64,7 @@ MONOTONIC_CALLS = frozenset({
 #: (or per access, for naive impls), so even a monotonic timer read
 #: here is both a perf bug and a telemetry-skew hazard.
 HOT_FUNCTIONS = frozenset({
+    "run_sets",
     "run_set",
     "_run_set_tel",
     "_run_set_wide",

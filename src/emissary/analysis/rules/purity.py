@@ -23,9 +23,10 @@ from emissary.analysis.rules.determinism import (
     WALL_CLOCK_CALLS,
 )
 
-#: Policy-kernel entry points: the per-set dispatch plus the per-event
-#: hooks the hierarchy engine invokes on the policy object.
+#: Policy-kernel entry points: the per-dispatch and per-set calls plus
+#: the per-event hooks the hierarchy engine invokes on the policy object.
 KERNEL_ENTRY_METHODS = frozenset({
+    "run_sets",
     "run_set",
     "_run_set_tel",
     "on_hit",

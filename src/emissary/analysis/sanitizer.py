@@ -23,7 +23,9 @@ holds the detached overhead under 5%.
 Attachment order matters and the engines get it right: telemetry first
 (it rebinds ``run_set`` to the instrumented twin), then the sanitizer
 (which wraps whatever ``run_set`` is bound to), so instrumented and
-plain runs are both checked.
+plain runs are both checked.  LRU and the compiled kernels resolve a
+whole dispatch in one call; the sanitizer wraps that call and checks
+the flat state of every set it touched.
 """
 
 from __future__ import annotations
@@ -88,11 +90,14 @@ class Sanitizer:
     def attach_kernel(self, kernel: "PolicyKernel | CompiledKernel") -> None:
         """Wrap the kernel's dispatch entry point to validate touched
         sets after every dispatch.  Call after ``attach_telemetry`` (if
-        any).  Compiled kernels are wrapped at ``run_batch`` (their
-        flat state arrays are validated per touched set); Python kernels
-        at ``run_set``."""
+        any).  Compiled kernels are wrapped at ``run_batch`` and LRU at
+        ``run_sets`` (their flat state arrays are validated per touched
+        set); other Python kernels at ``run_set``."""
         if isinstance(kernel, CompiledKernel):
             self._attach_compiled(kernel)
+            return
+        if isinstance(kernel, LRUKernel):
+            self._attach_lru(kernel)
             return
         check = self._kernel_checker(kernel)
         inner = kernel.run_set
@@ -134,6 +139,58 @@ class Sanitizer:
 
         kernel.run_batch = run_batch  # type: ignore[method-assign]
 
+    def _attach_lru(self, kernel: LRUKernel) -> None:
+        """Wrap ``kernel.run_sets``: after each dispatch, validate the
+        flat state of every set the dispatch touched."""
+        inner = kernel.run_sets
+        self.attached.append(kernel.name)
+
+        def run_sets(sets: IndexArray, starts: IndexArray, ends: IndexArray,
+                     lines: "NDArray[np.uint64]",
+                     u: "UniformArray | None" = None,
+                     rep: "NDArray[np.bool_] | None" = None,
+                     cost: "IndexArray | None" = None,
+                     extra: "IndexArray | None" = None,
+                     core: "IndexArray | None" = None) -> BoolArray:
+            hits = inner(sets, starts, ends, lines, u, rep, cost, extra, core)
+            self.accesses += len(lines)
+            for s in sets.tolist():
+                self._check_lru(kernel, s, self.accesses)
+            self.checks += 1
+            return hits
+
+        kernel.run_sets = run_sets  # type: ignore[method-assign]
+
+    @staticmethod
+    def _check_slots(name: str, ways: int, size: int, tags: list[int],
+                     s: int, pos: int) -> None:
+        """A flat set row: occupancy within the ways, no duplicate tag."""
+        if size > ways:
+            raise SanitizerError(
+                f"{name}: {size} resident lines exceed {ways} ways",
+                set_index=s, access_position=pos)
+        if size < 0:
+            raise SanitizerError(
+                f"{name}: negative occupancy {size}",
+                set_index=s, access_position=pos)
+        if len(set(tags)) != size:
+            raise SanitizerError(
+                f"{name}: duplicate resident tags {tags}",
+                set_index=s, access_position=pos)
+
+    def _check_lru(self, kernel: LRUKernel, s: int, pos: int) -> None:
+        ways = kernel.ways
+        base = s * ways
+        size = int(kernel._size[s])
+        self._check_slots("lru", ways, size,
+                          kernel._tag[base:base + size].tolist(), s, pos)
+        if kernel._hits is not None:
+            counts = kernel._hits[base:base + size].tolist()
+            if any(count < 0 for count in counts):
+                raise SanitizerError(
+                    f"lru: negative hit count in {counts}",
+                    set_index=s, access_position=pos)
+
     def _check_compiled(self, kernel: CompiledKernel, s: int,
                         pos: int) -> None:
         """Same invariants the per-policy Python checkers enforce, read
@@ -142,15 +199,8 @@ class Sanitizer:
         ways = kernel.ways
         base = s * ways
         size = int(kernel._size[s])
-        if not 0 <= size <= ways:
-            raise SanitizerError(
-                f"{name}: {size} resident lines outside [0, {ways}] ways",
-                set_index=s, access_position=pos)
         tags = kernel._tag[base:base + size].tolist()
-        if len(set(tags)) != size:
-            raise SanitizerError(
-                f"{name}: duplicate resident tags {tags}",
-                set_index=s, access_position=pos)
+        self._check_slots(name, ways, size, tags, s, pos)
         if kernel.policy in ("lru", "emissary"):
             stamps = kernel._ts[base:base + size].tolist()
             if any(t <= 0 for t in stamps):
@@ -200,24 +250,9 @@ class Sanitizer:
             return lambda s, pos: self._check_emissary(kernel, s, pos)
         if isinstance(kernel, SRRIPKernel):
             return lambda s, pos: self._check_srrip(kernel, s, pos)
-        if isinstance(kernel, LRUKernel):
-            return lambda s, pos: self._check_lru(kernel, s, pos)
         if isinstance(kernel, RandomKernel):
             return lambda s, pos: self._check_random(kernel, s, pos)
         return None  # unknown kernel: dispatch counting only
-
-    def _check_lru(self, kernel: LRUKernel, s: int, pos: int) -> None:
-        d = kernel._sets[s]
-        if len(d) > kernel.ways:
-            raise SanitizerError(
-                f"lru: {len(d)} resident lines exceed {kernel.ways} ways",
-                set_index=s, access_position=pos)
-        for tag, count in d.items():
-            # Fast path stores None; instrumented runs store hit counts.
-            if count is not None and count < 0:
-                raise SanitizerError(
-                    f"lru: negative hit count {count} for tag {tag}",
-                    set_index=s, access_position=pos)
 
     def _check_emissary(self, kernel: EmissaryKernel, s: int, pos: int) -> None:
         d = kernel._sets[s]

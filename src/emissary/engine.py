@@ -5,10 +5,15 @@ Two engines with bit-identical outcomes:
 :class:`BatchedEngine` (the hot path)
     Decodes the whole trace once into NumPy line vectors, folds MRU
     repeats at two levels (see below), stable-sorts the survivors by set,
-    and dispatches each non-empty set's accesses to the policy kernel as
-    one contiguous chunk.  Per-access Python overhead (address math,
-    attribute lookups, method dispatch) is paid once per *chunk* instead
-    of once per access, and the per-set inner loops run over plain lists.
+    and hands the sorted batch to the policy kernel in one ``run_sets``
+    call with each non-empty set's range.  The ``run_sets`` protocol
+    (:meth:`~emissary.policies.base.PolicyKernel.run_sets`): the default
+    runs the kernel's ``run_set`` once per set, so per-access Python
+    overhead (address math, attribute lookups, method dispatch) is paid
+    once per set *chunk* instead of once per access, and the per-set
+    inner loops run over plain lists; a kernel with a vectorised form
+    (LRU's closed form) overrides ``run_sets`` and has no per-access
+    loop at all.
     Legal because set-associative replacement state is independent
     across sets, so reordering accesses *between* sets (while preserving
     order *within* each set — hence the stable sort) cannot change any
@@ -295,10 +300,13 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
 
     ``lengths`` is each access's trace-order run length (None: all 1).
     A compiled kernel takes the batch in trace order in one call.  A
-    python kernel gets it stable-sorted by set, one call per non-empty
-    set; with ``fold``, a run of equal lines in sorted order (one set,
-    one tag) sends only its first access — the rest re-touch the set's
-    MRU line — carrying the run's total length.
+    python kernel gets it stable-sorted by set, in one
+    :meth:`~emissary.policies.base.PolicyKernel.run_sets` call with each
+    non-empty set's range (the default runs the kernel's ``run_set``
+    once per set; LRU resolves the batch in closed form); with
+    ``fold``, a run of equal lines in sorted order (one set, one tag)
+    sends only its first access — the rest re-touch the set's MRU line
+    — carrying the run's total length.
     """
     m = len(lines)
     if isinstance(kernel, CompiledKernel):
@@ -341,22 +349,11 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
         rep, extra = _run_flags(kernel, with_extra, totals, len(kidx))
 
     with span("kernel_loop"):
-        # Lists are made one set at a time: a whole-batch list of Python
-        # ints or floats would cost ~5x the array's memory.
-        tags = lines[kidx] >> np.uint64(config.set_bits)
-        # run_set's optional (u, rep, cost, extra, core) arguments: only
-        # the supplied ones are sliced per set, the rest stay None.
-        args: list[list[Any] | None] = [None] * 5
-        columns = [(i, col) for i, col in enumerate((
+        kernel_hits = kernel.run_sets(
+            nonempty, starts, ends, lines[kidx],
             u[kidx] if u is not None else None, rep,
             cost[kidx] if cost is not None else None, extra,
-            core[kidx] if core is not None else None)) if col is not None]
-        run_set = kernel.run_set
-        kernel_hits = np.empty(len(kidx), dtype=bool)
-        for s, lo, hi in zip(nonempty.tolist(), starts.tolist(), ends.tolist()):
-            for i, col in columns:
-                args[i] = col[lo:hi].tolist()
-            kernel_hits[lo:hi] = run_set(s, tags[lo:hi].tolist(), *args)
+            core[kidx] if core is not None else None)
     hits = np.ones(m, dtype=bool)  # folded accesses are always hits
     hits[kidx] = kernel_hits
     return hits, len(kidx)
@@ -378,9 +375,9 @@ class BatchedEngine:
        of kernel iterations while keeping outcomes bit-identical (the
        equivalence suite checks this per access).
     2. **Set-major batching** — edge accesses are stable-sorted by set
-       index and dispatched to the kernel one contiguous chunk per
-       non-empty set, paying Python dispatch overhead per chunk instead
-       of per access.
+       index and dispatched to the kernel's ``run_sets`` in one call,
+       which by default pays Python dispatch overhead per set chunk
+       instead of per access.
     3. **Set-order fold** — in sorted order, an edge access to the line
        of the previous access *to its set* is again an MRU hit, so only
        the first access of each such run enters the kernel.  On a 2-core

@@ -4,9 +4,11 @@ Every replacement policy ships two implementations with identical
 semantics:
 
 - a :class:`PolicyKernel` used by the batched set-major engine.  The
-  engine hands it one contiguous chunk of accesses per set; the kernel
-  runs a tight Python loop over plain lists (no per-access dispatch,
-  no NumPy scalar indexing) and returns the hit/miss outcomes.
+  engine hands it one set-sorted dispatch through :meth:`PolicyKernel.
+  run_sets`; by default that calls :meth:`PolicyKernel.run_set` once
+  per set, a tight Python loop over plain lists (no per-access
+  dispatch, no NumPy scalar indexing).  A kernel with a vectorised
+  form (LRU) overrides ``run_sets`` instead.
 - a :class:`NaivePolicy` used by the per-access reference engine,
   mirroring the zsim-style ``update / find_victim / replaced`` API.
 
@@ -23,17 +25,22 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+from numpy.typing import NDArray
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from emissary.telemetry import Telemetry
 
 
 class PolicyKernel:
-    """Batched set-major kernel: processes one set's access chunk at a time.
+    """Batched set-major kernel: the engine calls :meth:`run_sets` once
+    per dispatch, and by default that runs one set's chunk at a time.
 
     Telemetry is opt-in per instance: :meth:`attach_telemetry` swaps
     ``run_set`` for the kernel's instrumented variant (``_run_set_tel``),
     so the default fast loops carry **no** telemetry branches — disabled
-    telemetry is structurally free, not just cheap.
+    telemetry is structurally free, not just cheap.  (LRU, which
+    overrides ``run_sets``, skips its accounting block instead.)
     """
 
     name: str = "base"
@@ -81,6 +88,37 @@ class PolicyKernel:
         Returns one hit/miss bool per access.
         """
         raise NotImplementedError
+
+    def run_sets(self, sets: NDArray[np.int64], starts: NDArray[np.int64],
+                 ends: NDArray[np.int64], lines: NDArray[np.uint64],
+                 u: NDArray[np.float64] | None = None,
+                 rep: NDArray[np.bool_] | None = None,
+                 cost: NDArray[np.int64] | None = None,
+                 extra: NDArray[np.int64] | None = None,
+                 core: NDArray[np.int64] | None = None) -> NDArray[np.bool_]:
+        """Simulate one dispatch: ``lines`` sorted by set (stable, so in
+        access order within each set), set ``sets[k]`` holding positions
+        ``starts[k]:ends[k]``.  The optional columns are aligned with
+        ``lines`` and mean what they mean for :meth:`run_set`.  Returns
+        one hit/miss bool per line.
+
+        The default runs :meth:`run_set` once per set.  Lists are made
+        one set at a time: a whole-batch list of Python ints or floats
+        would cost ~5x the array's memory.
+        """
+        tags = lines >> np.uint64(self.num_sets.bit_length() - 1)
+        # run_set's optional (u, rep, cost, extra, core) arguments: only
+        # the supplied ones are sliced per set, the rest stay None.
+        args: list[list[Any] | None] = [None] * 5
+        columns = [(i, col) for i, col in enumerate((u, rep, cost, extra, core))
+                   if col is not None]
+        run_set = self.run_set
+        hits = np.empty(len(lines), dtype=bool)
+        for s, lo, hi in zip(sets.tolist(), starts.tolist(), ends.tolist()):
+            for i, col in columns:
+                args[i] = col[lo:hi].tolist()
+            hits[lo:hi] = run_set(s, tags[lo:hi].tolist(), *args)
+        return hits
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Enable instrumentation: rebind ``run_set`` to ``_run_set_tel``.

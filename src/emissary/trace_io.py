@@ -67,6 +67,7 @@ from pathlib import Path
 from typing import Any, BinaryIO
 
 import numpy as np
+from numpy.typing import NDArray
 
 from emissary.traces import (FILE_KIND, GENERATORS, LINE_BYTES,
                              AddressArray, TraceSpec)
@@ -248,6 +249,17 @@ class ChampSimSource(TraceSource):
         return total // record_bytes
 
 
+def _as_addresses(arr: NDArray[Any], path: Path, offset: int) -> AddressArray:
+    """``arr`` as contiguous ``uint64`` addresses.  A signed array must
+    hold no negative value, which the cast would wrap silently to a huge
+    address; ``offset`` is the index of ``arr[0]`` in the file's array."""
+    if arr.dtype.kind == "i" and len(arr) and arr.min() < 0:
+        index = int(np.argmax(arr < 0))
+        raise ValueError(f"{path}: negative address {int(arr[index])} at "
+                         f"index {offset + index}")
+    return np.ascontiguousarray(arr, dtype=np.uint64)
+
+
 class NpySource(TraceSource):
     """``.npy`` address array, memory-mapped and sliced per chunk."""
 
@@ -264,7 +276,7 @@ class NpySource(TraceSource):
         arr = self._mmap()
         step = max(1, self.chunk_bytes // 8)
         for lo in range(0, len(arr), step):
-            yield np.ascontiguousarray(arr[lo:lo + step], dtype=np.uint64)
+            yield _as_addresses(arr[lo:lo + step], self.path, lo)
 
     def count(self) -> int:
         return int(len(self._mmap()))
@@ -322,7 +334,7 @@ class NpzSource(TraceSource):
                             f"{self.path}: truncated archive member — expected "
                             f"{take * itemsize} bytes, got {len(buf)}")
                     arr = np.frombuffer(buf, dtype=dtype)
-                    yield np.ascontiguousarray(arr, dtype=np.uint64)
+                    yield _as_addresses(arr, self.path, total - remaining)
                     remaining -= take
 
     def count(self) -> int:

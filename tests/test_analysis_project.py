@@ -4,8 +4,11 @@ project findings, EMI007 staleness)."""
 
 from __future__ import annotations
 
+import shutil
 import textwrap
+from pathlib import Path
 
+import emissary
 from emissary.analysis.lint import lint_paths, lint_source, package_roots
 
 
@@ -100,6 +103,31 @@ def test_emi101_suppressible_at_entry_point(tmp_path):
     })
     report = lint_paths([root], select=["EMI101"])
     assert codes_of(report, "EMI101") == []
+
+
+def test_emi101_reaches_through_lru_run_sets(tmp_path):
+    """A clock two hops below the real ``LRUKernel.run_sets`` (in its
+    window scan) is reported against that entry point."""
+    tree = tmp_path / "emissary"
+    shutil.copytree(Path(emissary.__file__).parent, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lru = tree / "policies" / "lru.py"
+    source = lru.read_text()
+    for anchor, injected in (
+            ("import numpy as np\n", "import time\n\nimport numpy as np\n"),
+            ("    first = prev[owners]\n",
+             "    time.time()\n    first = prev[owners]\n")):
+        assert source.count(anchor) == 1, anchor
+        source = source.replace(anchor, injected)
+    lru.write_text(source)
+    report = lint_paths([str(tree)], select=["EMI101"])
+    findings = [v for v in codes_of(report, "EMI101")
+                if "LRUKernel.run_sets" in v.message]
+    assert len(findings) == 1
+    v = findings[0]
+    assert v.path.endswith("policies/lru.py")
+    assert "time.time" in v.message and "wall-clock" in v.message
+    assert "_closed_form_hits -> _scan_windows" in v.message
 
 
 def test_repo_kernels_prove_pure():

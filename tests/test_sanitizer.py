@@ -110,13 +110,22 @@ def test_emissary_hp_count_corruption_detected():
 
 def test_lru_overfull_set_detected():
     kernel = make_kernel("lru", num_sets=2, ways=2)
+    closed_form = kernel.run_sets
+
+    def smuggling_run_sets(*args):
+        hits = closed_form(*args)
+        # Smuggle a third resident line past the eviction logic.
+        kernel._size[0] = 3
+        return hits
+
+    kernel.run_sets = smuggling_run_sets
     sanitizer = Sanitizer()
     sanitizer.attach_kernel(kernel)
-    kernel.run_set(0, [1, 2], None)
-    # Smuggle a third resident line past the eviction logic.
-    kernel._sets[0][99] = None
-    with pytest.raises(SanitizerError, match="exceed 2 ways"):
-        kernel.run_set(0, [1], None)
+    set_0 = (np.array([0]), np.array([0]), np.array([2]))
+    with pytest.raises(SanitizerError, match="exceed 2 ways") as exc:
+        kernel.run_sets(*set_0, np.array([2, 4], dtype=np.uint64))
+    assert exc.value.set_index == 0
+    assert exc.value.access_position == 2
 
 
 def test_naive_srrip_rrpv_corruption_detected():

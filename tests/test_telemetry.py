@@ -76,10 +76,24 @@ def test_hierarchy_outcomes_bit_identical_with_telemetry(spec, engine):
 # -- guarantee 2: telemetry-off is structurally free -------------------------
 
 @pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
-def test_kernel_fast_path_untouched_until_attach(spec):
+def test_kernel_fast_path_untouched_until_attach(spec, monkeypatch):
     kernel = make_kernel(spec.name, 8, 2, **spec.params)
     # Disabled: run_set resolves to the class method — zero per-call cost.
     assert "run_set" not in kernel.__dict__
+    if spec.name == "lru":
+        # LRU's one closed-form body skips its lifetime accounting, and
+        # never allocates the per-slot hit counts, until attached.
+        def no_accounting(*args):
+            raise AssertionError("telemetry-off LRU ran its accounting")
+
+        monkeypatch.setattr(kernel, "_account", no_accounting)
+        kernel.run_sets(np.array([0]), np.array([0]), np.array([3]),
+                        np.array([0, 8, 16], dtype=np.uint64))
+        assert kernel._hits is None
+        kernel.attach_telemetry(Telemetry())
+        assert "run_sets" not in kernel.__dict__
+        assert kernel._hits is not None
+        return
     kernel.attach_telemetry(Telemetry())
     # Enabled: the instrumented twin shadows it on the instance.
     assert kernel.__dict__["run_set"] == kernel._run_set_tel

@@ -107,6 +107,30 @@ def test_npy_rejects_wrong_shape(tmp_path):
         open_trace(path).read_all()
 
 
+def test_npy_rejects_negative_signed_address(tmp_path):
+    """A signed array's negative entry would wrap to a huge uint64
+    address; it is refused with the path and the entry's index."""
+    path = tmp_path / "signed.npy"
+    np.save(path, np.array([64, -64, 128], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"signed\.npy.*index 1"):
+        open_trace(path).read_all()
+
+
+def test_npy_negative_index_counts_across_chunks(tmp_path):
+    path = tmp_path / "late.npy"
+    values = np.arange(0, 64 * 100, 64, dtype=np.int32)
+    values[70] = -1
+    np.save(path, values)
+    with pytest.raises(ValueError, match="index 70"):
+        list(open_trace(path, chunk_bytes=128))
+
+
+def test_npy_signed_non_negative_streams(tmp_path, addresses):
+    path = tmp_path / "signed_ok.npy"
+    np.save(path, addresses.astype(np.int64))
+    assert np.array_equal(open_trace(path).read_all(), addresses)
+
+
 def test_npz_accepts_single_unnamed_array(tmp_path, addresses):
     path = tmp_path / "other.npz"
     np.savez(path, stream=addresses)  # not the canonical "addresses" key
@@ -162,6 +186,14 @@ class TestNpzStreaming:
             zf.writestr("addresses.npy", buf.getvalue()[:-400])
         with pytest.raises(ValueError, match="truncated"):
             open_trace(path).read_all()
+
+    def test_rejects_negative_signed_address(self, tmp_path):
+        path = tmp_path / "signed.npz"
+        values = np.arange(0, 64 * 100, 64, dtype=np.int64)
+        values[70] = -64
+        np.savez(path, addresses=values)
+        with pytest.raises(ValueError, match=r"signed\.npz.*index 70"):
+            list(open_trace(path, chunk_bytes=128))
 
     def test_rejects_float_member(self, tmp_path):
         path = tmp_path / "f.npz"
