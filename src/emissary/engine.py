@@ -321,9 +321,11 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     num_sets = config.num_sets
     # Temporaries are freed early: one-shot batches are whole traces.
     with span("stable_sort"):
-        # A 16-bit key lets NumPy's stable sort use radix sort.
+        # A 16-bit key lets NumPy's stable sort use radix sort, and an
+        # 8-bit one (the L1I's sets) needs a single radix pass.
         set_key = (lines & np.uint64(num_sets - 1)).astype(
-            np.int16 if num_sets <= 1 << 15 else np.int64)
+            np.uint8 if num_sets <= 1 << 8
+            else np.int16 if num_sets <= 1 << 15 else np.int64)
         order = np.argsort(set_key, kind="stable")
         if fold:
             sorted_lines = lines[order]

@@ -45,7 +45,7 @@ from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
 from emissary.engine import BatchedEngine, CacheConfig, IndexArray, SimResult
 from emissary.policies import make_naive, policy_needs_rng
-from emissary.policies.base import NaivePolicy
+from emissary.policies.base import NaivePolicy, stable_argsort
 from emissary.telemetry import Telemetry, span_factory
 from emissary.traces import MAX_CORES, AddressArray, CoreIdArray
 
@@ -293,14 +293,13 @@ def _hierarchy_result(policy: str, l1: SimResult, l2: SimResult,
 class MissCountTable:
     """Compacted running miss counters for the streamed hierarchy.
 
-    Replaces the previous unbounded ``dict[int, int]``: the keys (miss
-    lines, or core-virtualized ``(core, line)`` keys in multi-core runs)
-    live in one sorted ``uint64`` array with an ``int64`` count array
-    alongside — 16 bytes per unique key instead of ~100 for a dict slot,
-    and the whole table stays cache-friendly for the vectorized prior
-    lookups.  :meth:`advance` is outcome-identical to the dict walk: for
-    a batch of keys in stream order it returns each position's inclusive
-    running count, then folds the new totals in.
+    The keys (miss lines, or core-virtualized ``(core, line)`` keys in
+    multi-core runs) live in one sorted ``uint64`` array with an
+    ``int64`` count array alongside: 16 bytes per unique key, where a
+    ``dict`` slot costs ~100.  :meth:`advance` is outcome-identical to
+    the per-key dict walk and sorts each batch once: for a batch of keys
+    in stream order it returns each position's inclusive running count,
+    then folds the new totals in.
     """
 
     def __init__(self) -> None:
@@ -328,45 +327,39 @@ class MissCountTable:
     def advance(self, keys: AddressArray) -> IndexArray:
         """Inclusive running count per position of ``keys`` (in stream
         order, continuing across calls), folding the batch into the
-        table."""
-        if len(keys) == 0:
+        table.
+
+        One stable radix argsort groups equal keys in stream order, so a
+        position's count is its key's prior total plus its rank in the
+        group.  Known keys are updated in place; new ones are inserted
+        at the positions the prior lookup already found."""
+        m = len(keys)
+        if m == 0:
             return np.zeros(0, dtype=np.int64)
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        order = stable_argsort(keys)
+        sorted_keys = keys[order]
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        uniq = sorted_keys[starts]
+        del sorted_keys, head
+        sizes = np.diff(starts, append=m)
+        pos = np.searchsorted(self._keys, uniq)
+        known = pos < len(self._keys)
+        known[known] = self._keys[pos[known]] == uniq[known]
+        at = pos[known]
         prior = np.zeros(len(uniq), dtype=np.int64)
-        if len(self._keys):
-            pos = np.searchsorted(self._keys, uniq)
-            pos_c = np.minimum(pos, len(self._keys) - 1)
-            known = self._keys[pos_c] == uniq
-            prior[known] = self._counts[pos_c[known]]
-        cost = prior[inverse] + running_miss_counts(keys)
-        totals = prior + np.bincount(inverse, minlength=len(uniq))
-        merged = np.union1d(self._keys, uniq)
-        counts = np.zeros(len(merged), dtype=np.int64)
-        if len(self._keys):
-            counts[np.searchsorted(merged, self._keys)] = self._counts
-        counts[np.searchsorted(merged, uniq)] = totals
-        self._keys = merged
-        self._counts = counts
+        prior[known] = self._counts[at]
+        rank = np.arange(1, m + 1, dtype=np.int64)
+        rank += np.repeat(prior - starts, sizes)
+        cost = np.empty(m, dtype=np.int64)
+        cost[order] = rank
+        self._counts[at] += sizes[known]
+        new = ~known
+        self._keys = np.insert(self._keys, pos[new], uniq[new])
+        self._counts = np.insert(self._counts, pos[new], sizes[new])
         return cost
-
-
-def running_miss_counts(lines: AddressArray) -> IndexArray:
-    """For each position, how many times its value has occurred so far
-    (inclusive).  Vectorized: stable-sort groups equal lines, the rank
-    within each group is the running count."""
-    m = len(lines)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=new_group[1:])
-    positions = np.arange(m, dtype=np.int64)
-    starts = np.maximum.accumulate(np.where(new_group, positions, 0))
-    counts = np.empty(m, dtype=np.int64)
-    counts[order] = positions - starts + 1
-    return counts
 
 
 class BatchedHierarchyEngine:

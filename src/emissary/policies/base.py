@@ -32,6 +32,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from emissary.telemetry import Telemetry
 
 
+def stable_argsort(keys: NDArray[np.uint64]) -> NDArray[np.intp]:
+    """``np.argsort(keys, kind="stable")`` as LSD radix passes over
+    16-bit digits of ``keys - keys.min()``: NumPy's stable sort is a
+    radix sort for 16-bit keys, several times faster than its 64-bit
+    merge sort.  The LRU closed form and the hierarchy's miss-count
+    table both sort with it."""
+    span = keys - keys.min()
+    order = np.argsort(span.astype(np.uint16), kind="stable")
+    bits = int(span.max()).bit_length()
+    for shift in range(16, bits, 16):
+        digit = (span >> np.uint64(shift)).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 class PolicyKernel:
     """Batched set-major kernel: the engine calls :meth:`run_sets` once
     per dispatch, and by default that runs one set's chunk at a time.

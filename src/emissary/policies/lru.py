@@ -15,10 +15,12 @@ Closed form
 
     ``prev`` comes from one stable argsort of the line keys (the line
     identifies both set and tag), done as LSD radix passes over 16-bit
-    digits.  A gap ``i - p - 1 < W`` is a hit outright.  A window
-    whose first ``W`` positions are all first touches is a miss
-    outright: a sliding-window maximum of ``prev`` finds those (the
-    latest ``prev`` among the ``W`` is before ``p``).  Every other
+    digits by the shared :func:`~emissary.policies.base.stable_argsort`,
+    which the hierarchy's miss-count table also uses.  A gap
+    ``i - p - 1 < W`` is a hit outright.  A window whose first ``W``
+    positions are all first touches is a miss outright: a
+    sliding-window maximum of ``prev`` finds those (the latest ``prev``
+    among the ``W`` is before ``p``).  Every other
     access scans ``(p, i)`` counting first touches, and stops at the
     ``W``-th one (a miss) or at ``i`` (a hit).  The scans run together
     in vectorised rounds whose block width doubles, at most
@@ -62,7 +64,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.policies.base import NaivePolicy, PolicyKernel
+from emissary.policies.base import NaivePolicy, PolicyKernel, stable_argsort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -72,20 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: bound the scan's memory whatever the batch size.
 SCAN_ROWS = 1 << 14
 SCAN_BUDGET = 1 << 17
-
-
-def _stable_argsort(keys: NDArray[np.uint64]) -> NDArray[np.intp]:
-    """``np.argsort(keys, kind="stable")`` as LSD radix passes over
-    16-bit digits of ``keys - keys.min()``: NumPy's stable sort is a
-    radix sort for 16-bit keys, several times faster than its 64-bit
-    merge sort."""
-    span = keys - keys.min()
-    order = np.argsort(span.astype(np.uint16), kind="stable")
-    bits = int(span.max()).bit_length()
-    for shift in range(16, bits, 16):
-        digit = (span >> np.uint64(shift)).astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
-    return order
 
 
 def _previous(keys: NDArray[np.uint64], order: NDArray[np.intp],
@@ -215,7 +203,7 @@ class LRUKernel(PolicyKernel):
         keys[res_pos] = ((self._tag[res_slot].astype(np.uint64) << set_bits)
                          | np.repeat(sets, sizes).astype(np.uint64))
 
-        order = _stable_argsort(keys)
+        order = stable_argsort(keys)
         # Padded past the end by the longest set (no window is longer),
         # with a value that is never a first touch: window scans read
         # whole blocks without bounds checks.

@@ -147,6 +147,8 @@ class TraceSource:
 
     ``chunk_bytes`` is the memory budget for a single yielded chunk (the
     engines hold at most one chunk plus carried state at a time).  Every
+    format fills it alike: each chunk but the last holds exactly
+    ``max(1, chunk_bytes // 8)`` addresses, and the last the rest.  Every
     yielded array is a fresh contiguous ``uint64`` buffer — safe to hold
     across iterations.
     """
@@ -182,6 +184,12 @@ class ChampSimSource(TraceSource):
     ``compression`` is ``"gz"``, ``"xz"``, or None (raw); by default it
     is inferred from the file suffix.  The legacy boolean ``compressed``
     keyword still selects gzip.
+
+    Records are read and decoded in pieces of at most
+    ``max(1, chunk_bytes // 64)`` records, each piece's ``ip`` field
+    copied straight into the current chunk's preallocated address
+    buffer, so the resident set is one address chunk plus one record
+    piece.  A trailing partial record raises ``ValueError``.
     """
 
     def __init__(self, path: str | Path,
@@ -211,24 +219,32 @@ class ChampSimSource(TraceSource):
             return opener(self.path, "rb")  # type: ignore[return-value]
         return open(self.path, "rb")
 
-    def _records_per_chunk(self) -> int:
-        return max(1, self.chunk_bytes // CHAMPSIM_DTYPE.itemsize)
-
     def __iter__(self) -> Iterator[AddressArray]:
         record_bytes = CHAMPSIM_DTYPE.itemsize
-        read_bytes = self._records_per_chunk() * record_bytes
+        per_chunk = max(1, self.chunk_bytes // 8)
+        piece = max(1, self.chunk_bytes // record_bytes)
         with self._open() as fh:
             while True:
-                buf = fh.read(read_bytes)
-                if not buf:
+                chunk = np.empty(per_chunk, dtype=np.uint64)
+                filled = 0
+                while filled < per_chunk:
+                    want = min(piece, per_chunk - filled)
+                    buf = fh.read(want * record_bytes)
+                    if len(buf) % record_bytes:
+                        raise ValueError(
+                            f"{self.path}: truncated ChampSim trace — trailing "
+                            f"{len(buf) % record_bytes} bytes do not form a "
+                            f"{record_bytes}-byte record")
+                    got = len(buf) // record_bytes
+                    chunk[filled:filled + got] = np.frombuffer(
+                        buf, dtype=CHAMPSIM_DTYPE)["ip"]
+                    filled += got
+                    if got < want:  # end of file
+                        break
+                if filled:
+                    yield chunk[:filled]
+                if filled < per_chunk:
                     return
-                if len(buf) % record_bytes:
-                    raise ValueError(
-                        f"{self.path}: truncated ChampSim trace — trailing "
-                        f"{len(buf) % record_bytes} bytes do not form a "
-                        f"{record_bytes}-byte record")
-                records = np.frombuffer(buf, dtype=CHAMPSIM_DTYPE)
-                yield np.ascontiguousarray(records["ip"], dtype=np.uint64)
 
     def count(self) -> int:
         record_bytes = CHAMPSIM_DTYPE.itemsize

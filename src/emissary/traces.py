@@ -92,6 +92,21 @@ def _check_params(**params: Any) -> None:
                 raise ValueError(f"{name} must be positive, got {value!r}")
 
 
+def _loop_offsets(start: int, k: int, span: int) -> AddressArray:
+    """``(start + arange(k)) % span`` without a 64-bit modulo: one period
+    rotated to ``start``, tiled into exactly ``k`` entries."""
+    r = start % span
+    period = np.arange(r, r + min(span, k), dtype=np.uint64)
+    period[span - r:] -= np.uint64(span)
+    if len(period) == k:
+        return period
+    seq = np.empty(k, dtype=np.uint64)
+    whole = k - k % span
+    seq[:whole].reshape(-1, span)[...] = period
+    seq[whole:] = period[:k - whole]
+    return seq
+
+
 def looping_code(
     n: int,
     footprint_lines: int = 4096,
@@ -108,12 +123,14 @@ def looping_code(
     _check_params(n=n, footprint_lines=footprint_lines,
                   branch_noise=branch_noise, base=base)
     rng = _rng(seed)
-    instrs_per_line = LINE_BYTES // INSTR_BYTES
-    seq = np.arange(n, dtype=np.uint64) % np.uint64(footprint_lines * instrs_per_line)
+    span = footprint_lines * (LINE_BYTES // INSTR_BYTES)
+    seq = _loop_offsets(0, n, span)
     noise = rng.random(n) < branch_noise
-    jumps = rng.integers(0, footprint_lines * instrs_per_line, size=int(noise.sum()))
+    jumps = rng.integers(0, span, size=int(noise.sum()))
     seq[noise] = jumps.astype(np.uint64)
-    return np.uint64(base) + seq * np.uint64(INSTR_BYTES)
+    seq *= np.uint64(INSTR_BYTES)
+    seq += np.uint64(base)
+    return seq
 
 
 def working_set_shift(
@@ -316,11 +333,13 @@ def looping_code_chunks(
     rng_noise = _rng(seed)
     for start in range(0, n, step):
         k = min(step, n - start)
-        seq = np.arange(start, start + k, dtype=np.uint64) % np.uint64(span)
+        seq = _loop_offsets(start, k, span)
         noise = rng_noise.random(k) < branch_noise
         jumps = rng_jump.integers(0, span, size=int(noise.sum()))
         seq[noise] = jumps.astype(np.uint64)
-        yield np.uint64(base) + seq * np.uint64(INSTR_BYTES)
+        seq *= np.uint64(INSTR_BYTES)
+        seq += np.uint64(base)
+        yield seq
 
 
 def working_set_shift_chunks(

@@ -259,25 +259,55 @@ def test_stream_lifecycle_errors():
     assert result.n == 4
 
 
+def _miss_table_cases():
+    """Key batches for the miss-count table: small keys, pools spread
+    across each 16-bit radix digit boundary (up to the full 64 bits),
+    core-virtualized lines, keys near ``2**64 - 1``, one repeated key."""
+    rng = np.random.default_rng(7)
+    yield rng.integers(0, 50, size=3_000).astype(np.uint64)
+    top = 2**64 - 1
+    for bits in (15, 17, 31, 33, 47, 49, 64):
+        base = int(rng.integers(0, 2**64 - 2**bits, endpoint=True,
+                                dtype=np.uint64))
+        pool = base + rng.integers(0, 2**bits, size=40, dtype=np.uint64)
+        yield rng.choice(pool, size=1_000)
+    pool = np.array([0, 1, 2**16, 2**32 + 5, 2**48 - 1, top - 1, top],
+                    dtype=np.uint64)
+    yield rng.choice(pool, size=1_000)
+    lines = np.uint64(0x400000 >> 6) + rng.integers(0, 300, size=1_000,
+                                                    dtype=np.uint64)
+    cores = rng.integers(0, 4, size=1_000, dtype=np.uint64)
+    yield (lines << np.uint64(2)) | cores
+    yield np.uint64(top) - rng.integers(0, 30, size=1_000, dtype=np.uint64)
+    yield np.full(500, top, dtype=np.uint64)
+    yield np.full(500, 12_345, dtype=np.uint64)
+    yield np.array([top], dtype=np.uint64)
+
+
 def test_miss_count_table_matches_dict_walk():
     """MissCountTable.advance must be outcome-identical to the plain
-    per-key dict walk it replaced, across arbitrary chunk cuts."""
-    rng = np.random.default_rng(7)
-    keys = rng.integers(0, 50, size=3_000).astype(np.uint64)
-    reference: dict[int, int] = {}
-    expect = np.zeros(len(keys), dtype=np.int64)
-    for i, key in enumerate(keys.tolist()):
-        reference[key] = reference.get(key, 0) + 1
-        expect[i] = reference[key]
-    for cut in (1, 7, 997, 10**9):
-        table = MissCountTable()
-        got = np.concatenate(
-            [table.advance(c) for c in _chunks(keys, cut)] or
-            [np.zeros(0, dtype=np.int64)])
-        assert np.array_equal(got, expect)
-        assert len(table) == len(reference)
-        assert np.array_equal(table.keys, np.sort(np.unique(keys)))
-        assert table.counts.sum() == len(keys)
+    per-key dict walk it replaced, across arbitrary chunk cuts (a cut of
+    1 feeds one-key batches)."""
+    for keys in _miss_table_cases():
+        reference: dict[int, int] = {}
+        expect = np.zeros(len(keys), dtype=np.int64)
+        for i, key in enumerate(keys.tolist()):
+            reference[key] = reference.get(key, 0) + 1
+            expect[i] = reference[key]
+        for cut in (1, 7, 997, 10**9):
+            table = MissCountTable()
+            got = np.concatenate(
+                [table.advance(c) for c in _chunks(keys, cut)] or
+                [np.zeros(0, dtype=np.int64)])
+            assert np.array_equal(got, expect)
+            assert len(table) == len(reference)
+            assert np.array_equal(table.keys, np.array(sorted(reference),
+                                                       dtype=np.uint64))
+            assert table.counts.tolist() == [reference[k]
+                                             for k in sorted(reference)]
+    # A fresh table's first batch gives each position's running count.
+    lines = np.array([5, 7, 5, 5, 7, 9], dtype=np.uint64)
+    assert MissCountTable().advance(lines).tolist() == [1, 1, 2, 3, 2, 1]
     assert MissCountTable().advance(np.zeros(0, dtype=np.uint64)).tolist() == []
 
 

@@ -47,12 +47,25 @@ def test_roundtrip_every_format(tmp_path, addresses, fmt):
 def test_chunks_respect_memory_budget(tmp_path, addresses, fmt):
     path = _path_for(tmp_path, fmt)
     write_trace(path, [addresses])
-    budget = 1024  # 128 addresses (or 16 ChampSim records) per chunk
+    budget = 1024  # 128 addresses per chunk, in every format
     chunks = list(open_trace(path, chunk_bytes=budget))
     assert len(chunks) > 1
     assert all(c.nbytes <= budget for c in chunks)
     assert all(c.dtype == np.uint64 and c.flags.c_contiguous for c in chunks)
     assert np.array_equal(np.concatenate(chunks), addresses)
+
+
+@pytest.mark.parametrize("budget", [775, 1000])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_every_format_chunks_alike(tmp_path, addresses, fmt, budget):
+    """Every non-final chunk holds exactly ``chunk_bytes // 8``
+    addresses and the last holds the rest, whatever the format."""
+    path = _path_for(tmp_path, fmt)
+    write_trace(path, [addresses])
+    per_chunk = budget // 8
+    sizes = [len(c) for c in open_trace(path, chunk_bytes=budget)]
+    full, rest = divmod(len(addresses), per_chunk)
+    assert sizes == [per_chunk] * full + ([rest] if rest else [])
 
 
 def test_chunked_writer_streams(tmp_path, addresses):
@@ -82,6 +95,29 @@ def test_truncated_champsim_rejected(tmp_path, addresses):
         open_trace(path).read_all()
     with pytest.raises(ValueError, match="record"):
         open_trace(path).count()
+
+
+@pytest.mark.parametrize("fmt", ["champsim", "champsim.gz"])
+def test_truncated_record_in_a_later_piece_rejected(tmp_path, addresses, fmt):
+    """A 256-byte budget is 32 addresses per chunk, decoded 4 records at
+    a time: 70 whole records plus a torn one put the tear in the second
+    piece of the third chunk.  The two full chunks come out first."""
+    path = _path_for(tmp_path, fmt)
+    records = np.zeros(71, dtype=CHAMPSIM_DTYPE)
+    records["ip"] = addresses[:71]
+    payload = records.tobytes()[:-13]
+    if fmt == "champsim.gz":
+        with gzip.open(path, "wb") as fh:
+            fh.write(payload)
+    else:
+        path.write_bytes(payload)
+    chunks = iter(open_trace(path, chunk_bytes=256))
+    assert np.array_equal(next(chunks), addresses[:32])
+    assert np.array_equal(next(chunks), addresses[32:64])
+    with pytest.raises(ValueError, match="truncated ChampSim trace — "
+                                         "trailing 51 bytes do not form a "
+                                         "64-byte record"):
+        next(chunks)
 
 
 def test_truncated_gzip_payload_rejected(tmp_path, addresses):
