@@ -11,7 +11,7 @@ from emissary.api import PolicySpec, SimRequest, simulate
 from emissary.engine import BatchedEngine, CacheConfig
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                 HierarchyReferenceEngine, HierarchyResult,
-                                MultiCoreHierarchyResult,
+                                MissCountTable, MultiCoreHierarchyResult,
                                 simulate_hierarchy)
 from emissary.policies import POLICY_NAMES
 from emissary.telemetry import Telemetry
@@ -82,6 +82,14 @@ def test_l2_only_sees_l1_misses():
                              l2=CacheConfig(num_sets=64, ways=4))
     filtered = BatchedHierarchyEngine(big_l1).run(trace, PolicySpec("lru"), seed=0)
     assert filtered.l2.n < result.l2.n
+
+
+def test_running_miss_counts():
+    """A fresh miss table's first batch gives each position's inclusive
+    running count."""
+    lines = np.array([5, 7, 5, 5, 7, 9], dtype=np.uint64)
+    assert MissCountTable().advance(lines).tolist() == [1, 1, 2, 3, 2, 1]
+    assert MissCountTable().advance(np.empty(0, dtype=np.uint64)).tolist() == []
 
 
 def test_emissary_hp_driven_by_measured_counts():

@@ -305,10 +305,6 @@ def test_miss_count_table_matches_dict_walk():
                                                        dtype=np.uint64))
             assert table.counts.tolist() == [reference[k]
                                              for k in sorted(reference)]
-    # A fresh table's first batch gives each position's running count.
-    lines = np.array([5, 7, 5, 5, 7, 9], dtype=np.uint64)
-    assert MissCountTable().advance(lines).tolist() == [1, 1, 2, 3, 2, 1]
-    assert MissCountTable().advance(np.zeros(0, dtype=np.uint64)).tolist() == []
 
 
 def test_miss_count_table_footprint_bounded_by_unique_keys():
