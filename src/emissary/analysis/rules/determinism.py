@@ -60,14 +60,15 @@ MONOTONIC_CALLS = frozenset({
     "time.thread_time_ns",
 })
 
-#: Function names that are kernel hot paths: called once per set chunk
-#: (or per access, for naive impls), so even a monotonic timer read
-#: here is both a perf bug and a telemetry-skew hazard.
+#: Function names that are kernel hot paths: called once per dispatch or
+#: set chunk (or per access, for naive impls), so even a monotonic timer
+#: read here is both a perf bug and a telemetry-skew hazard.
 HOT_FUNCTIONS = frozenset({
     "run_sets",
     "run_set",
     "_run_set_tel",
     "_run_set_wide",
+    "_lockstep",
     "_dispatch",
     "on_hit",
     "on_fill",

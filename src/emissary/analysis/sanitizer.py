@@ -21,24 +21,27 @@ the bench guard (``python -m emissary.bench --sanitizer-overhead``)
 holds the detached overhead under 5%.
 
 Attachment order matters and the engines get it right: telemetry first
-(it rebinds ``run_set`` to the instrumented twin), then the sanitizer
-(which wraps whatever ``run_set`` is bound to), so instrumented and
-plain runs are both checked.  LRU and the compiled kernels resolve a
-whole dispatch in one call; the sanitizer wraps that call and checks
-the flat state of every set it touched.
+(it swaps in the instrumented loops), then the sanitizer (which wraps
+the dispatch entry point), so instrumented and plain runs are both
+checked.  Every batched kernel resolves a whole dispatch in one call —
+``run_sets`` for the Python kernels, ``run_batch`` for the compiled
+ones — and keeps its state in flat per-set arrays under the same names
+(``_tag``, ``_size``, ``_ts``, ``_rrpv``, ``_prio``, ``_hp``,
+``_owner``, ``_hp_by_core``).  The sanitizer wraps that call and runs
+one flat-state checker over every set it touched.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from emissary.compiled import BoolArray, CompiledKernel, IndexArray, UniformArray
 from emissary.policies.base import NaivePolicy, PolicyKernel
-from emissary.policies.emissary import EmissaryKernel, NaiveEmissary
-from emissary.policies.lru import LRUKernel, NaiveLRU
-from emissary.policies.random_policy import NaiveRandom, RandomKernel
-from emissary.policies.srrip import RRPV_MAX, NaiveSRRIP, SRRIPKernel
+from emissary.policies.emissary import NaiveEmissary
+from emissary.policies.lru import NaiveLRU
+from emissary.policies.random_policy import NaiveRandom
+from emissary.policies.srrip import RRPV_MAX, NaiveSRRIP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -88,62 +91,28 @@ class Sanitizer:
     # -- batched kernels --------------------------------------------------
 
     def attach_kernel(self, kernel: "PolicyKernel | CompiledKernel") -> None:
-        """Wrap the kernel's dispatch entry point to validate touched
-        sets after every dispatch.  Call after ``attach_telemetry`` (if
-        any).  Compiled kernels are wrapped at ``run_batch`` and LRU at
-        ``run_sets`` (their flat state arrays are validated per touched
-        set); other Python kernels at ``run_set``."""
+        """Wrap the kernel's dispatch entry point — ``run_batch`` for
+        compiled kernels, ``run_sets`` for Python ones — to validate the
+        flat state of every set a dispatch touched.  Call after
+        ``attach_telemetry`` (if any)."""
+        self.attached.append(kernel.name)
         if isinstance(kernel, CompiledKernel):
-            self._attach_compiled(kernel)
+            inner_batch = kernel.run_batch
+
+            def run_batch(set_idx: IndexArray, tags: IndexArray,
+                          u: "UniformArray | None" = None,
+                          rep: "NDArray[np.bool_] | None" = None,
+                          cost: "IndexArray | None" = None,
+                          extra: "IndexArray | None" = None,
+                          core: "IndexArray | None" = None) -> BoolArray:
+                hits = inner_batch(set_idx, tags, u, rep, cost, extra, core)
+                self._check_dispatch(kernel, sorted(set(set_idx.tolist())),
+                                     len(tags))
+                return hits
+
+            kernel.run_batch = run_batch  # type: ignore[method-assign]
             return
-        if isinstance(kernel, LRUKernel):
-            self._attach_lru(kernel)
-            return
-        check = self._kernel_checker(kernel)
-        inner = kernel.run_set
-        self.attached.append(kernel.name)
-
-        def run_set(set_index: int, tags: list[int],
-                    u: Sequence[float] | None,
-                    rep: Sequence[bool] | None = None,
-                    cost: Sequence[int] | None = None,
-                    extra: Sequence[int] | None = None,
-                    core: Sequence[int] | None = None) -> list[bool]:
-            hits = inner(set_index, tags, u, rep, cost, extra, core)
-            self.accesses += len(tags)
-            if check is not None:
-                check(set_index, self.accesses)
-            self.checks += 1
-            return hits
-
-        kernel.run_set = run_set  # type: ignore[method-assign]
-
-    def _attach_compiled(self, kernel: CompiledKernel) -> None:
-        """Wrap ``kernel.run_batch``: after each dispatch, validate the
-        flat per-set state arrays of every set the batch touched."""
-        inner = kernel.run_batch
-        self.attached.append(kernel.name)
-
-        def run_batch(set_idx: IndexArray, tags: IndexArray,
-                      u: "UniformArray | None" = None,
-                      rep: "NDArray[np.bool_] | None" = None,
-                      cost: "IndexArray | None" = None,
-                      extra: "IndexArray | None" = None,
-                      core: "IndexArray | None" = None) -> BoolArray:
-            hits = inner(set_idx, tags, u, rep, cost, extra, core)
-            self.accesses += len(tags)
-            for s in sorted(set(set_idx.tolist())):
-                self._check_compiled(kernel, s, self.accesses)
-            self.checks += 1
-            return hits
-
-        kernel.run_batch = run_batch  # type: ignore[method-assign]
-
-    def _attach_lru(self, kernel: LRUKernel) -> None:
-        """Wrap ``kernel.run_sets``: after each dispatch, validate the
-        flat state of every set the dispatch touched."""
         inner = kernel.run_sets
-        self.attached.append(kernel.name)
 
         def run_sets(sets: IndexArray, starts: IndexArray, ends: IndexArray,
                      lines: "NDArray[np.uint64]",
@@ -153,13 +122,18 @@ class Sanitizer:
                      extra: "IndexArray | None" = None,
                      core: "IndexArray | None" = None) -> BoolArray:
             hits = inner(sets, starts, ends, lines, u, rep, cost, extra, core)
-            self.accesses += len(lines)
-            for s in sets.tolist():
-                self._check_lru(kernel, s, self.accesses)
-            self.checks += 1
+            self._check_dispatch(kernel, sets.tolist(), len(lines))
             return hits
 
         kernel.run_sets = run_sets  # type: ignore[method-assign]
+
+    def _check_dispatch(self, kernel: "PolicyKernel | CompiledKernel",
+                 sets: list[int], accesses: int) -> None:
+        """Count one dispatch of ``accesses`` and check ``sets``."""
+        self.accesses += accesses
+        for s in sets:
+            self._check_flat(kernel, s, self.accesses)
+        self.checks += 1
 
     @staticmethod
     def _check_slots(name: str, ways: int, size: int, tags: list[int],
@@ -178,31 +152,30 @@ class Sanitizer:
                 f"{name}: duplicate resident tags {tags}",
                 set_index=s, access_position=pos)
 
-    def _check_lru(self, kernel: LRUKernel, s: int, pos: int) -> None:
+    def _check_flat(self, kernel: Any, s: int, pos: int) -> None:
+        """One set's flat state rows, for any batched kernel (Python or
+        compiled, which share the array names): each array the kernel
+        keeps is checked against its policy's invariants."""
+        compiled = isinstance(kernel, CompiledKernel)
+        name = f"compiled/{kernel.name}" if compiled else kernel.name
         ways = kernel.ways
         base = s * ways
         size = int(kernel._size[s])
-        self._check_slots("lru", ways, size,
-                          kernel._tag[base:base + size].tolist(), s, pos)
-        if kernel._hits is not None:
-            counts = kernel._hits[base:base + size].tolist()
+        end = base + size
+        tags = kernel._tag[base:end].tolist()
+        self._check_slots(name, ways, size, tags, s, pos)
+        hit_counts = getattr(kernel, "_line_hits", None)
+        if hit_counts is None:
+            hit_counts = getattr(kernel, "_hits", None)
+        if hit_counts is not None:
+            counts = hit_counts[base:end].tolist()
             if any(count < 0 for count in counts):
                 raise SanitizerError(
-                    f"lru: negative hit count in {counts}",
+                    f"{name}: negative hit count in {counts}",
                     set_index=s, access_position=pos)
-
-    def _check_compiled(self, kernel: CompiledKernel, s: int,
-                        pos: int) -> None:
-        """Same invariants the per-policy Python checkers enforce, read
-        from the compiled backend's flat state arrays."""
-        name = f"compiled/{kernel.policy}"
-        ways = kernel.ways
-        base = s * ways
-        size = int(kernel._size[s])
-        tags = kernel._tag[base:base + size].tolist()
-        self._check_slots(name, ways, size, tags, s, pos)
-        if kernel.policy in ("lru", "emissary"):
-            stamps = kernel._ts[base:base + size].tolist()
+        stamps_arr = getattr(kernel, "_ts", None)
+        if stamps_arr is not None:
+            stamps = stamps_arr[base:end].tolist()
             if any(t <= 0 for t in stamps):
                 raise SanitizerError(
                     f"{name}: non-positive timestamp on a resident line "
@@ -211,81 +184,40 @@ class Sanitizer:
                 raise SanitizerError(
                     f"{name}: duplicate timestamps {stamps} (LRU order is "
                     "ambiguous)", set_index=s, access_position=pos)
-        if kernel.policy == "srrip":
-            for way, rrpv in enumerate(kernel._rrpv[base:base + size].tolist()):
+        rrpv_arr = getattr(kernel, "_rrpv", None)
+        if rrpv_arr is not None:
+            for way, rrpv in enumerate(rrpv_arr[base:end].tolist()):
                 if not 0 <= rrpv <= RRPV_MAX:
                     raise SanitizerError(
                         f"{name}: RRPV {rrpv} at way {way} outside "
                         f"[0, {RRPV_MAX}]", set_index=s, access_position=pos)
-        if kernel.policy == "emissary":
-            hp = 0
-            for way, prio in enumerate(kernel._prio[base:base + size].tolist()):
-                if prio not in (0, 1):
-                    raise SanitizerError(
-                        f"{name}: priority bit {prio!r} at way {way} is not "
-                        "0/1", set_index=s, access_position=pos)
-                hp += prio
-            if hp != int(kernel._hp[s]):
-                raise SanitizerError(
-                    f"{name}: hp_counts[{s}] = {int(kernel._hp[s])} but {hp} "
-                    "HP lines are resident", set_index=s, access_position=pos)
-            if hp > kernel.hp_threshold:
-                raise SanitizerError(
-                    f"{name}: {hp} HP lines exceed hp_threshold="
-                    f"{kernel.hp_threshold}", set_index=s, access_position=pos)
-            if getattr(kernel, "_partitioned", False):
-                nc = kernel.num_cores
-                prios = kernel._prio[base:base + size].tolist()
-                owner_slice = kernel._owner[base:base + size].tolist()
-                self._check_partition(
-                    name, s, pos, kernel._quota.tolist(),
-                    kernel._hp_by_core[s * nc:(s + 1) * nc].tolist(), hp,
-                    owner_of={w for w, p in enumerate(prios) if p},
-                    owners={w: owner_slice[w] for w in range(size)
-                            if owner_slice[w] >= 0})
-
-    def _kernel_checker(
-            self, kernel: PolicyKernel) -> Callable[[int, int], None] | None:
-        if isinstance(kernel, EmissaryKernel):
-            return lambda s, pos: self._check_emissary(kernel, s, pos)
-        if isinstance(kernel, SRRIPKernel):
-            return lambda s, pos: self._check_srrip(kernel, s, pos)
-        if isinstance(kernel, RandomKernel):
-            return lambda s, pos: self._check_random(kernel, s, pos)
-        return None  # unknown kernel: dispatch counting only
-
-    def _check_emissary(self, kernel: EmissaryKernel, s: int, pos: int) -> None:
-        d = kernel._sets[s]
-        if len(d) > kernel.ways:
-            raise SanitizerError(
-                f"emissary: {len(d)} resident lines exceed {kernel.ways} ways",
-                set_index=s, access_position=pos)
+        prio_arr = getattr(kernel, "_prio", None)
+        if prio_arr is None:
+            return
+        prios = prio_arr[base:end].tolist()
         hp = 0
-        for tag, prio in d.items():
+        for way, prio in enumerate(prios):
             if prio not in (0, 1):
                 raise SanitizerError(
-                    f"emissary: priority bit {prio!r} for tag {tag} is not 0/1",
-                    set_index=s, access_position=pos)
+                    f"{name}: priority bit {prio!r} at way {way} is not "
+                    "0/1", set_index=s, access_position=pos)
             hp += prio
-        if hp != kernel.hp_counts[s]:
+        if hp != int(kernel._hp[s]):
             raise SanitizerError(
-                f"emissary: hp_counts[{s}] = {kernel.hp_counts[s]} but "
-                f"{hp} HP lines are resident", set_index=s, access_position=pos)
+                f"{name}: hp_counts[{s}] = {int(kernel._hp[s])} but {hp} "
+                "HP lines are resident", set_index=s, access_position=pos)
         if hp > kernel.hp_threshold:
             raise SanitizerError(
-                f"emissary: {hp} HP lines exceed hp_threshold="
+                f"{name}: {hp} HP lines exceed hp_threshold="
                 f"{kernel.hp_threshold}", set_index=s, access_position=pos)
-        hits_of = getattr(kernel, "_hits_of", None)
-        if hits_of is not None and hits_of[s].keys() != d.keys():
-            raise SanitizerError(
-                "emissary: instrumented hit accounting tracks different "
-                "tags than the residency map", set_index=s, access_position=pos)
-        if kernel.partitioned:
+        if getattr(kernel, "_partitioned", False):
+            nc = kernel.num_cores
+            owner_row = kernel._owner[base:end].tolist()
             self._check_partition(
-                "emissary", s, pos, kernel.core_quotas,
-                kernel.hp_by_core[s], hp,
-                owner_of={t for t, p in d.items() if p},
-                owners=kernel._owner[s])
+                name, s, pos, kernel._quota.tolist(),
+                kernel._hp_by_core[s * nc:(s + 1) * nc].tolist(), hp,
+                owner_of={w for w, p in enumerate(prios) if p},
+                owners={w: cr for w, cr in enumerate(owner_row) if cr >= 0})
 
     @staticmethod
     def _check_partition(name: str, s: int, pos: int, quotas: Sequence[int],
@@ -321,38 +253,6 @@ class Sanitizer:
                 raise SanitizerError(
                     f"{name}: core {cr} holds {count} HP lines outside its "
                     f"quota [0, {quota}]", set_index=s, access_position=pos)
-
-    def _check_srrip(self, kernel: SRRIPKernel, s: int, pos: int) -> None:
-        self._check_residency(kernel, "srrip", s, pos)
-        for way, rrpv in enumerate(kernel.effective_rrpv(s)):
-            if not 0 <= rrpv <= RRPV_MAX:
-                raise SanitizerError(
-                    f"srrip: RRPV {rrpv} at way {way} outside [0, {RRPV_MAX}]",
-                    set_index=s, access_position=pos)
-
-    def _check_random(self, kernel: RandomKernel, s: int, pos: int) -> None:
-        self._check_residency(kernel, "random", s, pos)
-
-    @staticmethod
-    def _check_residency(kernel: PolicyKernel, name: str, s: int,
-                         pos: int) -> None:
-        """tag->way and way->tag maps must be inverse bijections."""
-        ways_of = kernel._ways_of[s]  # type: ignore[attr-defined]
-        tag_at = kernel._tag_at[s]  # type: ignore[attr-defined]
-        if len(tag_at) > kernel.ways:
-            raise SanitizerError(
-                f"{name}: {len(tag_at)} resident lines exceed "
-                f"{kernel.ways} ways", set_index=s, access_position=pos)
-        if len(ways_of) != len(tag_at):
-            raise SanitizerError(
-                f"{name}: tag->way map has {len(ways_of)} entries but "
-                f"{len(tag_at)} ways are resident",
-                set_index=s, access_position=pos)
-        for way, tag in enumerate(tag_at):
-            if ways_of.get(tag) != way:
-                raise SanitizerError(
-                    f"{name}: way {way} holds tag {tag} but tag->way maps it "
-                    f"to {ways_of.get(tag)}", set_index=s, access_position=pos)
 
     # -- naive (per-access reference) impls -------------------------------
 

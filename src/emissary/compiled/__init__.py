@@ -1,13 +1,15 @@
 """Compiled kernel backend: provider registry + batch dispatcher.
 
-The batched Python engine pays three per-access costs the policies
-themselves don't need: the stable set-major sort, the NumPy->list
-conversion per set chunk, and the Python bytecode of the kernel loops.
-The compiled backend removes all three — accesses stay in **trace
-order** (sets are independent, so per-set state evolution is identical;
-see :mod:`emissary.compiled.kernels_py` for the proof obligations) and
-one call into native code processes the whole batch over flat per-set
-state arrays.
+The batched Python engine pays three costs the policies themselves
+don't need: the stable set-major sort, the per-step NumPy calls of the
+lockstep kernels (a few dozen per step, each over the active sets'
+rows), and the Python bytecode of the per-set loops that finish the
+long sets (with a NumPy->list conversion per set).  The compiled backend
+removes all three — accesses stay in **trace order** (sets are
+independent, so per-set state evolution is identical; see
+:mod:`emissary.compiled.kernels_py` for the proof obligations) and one
+call into native code processes the whole batch over flat per-set state
+arrays, under the same names the Python kernels use.
 
 Three providers implement the same ten kernel entry points:
 
@@ -196,9 +198,9 @@ class CompiledKernel:
     Mirrors the :class:`~emissary.policies.base.PolicyKernel` surface
     the engines rely on (``needs_rng`` / ``needs_repeat_flags`` /
     ``consumes_cost`` flags, ``attach_telemetry`` /
-    ``telemetry_finalize`` / ``extra_stats``), but replaces the per-set
-    ``run_set`` with :meth:`run_batch`: one call per engine dispatch,
-    accesses in trace order, no set-major sort required.
+    ``telemetry_finalize`` / ``extra_stats``), but replaces the
+    set-sorted ``run_sets`` with :meth:`run_batch`: one call per engine
+    dispatch, accesses in trace order, no set-major sort required.
 
     State lives in flat preallocated int64 arrays (``num_sets * ways``
     per channel) shared across dispatches, so streamed chunked execution

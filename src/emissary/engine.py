@@ -8,12 +8,11 @@ Two engines with bit-identical outcomes:
     and hands the sorted batch to the policy kernel in one ``run_sets``
     call with each non-empty set's range.  The ``run_sets`` protocol
     (:meth:`~emissary.policies.base.PolicyKernel.run_sets`): the default
-    runs the kernel's ``run_set`` once per set, so per-access Python
-    overhead (address math, attribute lookups, method dispatch) is paid
-    once per set *chunk* instead of once per access, and the per-set
-    inner loops run over plain lists; a kernel with a vectorised form
-    (LRU's closed form) overrides ``run_sets`` and has no per-access
-    loop at all.
+    resolves the k-th access of every set in one vectorised lockstep
+    step while enough sets are active, then runs the kernel's
+    ``run_set`` on each longer set's remaining chunk, a loop over plain
+    lists; LRU's closed form overrides ``run_sets`` and has no
+    per-access loop at all.
     Legal because set-associative replacement state is independent
     across sets, so reordering accesses *between* sets (while preserving
     order *within* each set — hence the stable sort) cannot change any
@@ -302,8 +301,9 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     A compiled kernel takes the batch in trace order in one call.  A
     python kernel gets it stable-sorted by set, in one
     :meth:`~emissary.policies.base.PolicyKernel.run_sets` call with each
-    non-empty set's range (the default runs the kernel's ``run_set``
-    once per set; LRU resolves the batch in closed form); with
+    non-empty set's range (the default steps the sets in lockstep, then
+    finishes long sets with the kernel's ``run_set``; LRU resolves the
+    batch in closed form); with
     ``fold``, a run of equal lines in sorted order (one set, one tag)
     sends only its first access — the rest re-touch the set's MRU line
     — carrying the run's total length.
@@ -413,7 +413,7 @@ class BatchedEngine:
         if kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(f"unknown kernel_backend {kernel_backend!r} "
                              f"(expected one of {KERNEL_BACKENDS})")
-        #: ``"python"`` runs the per-set list kernels; ``"compiled"``
+        #: ``"python"`` runs the NumPy/Python kernels; ``"compiled"``
         #: dispatches whole batches in trace order to a native provider
         #: (see :mod:`emissary.compiled`), skipping the set-major sort.
         self.kernel_backend = kernel_backend

@@ -5,12 +5,35 @@ semantics:
 
 - a :class:`PolicyKernel` used by the batched set-major engine.  The
   engine hands it one set-sorted dispatch through :meth:`PolicyKernel.
-  run_sets`; by default that calls :meth:`PolicyKernel.run_set` once
-  per set, a tight Python loop over plain lists (no per-access
-  dispatch, no NumPy scalar indexing).  A kernel with a vectorised
-  form (LRU) overrides ``run_sets`` instead.
+  run_sets`.  State is flat per-set NumPy arrays (``ways`` slots per
+  set), and the default ``run_sets`` resolves the dispatch in two
+  phases over them: set-parallel lockstep steps while many sets are
+  active, then :meth:`PolicyKernel.run_set`, a tight per-set Python
+  loop over plain lists, for the remaining tails.  A kernel with a
+  closed form (LRU) overrides ``run_sets`` instead.
 - a :class:`NaivePolicy` used by the per-access reference engine,
   mirroring the zsim-style ``update / find_victim / replaced`` API.
+
+Lockstep layout
+    Sets never share state, so the k-th access of every set can be
+    resolved in one vectorised step.  The sets of a dispatch become
+    *lanes*, ordered by access count, descending, so the lanes still
+    active at step k are a prefix.  Each column (tags, uniforms, repeat
+    flags, cost, core) is gathered once into step-major order, so step
+    k reads one contiguous slice, element j belonging to lane j.  The
+    kernel copies its state rows into lane order once, steps on prefix
+    views of that copy (:meth:`PolicyKernel._lockstep`), and writes the
+    rows back; one scatter maps the hits back to dispatch order.
+
+Lane floor
+    A step costs a few dozen array operations whatever its width, so
+    narrow steps lose to the scalar loop (one lane in lockstep costs
+    15-50x the scalar loop's time per access).  Steps run in lockstep
+    only while at least :data:`LANE_FLOOR` lanes are active; the scalar
+    loop then finishes the tails (hot sets, few-set caches, small
+    trailing dispatches) from the same flat state.  Instrumented runs
+    take the same two phases: the steps count line lifetimes through a
+    :class:`LaneHits`, the tails run the instrumented scalar twin.
 
 Randomness is never drawn inside a kernel.  Policies that need it set
 ``needs_rng = True`` and receive a pre-generated uniform in [0, 1) per
@@ -47,21 +70,38 @@ def stable_argsort(keys: NDArray[np.uint64]) -> NDArray[np.intp]:
     return order
 
 
+#: Fewest active lanes (sets) a lockstep step may resolve; narrower
+#: steps go to the scalar per-set loop.  Measured on full 8-way sets
+#: (NumPy 2.4, 2-vCPU x86 VM), a step breaks even with the scalar loop
+#: at about 48 lanes for Random, 64 for SRRIP and EMISSARY and 96 for
+#: partitioned EMISSARY, and wins 4-5x at 1024 lanes; the floor is the
+#: highest break-even, so no policy steps below it.
+LANE_FLOOR = 96
+
+
 class PolicyKernel:
     """Batched set-major kernel: the engine calls :meth:`run_sets` once
-    per dispatch, and by default that runs one set's chunk at a time.
+    per dispatch.
 
     Telemetry is opt-in per instance: :meth:`attach_telemetry` swaps
     ``run_set`` for the kernel's instrumented variant (``_run_set_tel``),
-    so the default fast loops carry **no** telemetry branches — disabled
-    telemetry is structurally free, not just cheap.  (LRU, which
-    overrides ``run_sets``, skips its accounting block instead.)
+    so the scalar loops carry **no** telemetry branches, and the
+    lockstep steps test for it once per step, never per access —
+    disabled telemetry is structurally free, not just cheap.  (LRU,
+    which overrides ``run_sets``, skips its accounting block instead.)
     """
 
     name: str = "base"
     needs_rng: bool = False
     #: Set by :meth:`attach_telemetry`; instrumented loops record into it.
     _tel: "Telemetry" | None = None
+    #: Flat per-set state: ``ways`` slots per set, and the filled slots
+    #: of each set (slots fill in order and never empty).
+    _tag: NDArray[np.int64]
+    _size: NDArray[np.int64]
+    #: Hits since fill per slot, for kernels that count line lifetimes in
+    #: flat per-set rows; allocated by their ``attach_telemetry``.
+    _line_hits: NDArray[np.int64] | None = None
     #: True if the kernel must know whether an access is immediately
     #: re-referenced (same line, no intervening access) — required for
     #: MRU run collapsing to stay exact when a *hit on the fill's
@@ -117,23 +157,58 @@ class PolicyKernel:
         ``lines`` and mean what they mean for :meth:`run_set`.  Returns
         one hit/miss bool per line.
 
-        The default runs :meth:`run_set` once per set.  Lists are made
-        one set at a time: a whole-batch list of Python ints or floats
-        would cost ~5x the array's memory.
+        Steps run in lockstep while at least :data:`LANE_FLOOR` sets
+        are active (see the module docstring), then :meth:`run_set`
+        finishes each longer set.  Lists are made one set at a time: a
+        whole-batch list of Python ints or floats would cost ~5x the
+        array's memory.
         """
         tags = lines >> np.uint64(self.num_sets.bit_length() - 1)
+        hits = np.empty(len(lines), dtype=bool)
+        steps = 0
+        if len(sets) >= LANE_FLOOR:
+            counts = ends - starts
+            lane = np.argsort(-counts, kind="stable")
+            # Every step before ``steps`` has at least LANE_FLOOR lanes.
+            steps = int(counts[lane[LANE_FLOOR - 1]])
+            active = np.searchsorted(
+                -counts[lane], -np.arange(steps, dtype=np.int64), side="left")
+            offsets = np.cumsum(active) - active
+            # Step-major positions: step k's row is lanes 0..active[k]-1.
+            pos = np.arange(int(active.sum()), dtype=np.int64)
+            pos -= np.repeat(offsets, active)
+            pos = starts[lane][pos]
+            pos += np.repeat(np.arange(steps, dtype=np.int64), active)
+            hits[pos] = self._lockstep(
+                sets[lane], active.tolist(), tags[pos].astype(np.int64),
+                *(col[pos] if col is not None else None
+                  for col in (u, rep, cost, extra, core)))
+            del pos
+            tail = counts > steps
+            sets, starts, ends = sets[tail], starts[tail] + steps, ends[tail]
         # run_set's optional (u, rep, cost, extra, core) arguments: only
         # the supplied ones are sliced per set, the rest stay None.
         args: list[list[Any] | None] = [None] * 5
         columns = [(i, col) for i, col in enumerate((u, rep, cost, extra, core))
                    if col is not None]
         run_set = self.run_set
-        hits = np.empty(len(lines), dtype=bool)
         for s, lo, hi in zip(sets.tolist(), starts.tolist(), ends.tolist()):
             for i, col in columns:
                 args[i] = col[lo:hi].tolist()
             hits[lo:hi] = run_set(s, tags[lo:hi].tolist(), *args)
         return hits
+
+    def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
+                  tags: NDArray[np.int64], u: NDArray[np.float64] | None,
+                  rep: NDArray[np.bool_] | None, cost: NDArray[np.int64] | None,
+                  extra: NDArray[np.int64] | None,
+                  core: NDArray[np.int64] | None) -> NDArray[np.bool_]:
+        """Resolve ``len(active)`` steps over the sets ``lanes``: step k
+        is the next ``active[k]`` entries of the step-major columns, one
+        per lane from lane 0.  Returns the hits in the same order.
+        ``extra`` is supplied only to instrumented kernels, which count
+        through a :class:`LaneHits`."""
+        raise NotImplementedError
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Enable instrumentation: rebind ``run_set`` to ``_run_set_tel``.
@@ -156,11 +231,79 @@ class PolicyKernel:
             f"{type(self).__name__} has no instrumented loop")
 
     def telemetry_finalize(self) -> None:
-        """End-of-run accounting (resident-line histograms, occupancy)."""
+        """End-of-run accounting: by default the ``resident_line_hits``
+        histogram over every set's filled slots (``_size``)."""
+        tel = self._tel
+        if tel is None or self._line_hits is None:
+            return
+        live = np.arange(self.ways, dtype=np.int64) < self._size[:, None]
+        tel.observe_many("resident_line_hits",
+                         self._line_hits.reshape(self.num_sets, self.ways)[live]
+                         .tolist())
 
     def extra_stats(self) -> dict[str, Any]:
         """Policy-specific counters folded into the simulation result."""
         return {}
+
+
+def lookup(tag: NDArray[np.int64],
+           t: NDArray[np.int64]) -> tuple[NDArray[np.intp], NDArray[np.bool_]]:
+    """One lockstep step's tag lookup: lane j's tag ``t[j]`` against row
+    j of ``tag`` (lane-ordered ``[lanes, ways]`` rows).  Returns the flat
+    slots that hold their lane's tag (at most one per lane, in lane
+    order) and each lane's hit flag.  The flags come from the slots:
+    NumPy's ``any`` along a row of a few ways costs several times more."""
+    n, ways = len(t), tag.shape[1]
+    slots = np.flatnonzero(tag[:n] == t[:, None])
+    hit = np.zeros(n, dtype=bool)
+    hit[slots // ways] = True
+    return slots, hit
+
+
+class LaneHits:
+    """Line-lifetime telemetry of one instrumented lockstep dispatch.
+
+    Holds the lanes' rows of the kernel's per-slot hits-since-fill
+    (``_line_hits``) in lane order, like the kernel's other working
+    rows; each step adds its hits and records the victims' counts, and
+    :meth:`close` writes the rows back and reports the dispatch."""
+
+    def __init__(self, kernel: PolicyKernel, lanes: NDArray[np.int64]) -> None:
+        assert kernel._line_hits is not None and kernel._tel is not None
+        self._line_hits = kernel._line_hits
+        self._tel = kernel._tel
+        self._lanes = lanes
+        self.rows = self._line_hits.reshape(-1, kernel.ways)[lanes]
+        self.flat = self.rows.reshape(-1)
+        self.victims: list[NDArray[np.int64]] = []
+        self.fills = 0
+
+    def hit(self, slots: NDArray[np.intp], extra: NDArray[np.int64]) -> None:
+        """Credit the hit ``slots`` (flat, lane-major, as from
+        :func:`lookup`) with their access and its folded hits."""
+        self.flat[slots] += 1 + extra
+
+    def fill(self, idx: NDArray[np.int64], evicting: NDArray[np.bool_],
+             extra: NDArray[np.int64]) -> None:
+        """Fill the slots ``idx`` (flat, lane-major), evicting where
+        ``evicting``; a new line starts at its folded hits."""
+        self.victims.append(self.flat[idx[evicting]])
+        self.flat[idx] = extra
+        self.fills += len(idx)
+
+    def close(self) -> int:
+        """Write the rows back, count fills, evictions and dead-on-fill
+        lines, and observe each victim's hits; returns the evictions."""
+        self._line_hits.reshape(-1, self.rows.shape[1])[self._lanes] = self.rows
+        victims = (np.concatenate(self.victims) if self.victims
+                   else np.zeros(0, dtype=np.int64))
+        tel = self._tel
+        tel.inc("fills", self.fills)
+        tel.inc("evictions", len(victims))
+        tel.inc("dead_on_fill", int(np.count_nonzero(victims == 0)))
+        if len(victims):
+            tel.observe_many("line_hits", victims.tolist())
+        return len(victims)
 
 
 class NaivePolicy:

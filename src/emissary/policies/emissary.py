@@ -21,6 +21,19 @@ HP bookkeeping is strictly per set.  That is what the paper's threshold
 means (N of the W ways in a set may be protected), and it is also what
 makes set-major batched execution legal: no state is shared across sets.
 
+The batched kernel keeps flat per-set arrays, named like the compiled
+backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock),
+``_prio`` and ``_size`` per slot or set, ``_hp`` (HP lines per set) and,
+for the partitioned budget, ``_owner`` (core of each HP line) and
+``_hp_by_core``.  A lockstep step (see :mod:`emissary.policies.base`)
+stamps every hit slot with the step's time and picks every full set's
+victim with one ``argmin`` over slot keys that put the priority bit
+above the timestamp (:data:`PRIO_SHIFT`), flipped for sets whose
+preferred class is HP.  The scalar loop that finishes long sets reads a
+set into an insertion-ordered tag -> priority dict (recency order,
+front = LRU), walks it for the two-class victim, and writes it back with
+fresh ascending timestamps.
+
 **Miss awareness.**  The paper's priority signal is *which fills cost
 L1I demand misses*.  Standalone (single-level) runs cannot measure that,
 so every fill is candidate-eligible — the synthetic assumption.  Under
@@ -38,7 +51,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from emissary.policies.base import NaivePolicy, PolicyKernel
+import numpy as np
+from numpy.typing import NDArray
+
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -83,6 +99,14 @@ def core_quotas(hp_threshold: int, num_cores: int) -> list[int]:
     return [base + (1 if c < rem else 0) for c in range(num_cores)]
 
 
+#: The priority bit's position in a lockstep slot key: above every
+#: timestamp, so one ``argmin`` over ``key ^ (want << PRIO_SHIFT)`` finds
+#: the LRU line of the preferred class, or the overall LRU line when that
+#: class is empty.
+PRIO_SHIFT = 62
+_PRIO_BIT = 1 << PRIO_SHIFT
+
+
 class EmissaryKernel(PolicyKernel):
     name = "emissary"
     needs_rng = True
@@ -103,33 +127,169 @@ class EmissaryKernel(PolicyKernel):
         self.min_l1_misses = min_l1_misses
         self.hp_budget = hp_budget
         self.num_cores = num_cores
-        # One insertion-ordered dict per set mapping tag -> priority bit.
-        # A hit pops and reinserts, so dict order is recency order (front =
-        # LRU) and the two-class victim search walks it oldest-first.
-        self._sets: list[dict[int, int]] = [{} for _ in range(num_sets)]
-        self.hp_counts: list[int] = [0] * num_sets
+        lines = num_sets * ways
+        #: Resident tags, ``ways`` slots per set; -1 = empty.  A line's
+        #: slot carries no meaning: victims are chosen by recency.
+        self._tag = np.full(lines, -1, dtype=np.int64)
+        #: Last-use time per slot (unique within a set; 0 = empty) and
+        #: the ``_clock`` the next use gets.
+        self._ts = np.zeros(lines, dtype=np.int64)
+        self._clock = 1
+        #: Priority bit per slot.
+        self._prio = np.zeros(lines, dtype=np.int64)
+        #: Filled slots and resident HP lines per set.
+        self._size = np.zeros(num_sets, dtype=np.int64)
+        self._hp = np.zeros(num_sets, dtype=np.int64)
         self.hp_promotions = 0
         self.hp_evictions = 0
-        self.partitioned = hp_budget == "partitioned"
-        if self.partitioned:
+        self._partitioned = hp_budget == "partitioned"
+        if self._partitioned:
             # Partitioned candidacy needs the issuing core; priority bits
             # stay 0/1 (victim search and all invariants are unchanged) —
-            # ownership lives in a parallel per-set tag -> core dict.
+            # ownership lives in a parallel per-slot core array.
             self.consumes_core = True
-            self.core_quotas = core_quotas(hp_threshold, num_cores)
-            self._owner: list[dict[int, int]] = [{} for _ in range(num_sets)]
-            self.hp_by_core: list[list[int]] = [[0] * num_cores
-                                                for _ in range(num_sets)]
+            self._quota = np.asarray(core_quotas(hp_threshold, num_cores),
+                                     dtype=np.int64)
+            #: Owning core per slot; -1 marks low-priority lines.
+            self._owner = np.full(lines, -1, dtype=np.int64)
+            #: HP lines per (set, core), ``num_cores`` slots per set.
+            self._hp_by_core = np.zeros(num_sets * num_cores, dtype=np.int64)
             # The shared-mode hot loop stays untouched; partitioned runs
             # dispatch through their own twin.
             self.run_set = self._run_set_part  # type: ignore[method-assign]
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         super().attach_telemetry(telemetry)
-        if self.partitioned:
+        if self._partitioned:
             self.run_set = self._run_set_part_tel  # type: ignore[method-assign]
-        # Per-set tag -> hits-since-fill, parallel to the priority dicts.
-        self._hits_of: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
+        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
+
+    def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
+                  tags: NDArray[np.int64], u: NDArray[np.float64] | None,
+                  rep: NDArray[np.bool_] | None, cost: NDArray[np.int64] | None,
+                  extra: NDArray[np.int64] | None,
+                  core: NDArray[np.int64] | None) -> NDArray[np.bool_]:
+        assert u is not None
+        ways = self.ways
+        threshold = self.hp_threshold
+        tag = self._tag.reshape(-1, ways)[lanes]
+        # Slot keys: priority bit over last-use time (PRIO_SHIFT).
+        key = self._ts.reshape(-1, ways)[lanes]
+        key |= self._prio.reshape(-1, ways)[lanes] << PRIO_SHIFT
+        size = self._size[lanes]
+        hp = self._hp[lanes]
+        tag_flat = tag.reshape(-1)
+        key_flat = key.reshape(-1)
+        # Candidacy before the budget check: the 1/P draw and, when
+        # measured, the L1I miss count.
+        eligible = u < 1.0 / self.prob_inv
+        if cost is not None:
+            eligible &= cost >= self.min_l1_misses
+        partitioned = self._partitioned
+        if partitioned:
+            quota = self._quota
+            by_core = self._hp_by_core.reshape(-1, self.num_cores)[lanes]
+            owner = self._owner.reshape(-1, ways)[lanes]
+            owner_flat = owner.reshape(-1)
+            if core is None:
+                core = np.zeros(len(tags), dtype=np.int64)
+        count = None
+        if extra is not None:
+            count = LaneHits(self, lanes)
+        clock = self._clock
+        promotions = evictions = 0
+        hits = np.empty(len(tags), dtype=bool)
+        lo = 0
+        for now, n in enumerate(active, clock):
+            hi = lo + n
+            t = tags[lo:hi]
+            slots, hit = lookup(tag, t)
+            hits[lo:hi] = hit
+            key_flat[slots] = (key_flat[slots] & _PRIO_BIT) | now  # refresh recency
+            if count is not None:
+                count.hit(slots, extra[lo:hi][hit])
+            miss = np.flatnonzero(~hit)
+            if len(miss):
+                slot = size[miss]
+                cold = slot < ways
+                full = miss[~cold]
+                if len(full):
+                    want = (hp[full] >= threshold).astype(np.int64) << PRIO_SHIFT
+                    slot[~cold] = (key[full] ^ want[:, None]).argmin(axis=1)
+                idx = miss * ways + slot
+                # 1 where an HP line is evicted (empty slots have key 0).
+                evicted = key_flat[idx] >> PRIO_SHIFT
+                evictions += int(np.count_nonzero(evicted))
+                hp_left = hp[miss] - evicted
+                chosen = eligible[lo:hi][miss]
+                if partitioned:
+                    # The issuing core's sub-budget gates candidacy; the
+                    # quotas sum to the threshold, so hp < threshold holds.
+                    cores = core[lo:hi][miss]
+                    gone = evicted.astype(np.bool_)
+                    by_core[miss[gone], owner_flat[idx[gone]]] -= 1
+                    chosen &= by_core[miss, cores] < quota[cores]
+                    by_core[miss[chosen], cores[chosen]] += 1
+                    owner_flat[idx] = np.where(chosen, cores, -1)
+                else:
+                    chosen &= hp_left < threshold
+                hp[miss] = hp_left + chosen
+                promotions += int(np.count_nonzero(chosen))
+                tag_flat[idx] = t[miss]
+                key_flat[idx] = (chosen.astype(np.int64) << PRIO_SHIFT) | now
+                size[miss] += cold
+                if count is not None:
+                    count.fill(idx, ~cold, extra[lo:hi][miss])
+            lo = hi
+        self._clock = clock + len(active)
+        self._tag.reshape(-1, ways)[lanes] = tag
+        self._ts.reshape(-1, ways)[lanes] = key & (_PRIO_BIT - 1)
+        self._prio.reshape(-1, ways)[lanes] = key >> PRIO_SHIFT
+        self._size[lanes] = size
+        self._hp[lanes] = hp
+        if partitioned:
+            self._hp_by_core.reshape(-1, self.num_cores)[lanes] = by_core
+            self._owner.reshape(-1, ways)[lanes] = owner
+        self.hp_promotions += promotions
+        self.hp_evictions += evictions
+        tel = self._tel
+        if count is not None and tel is not None:
+            lp_evictions = count.close() - evictions
+            tel.inc("evictions_hp", evictions)
+            tel.inc("evictions_lp", lp_evictions)
+            tel.inc("hp_promotions", promotions)
+            tel.inc("hp_demotions", evictions)
+        return hits
+
+    def _recency(self, set_index: int,
+                 *arrays: NDArray[np.int64]) -> tuple[int, list[list[int]]]:
+        """One set's first slot and, for each of ``arrays``, its filled
+        slots in recency order (LRU first)."""
+        base = set_index * self.ways
+        end = base + int(self._size[set_index])
+        stamps = self._ts[base:end].tolist()
+        order = sorted(range(end - base), key=stamps.__getitem__)
+        return base, [[row[w] for w in order]
+                      for row in (a[base:end].tolist() for a in arrays)]
+
+    def _store(self, set_index: int, base: int, d: dict[int, int], hp: int,
+               owner: dict[int, int] | None = None,
+               hits_of: dict[int, int] | None = None) -> None:
+        """Write a set back from its recency-ordered tag -> priority
+        dict: slots in dict order, with fresh ascending timestamps."""
+        end = base + len(d)
+        self._tag[base:end] = list(d)
+        self._prio[base:end] = list(d.values())
+        self._ts[base:end] = np.arange(self._clock, self._clock + len(d),
+                                       dtype=np.int64)
+        self._clock += len(d)
+        self._size[set_index] = len(d)
+        self._hp[set_index] = hp
+        if owner is not None:
+            self._owner[base:end] = [owner.get(tag, -1) for tag in d]
+        if hits_of is not None:
+            assert self._line_hits is not None
+            self._line_hits[base:end] = [hits_of[tag] for tag in d]
 
     def run_set(self, set_index: int, tags: list[int],
                 u: Sequence[float] | None,
@@ -138,12 +298,17 @@ class EmissaryKernel(PolicyKernel):
                 extra: Sequence[int] | None = None,
                 core: Sequence[int] | None = None) -> list[bool]:
         assert u is not None
-        d = self._sets[set_index]
+        # An insertion-ordered dict mapping tag -> priority bit: a hit
+        # pops and reinserts, so dict order is recency order (front =
+        # LRU) and the two-class victim search walks it oldest-first.
+        base, (resident, prios) = self._recency(set_index, self._tag,
+                                                self._prio)
+        d = dict(zip(resident, prios))
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
         p_hit = 1.0 / self.prob_inv
-        hp = self.hp_counts[set_index]
+        hp = int(self._hp[set_index])
         promotions = 0
         hp_evictions = 0
         hits: list[bool] = []
@@ -179,7 +344,7 @@ class EmissaryKernel(PolicyKernel):
                 else:
                     d[tag] = 0
                 hit_append(False)
-        self.hp_counts[set_index] = hp
+        self._store(set_index, base, d, hp)
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
         return hits
@@ -195,13 +360,16 @@ class EmissaryKernel(PolicyKernel):
         priority class, promotions, demotions, dead-on-fill lines)."""
         tel = self._tel
         assert u is not None and tel is not None and extra is not None
-        d = self._sets[set_index]
-        hits_of = self._hits_of[set_index]
+        assert self._line_hits is not None
+        base, (resident, prios, counts) = self._recency(
+            set_index, self._tag, self._prio, self._line_hits)
+        d = dict(zip(resident, prios))
+        hits_of = dict(zip(resident, counts))
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
         p_hit = 1.0 / self.prob_inv
-        hp = self.hp_counts[set_index]
+        hp = int(self._hp[set_index])
         promotions = 0
         hp_evictions = 0
         hits: list[bool] = []
@@ -246,7 +414,7 @@ class EmissaryKernel(PolicyKernel):
                 hits_of[tag] = extra_i
                 fills += 1
                 hit_append(False)
-        self.hp_counts[set_index] = hp
+        self._store(set_index, base, d, hp, hits_of=hits_of)
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
         tel.inc("fills", fills)
@@ -273,15 +441,18 @@ class EmissaryKernel(PolicyKernel):
         total can never exceed the shared bound and victim selection is
         byte-for-byte the same two-class walk."""
         assert u is not None
-        d = self._sets[set_index]
-        owner = self._owner[set_index]
-        hp_by_core = self.hp_by_core[set_index]
-        quota = self.core_quotas
+        base, (resident, prios, owners) = self._recency(
+            set_index, self._tag, self._prio, self._owner)
+        d = dict(zip(resident, prios))
+        owner = {tag: cr for tag, cr in zip(resident, owners) if cr >= 0}
+        nc = self.num_cores
+        hp_by_core = self._hp_by_core[set_index * nc:(set_index + 1) * nc].tolist()
+        quota = self._quota.tolist()
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
         p_hit = 1.0 / self.prob_inv
-        hp = self.hp_counts[set_index]
+        hp = int(self._hp[set_index])
         promotions = 0
         hp_evictions = 0
         hits: list[bool] = []
@@ -323,7 +494,8 @@ class EmissaryKernel(PolicyKernel):
                 else:
                     d[tag] = 0
                 hit_append(False)
-        self.hp_counts[set_index] = hp
+        self._store(set_index, base, d, hp, owner=owner)
+        self._hp_by_core[set_index * nc:(set_index + 1) * nc] = hp_by_core
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
         return hits
@@ -337,16 +509,20 @@ class EmissaryKernel(PolicyKernel):
         """Instrumented twin of ``_run_set_part``."""
         tel = self._tel
         assert u is not None and tel is not None and extra is not None
-        d = self._sets[set_index]
-        owner = self._owner[set_index]
-        hp_by_core = self.hp_by_core[set_index]
-        quota = self.core_quotas
-        hits_of = self._hits_of[set_index]
+        assert self._line_hits is not None
+        base, (resident, prios, owners, counts) = self._recency(
+            set_index, self._tag, self._prio, self._owner, self._line_hits)
+        d = dict(zip(resident, prios))
+        owner = {tag: cr for tag, cr in zip(resident, owners) if cr >= 0}
+        hits_of = dict(zip(resident, counts))
+        nc = self.num_cores
+        hp_by_core = self._hp_by_core[set_index * nc:(set_index + 1) * nc].tolist()
+        quota = self._quota.tolist()
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
         p_hit = 1.0 / self.prob_inv
-        hp = self.hp_counts[set_index]
+        hp = int(self._hp[set_index])
         promotions = 0
         hp_evictions = 0
         hits: list[bool] = []
@@ -397,7 +573,8 @@ class EmissaryKernel(PolicyKernel):
                 hits_of[tag] = extra_i
                 fills += 1
                 hit_append(False)
-        self.hp_counts[set_index] = hp
+        self._store(set_index, base, d, hp, owner=owner, hits_of=hits_of)
+        self._hp_by_core[set_index * nc:(set_index + 1) * nc] = hp_by_core
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
         tel.inc("fills", fills)
@@ -410,17 +587,17 @@ class EmissaryKernel(PolicyKernel):
         return hits
 
     def telemetry_finalize(self) -> None:
+        super().telemetry_finalize()
         tel = self._tel
         if tel is None:
             return
-        for hits_of in self._hits_of:
-            tel.observe_many("resident_line_hits", hits_of.values())
-        tel.observe_many("hp_set_occupancy", self.hp_counts)
-        tel.inc("hp_lines_final", sum(self.hp_counts))
+        tel.observe_many("hp_set_occupancy", self._hp.tolist())
+        tel.inc("hp_lines_final", int(self._hp.sum()))
 
     def set_contents(self, set_index: int) -> list[tuple]:
         """(tag, priority) pairs in recency order (LRU first) — for tests."""
-        return list(self._sets[set_index].items())
+        _, (resident, prios) = self._recency(set_index, self._tag, self._prio)
+        return list(zip(resident, prios))
 
     def extra_stats(self) -> dict[str, Any]:
         stats = {
@@ -429,13 +606,13 @@ class EmissaryKernel(PolicyKernel):
             "min_l1_misses": self.min_l1_misses,
             "hp_promotions": self.hp_promotions,
             "hp_evictions": self.hp_evictions,
-            "hp_lines_final": sum(self.hp_counts),
+            "hp_lines_final": int(self._hp.sum()),
         }
-        if self.partitioned:
+        if self._partitioned:
             stats["hp_budget"] = self.hp_budget
-            stats["hp_lines_final_by_core"] = [
-                sum(per_set[c] for per_set in self.hp_by_core)
-                for c in range(self.num_cores)]
+            stats["hp_lines_final_by_core"] = (
+                self._hp_by_core.reshape(self.num_sets, self.num_cores)
+                .sum(axis=0).tolist())
         return stats
 
 

@@ -4,9 +4,14 @@ The victim way is ``int(u_i * ways)`` where ``u_i`` is the pre-generated
 uniform for the triggering access (see ``policies.base``).  Cold fills go
 to the lowest-index invalid way in both implementations, so physical way
 positions — and therefore every subsequent random victim choice — line
-up exactly between the batched and naive engines.  The batched kernel
-tracks residency with a tag -> way dict plus a way -> tag list, keeping
-lookup, eviction, and fill all O(1).
+up exactly between the batched and naive engines.
+
+The batched kernel's state is two flat arrays: ``_tag`` (``ways`` slots
+per set, in physical way order, -1 when empty) and ``_size`` (filled
+ways per set).  A lockstep step compares each active lane's row with its
+tag; the scalar loop reads one row into a tag -> way dict plus a way ->
+tag list, keeping lookup, eviction, and fill all O(1), and writes it
+back.
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from emissary.policies.base import NaivePolicy, PolicyKernel
+import numpy as np
+from numpy.typing import NDArray
+
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -26,8 +34,61 @@ class RandomKernel(PolicyKernel):
 
     def __init__(self, num_sets: int, ways: int, **params: Any) -> None:
         super().__init__(num_sets, ways, **params)
-        self._ways_of: list[dict[int, int]] = [{} for _ in range(num_sets)]
-        self._tag_at: list[list[int]] = [[] for _ in range(num_sets)]
+        #: Resident tags, ``ways`` slots per set in way order; -1 = empty.
+        self._tag = np.full(num_sets * ways, -1, dtype=np.int64)
+        #: Filled ways per set (ways fill in order and never empty).
+        self._size = np.zeros(num_sets, dtype=np.int64)
+
+    def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
+                  tags: NDArray[np.int64], u: NDArray[np.float64] | None,
+                  rep: NDArray[np.bool_] | None, cost: NDArray[np.int64] | None,
+                  extra: NDArray[np.int64] | None,
+                  core: NDArray[np.int64] | None) -> NDArray[np.bool_]:
+        assert u is not None
+        ways = self.ways
+        tag = self._tag.reshape(-1, ways)[lanes]
+        size = self._size[lanes]
+        tag_flat = tag.reshape(-1)
+        # The victim way of every access, should it evict.
+        victim = (u * ways).astype(np.int64)
+        count = None
+        if extra is not None:
+            count = LaneHits(self, lanes)
+        hits = np.empty(len(tags), dtype=bool)
+        lo = 0
+        for n in active:
+            hi = lo + n
+            t = tags[lo:hi]
+            slots, hit = lookup(tag, t)
+            hits[lo:hi] = hit
+            if count is not None:
+                count.hit(slots, extra[lo:hi][hit])
+            miss = np.flatnonzero(~hit)
+            if len(miss):
+                slot = size[miss]
+                cold = slot < ways
+                slot[~cold] = victim[lo:hi][miss[~cold]]
+                idx = miss * ways + slot
+                tag_flat[idx] = t[miss]
+                size[miss] += cold
+                if count is not None:
+                    count.fill(idx, ~cold, extra[lo:hi][miss])
+            lo = hi
+        self._tag.reshape(-1, ways)[lanes] = tag
+        self._size[lanes] = size
+        if count is not None:
+            count.close()
+        return hits
+
+    def _load(self, set_index: int) -> tuple[int, list[int], dict[int, int]]:
+        """One set's row: its first slot, way -> tag list, tag -> way."""
+        base = set_index * self.ways
+        tag_at = self._tag[base:base + int(self._size[set_index])].tolist()
+        return base, tag_at, {tag: way for way, tag in enumerate(tag_at)}
+
+    def _store(self, set_index: int, base: int, tag_at: list[int]) -> None:
+        self._tag[base:base + len(tag_at)] = tag_at
+        self._size[set_index] = len(tag_at)
 
     def run_set(self, set_index: int, tags: list[int],
                 u: Sequence[float] | None,
@@ -36,8 +97,7 @@ class RandomKernel(PolicyKernel):
                 extra: Sequence[int] | None = None,
                 core: Sequence[int] | None = None) -> list[bool]:
         assert u is not None
-        ways_of = self._ways_of[set_index]
-        tag_at = self._tag_at[set_index]
+        base, tag_at, ways_of = self._load(set_index)
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
@@ -55,12 +115,12 @@ class RandomKernel(PolicyKernel):
                     ways_of[tag] = victim
                     tag_at[victim] = tag
                 hit_append(False)
+        self._store(set_index, base, tag_at)
         return hits
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         super().attach_telemetry(telemetry)
-        # Per-set, per-way hit counts, parallel to ``_tag_at``.
-        self._way_hits: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
 
     def _run_set_tel(self, set_index: int, tags: list[int],
                      u: Sequence[float] | None,
@@ -71,9 +131,9 @@ class RandomKernel(PolicyKernel):
         """Instrumented twin of ``run_set`` with per-way hit accounting."""
         tel = self._tel
         assert u is not None and tel is not None and extra is not None
-        ways_of = self._ways_of[set_index]
-        tag_at = self._tag_at[set_index]
-        way_hits = self._way_hits[set_index]
+        assert self._line_hits is not None
+        base, tag_at, ways_of = self._load(set_index)
+        way_hits = self._line_hits[base:base + len(tag_at)].tolist()
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
@@ -103,17 +163,12 @@ class RandomKernel(PolicyKernel):
                     way_hits[victim] = extra_i
                 fills += 1
                 hit_append(False)
+        self._store(set_index, base, tag_at)
+        self._line_hits[base:base + len(way_hits)] = way_hits
         tel.inc("fills", fills)
         tel.inc("evictions", evictions)
         tel.inc("dead_on_fill", dead)
         return hits
-
-    def telemetry_finalize(self) -> None:
-        tel = self._tel
-        if tel is None:
-            return
-        for way_hits in self._way_hits:
-            tel.observe_many("resident_line_hits", way_hits)
 
 
 class NaiveRandom(NaivePolicy):

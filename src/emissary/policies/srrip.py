@@ -6,8 +6,14 @@ max; if none exists all RRPVs in the set age by one until one does.
 Deterministic — no RNG involved — and way positions are physical in both
 implementations, so the scan order (way 0 upward) matches exactly.
 
-The batched kernel bit-packs a whole set's RRPVs into one Python int
-(2 bits per way) for associativities up to :data:`PACK_MAX_WAYS`:
+The batched kernel's state is three flat arrays: ``_tag`` and ``_rrpv``
+(``ways`` slots per set, in physical way order) and ``_size``.  A
+lockstep step (see :mod:`emissary.policies.base`) zeroes the RRPV of
+every hit slot and, for the lanes that miss in a full set, ages each row
+by ``max - row max`` at once and takes the row's first way at the
+maximum.  The scalar loop that finishes long sets bit-packs a set's
+RRPVs into one Python int (2 bits per way) for associativities up to
+:data:`PACK_MAX_WAYS`:
 
 - *aging* ("bump every way until one reaches max") becomes a single
   ``packed += d * 0b0101...01`` — fields cannot carry into each other
@@ -16,7 +22,7 @@ The batched kernel bit-packs a whole set's RRPVs into one Python int
   the packed value to the lowest-index way holding the maximum RRPV;
 - *hit promotion* is one mask.
 
-For wider caches it falls back to a plain list-of-RRPVs kernel with the
+For wider caches it falls back to a plain list-of-RRPVs loop with the
 same semantics.  A fill that is immediately re-referenced is promoted to
 RRPV 0 by that hit, so the kernel consumes the engine's repeat flags
 (``needs_repeat_flags``) to stay exact under MRU run collapsing.
@@ -28,8 +34,9 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from numpy.typing import NDArray
 
-from emissary.policies.base import NaivePolicy, PolicyKernel
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -66,28 +73,93 @@ class SRRIPKernel(PolicyKernel):
 
     def __init__(self, num_sets: int, ways: int, **params: Any) -> None:
         super().__init__(num_sets, ways, **params)
-        self._ways_of: list[dict[int, int]] = [{} for _ in range(num_sets)]
-        self._tag_at: list[list[int]] = [[] for _ in range(num_sets)]
-        self._packed_ok = ways <= PACK_MAX_WAYS
-        if self._packed_ok:
+        #: Resident tags, ``ways`` slots per set in way order; -1 = empty.
+        self._tag = np.full(num_sets * ways, -1, dtype=np.int64)
+        #: RRPV per slot, parallel to ``_tag``.
+        self._rrpv = np.zeros(num_sets * ways, dtype=np.int64)
+        #: Filled ways per set (ways fill in order and never empty).
+        self._size = np.zeros(num_sets, dtype=np.int64)
+        if ways <= PACK_MAX_WAYS:
             self._top_table, self._victim_table = _pack_tables(ways)
-            self._packed: list[int] = [0] * num_sets
             # 0b0101...01: adds the aging delta to every 2-bit field at once.
             self._ones = int("01" * ways, 2)
             self._clear = [~(RRPV_MAX << (RRPV_BITS * w)) & ((1 << (RRPV_BITS * ways)) - 1)
                            for w in range(ways)]
-        else:
-            self._rrpv: list[list[int]] = [[] for _ in range(num_sets)]
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Instrumented runs always take the wide (list-based) path — one
-        instrumented loop instead of two, with semantics the equivalence
-        suite already proves identical to the packed fast path."""
+        """Instrumented tails take the list-based loop — one instrumented
+        scalar loop instead of two, with semantics the equivalence suite
+        already proves identical to the packed fast path."""
         super().attach_telemetry(telemetry)
-        if self._packed_ok:
-            self._packed_ok = False
-            self._rrpv = [[] for _ in range(self.num_sets)]
-        self._way_hits: list[list[int]] = [[] for _ in range(self.num_sets)]
+        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
+
+    def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
+                  tags: NDArray[np.int64], u: NDArray[np.float64] | None,
+                  rep: NDArray[np.bool_] | None, cost: NDArray[np.int64] | None,
+                  extra: NDArray[np.int64] | None,
+                  core: NDArray[np.int64] | None) -> NDArray[np.bool_]:
+        assert rep is not None
+        ways = self.ways
+        tag = self._tag.reshape(-1, ways)[lanes]
+        rrpv = self._rrpv.reshape(-1, ways)[lanes]
+        size = self._size[lanes]
+        tag_flat = tag.reshape(-1)
+        rrpv_flat = rrpv.reshape(-1)
+        insert = np.where(rep, 0, RRPV_INSERT)
+        count = None
+        if extra is not None:
+            count = LaneHits(self, lanes)
+        hits = np.empty(len(tags), dtype=bool)
+        lo = 0
+        for n in active:
+            hi = lo + n
+            t = tags[lo:hi]
+            slots, hit = lookup(tag, t)
+            hits[lo:hi] = hit
+            rrpv_flat[slots] = 0  # promote hits
+            if count is not None:
+                count.hit(slots, extra[lo:hi][hit])
+            miss = np.flatnonzero(~hit)
+            if len(miss):
+                slot = size[miss]
+                cold = slot < ways
+                full = miss[~cold]
+                if len(full):
+                    # Age the rows to RRPV_MAX; argmax then takes the
+                    # lowest way at RRPV_MAX, the victim.
+                    row = rrpv[full]
+                    row += (RRPV_MAX - row.max(axis=1))[:, None]
+                    rrpv[full] = row
+                    slot[~cold] = row.argmax(axis=1)
+                idx = miss * ways + slot
+                tag_flat[idx] = t[miss]
+                rrpv_flat[idx] = insert[lo:hi][miss]
+                size[miss] += cold
+                if count is not None:
+                    count.fill(idx, ~cold, extra[lo:hi][miss])
+            lo = hi
+        self._tag.reshape(-1, ways)[lanes] = tag
+        self._rrpv.reshape(-1, ways)[lanes] = rrpv
+        self._size[lanes] = size
+        if count is not None:
+            count.close()
+        return hits
+
+    def _load(self, set_index: int) -> tuple[int, list[int], dict[int, int],
+                                              list[int]]:
+        """One set's row: its first slot, way -> tag list, tag -> way,
+        and the RRPVs of the filled ways."""
+        base = set_index * self.ways
+        end = base + int(self._size[set_index])
+        tag_at = self._tag[base:end].tolist()
+        return (base, tag_at, {tag: way for way, tag in enumerate(tag_at)},
+                self._rrpv[base:end].tolist())
+
+    def _store(self, set_index: int, base: int, tag_at: list[int],
+               rrpv: list[int]) -> None:
+        self._tag[base:base + len(tag_at)] = tag_at
+        self._rrpv[base:base + len(rrpv)] = rrpv
+        self._size[set_index] = len(tag_at)
 
     def run_set(self, set_index: int, tags: list[int],
                 u: Sequence[float] | None,
@@ -96,11 +168,12 @@ class SRRIPKernel(PolicyKernel):
                 extra: Sequence[int] | None = None,
                 core: Sequence[int] | None = None) -> list[bool]:
         assert rep is not None
-        if not self._packed_ok:
+        if self.ways > PACK_MAX_WAYS:
             return self._run_set_wide(set_index, tags, rep)
-        ways_of = self._ways_of[set_index]
-        tag_at = self._tag_at[set_index]
-        packed = self._packed[set_index]
+        base, tag_at, ways_of, fields = self._load(set_index)
+        packed = 0
+        for way, field in enumerate(fields):
+            packed |= field << (RRPV_BITS * way)
         top_table = self._top_table
         victim_table = self._victim_table
         ones = self._ones
@@ -131,15 +204,15 @@ class SRRIPKernel(PolicyKernel):
                     tag_at[victim] = tag
                     packed = (packed & clear[victim]) | (insert << (RRPV_BITS * victim))
                 hit_append(False)
-        self._packed[set_index] = packed
+        self._store(set_index, base, tag_at,
+                    [(packed >> (RRPV_BITS * w)) & RRPV_MAX
+                     for w in range(len(tag_at))])
         return hits
 
     def _run_set_wide(self, set_index: int, tags: list[int],
                       rep: Sequence[bool]) -> list[bool]:
-        """List-based fallback for associativities beyond the packed tables."""
-        ways_of = self._ways_of[set_index]
-        tag_at = self._tag_at[set_index]
-        rrpv = self._rrpv[set_index]
+        """List-based loop for associativities beyond the packed tables."""
+        base, tag_at, ways_of, rrpv = self._load(set_index)
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
@@ -168,6 +241,7 @@ class SRRIPKernel(PolicyKernel):
                     tag_at[victim] = tag
                     rrpv[victim] = insert
                 hit_append(False)
+        self._store(set_index, base, tag_at, rrpv)
         return hits
 
     def _run_set_tel(self, set_index: int, tags: list[int],
@@ -179,10 +253,9 @@ class SRRIPKernel(PolicyKernel):
         """Instrumented twin of ``_run_set_wide`` with per-way hit counts."""
         tel = self._tel
         assert rep is not None and tel is not None and extra is not None
-        ways_of = self._ways_of[set_index]
-        tag_at = self._tag_at[set_index]
-        rrpv = self._rrpv[set_index]
-        way_hits = self._way_hits[set_index]
+        assert self._line_hits is not None
+        base, tag_at, ways_of, rrpv = self._load(set_index)
+        way_hits = self._line_hits[base:base + len(tag_at)].tolist()
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
@@ -222,25 +295,17 @@ class SRRIPKernel(PolicyKernel):
                     way_hits[victim] = extra_i
                 fills += 1
                 hit_append(False)
+        self._store(set_index, base, tag_at, rrpv)
+        self._line_hits[base:base + len(way_hits)] = way_hits
         tel.inc("fills", fills)
         tel.inc("evictions", evictions)
         tel.inc("dead_on_fill", dead)
         return hits
 
-    def telemetry_finalize(self) -> None:
-        tel = self._tel
-        if tel is None:
-            return
-        for way_hits in self._way_hits:
-            tel.observe_many("resident_line_hits", way_hits)
-
     def effective_rrpv(self, set_index: int) -> list[int]:
         """Per-way RRPVs for the set's resident ways — for tests."""
-        size = len(self._tag_at[set_index])
-        if self._packed_ok:
-            packed = self._packed[set_index]
-            return [(packed >> (RRPV_BITS * w)) & RRPV_MAX for w in range(size)]
-        return list(self._rrpv[set_index][:size])
+        base = set_index * self.ways
+        return self._rrpv[base:base + int(self._size[set_index])].tolist()
 
 
 class NaiveSRRIP(NaivePolicy):

@@ -103,8 +103,8 @@ class TestEmissary:
         lines = rng.integers(0, 100, 5000).tolist()
         # prob_inv=1 makes every fill an HP candidate — worst case.
         kernel = self._fill_kernel(8, 3, 1, lines, [0.0] * len(lines))
-        assert kernel.hp_counts[0] <= 3
-        assert sum(p for _, p in kernel.set_contents(0)) == kernel.hp_counts[0]
+        assert kernel._hp[0] <= 3
+        assert sum(p for _, p in kernel.set_contents(0)) == kernel._hp[0]
 
     def test_hp_count_tracked_per_set(self):
         cfg = CacheConfig(num_sets=4, ways=4)
@@ -180,6 +180,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             policy_needs_rng("optimal")
 
-    def test_srrip_kernel_uses_packed_path_at_default_ways(self):
-        assert SRRIPKernel(4, 8)._packed_ok
-        assert not SRRIPKernel(4, PACKED_LIMIT_PLUS)._packed_ok
+    def test_srrip_kernel_uses_packed_path_at_default_ways(self, monkeypatch):
+        def no_wide(*args):
+            raise AssertionError("8-way SRRIP took the list-based loop")
+
+        packed = SRRIPKernel(4, 8)
+        monkeypatch.setattr(packed, "_run_set_wide", no_wide)
+        packed.run_set(0, [1, 2], None, [False, False])
+        wide = SRRIPKernel(4, PACKED_LIMIT_PLUS)
+        monkeypatch.setattr(wide, "_run_set_wide", lambda *args: [False])
+        assert wide.run_set(0, [1], None, [False]) == [False]

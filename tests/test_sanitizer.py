@@ -100,12 +100,36 @@ def test_emissary_hp_count_corruption_detected():
                          hp_threshold=1, prob_inv=2)
     sanitizer = Sanitizer()
     sanitizer.attach_kernel(kernel)
-    kernel.hp_counts[0] = 5
+    kernel._hp[0] = 5
+    set_0 = (np.array([0]), np.array([0]), np.array([2]))
     with pytest.raises(SanitizerError, match=r"hp_counts\[0\] = 5") as exc:
-        kernel.run_set(0, [1, 2], [0.9, 0.9])
+        kernel.run_sets(*set_0, np.array([4, 8], dtype=np.uint64),
+                        np.array([0.9, 0.9]))
     assert exc.value.set_index == 0
     assert exc.value.access_position == 2
     assert "[set 0, access 2]" in str(exc.value)
+
+
+@pytest.mark.parametrize("policy", ["srrip", "random"])
+def test_flat_duplicate_tag_detected(policy):
+    """The flat rows of the SRRIP and Random kernels: a tag smuggled into
+    a second way survives a dispatch that evicts nothing."""
+    kernel = make_kernel(policy, num_sets=2, ways=4)
+    sanitizer = Sanitizer()
+    sanitizer.attach_kernel(kernel)
+    set_0 = (np.array([0]), np.array([0]))
+
+    def dispatch(tags):
+        lines = np.array(tags, dtype=np.uint64) << np.uint64(1)
+        return kernel.run_sets(*set_0, np.array([len(tags)]), lines,
+                               np.full(len(tags), 0.5),
+                               np.zeros(len(tags), dtype=bool))
+
+    dispatch([1, 2])
+    kernel._tag[1] = kernel._tag[0]
+    with pytest.raises(SanitizerError, match="duplicate resident tags") as exc:
+        dispatch([3])
+    assert exc.value.set_index == 0
 
 
 def test_lru_overfull_set_detected():
