@@ -18,8 +18,10 @@ Two engines with bit-identical outcomes:
     order *within* each set — hence the stable sort) cannot change any
     hit/miss outcome.
 
-    The two folds drop an access to the line accessed last before it in
-    the trace, or in its own set: an MRU hit that changes no state.
+    The folds drop an access to the line accessed last before it in
+    the trace, or in its own set: an MRU hit that changes no state.  With
+    several interleaved cores the set-order fold's short-lag cases are
+    decided before the sort (the lag fold), so the sort never sees them.
 
 :class:`ReferenceEngine` (the oracle)
     The straightforward implementation: one Python iteration per access,
@@ -289,6 +291,173 @@ def _prepend(value: Any, arr: NDArray[Any] | None) -> NDArray[Any] | None:
     return out
 
 
+def _set_key(lines: AddressArray, num_sets: int) -> NDArray[Any]:
+    """Set index of each line in the narrowest integer type: a 16-bit key
+    lets NumPy's stable sort use radix sort, and an 8-bit one (the L1I's
+    sets) needs a single radix pass.  The narrowing cast keeps the low
+    bits, so the mask applies to the narrow copy."""
+    dtype = (np.uint8 if num_sets <= 1 << 8
+             else np.uint16 if num_sets <= 1 << 16 else np.int64)
+    key = lines.astype(dtype)
+    key &= dtype(num_sets - 1)
+    return key
+
+
+def _lag_fold(lines: AddressArray, lengths: IndexArray | None,
+              num_sets: int, num_cores: int
+              ) -> tuple[IndexArray, IndexArray | None]:
+    """The set-order fold's cheap part, decided in edge space for
+    ``num_cores`` interleaved front-ends.
+
+    Drops edge ``i`` when edge ``i - d``, for some ``2 <= d <=
+    num_cores + 1``, is the same line and no edge between them maps to
+    ``i``'s set: the set's previous access was that line, so ``i`` is an
+    MRU hit that changes no state.  The lags run in increasing order,
+    and a lag-``d`` drop needs a partner not dropped at a smaller lag,
+    so each lag's drops form chains within one residue class mod ``d``,
+    each behind a root still kept at that lag.
+
+    Returns the kept positions and, when ``lengths`` is given, each kept
+    access's length plus those of the drops that chain back to it
+    (``lengths`` is updated in place: each lag moves its chains' lengths
+    onto their roots, and a root dropped at a larger lag carries them
+    on).
+    """
+    m = len(lines)
+    sets = _set_key(lines, num_sets)
+    # clear[i]: no edge in (i - d, i) maps to i's set, for the current d.
+    clear = np.ones(m, dtype=bool)
+    kept = np.ones(m, dtype=bool)
+    drop = np.empty(m, dtype=bool)
+    for d in range(2, min(num_cores + 1, m - 1) + 1):
+        np.not_equal(sets[d - 1:], sets[:m + 1 - d], out=drop[d - 1:])
+        clear[d - 1:] &= drop[d - 1:]
+        drop[:d] = False
+        np.equal(lines[d:], lines[:-d], out=drop[d:])
+        drop[d:] &= clear[d:]
+        drop[d:] &= kept[:-d]
+        if not drop.any():
+            continue
+        np.greater(kept, drop, out=kept)  # kept & ~drop
+        if lengths is not None:
+            _add_chain_sums(lengths, drop, d)
+    keep = np.flatnonzero(kept)
+    return keep, lengths[keep] if lengths is not None else None
+
+
+def _add_chain_sums(lengths: IndexArray, drop: BoolArray, d: int) -> None:
+    """Add to each lag-``d`` chain's root the lengths of its drops.
+
+    Within one residue class mod ``d`` a chain is a run of drops and its
+    root the class member just before it (a class's first member is
+    never a drop).  Cut where drops start and stop, a class alternates
+    kept and dropped segments, so every other segment sum is a chain's."""
+    for r in range(d):
+        members = lengths[r::d]
+        dropped = drop[r::d]
+        cuts = np.flatnonzero(dropped[1:] != dropped[:-1])
+        if not len(cuts):
+            continue
+        cuts += 1
+        members[cuts[::2] - 1] += np.add.reduceat(members, cuts)[::2]
+
+
+#: A resolved MRU run held back at a stream chunk's end:
+#: ``(line, u, cost, core, length)``.
+_Pending = tuple[int, float | None, int | None, int | None, int]
+
+
+@dataclass
+class _Batch:
+    """Accesses resolved by one dispatch, after the trace-order collapse.
+
+    ``starts`` gives each kept access's position among the ``total``
+    resolved accesses (None: every access is kept); ``lengths`` its run
+    length plus those of lag-folded accesses chained to it (None: all 1,
+    or no side channel needs it); ``edges`` counts the line transitions
+    before the lag fold."""
+
+    lines: AddressArray
+    u: UniformArray | None
+    cost: IndexArray | None
+    core: IndexArray | None
+    lengths: IndexArray | None
+    starts: IndexArray | None
+    total: int
+    edges: int
+
+
+def _collapse(lines: AddressArray, u: UniformArray | None,
+              cost: IndexArray | None, core: IndexArray | None,
+              pending: _Pending | None, hold_last: bool, want_lengths: bool,
+              num_sets: int, num_cores: int
+              ) -> tuple[_Batch | None, _Pending | None]:
+    """The trace-order collapse of one chunk (or a whole trace).
+
+    Keeps each MRU run's first access, preceded by the carried run
+    ``pending`` (resolved as soon as a different line arrives).  With
+    ``hold_last`` the chunk's trailing run is returned as the new carry
+    instead of resolved; the batch is None when the whole chunk
+    continues the carried run.  With ``num_cores > 1`` the
+    :func:`_lag_fold` then drops the interleaved cores' MRU re-touches
+    among the resolved edges (never across a dispatch: the carry is a
+    single lag-1 run)."""
+    n = len(lines)
+    k = carried = 0
+    if pending is not None:
+        pline, pu, pcost, pcore, carried = pending
+        differs = lines != np.uint64(pline)
+        k = int(differs.argmax())
+        if not differs[k]:
+            return None, (pline, pu, pcost, pcore, carried + n)
+        del differs
+    edge_mask = np.empty(n - k, dtype=bool)
+    edge_mask[0] = True
+    np.not_equal(lines[k + 1:], lines[k:-1], out=edge_mask[1:])
+    edges = np.flatnonzero(edge_mask)
+    del edge_mask
+    if k:
+        edges += k
+    # Run lengths; with ``hold_last`` the trailing run is not resolved.
+    lengths: IndexArray | None = None
+    if want_lengths:
+        lengths = np.diff(edges) if hold_last else np.diff(edges, append=n)
+    bound = n
+    carry: _Pending | None = None
+    if hold_last:
+        bound = int(edges[-1])
+        carry = (int(lines[bound]),
+                 float(u[bound]) if u is not None else None,
+                 int(cost[bound]) if cost is not None else None,
+                 int(core[bound]) if core is not None else None,
+                 n - bound)
+        edges = edges[:-1]
+    edge_lines = lines[edges]
+    starts = edges
+    if pending is not None:
+        # The carried run is resolved access 0; the chunk follows it.
+        edge_lines = _prepend(pline, edge_lines)
+        lengths = _prepend(carried + k, lengths)
+        starts = _prepend(0, edges + carried)
+    m = len(edge_lines)
+    if num_cores > 1 and m > 2:
+        keep, lengths = _lag_fold(edge_lines, lengths, num_sets, num_cores)
+        edge_lines, starts = edge_lines[keep], starts[keep]
+        # The kept chunk positions (the lag fold never drops access 0).
+        edges = starts[1:] - carried if pending is not None else starts
+    # Side channels are gathered once, at the kept chunk positions.
+    batch = _Batch(edge_lines,
+                   u[edges] if u is not None else None,
+                   cost[edges] if cost is not None else None,
+                   core[edges] if core is not None else None,
+                   lengths, starts, carried + bound, m)
+    if pending is not None:
+        batch.u = _prepend(pu, batch.u)
+        batch.cost = _prepend(pcost, batch.cost)
+        batch.core = _prepend(pcore, batch.core)
+    return batch, carry
+
+
 def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
               lines: AddressArray, u: UniformArray | None,
               cost: IndexArray | None, core: IndexArray | None,
@@ -321,11 +490,7 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     num_sets = config.num_sets
     # Temporaries are freed early: one-shot batches are whole traces.
     with span("stable_sort"):
-        # A 16-bit key lets NumPy's stable sort use radix sort, and an
-        # 8-bit one (the L1I's sets) needs a single radix pass.
-        set_key = (lines & np.uint64(num_sets - 1)).astype(
-            np.uint8 if num_sets <= 1 << 8
-            else np.int16 if num_sets <= 1 << 15 else np.int64)
+        set_key = _set_key(lines, num_sets)
         order = np.argsort(set_key, kind="stable")
         if fold:
             sorted_lines = lines[order]
@@ -376,18 +541,28 @@ class BatchedEngine:
        directly.  On single-stream instruction traces this removes ~90%
        of kernel iterations while keeping outcomes bit-identical (the
        equivalence suite checks this per access).
-    2. **Set-major batching** — edge accesses are stable-sorted by set
+    2. **Lag fold** — with ``num_cores > 1`` interleaved front-ends, an
+       edge whose line is 2 to ``num_cores + 1`` edges back, with no edge
+       to its set in between, is an MRU hit of its set: it is dropped
+       before the sort (see :func:`_lag_fold`).  On a 2-core 2:1
+       interleave, 68% of L1I accesses survive step 1, under 10% this.
+       Single-core engines skip it.
+    3. **Set-major batching** — edge accesses are stable-sorted by set
        index and dispatched to the kernel's ``run_sets`` in one call,
        which by default pays Python dispatch overhead per set chunk
        instead of per access.
-    3. **Set-order fold** — in sorted order, an edge access to the line
+    4. **Set-order fold** — in sorted order, an edge access to the line
        of the previous access *to its set* is again an MRU hit, so only
-       the first access of each such run enters the kernel.  On a 2-core
-       2:1 interleave, 68% of L1I accesses survive step 1, under 8% this.
+       the first access of each such run enters the kernel (under 8% of
+       the interleave's L1I accesses); it also catches the repeats at
+       longer lags than step 2's.
 
-    A kernel access gets its run's total length (SRRIP's repeat flag,
-    telemetry's folded hits).  The compiled backend skips steps 2 and 3;
-    ``collapse_runs=False`` skips steps 1 and 3.
+    A kernel access gets its run's total length, plus those of the
+    accesses folded into it (SRRIP's repeat flag, telemetry's folded
+    hits).  The compiled backend skips steps 3 and 4;
+    ``collapse_runs=False`` skips steps 1, 2 and 4.  One helper,
+    :func:`_collapse`, does steps 1 and 2 for :meth:`run` and
+    :meth:`EngineStream.feed`.
     """
 
     def __init__(self, config: CacheConfig | None = None,
@@ -457,41 +632,34 @@ class BatchedEngine:
             else:
                 core = np.ascontiguousarray(core, dtype=np.int64)
 
-        # Run length per edge access (> 1: the line is re-referenced
-        # immediately after); only kept when a side channel consumes it.
-        run_lengths: IndexArray | None = None
         with span("run_collapse"):
             if self.collapse_runs and n > 1:
-                edge_mask = np.empty(n, dtype=bool)
-                edge_mask[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=edge_mask[1:])
-                edge_idx = np.flatnonzero(edge_mask)
-                del edge_mask
-                lines = lines[edge_idx]
-                u = u[edge_idx] if u is not None else None
-                cost = cost[edge_idx] if cost is not None else None
-                core = core[edge_idx] if core is not None else None
-                if kernel.needs_repeat_flags or tel is not None:
-                    run_lengths = np.diff(edge_idx, append=n)
+                batch, _ = _collapse(
+                    lines, u, cost, core, None, hold_last=False,
+                    want_lengths=kernel.needs_repeat_flags or tel is not None,
+                    num_sets=config.num_sets, num_cores=self.num_cores)
+                assert batch is not None
             else:
-                edge_idx = None
-        m = len(lines)
+                batch = _Batch(lines, u, cost, core, None, None, n, n)
+            del lines, u, cost, core
+        m = batch.edges
 
-        work_hits, k = _dispatch(kernel, config, lines, u, cost, core,
-                                 run_lengths, fold=self.collapse_runs,
+        work_hits, k = _dispatch(kernel, config, batch.lines, batch.u,
+                                 batch.cost, batch.core, batch.lengths,
+                                 fold=self.collapse_runs,
                                  with_extra=tel is not None, span=span)
-        if edge_idx is None:
+        if batch.starts is None:
             hits = work_hits
         else:
             hits = np.ones(n, dtype=bool)  # collapsed accesses are always hits
-            hits[edge_idx] = work_hits
+            hits[batch.starts] = work_hits
         elapsed = time.perf_counter() - start
         hit_count = int(hits.sum())
         if tel is not None:
             kernel.telemetry_finalize()
             tel.inc("engine.accesses", n)
             tel.inc("engine.edge_accesses", m)  # after trace-order collapse
-            tel.inc("engine.kernel_accesses", k)  # after both folds
+            tel.inc("engine.kernel_accesses", k)  # after every fold
             tel.inc("engine.collapsed_hits", n - m)
             tel.inc("hits", hit_count)
             tel.inc("misses", n - hit_count)
@@ -558,11 +726,13 @@ class EngineStream:
     the accesses it *resolved*, which can trail the accesses fed so far
     by one run.
 
-    The set-order fold (see :class:`BatchedEngine`) works within each
-    dispatch: a run of same-set repeats cut by a chunk boundary reaches
-    the kernel once per dispatch instead of once.  Outcomes are the same
-    either way, but the ``engine.kernel_accesses`` counter depends on
-    where chunks are cut; ``engine.edge_accesses`` does not.
+    The lag and set-order folds (see :class:`BatchedEngine`) work within
+    each dispatch: the carry is a single trace-order run, so a lag drop
+    never reaches back into an earlier dispatch, and a run of same-set
+    repeats cut by a chunk boundary reaches the kernel once per dispatch
+    instead of once.  Outcomes are the same either way, but the
+    ``engine.kernel_accesses`` counter depends on where chunks are cut;
+    ``engine.edge_accesses`` (counted before the lag fold) does not.
     """
 
     def __init__(self, engine: "BatchedEngine", spec: PolicySpec, seed: int = 0,
@@ -572,6 +742,7 @@ class EngineStream:
         self.spec = spec
         self.keep_hits = keep_hits
         self.collapse_runs = engine.collapse_runs
+        self.num_cores = engine.num_cores
         self.telemetry = engine.telemetry
         self._span = span_factory(self.telemetry)
         self.kernel = _make_engine_kernel(spec, config, engine.kernel_backend,
@@ -591,9 +762,8 @@ class EngineStream:
         self._hit_count = 0
         self._hit_chunks: list[BoolArray] = []
         self._chunk_index = 0
-        #: Trailing unresolved MRU run: (line, u, cost, core, length) or None.
-        self._pending: tuple[int, float | None, int | None, int | None,
-                             int] | None = None
+        #: Trailing unresolved MRU run, or None.
+        self._pending: _Pending | None = None
         #: Core ids of the misses returned by the latest ``feed``/``flush``
         #: (aligned with its ``miss_lines``), or None for core-blind runs.
         #: Per-chunk attribution can't be read off the *fed* cores because
@@ -652,103 +822,55 @@ class EngineStream:
 
             if not self.collapse_runs:
                 # Every access is its own length-1 run; nothing is carried.
-                return self._dispatch(lines, u, cost, core, None, None, 0)
+                return self._dispatch(_Batch(lines, u, cost, core, None,
+                                             None, k_total, k_total))
 
             # Trace-length temporaries are dropped before the dispatch: a
             # one-shot run is a single chunk holding the whole trace.
             with span("run_collapse"):
-                pending = self._pending
-                k = carried = 0
-                if pending is not None:
-                    pline, pu, pcost, pcore, carried = pending
-                    differs = lines != np.uint64(pline)
-                    k = int(differs.argmax())
-                    if not differs[k]:
-                        # Whole chunk continues the carried run.
-                        self._pending = (pline, pu, pcost, pcore,
-                                         carried + k_total)
-                        return (np.zeros(0, dtype=bool),
-                                np.zeros(0, dtype=np.uint64))
-                    del differs
-                edge_mask = np.empty(k_total - k, dtype=bool)
-                edge_mask[0] = True
-                np.not_equal(lines[k + 1:], lines[k:-1], out=edge_mask[1:])
-                edges = np.flatnonzero(edge_mask)
-                del edge_mask
-                edges += k
-                last_edge = int(edges[-1])
-                self._pending = (
-                    int(lines[last_edge]),
-                    float(u[last_edge]) if u is not None else None,
-                    int(cost[last_edge]) if cost is not None else None,
-                    int(core[last_edge]) if core is not None else None,
-                    k_total - last_edge,
-                )
-                # Resolved runs: the carried one (if any), then every run
-                # that starts in this chunk except the last.
-                lengths: IndexArray | None = None
-                if self.kernel.needs_repeat_flags or self.telemetry is not None:
-                    lengths = np.diff(edges)
-                edges = edges[:-1]
-                run_lines = lines[edges]
-                del lines
-                run_u = u[edges] if u is not None else None
-                del u
-                run_cost = cost[edges] if cost is not None else None
-                run_core = core[edges] if core is not None else None
-                if pending is not None:
-                    run_lines = _prepend(pline, run_lines)
-                    run_u = _prepend(pu, run_u)
-                    run_cost = _prepend(pcost, run_cost)
-                    run_core = _prepend(pcore, run_core)
-                    lengths = _prepend(carried + k, lengths)
-                    # Positions among this call's resolved accesses, which
-                    # start with the carried run.
-                    edges = _prepend(0, edges + carried)
-            return self._dispatch(run_lines, run_u, run_cost, run_core,
-                                  lengths, edges, carried + last_edge)
+                batch, self._pending = _collapse(
+                    lines, u, cost, core, self._pending, hold_last=True,
+                    want_lengths=(self.kernel.needs_repeat_flags
+                                  or self.telemetry is not None),
+                    num_sets=self.config.num_sets,
+                    num_cores=self.num_cores)
+                del lines, u, cost, core
+            if batch is None:  # the whole chunk continues the carried run
+                return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+            return self._dispatch(batch)
 
-    def _dispatch(self, run_lines: AddressArray, run_u: UniformArray | None,
-                  run_cost: IndexArray | None,
-                  run_core: IndexArray | None,
-                  run_lengths: IndexArray | None,
-                  starts: IndexArray | None,
-                  total: int) -> tuple[BoolArray, AddressArray]:
-        """Run the resolved runs' edge accesses through the kernel
-        (exactly like the one-shot path) and expand outcomes back to
-        per-access hits.
-
-        ``run_lengths`` is None when no side channel needs it; ``starts``
-        gives each run's first position among the ``total`` resolved
-        accesses (None: every access is its own run)."""
-        if len(run_lines) == 0:
-            if run_core is not None:
+    def _dispatch(self, batch: _Batch) -> tuple[BoolArray, AddressArray]:
+        """Run a batch's kept accesses through the kernel (exactly like
+        the one-shot path) and expand outcomes back to per-access hits."""
+        if len(batch.lines) == 0:
+            if batch.core is not None:
                 self.last_miss_cores = np.zeros(0, dtype=np.int64)
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
         kernel = self.kernel
+        run_core = batch.core
         # Core-blind kernels never see the array, but miss attribution
         # (``last_miss_cores``) still tracks it.
         kern_core = (run_core
                      if getattr(kernel, "consumes_core", False) else None)
-        edge_hits, k = _dispatch(kernel, self.config, run_lines, run_u,
-                                 run_cost, kern_core, run_lengths,
+        edge_hits, k = _dispatch(kernel, self.config, batch.lines, batch.u,
+                                 batch.cost, kern_core, batch.lengths,
                                  fold=self.collapse_runs,
                                  with_extra=self.telemetry is not None,
                                  span=self._span)
         self._kernel_count += k
-        self._edge_count += len(edge_hits)
-        if starts is None:
+        self._edge_count += batch.edges
+        if batch.starts is None:
             hits = edge_hits
         else:
-            hits = np.ones(total, dtype=bool)  # collapsed accesses are hits
-            hits[starts] = edge_hits
+            hits = np.ones(batch.total, dtype=bool)  # collapsed: hits
+            hits[batch.starts] = edge_hits
         self._hit_count += int(np.count_nonzero(hits))
         if self.keep_hits:
             self._hit_chunks.append(hits)
         misses = ~edge_hits
         if run_core is not None:
             self.last_miss_cores = run_core[misses]
-        return hits, run_lines[misses]
+        return hits, batch.lines[misses]
 
     def flush(self) -> tuple[BoolArray, AddressArray]:
         """Resolve the carried trailing run (stream end).  Returns its
@@ -763,13 +885,13 @@ class EngineStream:
         if pending is None:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
         pline, pu, pcost, pcore, pcount = pending
-        return self._dispatch(
+        return self._dispatch(_Batch(
             np.array([pline], dtype=np.uint64),
             np.array([pu], dtype=np.float64) if pu is not None else None,
             np.array([pcost], dtype=np.int64) if pcost is not None else None,
             np.array([pcore], dtype=np.int64) if pcore is not None else None,
             np.array([pcount], dtype=np.int64), np.zeros(1, dtype=np.intp),
-            pcount)
+            pcount, 1))
 
     def finish(self) -> SimResult:
         """Flush (if not already flushed) and assemble the SimResult."""

@@ -513,7 +513,8 @@ class BatchedHierarchyEngine:
         offset_bits = np.uint64(config.l1.offset_bits)
         line_cap_bits = 64 - config.l1.offset_bits - core_bits
 
-        l1_stream = self._stage_engine(v_l1, l1_tel).stream(
+        l1_stream = self._stage_engine(v_l1, l1_tel,
+                                       num_cores=num_cores).stream(
             PolicySpec(config.l1_policy), seed=seed, keep_hits=keep_hits)
         l2_stream = self._stage_engine(config.l2, l2_tel,
                                        num_cores=num_cores).stream(

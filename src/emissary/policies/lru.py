@@ -23,18 +23,22 @@ Closed form
     among the ``W`` is before ``p``).  Every other
     access scans ``(p, i)`` counting first touches, and stops at the
     ``W``-th one (a miss) or at ``i`` (a hit).  The scans run together
-    in vectorised rounds whose block width doubles, at most
-    :data:`SCAN_ROWS` windows and :data:`SCAN_BUDGET` positions at a
-    time, so memory stays bounded.
+    in vectorised rounds whose block width starts at ``2 * W`` and
+    doubles, at most :data:`SCAN_ROWS` windows and :data:`SCAN_BUDGET`
+    positions at a time, so memory stays bounded.
 
 Work bound
     A scan still open at position ``j`` belongs to a line whose LRU
     depth at ``j`` is below ``W``, and at most ``W`` lines have depth
     below ``W`` at any moment.  So at most ``W`` open scans cover any
     position, and the useful scanning is at most ``W * m`` positions for
-    ``m`` accesses.  Doubling overshoots a scan's end by at most the
-    width it already scanned (plus the first block), so the total stays
-    ``O(W * m)``, in ``O(log m)`` rounds per :data:`SCAN_ROWS` windows.
+    ``m`` accesses.  Every scanned window holds a repeat among its first
+    ``W`` positions (the window-maximum test found one), so a first
+    block of ``W`` would settle almost no scan; the first block is
+    ``2 * W`` wide instead.  Doubling from there overshoots a scan's end
+    by at most the width it already scanned (plus the first block), so
+    the total stays ``O(W * m)``, in ``O(log m)`` rounds per
+    :data:`SCAN_ROWS` windows.
 
 State and the carry
     Flat per-set arrays hold the resident tags in LRU -> MRU order and
@@ -133,11 +137,12 @@ def _scan_windows(prev: NDArray[np.int64], owners: NDArray[np.int64],
 
     Each round reads the next ``width`` positions of every open window
     as rows of a sliding-window view of the padded ``prev``; ``width``
-    doubles each round, up to ``cap``, the padding."""
+    starts at ``2 * ways`` and doubles each round, up to ``cap``, the
+    padding."""
     first = prev[owners]
     cur = first + 1
     seen = np.zeros(len(owners), dtype=np.int64)
-    width = min(ways, cap)
+    width = min(2 * ways, cap)
     while len(owners):
         windows = np.lib.stride_tricks.sliding_window_view(prev, width)
         step = np.minimum(owners - cur, width)
