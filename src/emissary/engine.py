@@ -353,13 +353,18 @@ def _add_chain_sums(lengths: IndexArray, drop: BoolArray, d: int) -> None:
     never a drop).  Cut where drops start and stop, a class alternates
     kept and dropped segments, so every other segment sum is a chain's."""
     for r in range(d):
-        members = lengths[r::d]
         dropped = drop[r::d]
         cuts = np.flatnonzero(dropped[1:] != dropped[:-1])
         if not len(cuts):
             continue
         cuts += 1
-        members[cuts[::2] - 1] += np.add.reduceat(members, cuts)[::2]
+        sums = np.add.reduceat(lengths[r::d], cuts)[::2]
+        # Scatter through the contiguous array: fancy indexing into the
+        # strided class view takes NumPy's slow path.
+        roots = cuts[::2] - 1
+        roots *= d
+        roots += r
+        lengths[roots] += sums
 
 
 #: A resolved MRU run held back at a stream chunk's end:
