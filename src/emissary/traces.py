@@ -320,7 +320,9 @@ def looping_code_chunks(
     ``random(a + b)``, and likewise for bounded ``integers``), so two
     generators reproduce the stream chunk by chunk: one replays the
     noise uniforms in place, the other is pre-advanced past all of them
-    and then serves each chunk's jump targets.
+    and then serves each chunk's jump targets.  Each float64 uniform is
+    one 64-bit PCG64 draw, so ``advance(n)`` jumps past all ``n`` in
+    O(log n) instead of drawing and discarding them.
     """
     _check_params(n=n, footprint_lines=footprint_lines,
                   branch_noise=branch_noise, base=base)
@@ -328,8 +330,7 @@ def looping_code_chunks(
     instrs_per_line = LINE_BYTES // INSTR_BYTES
     span = footprint_lines * instrs_per_line
     rng_jump = _rng(seed)
-    for start in range(0, n, step):
-        rng_jump.random(min(step, n - start))  # discard: advance past noise
+    rng_jump.bit_generator.advance(n)  # past the n noise uniforms
     rng_noise = _rng(seed)
     for start in range(0, n, step):
         k = min(step, n - start)
