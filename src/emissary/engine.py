@@ -714,7 +714,8 @@ class BatchedEngine:
 class EngineStream:
     """Incremental counterpart of :meth:`BatchedEngine.run`.
 
-    Feed ``uint64`` address chunks in trace order with :meth:`feed`; all
+    Feed ``uint64`` address chunks in trace order with :meth:`feed` (or
+    chunks already decoded to lines with :meth:`feed_lines`); all
     replacement state (per-set kernel state, the RNG stream, MRU run
     collapsing) carries across chunk boundaries, so the assembled result
     is bit-identical to running the concatenated trace in one shot —
@@ -788,11 +789,30 @@ class EngineStream:
         this call: ``hits`` is their hit/miss outcomes in access order
         (cumulatively concatenating to the one-shot hit vector), and
         ``miss_lines`` the line numbers of the missing accesses in
-        order — what a hierarchy feeds to the next level.
+        order — what a hierarchy feeds to the next level.  The chunk is
+        decoded to line numbers and handed to :meth:`feed_lines`.
         """
+        # A call temporary, so feed_lines' ``del`` after the collapse
+        # frees the lines (CPython 3.11+ moves call arguments into the
+        # callee's frame).
+        return self.feed_lines(self._decode(addresses), cost=cost, core=core)
+
+    def _decode(self, addresses: AddressArray) -> AddressArray:
+        with self._span("decode"):
+            return (np.ascontiguousarray(addresses, dtype=np.uint64)
+                    >> np.uint64(self.config.offset_bits))
+
+    def feed_lines(self, lines: AddressArray,
+                   cost: IndexArray | None = None,
+                   core: IndexArray | None = None
+                   ) -> tuple[BoolArray, AddressArray]:
+        """:meth:`feed` for a chunk already decoded to line numbers
+        (``address >> offset_bits``), e.g. a hierarchy's miss lines.
+        ``lines`` is only read, and dropped before the dispatch: pass a
+        temporary to have its buffer freed there."""
         if self._flushed:
             raise RuntimeError("stream already flushed; start a new stream")
-        k_total = len(addresses)
+        k_total = len(lines)
         if cost is not None:
             if len(cost) != k_total:
                 raise ValueError(f"cost has {len(cost)} entries for "
@@ -820,10 +840,11 @@ class EngineStream:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
         span = self._span
         with span("stream_chunk", chunk=index, accesses=k_total):
-            with span("decode"):
-                lines = np.ascontiguousarray(addresses, dtype=np.uint64) \
-                    >> np.uint64(self.config.offset_bits)
-                u = self._rng.random(k_total) if self._rng is not None else None
+            lines = np.ascontiguousarray(lines, dtype=np.uint64)
+            u = None
+            if self._rng is not None:
+                with span("decode"):  # the policy's uniforms
+                    u = self._rng.random(k_total)
 
             if not self.collapse_runs:
                 # Every access is its own length-1 run; nothing is carried.

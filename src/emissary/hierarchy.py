@@ -206,10 +206,30 @@ class MultiCoreHierarchyResult(HierarchyResult):
                    per_core=[dict(row) for row in d["per_core"]])
 
 
-def _check_core_ids(core_ids: CoreIdArray, n: int,
-                    num_cores: int | None) -> tuple[IndexArray, int]:
-    """Validate the per-access core-id channel; resolve ``num_cores``
-    (``None`` means infer from the ids)."""
+def _check_num_cores(num_cores: int) -> None:
+    """A core count must be in ``[1, MAX_CORES]``."""
+    if num_cores < 1:
+        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
+    if num_cores > MAX_CORES:
+        raise ValueError(f"num_cores {num_cores} exceeds MAX_CORES ({MAX_CORES})")
+
+
+#: Up to this many cores, :func:`_check_core_ids` counts each core's
+#: accesses with one ``count_nonzero(core == c)`` pass per core (about
+#: 0.65 ms per core on 1.2M ids); above it, with one ``bincount`` after
+#: a min and a max pass (about 3 ms at any core count).
+_COMPARE_COUNT_MAX_CORES = 4
+
+
+def _check_core_ids(core_ids: CoreIdArray, n: int, num_cores: int | None
+                    ) -> tuple[IndexArray, IndexArray]:
+    """Validate one per-access core-id array (the only place they are
+    checked); return the ids as ``int64`` and the accesses per core.
+    ``num_cores=None`` infers the count from the ids; ``len`` of the
+    counts is the resolved count.
+
+    The counting doubles as the range check: the per-core counts sum to
+    ``n`` exactly when every id is in ``[0, num_cores)``."""
     # The inferred dtype is only inspected: a float id must fail loudly,
     # not be truncated by the int64 cast below.
     core = np.asarray(core_ids)  # emi: ignore[EMI006]
@@ -218,19 +238,20 @@ def _check_core_ids(core_ids: CoreIdArray, n: int,
     core = np.ascontiguousarray(core, dtype=np.int64)
     if len(core) != n:
         raise ValueError(f"core_ids length {len(core)} != trace length {n}")
-    observed_max = int(core.max()) if n else 0
-    if n and int(core.min()) < 0:
-        raise ValueError("core_ids must be non-negative")
     if num_cores is None:
-        num_cores = observed_max + 1 if n else 1
-    if num_cores < 1:
-        raise ValueError(f"num_cores must be >= 1, got {num_cores}")
-    if num_cores > MAX_CORES:
-        raise ValueError(f"num_cores {num_cores} exceeds MAX_CORES ({MAX_CORES})")
-    if n and observed_max >= num_cores:
-        raise ValueError(f"core_ids contain {observed_max} but num_cores is "
-                         f"{num_cores}")
-    return core, num_cores
+        num_cores = max(int(core.max()) + 1, 1) if n else 1
+    _check_num_cores(num_cores)
+    if num_cores <= _COMPARE_COUNT_MAX_CORES:
+        counts = np.array([np.count_nonzero(core == c)
+                           for c in range(num_cores)], dtype=np.int64)
+        if int(counts.sum()) == n:
+            return core, counts
+    elif not n or (int(core.min()) >= 0 and int(core.max()) < num_cores):
+        return core, np.bincount(core, minlength=num_cores).astype(np.int64)
+    if int(core.min()) < 0:
+        raise ValueError("core_ids must be non-negative")
+    raise ValueError(f"core_ids contain {int(core.max())} but num_cores is "
+                     f"{num_cores}")
 
 
 def _core_virtual_layout(l1: CacheConfig,
@@ -404,7 +425,7 @@ class BatchedHierarchyEngine:
             keep_hits: bool = True) -> HierarchyResult:
         """One core, whole trace in memory: a stream of one chunk."""
         spec = require_policy_spec(policy, caller="BatchedHierarchyEngine.run")
-        return self._run([(addresses, None)], spec, 1, seed, keep_hits,
+        return self._run([(addresses, None, None)], spec, 1, seed, keep_hits,
                          DEFAULT_L2_CHUNK_BYTES, multicore=False)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
@@ -427,9 +448,10 @@ class BatchedHierarchyEngine:
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.run_multicore")
-        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
-        result = self._run([(addresses, core)], spec, num_cores, seed,
-                           keep_hits, DEFAULT_L2_CHUNK_BYTES, multicore=True)
+        core, counts = _check_core_ids(core_ids, len(addresses), num_cores)
+        result = self._run([(addresses, core, counts)], spec, len(counts),
+                           seed, keep_hits, DEFAULT_L2_CHUNK_BYTES,
+                           multicore=True)
         assert isinstance(result, MultiCoreHierarchyResult)
         return result
 
@@ -454,8 +476,8 @@ class BatchedHierarchyEngine:
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream")
-        return self._run(((chunk, None) for chunk in chunks), spec, 1, seed,
-                         keep_hits, chunk_bytes, multicore=False)
+        return self._run(((chunk, None, None) for chunk in chunks), spec, 1,
+                         seed, keep_hits, chunk_bytes, multicore=False)
 
     def simulate_stream_multicore(
             self, chunks: Iterable[tuple[AddressArray, CoreIdArray]],
@@ -478,27 +500,33 @@ class BatchedHierarchyEngine:
             raise ValueError("simulate_stream_multicore needs an explicit "
                              "num_cores (the virtual L1 geometry is fixed "
                              "before the first chunk arrives)")
-        _, num_cores = _check_core_ids(np.zeros(0, dtype=np.int64), 0,
-                                       num_cores)
-        result = self._run(chunks, spec, num_cores, seed, keep_hits,
+        _check_num_cores(num_cores)
+        checked = ((addrs, *_check_core_ids(core_ids, len(addrs), num_cores))
+                   for addrs, core_ids in chunks)
+        result = self._run(checked, spec, num_cores, seed, keep_hits,
                            chunk_bytes, multicore=True)
         assert isinstance(result, MultiCoreHierarchyResult)
         return result
 
-    def _run(self, chunks: Iterable[tuple[AddressArray, CoreIdArray | None]],
+    def _run(self, chunks: Iterable[tuple[AddressArray, IndexArray | None,
+                                          IndexArray | None]],
              spec: PolicySpec, num_cores: int, seed: int, keep_hits: bool,
              chunk_bytes: int | None, multicore: bool) -> HierarchyResult:
         """The one execution path: both stages as incremental
         :class:`~emissary.engine.EngineStream`\\ s.
 
-        ``chunks`` yields ``(addresses, core_ids)`` pairs in trace order
-        (``core_ids`` may be None on one core).  Each resolved L1I
-        chunk's miss lines go, coalesced up to ``chunk_bytes``, into the
-        L2 stream with their running per-``(core, line)`` L1I miss
-        counts, carried across chunks in a :class:`MissCountTable`.  At
-        one core ``core_bits`` is 0: the virtual line is the line, and
-        none of the core bookkeeping runs.  ``multicore`` picks the
-        result type (per-core rows and ``core{c}.*`` counters or not).
+        ``chunks`` yields ``(addresses, core, per_core_counts)`` triples
+        in trace order, the ids already through :func:`_check_core_ids`
+        (both None on one core).  Each chunk is decoded to lines once,
+        with the core ORed in below the line when there are several
+        (the L1 stage's ``decode`` span), and enters the L1 stream as
+        lines.  Each resolved L1I chunk's miss lines go, coalesced up to
+        ``chunk_bytes``, into the L2 stream, again as lines, with their
+        running per-``(core, line)`` L1I miss counts, carried across
+        chunks in a :class:`MissCountTable`.  At one core ``core_bits``
+        is 0: the virtual line is the line, and none of the core
+        bookkeeping runs.  ``multicore`` picks the result type (per-core
+        rows and ``core{c}.*`` counters or not).
         """
         if chunk_bytes is not None and chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive or None, "
@@ -508,6 +536,7 @@ class BatchedHierarchyEngine:
         span = span_factory(tel)
         l1_tel = Telemetry() if tel is not None else None
         l2_tel = Telemetry() if tel is not None else None
+        l1_span = span_factory(l1_tel)
         start = time.perf_counter()
         core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
         offset_bits = np.uint64(config.l1.offset_bits)
@@ -537,14 +566,13 @@ class BatchedHierarchyEngine:
             miss stream (with measured costs) into L2."""
             with span("miss_extract"):
                 cost = miss_counts.advance(miss_vlines)
-                miss_cores = None
+                miss_lines, miss_cores = miss_vlines, None
                 if core_bits:
                     miss_cores = (miss_vlines
                                   & np.uint64(core_pad - 1)).astype(np.int64)
-                    miss_vlines = miss_vlines >> np.uint64(core_bits)
-                miss_addrs = miss_vlines << offset_bits
+                    miss_lines = miss_vlines >> np.uint64(core_bits)
             with span("l2_stage"):
-                l2_stream.feed(miss_addrs, cost=cost, core=miss_cores)
+                l2_stream.feed_lines(miss_lines, cost=cost, core=miss_cores)
             tally_l2_misses()
 
         def enqueue(miss_vlines: AddressArray, flush: bool = False) -> None:
@@ -562,34 +590,38 @@ class BatchedHierarchyEngine:
                 pending_bytes = 0
                 advance(batch)
 
+        def l1_lines(addrs: AddressArray,
+                     core: IndexArray | None) -> AddressArray:
+            """A chunk's L1 stage lines, in one new buffer: the lines,
+            core-virtualized in place when there are several cores."""
+            with l1_span("decode"):
+                lines = (np.ascontiguousarray(addrs, dtype=np.uint64)
+                         >> offset_bits)
+                if core_bits:
+                    assert core is not None
+                    if len(lines) and int(lines.max()) >> line_cap_bits:
+                        raise ValueError(
+                            f"address lines need more than {line_cap_bits} "
+                            f"bits; no headroom for {core_bits} core bits")
+                    lines <<= np.uint64(core_bits)
+                    lines |= core.view(np.uint64)  # validated >= 0
+                return lines
+
         chunk_iter = iter(chunks)
         while True:
             with span("stream_ingest"):
-                pair = next(chunk_iter, None)
-            if pair is None:
+                item = next(chunk_iter, None)
+            if item is None:
                 break
-            addrs, core_ids = pair
-            del pair
-            addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
-            core = (None if core_ids is None
-                    else _check_core_ids(core_ids, len(addrs), num_cores)[0])
-            if core_bits:
-                if core is None:
-                    raise TypeError(f"{num_cores}-core chunks need core ids")
-                # Lines -> core-virtualized addresses, in place in one
-                # new buffer.
-                addrs = addrs >> offset_bits
-                if len(addrs) and int(addrs.max()) >> line_cap_bits:
-                    raise ValueError(
-                        f"address lines need more than {line_cap_bits} "
-                        f"bits; no headroom for {core_bits} core bits")
-                n_by_core += np.bincount(core, minlength=num_cores)
-                addrs <<= np.uint64(core_bits)
-                addrs |= core.view(np.uint64)  # ids are validated >= 0
-                addrs <<= offset_bits
+            addrs, core, counts = item
+            del item
+            if counts is not None:
+                n_by_core += counts
             with span("l1_stage"):
-                _, miss_vlines = l1_stream.feed(addrs)
-            del addrs
+                # The lines are a call temporary: the stream frees them
+                # after its collapse.
+                _, miss_vlines = l1_stream.feed_lines(l1_lines(addrs, core))
+            del addrs, core
             enqueue(miss_vlines)
         with span("l1_stage"):
             _, miss_vlines = l1_stream.flush()
@@ -728,9 +760,9 @@ class HierarchyReferenceEngine:
                       keep_hits: bool = True) -> MultiCoreHierarchyResult:
         spec = require_policy_spec(
             policy, caller="HierarchyReferenceEngine.run_multicore")
-        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
-        result = self._run(addresses, core, num_cores, spec, seed, keep_hits,
-                           multicore=True)
+        core, counts = _check_core_ids(core_ids, len(addresses), num_cores)
+        result = self._run(addresses, core, len(counts), spec, seed,
+                           keep_hits, multicore=True)
         assert isinstance(result, MultiCoreHierarchyResult)
         return result
 

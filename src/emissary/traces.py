@@ -92,12 +92,15 @@ def _check_params(**params: Any) -> None:
                 raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def _loop_offsets(start: int, k: int, span: int) -> AddressArray:
-    """``(start + arange(k)) % span`` without a 64-bit modulo: one period
-    rotated to ``start``, tiled into exactly ``k`` entries."""
+def _loop_addresses(start: int, k: int, span: int, base: int) -> AddressArray:
+    """Byte addresses ``base + INSTR_BYTES * ((start + arange(k)) % span)``
+    without a 64-bit modulo: one period rotated to ``start``, scaled and
+    offset, then tiled into exactly ``k`` entries."""
     r = start % span
     period = np.arange(r, r + min(span, k), dtype=np.uint64)
     period[span - r:] -= np.uint64(span)
+    period *= np.uint64(INSTR_BYTES)
+    period += np.uint64(base)
     if len(period) == k:
         return period
     seq = np.empty(k, dtype=np.uint64)
@@ -119,18 +122,12 @@ def looping_code(
     The PC walks sequentially through ``footprint_lines`` cache lines and
     wraps, with a small probability per access of branching to a random
     line inside the footprint (taken branches / indirect calls).
+
+    The one-chunk case of :func:`looping_code_chunks`.
     """
     _check_params(n=n, footprint_lines=footprint_lines,
                   branch_noise=branch_noise, base=base)
-    rng = _rng(seed)
-    span = footprint_lines * (LINE_BYTES // INSTR_BYTES)
-    seq = _loop_offsets(0, n, span)
-    noise = rng.random(n) < branch_noise
-    jumps = rng.integers(0, span, size=int(noise.sum()))
-    seq[noise] = jumps.astype(np.uint64)
-    seq *= np.uint64(INSTR_BYTES)
-    seq += np.uint64(base)
-    return seq
+    return next(_loop_chunks(n, n, footprint_lines, branch_noise, base, seed))
 
 
 def working_set_shift(
@@ -303,6 +300,26 @@ def _emit_chunks(segments: Iterator[AddressArray],
         yield buf[0] if len(buf) == 1 else np.concatenate(buf)
 
 
+def _loop_chunks(n: int, step: int, footprint_lines: int,
+                 branch_noise: float, base: int,
+                 seed: int) -> Iterator[AddressArray]:
+    """The body of :func:`looping_code` and :func:`looping_code_chunks`:
+    validated parameters, ``step`` accesses per chunk."""
+    span = footprint_lines * (LINE_BYTES // INSTR_BYTES)
+    rng_jump = _rng(seed)
+    rng_jump.bit_generator.advance(int(n))  # past the n noise uniforms
+    rng_noise = _rng(seed)
+    for start in range(0, n, step):
+        k = min(step, n - start)
+        seq = _loop_addresses(start, k, span, base)
+        at = np.flatnonzero(rng_noise.random(k) < branch_noise)
+        jumps = rng_jump.integers(0, span, size=len(at)).astype(np.uint64)
+        jumps *= np.uint64(INSTR_BYTES)
+        jumps += np.uint64(base)
+        seq[at] = jumps
+        yield seq
+
+
 def looping_code_chunks(
     n: int,
     footprint_lines: int = 4096,
@@ -326,21 +343,8 @@ def looping_code_chunks(
     """
     _check_params(n=n, footprint_lines=footprint_lines,
                   branch_noise=branch_noise, base=base)
-    step = _chunk_step(chunk_bytes)
-    instrs_per_line = LINE_BYTES // INSTR_BYTES
-    span = footprint_lines * instrs_per_line
-    rng_jump = _rng(seed)
-    rng_jump.bit_generator.advance(n)  # past the n noise uniforms
-    rng_noise = _rng(seed)
-    for start in range(0, n, step):
-        k = min(step, n - start)
-        seq = _loop_offsets(start, k, span)
-        noise = rng_noise.random(k) < branch_noise
-        jumps = rng_jump.integers(0, span, size=int(noise.sum()))
-        seq[noise] = jumps.astype(np.uint64)
-        seq *= np.uint64(INSTR_BYTES)
-        seq += np.uint64(base)
-        yield seq
+    yield from _loop_chunks(n, _chunk_step(chunk_bytes), footprint_lines,
+                            branch_noise, base, seed)
 
 
 def working_set_shift_chunks(
@@ -606,8 +610,12 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
     what it has left and drops out.  While a set of cores is active, the
     ``R`` full rounds they can all supply form one ``(R, sum(w))`` block
     of the output, and each core's ``R * w_i`` accesses go into its
-    column slice; then one partial round is written, which drops at
-    least one core.  So the loop runs at most once per core.
+    columns; then one partial round is written, which drops at least
+    one core.  So the loop runs at most once per core.  A core's
+    columns are written one at a time (column ``j`` takes every
+    ``w_i``-th access from ``j``), a strided copy per column, while
+    ``w_i`` is at most ``R``; a wider core's rows are long enough to
+    copy as one 2-D block.
     """
     counts = [len(part) for part in parts]
     total = sum(counts)
@@ -622,13 +630,18 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
         if rounds:
             end = pos + rounds * sum(widths)
             block = addresses[pos:end].reshape(rounds, -1)
+            ids = core_ids[pos:end].reshape(rounds, -1)
             col = 0
             for i, w in zip(active, widths):
-                lo = rounds_done * w
-                block[:, col:col + w] = parts[i][lo:lo + rounds * w].reshape(
-                    rounds, w)
+                src = parts[i][rounds_done * w:(rounds_done + rounds) * w]
+                if w <= rounds:
+                    for j in range(w):
+                        block[:, col + j] = src[j::w]
+                        ids[:, col + j] = i
+                else:
+                    block[:, col:col + w] = src.reshape(rounds, w)
+                    ids[:, col:col + w] = i
                 col += w
-            core_ids[pos:end].reshape(rounds, -1)[:] = np.repeat(active, widths)
             pos = end
             rounds_done += rounds
         still_active = []

@@ -4,6 +4,8 @@ L2 hit vectors, and per-level counts — for every policy, trace family,
 and seed, and EMISSARY's HP decisions must be driven by measured L1I
 miss counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,111 @@ def test_multicore_core_id_validation():
     with pytest.raises(TypeError, match="integers"):
         engine.run_multicore(addresses, np.array([0.2, 1.9, 0.0, 1.0]),
                              PolicySpec("lru"))
+
+
+@pytest.mark.parametrize("num_cores", [2, 6])  # both per-core count rules
+@pytest.mark.parametrize("bad_id, exc, match", [
+    (-1, ValueError, "negative"),
+    ("at", ValueError, "num_cores"),
+    ("above", ValueError, "num_cores"),
+    ("float", TypeError, "integers"),
+])
+def test_multicore_stream_checks_later_chunks(num_cores, bad_id, exc, match):
+    """A streamed run's second chunk goes through the same core-id check
+    as the first, and a bad id there fails the run."""
+    addresses = MIX_ADDRESSES[:8]
+    good = np.arange(8, dtype=np.int64) % num_cores
+    bad = good[4:].copy()
+    if bad_id == "float":
+        bad = bad.astype(np.float64)
+    else:
+        bad[1] = {"at": num_cores, "above": num_cores + 5}.get(bad_id, bad_id)
+    chunks = [(addresses[:4], good[:4]), (addresses[4:], bad)]
+    with pytest.raises(exc, match=match):
+        BatchedHierarchyEngine(CONFIG).simulate_stream_multicore(
+            iter(chunks), PolicySpec("lru"), num_cores=num_cores)
+
+
+def test_multicore_counts_cores_under_both_rules():
+    """Per-core access counts agree whichever count rule the core count
+    picks (and with a direct tally)."""
+    ids = np.arange(300, dtype=np.int64) % 6
+    addresses = MIX_ADDRESSES[:300]
+    for num_cores in (6, 7):
+        result = BatchedHierarchyEngine(CONFIG).run_multicore(
+            addresses, ids, PolicySpec("lru"), num_cores=num_cores)
+        assert [row["n"] for row in result.per_core] == (
+            np.bincount(ids, minlength=num_cores).tolist())
+    narrow = BatchedHierarchyEngine(CONFIG).run_multicore(
+        addresses, ids % 3, PolicySpec("lru"))
+    assert [row["n"] for row in narrow.per_core] == [100, 100, 100]
+
+
+#: Line ``2**58 - 1``: needs 58 bits, one more than a 2-core virtual
+#: line leaves below its core bit (64 - 6 offset bits - 1 core bit).
+_WIDE = np.uint64(0xFFFF_FFFF_FFFF_FFC0)
+#: Line ``2**57 - 1``, the widest that still fits.
+_WIDEST_FIT = np.uint64(0x7FFF_FFFF_FFFF_FFC0)
+
+
+def test_multicore_line_headroom():
+    """Lines too wide to leave room for the core bits fail, one-shot
+    (core count given or inferred) and streamed; the widest line that
+    fits runs, and one core needs no headroom."""
+    addresses = np.array([0x400000, 0x400040, _WIDE, 0x400080],
+                         dtype=np.uint64)
+    ids = np.array([0, 1, 0, 1], dtype=np.int64)
+    engine = BatchedHierarchyEngine(CONFIG)
+    spec = PolicySpec("lru")
+    match = "need more than 57 bits; no headroom for 1 core bits"
+    with pytest.raises(ValueError, match=match):
+        engine.run_multicore(addresses, ids, spec, num_cores=2)
+    with pytest.raises(ValueError, match=match):
+        engine.run_multicore(addresses, ids, spec)
+    with pytest.raises(ValueError, match=match):
+        engine.simulate_stream_multicore(
+            [(addresses[:2], ids[:2]), (addresses[2:], ids[2:])], spec,
+            num_cores=2)
+    fits = addresses.copy()
+    fits[2] = _WIDEST_FIT
+    result = engine.run_multicore(fits, ids, spec, num_cores=2)
+    assert result.l1.miss_count == 4
+    assert engine.run(addresses, spec).l1.miss_count == 4
+    assert engine.run_multicore(addresses, np.zeros(4, dtype=np.int64), spec,
+                                num_cores=1).l1.miss_count == 4
+
+
+def test_multicore_peak_memory_bounded_by_trace_buffers():
+    """Deterministic memory guard for the N-core path (tracemalloc peak
+    of ``run_multicore`` above its inputs, ~120k two-core accesses).
+
+    At its peak, inside the L1 stage's lag fold, the path holds the
+    core-virtualized line buffer (8 B per access) and, per trace-order
+    edge of that line stream, its position and its line (8 B each) plus
+    the lag fold's set key, masks and kept positions (under 8 B), with
+    the kernels' state below 512 KiB.  A path that also keeps the
+    virtual byte addresses alive through the L1 feed needs another 8 B
+    per access, past this bound."""
+    bench_hier = HierarchyConfig(l1=CacheConfig(num_sets=64, ways=8),
+                                 l2=CacheConfig(num_sets=1024, ways=8))
+    trace = InterleaveSpec(cores=(
+        TraceSpec("loop", 80_000, 11, {"footprint_lines": 12288}),
+        TraceSpec("call", 40_000, 12)), weights=(2, 1))
+    addresses, core_ids = trace.generate()
+    vlines = (addresses >> np.uint64(6)) << np.uint64(1)
+    vlines |= core_ids.view(np.uint64)
+    edges = 1 + int(np.count_nonzero(vlines[1:] != vlines[:-1]))
+    del vlines
+    bound = 8 * len(addresses) + 3 * 8 * edges + (512 << 10)
+    engine = BatchedHierarchyEngine(bench_hier)
+    spec = PolicySpec("emissary", {"min_l1_misses": 2})
+    engine.run_multicore(addresses[:1000], core_ids[:1000], spec, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine.run_multicore(addresses, core_ids, spec, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
+                           f"{bound / 2**20:.2f} MiB bound")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from emissary.api import PolicySpec
+from emissary.compiled import CompiledUnavailableError, get_kernels
 from emissary.engine import BatchedEngine, CacheConfig
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                 MissCountTable)
@@ -25,6 +26,12 @@ HIER = HierarchyConfig(l1=CacheConfig(num_sets=16, ways=2),
 CHUNK_SIZES = (7, 997, 10**9)
 N = 20_000
 SEED = 11
+
+try:
+    get_kernels()
+    COMPILED_AVAILABLE = True
+except CompiledUnavailableError:
+    COMPILED_AVAILABLE = False
 
 
 def _spec(policy):
@@ -331,3 +338,44 @@ def test_mismatched_cost_length_rejected():
     with pytest.raises(ValueError, match="cost"):
         stream.feed(np.full(4, np.uint64(0x400000)),
                     cost=np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("compiled", marks=[
+        pytest.mark.needs_compiled,
+        pytest.mark.skipif(not COMPILED_AVAILABLE,
+                           reason="no compiled kernel provider available")]),
+])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_feed_lines_matches_feed_addresses(policy, backend):
+    """The line entry is the body ``feed(addresses)`` runs after its
+    decode: per chunk the same hits, miss lines and miss cores, and at
+    the end the same policy stats and ``engine.*`` counters."""
+    addresses = _trace()
+    rng = np.random.default_rng(SEED)
+    cost = rng.integers(0, 5, size=len(addresses)).astype(np.int64)
+    core = rng.integers(0, 2, size=len(addresses)).astype(np.int64)
+    lines = addresses >> np.uint64(CONFIG.offset_bits)
+    results, counters = [], []
+    for feed_lines in (False, True):
+        tel = Telemetry()
+        stream = BatchedEngine(CONFIG, telemetry=tel, kernel_backend=backend,
+                               num_cores=2).stream(_spec(policy), seed=SEED)
+        feed = stream.feed_lines if feed_lines else stream.feed
+        source = lines if feed_lines else addresses
+        outcomes = []
+        for sl in (slice(i, i + 997) for i in range(0, N, 997)):
+            hits, miss_lines = feed(source[sl], cost=cost[sl], core=core[sl])
+            outcomes.append((hits, miss_lines, stream.last_miss_cores))
+        results.append((outcomes, stream.finish()))
+        counters.append({k: v for k, v in tel.to_dict()["counters"].items()
+                         if k.startswith("engine.")})
+    (by_address, address_result), (by_line, line_result) = results
+    for got, want in zip(by_line, by_address):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    assert np.array_equal(line_result.hits, address_result.hits)
+    assert line_result.policy_stats == address_result.policy_stats
+    assert counters[1] == counters[0]
+    assert counters[0]["engine.accesses"] == N
