@@ -610,12 +610,8 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
     what it has left and drops out.  While a set of cores is active, the
     ``R`` full rounds they can all supply form one ``(R, sum(w))`` block
     of the output, and each core's ``R * w_i`` accesses go into its
-    columns; then one partial round is written, which drops at least
-    one core.  So the loop runs at most once per core.  A core's
-    columns are written one at a time (column ``j`` takes every
-    ``w_i``-th access from ``j``), a strided copy per column, while
-    ``w_i`` is at most ``R``; a wider core's rows are long enough to
-    copy as one 2-D block.
+    column slice; then one partial round is written, which drops at
+    least one core.  So the loop runs at most once per core.
     """
     counts = [len(part) for part in parts]
     total = sum(counts)
@@ -633,14 +629,10 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
             ids = core_ids[pos:end].reshape(rounds, -1)
             col = 0
             for i, w in zip(active, widths):
-                src = parts[i][rounds_done * w:(rounds_done + rounds) * w]
-                if w <= rounds:
-                    for j in range(w):
-                        block[:, col + j] = src[j::w]
-                        ids[:, col + j] = i
-                else:
-                    block[:, col:col + w] = src.reshape(rounds, w)
-                    ids[:, col:col + w] = i
+                lo = rounds_done * w
+                block[:, col:col + w] = parts[i][lo:lo + rounds * w].reshape(
+                    rounds, w)
+                ids[:, col:col + w] = i
                 col += w
             pos = end
             rounds_done += rounds
