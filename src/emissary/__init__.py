@@ -31,8 +31,7 @@ from emissary.api import BACKENDS, PolicySpec, SimRequest, simulate
 from emissary.compiled import CompiledUnavailableError
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine, SimResult
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
-                                HierarchyReferenceEngine, HierarchyResult,
-                                simulate_hierarchy)
+                                HierarchyReferenceEngine, HierarchyResult)
 from emissary.telemetry import TELEMETRY_SCHEMA_VERSION, Telemetry
 from emissary.wire import WIRE_SCHEMA_VERSION
 
@@ -57,6 +56,5 @@ __all__ = [
     "Telemetry",
     "WIRE_SCHEMA_VERSION",
     "simulate",
-    "simulate_hierarchy",
     "__version__",
 ]

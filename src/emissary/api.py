@@ -274,10 +274,13 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     instead of one array.  For a request whose trace is file-backed
     (``kind="file"``) the file is read incrementally, and synthetic
     traces are *generated* chunk-by-chunk
-    (:meth:`~emissary.traces.TraceSpec.generate_chunks`), so peak memory
-    is bounded by the chunk budget rather than the trace size either
-    way.  Outcomes are bit-identical to the one-shot path.  Streaming
-    requires a batched-engine backend (``"batched"`` or ``"compiled"``).
+    (:meth:`~emissary.traces.TraceSpec.generate_chunks`), so the trace
+    itself is held one chunk at a time either way.  The kept hit vectors
+    still grow by one byte per access per level: peak memory is the
+    chunk budget plus those bytes, not the trace's 8 B per access.
+    Outcomes are bit-identical to the one-shot path, which is the same
+    engine stream fed a single chunk.  Streaming requires a
+    batched-engine backend (``"batched"`` or ``"compiled"``).
 
     ``telemetry=True`` (or a request with ``telemetry=True``) enables
     the instrumentation layer: the returned result's ``telemetry``

@@ -3,7 +3,7 @@
 Two engines with bit-identical outcomes:
 
 :class:`BatchedEngine` (the hot path)
-    Decodes the whole trace once into NumPy line vectors, folds MRU
+    Decodes each chunk of the trace into NumPy line vectors, folds MRU
     repeats at two levels (see below), stable-sorts the survivors by set,
     and hands the sorted batch to the policy kernel in one ``run_sets``
     call with each non-empty set's range.  The ``run_sets`` protocol
@@ -24,24 +24,25 @@ Two engines with bit-identical outcomes:
     decided before the sort (the lag fold), so the sort never sees them.
 
 :class:`ReferenceEngine` (the oracle)
-    The straightforward implementation: one Python iteration per access,
-    decoding the address and calling zsim-style policy methods.  It
-    exists to validate the batched engine (the equivalence test suite
-    compares full hit/miss sequences) and to anchor the benchmark's
-    speedup figure.
+    The straightforward implementation: one Python step per access
+    through :class:`_NaiveLevel`, the tag lookup and zsim-style policy
+    calls the hierarchy oracle also walks.  It exists to validate the
+    batched engine (the equivalence test suite compares full hit/miss
+    sequences) and to anchor the benchmark's speedup figure.
 
-Randomness: the engine pre-generates one uniform per trace access from a
-single ``numpy.random.Generator`` seeded once per run.  Policies index
-it by global access position, so RNG consumption is identical no matter
-the execution order.
-
-Streaming: :meth:`BatchedEngine.simulate_stream` (and the incremental
-:class:`EngineStream` behind it) accepts the trace as a sequence of
+One path: every batched run goes through the incremental
+:class:`EngineStream`, which accepts the trace as a sequence of
 ``uint64`` address chunks — e.g. a :class:`~emissary.trace_io.
 TraceSource` reading a multi-GB file under a memory budget — and carries
 all replacement state, the RNG stream, and the MRU run collapsing across
-chunk boundaries, producing hit vectors and stats bit-identical to the
-one-shot :meth:`BatchedEngine.run` path.
+chunk boundaries.  A one-shot :meth:`BatchedEngine.run` is a stream of
+one chunk; :meth:`BatchedEngine.simulate_stream` feeds many.
+
+Randomness: each chunk draws one uniform per access from a single
+``numpy.random.Generator`` seeded once per run.  Draws are positional,
+so the sequence is the same however the trace is chunked, and policies
+index it by global access position, so RNG consumption is identical no
+matter the execution order.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import time
 import warnings
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, TypeVar, overload
 
 import numpy as np
@@ -64,7 +66,7 @@ from emissary.compiled import (
     make_compiled_kernel,
 )
 from emissary.policies import make_kernel, make_naive, policy_needs_rng
-from emissary.policies.base import PolicyKernel
+from emissary.policies.base import NaivePolicy, PolicyKernel
 from emissary.telemetry import Telemetry, null_span, span_factory
 from emissary.traces import AddressArray
 
@@ -242,22 +244,6 @@ class SimResult:
         )
 
 
-def decode_trace(addresses: AddressArray,
-                 config: CacheConfig) -> tuple[IndexArray, IndexArray]:
-    """Vectorized address -> (tag, set index) decode for the whole trace."""
-    addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-    lines = addrs >> np.uint64(config.offset_bits)
-    set_idx = (lines & np.uint64(config.num_sets - 1)).astype(np.int64)
-    tags = (lines >> np.uint64(config.set_bits)).astype(np.int64)
-    return tags, set_idx
-
-
-def _uniforms(n: int, policy: str, seed: int) -> UniformArray | None:
-    if not policy_needs_rng(policy):
-        return None
-    return np.random.default_rng(seed).random(n)
-
-
 def _run_flags(kernel: "PolicyKernel | CompiledKernel", with_extra: bool,
                lengths: IndexArray | None,
                m: int) -> tuple[BoolArray | None, IndexArray | None]:
@@ -394,16 +380,16 @@ class _Batch:
 
 def _collapse(lines: AddressArray, u: UniformArray | None,
               cost: IndexArray | None, core: IndexArray | None,
-              pending: _Pending | None, hold_last: bool, want_lengths: bool,
+              pending: _Pending | None, want_lengths: bool,
               num_sets: int, num_cores: int
-              ) -> tuple[_Batch | None, _Pending | None]:
-    """The trace-order collapse of one chunk (or a whole trace).
+              ) -> tuple[_Batch | None, _Pending]:
+    """The trace-order collapse of one chunk.
 
     Keeps each MRU run's first access, preceded by the carried run
-    ``pending`` (resolved as soon as a different line arrives).  With
-    ``hold_last`` the chunk's trailing run is returned as the new carry
-    instead of resolved; the batch is None when the whole chunk
-    continues the carried run.  With ``num_cores > 1`` the
+    ``pending`` (resolved as soon as a different line arrives).  The
+    chunk's trailing run is returned as the new carry instead of
+    resolved; the batch is None when the whole chunk continues the
+    carried run.  With ``num_cores > 1`` the
     :func:`_lag_fold` then drops the interleaved cores' MRU re-touches
     among the resolved edges (never across a dispatch: the carry is a
     single lag-1 run)."""
@@ -423,20 +409,15 @@ def _collapse(lines: AddressArray, u: UniformArray | None,
     del edge_mask
     if k:
         edges += k
-    # Run lengths; with ``hold_last`` the trailing run is not resolved.
-    lengths: IndexArray | None = None
-    if want_lengths:
-        lengths = np.diff(edges) if hold_last else np.diff(edges, append=n)
-    bound = n
-    carry: _Pending | None = None
-    if hold_last:
-        bound = int(edges[-1])
-        carry = (int(lines[bound]),
-                 float(u[bound]) if u is not None else None,
-                 int(cost[bound]) if cost is not None else None,
-                 int(core[bound]) if core is not None else None,
-                 n - bound)
-        edges = edges[:-1]
+    # Run lengths of the resolved runs (the trailing one is carried).
+    lengths: IndexArray | None = np.diff(edges) if want_lengths else None
+    bound = int(edges[-1])
+    carry = (int(lines[bound]),
+             float(u[bound]) if u is not None else None,
+             int(cost[bound]) if cost is not None else None,
+             int(core[bound]) if core is not None else None,
+             n - bound)
+    edges = edges[:-1]
     edge_lines = lines[edges]
     starts = edges
     if pending is not None:
@@ -565,9 +546,8 @@ class BatchedEngine:
     A kernel access gets its run's total length, plus those of the
     accesses folded into it (SRRIP's repeat flag, telemetry's folded
     hits).  The compiled backend skips steps 3 and 4;
-    ``collapse_runs=False`` skips steps 1, 2 and 4.  One helper,
-    :func:`_collapse`, does steps 1 and 2 for :meth:`run` and
-    :meth:`EngineStream.feed`.
+    ``collapse_runs=False`` skips steps 1, 2 and 4.  Every run goes
+    through :class:`EngineStream`; :meth:`run` feeds it one chunk.
     """
 
     def __init__(self, config: CacheConfig | None = None,
@@ -602,84 +582,11 @@ class BatchedEngine:
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True, cost: IndexArray | None = None,
             core: IndexArray | None = None) -> SimResult:
+        """Run ``policy`` over an in-memory trace: a stream of one chunk."""
         spec = require_policy_spec(policy, caller="BatchedEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        n = len(addresses)
-        start = time.perf_counter()
-        with span("decode"):
-            addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-            lines = addrs >> np.uint64(config.offset_bits)
-            del addrs
-            u = _uniforms(n, spec.name, seed)
-
-        kernel = _make_engine_kernel(spec, config, self.kernel_backend,
-                                     self.compiled_provider,
-                                     num_cores=self.num_cores)
-        if tel is not None:
-            kernel.attach_telemetry(tel)
-        if self.sanitizer is not None:
-            # After attach_telemetry, so the wrapper sees the bound loop.
-            self.sanitizer.attach_kernel(kernel)
-        if cost is not None:
-            if len(cost) != n:
-                raise ValueError(f"cost has {len(cost)} entries for {n} accesses")
-            if not kernel.consumes_cost:
-                cost = None  # cost-blind policy: skip the slicing work
-            else:
-                cost = np.ascontiguousarray(cost, dtype=np.int64)
-        if core is not None:
-            if len(core) != n:
-                raise ValueError(f"core has {len(core)} entries for {n} accesses")
-            if not getattr(kernel, "consumes_core", False):
-                core = None  # core-blind policy: skip the slicing work
-            else:
-                core = np.ascontiguousarray(core, dtype=np.int64)
-
-        with span("run_collapse"):
-            if self.collapse_runs and n > 1:
-                batch, _ = _collapse(
-                    lines, u, cost, core, None, hold_last=False,
-                    want_lengths=kernel.needs_repeat_flags or tel is not None,
-                    num_sets=config.num_sets, num_cores=self.num_cores)
-                assert batch is not None
-            else:
-                batch = _Batch(lines, u, cost, core, None, None, n, n)
-            del lines, u, cost, core
-        m = batch.edges
-
-        work_hits, k = _dispatch(kernel, config, batch.lines, batch.u,
-                                 batch.cost, batch.core, batch.lengths,
-                                 fold=self.collapse_runs,
-                                 with_extra=tel is not None, span=span)
-        if batch.starts is None:
-            hits = work_hits
-        else:
-            hits = np.ones(n, dtype=bool)  # collapsed accesses are always hits
-            hits[batch.starts] = work_hits
-        elapsed = time.perf_counter() - start
-        hit_count = int(hits.sum())
-        if tel is not None:
-            kernel.telemetry_finalize()
-            tel.inc("engine.accesses", n)
-            tel.inc("engine.edge_accesses", m)  # after trace-order collapse
-            tel.inc("engine.kernel_accesses", k)  # after every fold
-            tel.inc("engine.collapsed_hits", n - m)
-            tel.inc("hits", hit_count)
-            tel.inc("misses", n - hit_count)
-            if self.sanitizer is not None:
-                self.sanitizer.check_counters(tel, n, hit_count)
-        return SimResult(
-            policy=spec.name,
-            n=n,
-            hit_count=hit_count,
-            miss_count=n - hit_count,
-            elapsed_s=elapsed,
-            hits=hits if keep_hits else None,
-            policy_stats=kernel.extra_stats(),
-            telemetry=tel.to_dict() if tel is not None else None,
-        )
+        stream = EngineStream(self, spec, seed=seed, keep_hits=keep_hits)
+        stream.feed(addresses, cost=cost, core=core)
+        return stream.finish()
 
     def stream(self, policy: PolicySpec, seed: int = 0,
                keep_hits: bool = True) -> "EngineStream":
@@ -712,14 +619,17 @@ class BatchedEngine:
 
 
 class EngineStream:
-    """Incremental counterpart of :meth:`BatchedEngine.run`.
+    """The batched engine's one execution path (a one-shot
+    :meth:`BatchedEngine.run` feeds it a single chunk).
 
     Feed ``uint64`` address chunks in trace order with :meth:`feed` (or
     chunks already decoded to lines with :meth:`feed_lines`); all
     replacement state (per-set kernel state, the RNG stream, MRU run
     collapsing) carries across chunk boundaries, so the assembled result
-    is bit-identical to running the concatenated trace in one shot —
-    while only one chunk (plus O(1) carried state) is resident at a time.
+    is bit-identical however the trace is cut — while only one chunk
+    (plus O(1) carried state) is resident at a time.  The kept hit
+    vector (``keep_hits``) is the exception: it grows by one byte per
+    resolved access.
 
     The subtlety is run collapsing at chunk boundaries: an access's
     repeat flag (a fill immediately re-referenced — SRRIP inserts it at
@@ -855,7 +765,7 @@ class EngineStream:
             # one-shot run is a single chunk holding the whole trace.
             with span("run_collapse"):
                 batch, self._pending = _collapse(
-                    lines, u, cost, core, self._pending, hold_last=True,
+                    lines, u, cost, core, self._pending,
                     want_lengths=(self.kernel.needs_repeat_flags
                                   or self.telemetry is not None),
                     num_sets=self.config.num_sets,
@@ -866,8 +776,8 @@ class EngineStream:
             return self._dispatch(batch)
 
     def _dispatch(self, batch: _Batch) -> tuple[BoolArray, AddressArray]:
-        """Run a batch's kept accesses through the kernel (exactly like
-        the one-shot path) and expand outcomes back to per-access hits."""
+        """Run a batch's kept accesses through the kernel and expand
+        outcomes back to per-access hits."""
         if len(batch.lines) == 0:
             if batch.core is not None:
                 self.last_miss_cores = np.zeros(0, dtype=np.int64)
@@ -951,15 +861,87 @@ class EngineStream:
         )
 
 
+class _NaiveLevel:
+    """One cache level of the per-access oracle: tag lookup, then
+    fill/victim selection through a naive policy, plus the generic
+    per-(set, way) line-lifetime accounting when instrumented (the
+    names the instrumented batched kernels produce)."""
+
+    def __init__(self, impl: NaivePolicy, config: CacheConfig,
+                 tel: Telemetry | None, prefix: str) -> None:
+        self.impl = impl
+        self.ways = config.ways
+        self.set_mask = config.num_sets - 1
+        self.set_bits = config.set_bits
+        self.tags: list[list[int | None]] = [
+            [None] * config.ways for _ in range(config.num_sets)]
+        self.tel = tel
+        self.prefix = prefix
+        #: Hits since fill per (set, way); only kept when instrumented.
+        self.line_hits = ([0] * (config.num_sets * config.ways)
+                          if tel is not None else [])
+        self.fills = self.evictions = self.dead = 0
+
+    def access(self, line: int, pos: int, u: float = 0.0,
+               cost: int | None = None, core: int | None = None) -> bool:
+        """Look ``line`` up at access position ``pos``; fill on a miss.
+        Returns whether it hit."""
+        s = line & self.set_mask
+        tag = line >> self.set_bits
+        set_tags = self.tags[s]
+        impl = self.impl
+        tel = self.tel
+        line_hits = self.line_hits
+        if tag in set_tags:
+            way = set_tags.index(tag)
+            impl.on_hit(s, way, pos)
+            if tel is not None:
+                line_hits[s * self.ways + way] += 1
+            return True
+        if None in set_tags:
+            way = set_tags.index(None)
+        else:
+            way = impl.find_victim(s, u)
+            impl.replaced(s, way)
+            if tel is not None:
+                victim_hits = line_hits[s * self.ways + way]
+                tel.observe(self.prefix + "line_hits", victim_hits)
+                self.evictions += 1
+                if victim_hits == 0:
+                    self.dead += 1
+        set_tags[way] = tag
+        impl.on_fill(s, way, pos, u, cost, core)
+        if tel is not None:
+            line_hits[s * self.ways + way] = 0
+            self.fills += 1
+        return False
+
+
+def _record_levels(tel: Telemetry, levels: list[_NaiveLevel]) -> None:
+    """Lifetime counters of one level's instances (the N private L1Is
+    count as one level), plus the resident lines' hit histogram."""
+    prefix = levels[0].prefix
+    tel.inc(prefix + "fills", sum(level.fills for level in levels))
+    tel.inc(prefix + "evictions", sum(level.evictions for level in levels))
+    tel.inc(prefix + "dead_on_fill", sum(level.dead for level in levels))
+    for level in levels:
+        for s, set_tags in enumerate(level.tags):
+            for w, tag in enumerate(set_tags):
+                if tag is not None:
+                    tel.observe(prefix + "resident_line_hits",
+                                level.line_hits[s * level.ways + w])
+
+
 class ReferenceEngine:
     """Naive per-access reference implementation (one Python step per access).
 
-    With a :class:`~emissary.telemetry.Telemetry` attached, the engine
-    does the generic line-lifetime accounting itself (it resolves tags
-    and victims), and the naive policy contributes its policy-specific
-    counters via ``telemetry_finalize`` — producing the same counter and
-    histogram names as the instrumented batched kernels, which the
-    telemetry test suite compares across engines.
+    One :class:`_NaiveLevel` walk, the same the hierarchy oracle steps
+    per level.  With a :class:`~emissary.telemetry.Telemetry` attached,
+    the level does the generic line-lifetime accounting (it resolves
+    tags and victims), and the naive policy contributes its
+    policy-specific counters via ``telemetry_finalize`` — producing the
+    same counter and histogram names as the instrumented batched
+    kernels, which the telemetry test suite compares across engines.
     """
 
     def __init__(self, config: CacheConfig | None = None,
@@ -978,88 +960,38 @@ class ReferenceEngine:
         config = self.config
         tel = self.telemetry
         n = len(addresses)
-        num_sets, ways = config.num_sets, config.ways
-        offset_bits, set_bits = config.offset_bits, config.set_bits
-        set_mask = num_sets - 1
         if cost is not None and len(cost) != n:
             raise ValueError(f"cost has {len(cost)} entries for {n} accesses")
         if core is not None and len(core) != n:
             raise ValueError(f"core has {len(core)} entries for {n} accesses")
 
         start = time.perf_counter()
-        u_arr = _uniforms(n, spec.name, seed)
-        u_list = u_arr.tolist() if u_arr is not None else None
-        cost_list = (np.asarray(cost, dtype=np.int64).tolist()
-                     if cost is not None else None)
-        core_list = (np.asarray(core, dtype=np.int64).tolist()
-                     if core is not None else None)
         extra = {"num_cores": self.num_cores} if spec.name == "emissary" else {}
-        impl = make_naive(spec.name, num_sets, ways, **spec.params, **extra)
+        level = _NaiveLevel(make_naive(spec.name, config.num_sets, config.ways,
+                                       **spec.params, **extra),
+                            config, tel, prefix="")
         if self.sanitizer is not None:
-            self.sanitizer.attach_naive(impl)
-        tag_table = [[None] * ways for _ in range(num_sets)]
-        hits = np.empty(n, dtype=bool)
-        # Per-(set, way) hits-since-fill; only maintained when instrumented.
-        track = tel is not None
-        line_hits = [0] * (num_sets * ways) if track else None
-        fills = evictions = dead = 0
-        span = span_factory(tel)
-
-        with span("naive_loop"):
-            for i, addr in enumerate(addresses.tolist()):
-                line = addr >> offset_bits
-                s = line & set_mask
-                tag = line >> set_bits
-                u_i = u_list[i] if u_list is not None else 0.0
-                set_tags = tag_table[s]
-                way = -1
-                for w in range(ways):
-                    if set_tags[w] == tag:
-                        way = w
-                        break
-                if way >= 0:
-                    impl.on_hit(s, way, i)
-                    if track:
-                        line_hits[s * ways + way] += 1
-                    hits[i] = True
-                    continue
-                for w in range(ways):
-                    if set_tags[w] is None:
-                        way = w
-                        break
-                else:
-                    way = impl.find_victim(s, u_i)
-                    impl.replaced(s, way)
-                    if track:
-                        victim_hits = line_hits[s * ways + way]
-                        tel.observe("line_hits", victim_hits)
-                        evictions += 1
-                        if victim_hits == 0:
-                            dead += 1
-                set_tags[way] = tag
-                impl.on_fill(s, way, i, u_i,
-                             cost_list[i] if cost_list is not None else None,
-                             core_list[i] if core_list is not None else None)
-                if track:
-                    line_hits[s * ways + way] = 0
-                    fills += 1
-                hits[i] = False
+            self.sanitizer.attach_naive(level.impl)
+        offset_bits = config.offset_bits
+        lines = (addr >> offset_bits for addr in addresses.tolist())
+        u = (np.random.default_rng(seed).random(n).tolist()
+             if policy_needs_rng(spec.name) else repeat(0.0))
+        costs = (np.asarray(cost, dtype=np.int64).tolist()
+                 if cost is not None else repeat(None))
+        cores = (np.asarray(core, dtype=np.int64).tolist()
+                 if core is not None else repeat(None))
+        with span_factory(tel)("naive_loop"):
+            hits = np.fromiter(map(level.access, lines, range(n), u, costs,
+                                   cores), dtype=bool, count=n)
 
         elapsed = time.perf_counter() - start
         hit_count = int(hits.sum())
-        if track:
-            tel.inc("fills", fills)
-            tel.inc("evictions", evictions)
-            tel.inc("dead_on_fill", dead)
+        if tel is not None:
+            _record_levels(tel, [level])
             tel.inc("hits", hit_count)
             tel.inc("misses", n - hit_count)
             tel.inc("engine.accesses", n)
-            for s in range(num_sets):
-                set_tags = tag_table[s]
-                for w in range(ways):
-                    if set_tags[w] is not None:
-                        tel.observe("resident_line_hits", line_hits[s * ways + w])
-            impl.telemetry_finalize(tel)
+            level.impl.telemetry_finalize(tel)
             if self.sanitizer is not None:
                 self.sanitizer.check_counters(tel, n, hit_count)
         return SimResult(
@@ -1069,25 +1001,6 @@ class ReferenceEngine:
             miss_count=n - hit_count,
             elapsed_s=elapsed,
             hits=hits if keep_hits else None,
-            policy_stats=impl.extra_stats(),
+            policy_stats=level.impl.extra_stats(),
             telemetry=tel.to_dict() if tel is not None else None,
         )
-
-
-def simulate(addresses: AddressArray, policy: PolicySpec,
-             config: CacheConfig | None = None, seed: int = 0,
-             engine: str = "batched") -> SimResult:
-    """Array-level convenience wrapper: run ``policy`` over ``addresses``.
-
-    For spec-described traces (and two-level hierarchies) prefer
-    :func:`emissary.api.simulate` with a :class:`~emissary.api.SimRequest`.
-    """
-    if engine == "batched":
-        return BatchedEngine(config).run(addresses, policy, seed=seed)
-    if engine == "compiled":
-        return BatchedEngine(config, kernel_backend="compiled").run(
-            addresses, policy, seed=seed)
-    if engine == "reference":
-        return ReferenceEngine(config).run(addresses, policy, seed=seed)
-    raise ValueError(f"unknown engine {engine!r} "
-                     "(expected 'batched', 'compiled', or 'reference')")

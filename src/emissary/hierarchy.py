@@ -43,9 +43,10 @@ import numpy as np
 from emissary.api import PolicySpec, require_policy_spec
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
-from emissary.engine import BatchedEngine, CacheConfig, IndexArray, SimResult
+from emissary.engine import (BatchedEngine, CacheConfig, IndexArray, SimResult,
+                             _NaiveLevel, _record_levels)
 from emissary.policies import make_naive, policy_needs_rng
-from emissary.policies.base import NaivePolicy, stable_argsort
+from emissary.policies.base import stable_argsort
 from emissary.telemetry import Telemetry, span_factory
 from emissary.traces import MAX_CORES, AddressArray, CoreIdArray
 
@@ -652,77 +653,6 @@ class BatchedHierarchyEngine:
                                  tel, by_core)
 
 
-class _NaiveLevel:
-    """One cache level of the per-access oracle: tag lookup, then
-    fill/victim selection through a naive policy, plus the generic
-    per-(set, way) line-lifetime accounting when instrumented (the
-    names the instrumented batched kernels produce)."""
-
-    def __init__(self, impl: NaivePolicy, config: CacheConfig,
-                 tel: Telemetry | None, prefix: str) -> None:
-        self.impl = impl
-        self.ways = config.ways
-        self.set_mask = config.num_sets - 1
-        self.set_bits = config.set_bits
-        self.tags: list[list[int | None]] = [
-            [None] * config.ways for _ in range(config.num_sets)]
-        self.tel = tel
-        self.prefix = prefix
-        #: Hits since fill per (set, way); only kept when instrumented.
-        self.line_hits = ([0] * (config.num_sets * config.ways)
-                          if tel is not None else [])
-        self.fills = self.evictions = self.dead = 0
-
-    def access(self, line: int, pos: int, u: float = 0.0,
-               cost: int | None = None, core: int | None = None) -> bool:
-        """Look ``line`` up at access position ``pos``; fill on a miss.
-        Returns whether it hit."""
-        s = line & self.set_mask
-        tag = line >> self.set_bits
-        set_tags = self.tags[s]
-        impl = self.impl
-        tel = self.tel
-        line_hits = self.line_hits
-        if tag in set_tags:
-            way = set_tags.index(tag)
-            impl.on_hit(s, way, pos)
-            if tel is not None:
-                line_hits[s * self.ways + way] += 1
-            return True
-        if None in set_tags:
-            way = set_tags.index(None)
-        else:
-            way = impl.find_victim(s, u)
-            impl.replaced(s, way)
-            if tel is not None:
-                victim_hits = line_hits[s * self.ways + way]
-                tel.observe(self.prefix + "line_hits", victim_hits)
-                self.evictions += 1
-                if victim_hits == 0:
-                    self.dead += 1
-        set_tags[way] = tag
-        impl.on_fill(s, way, pos, u, cost, core)
-        if tel is not None:
-            line_hits[s * self.ways + way] = 0
-            self.fills += 1
-        return False
-
-
-def _record_levels(tel: Telemetry, levels: list[_NaiveLevel]) -> None:
-    """Lifetime counters of one level's instances (the N private L1Is
-    count as one level), plus the resident lines' hit histogram."""
-    prefix = levels[0].prefix
-    tel.inc(prefix + "fills", sum(level.fills for level in levels))
-    tel.inc(prefix + "evictions", sum(level.evictions for level in levels))
-    tel.inc(prefix + "dead_on_fill", sum(level.dead for level in levels))
-    for level in levels:
-        for s, set_tags in enumerate(level.tags):
-            for w, tag in enumerate(set_tags):
-                if tag is not None:
-                    tel.observe(prefix + "resident_line_hits",
-                                level.line_hits[s * level.ways + w])
-
-
 class HierarchyReferenceEngine:
     """Naive per-access oracle: L1I lookup, miss counting, and L2 access
     interleaved in trace order, one Python step per fetch.
@@ -838,17 +768,3 @@ class HierarchyReferenceEngine:
         return _hierarchy_result(spec.name, l1_result, l2_result, elapsed,
                                  tel, by_core)
 
-
-def simulate_hierarchy(addresses: AddressArray, policy: PolicySpec,
-                       config: HierarchyConfig | None = None, seed: int = 0,
-                       engine: str = "batched") -> HierarchyResult:
-    """Convenience wrapper: run the two-level hierarchy on any engine."""
-    if engine == "batched":
-        return BatchedHierarchyEngine(config).run(addresses, policy, seed=seed)
-    if engine == "compiled":
-        return BatchedHierarchyEngine(config, kernel_backend="compiled").run(
-            addresses, policy, seed=seed)
-    if engine == "reference":
-        return HierarchyReferenceEngine(config).run(addresses, policy, seed=seed)
-    raise ValueError(f"unknown engine {engine!r} "
-                     f"(expected 'batched', 'compiled', or 'reference')")

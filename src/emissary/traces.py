@@ -300,6 +300,24 @@ def _emit_chunks(segments: Iterator[AddressArray],
         yield buf[0] if len(buf) == 1 else np.concatenate(buf)
 
 
+#: Noise uniforms drawn per block: the draws are positional, so blocks
+#: give the same bits as one draw of a chunk's, without 8 B per access.
+_NOISE_BLOCK = 1 << 16
+
+
+def _noise_positions(rng: np.random.Generator, k: int,
+                     branch_noise: float) -> NDArray[np.intp]:
+    """Positions among the next ``k`` accesses whose uniform from ``rng``
+    falls below ``branch_noise``."""
+    parts = []
+    for lo in range(0, k, _NOISE_BLOCK):
+        at = np.flatnonzero(rng.random(min(_NOISE_BLOCK, k - lo))
+                            < branch_noise)
+        at += lo
+        parts.append(at)
+    return np.concatenate(parts)
+
+
 def _loop_chunks(n: int, step: int, footprint_lines: int,
                  branch_noise: float, base: int,
                  seed: int) -> Iterator[AddressArray]:
@@ -312,7 +330,7 @@ def _loop_chunks(n: int, step: int, footprint_lines: int,
     for start in range(0, n, step):
         k = min(step, n - start)
         seq = _loop_addresses(start, k, span, base)
-        at = np.flatnonzero(rng_noise.random(k) < branch_noise)
+        at = _noise_positions(rng_noise, k, branch_noise)
         jumps = rng_jump.integers(0, span, size=len(at)).astype(np.uint64)
         jumps *= np.uint64(INSTR_BYTES)
         jumps += np.uint64(base)

@@ -13,8 +13,7 @@ from emissary.api import PolicySpec, SimRequest, simulate
 from emissary.engine import BatchedEngine, CacheConfig
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                 HierarchyReferenceEngine, HierarchyResult,
-                                MissCountTable, MultiCoreHierarchyResult,
-                                simulate_hierarchy)
+                                MissCountTable, MultiCoreHierarchyResult)
 from emissary.policies import POLICY_NAMES
 from emissary.telemetry import Telemetry
 from emissary.traces import MAX_CORES, InterleaveSpec, TraceSpec
@@ -100,13 +99,13 @@ def test_emissary_hp_driven_by_measured_counts():
     fill was an L1I miss -> candidate)."""
     trace = TRACES["loop"]
     base = {"hp_threshold": 4, "prob_inv": 4}
-    huge = simulate_hierarchy(trace, PolicySpec("emissary",
-                                                {**base, "min_l1_misses": 10**9}),
-                              CONFIG, seed=7)
+    huge = simulate(trace, PolicySpec("emissary",
+                                      {**base, "min_l1_misses": 10**9}),
+                    CONFIG, seed=7)
     assert huge.l2.policy_stats["hp_promotions"] == 0
-    binary = simulate_hierarchy(trace, PolicySpec("emissary",
-                                                  {**base, "min_l1_misses": 1}),
-                                CONFIG, seed=7)
+    binary = simulate(trace, PolicySpec("emissary",
+                                        {**base, "min_l1_misses": 1}),
+                      CONFIG, seed=7)
     assert binary.l2.policy_stats["hp_promotions"] > 0
 
 

@@ -92,12 +92,12 @@ def interleaves(draw):
     return num_cores, addresses, core_ids, [0, *cuts, n]
 
 
-def _edge_counts(vlines, bounds, num_sets, flush=True):
+def _edge_counts(vlines, bounds, num_sets):
     """Trace-order edges, and the set-order fold of each dispatch: an
     edge is resolved by the chunk holding the start of the next run (the
-    last run at the flush, unless ``flush`` is False: a one-shot flat
-    run resolves it with the rest), and reaches a python kernel unless
-    its set's previous edge in that dispatch is the same line."""
+    last run at the flush, a one-shot run's too: it is a one-chunk
+    stream), and reaches a python kernel unless its set's previous edge
+    in that dispatch is the same line."""
     n = len(vlines)
     edges = [0] + [i for i in range(1, n) if vlines[i] != vlines[i - 1]]
     run_ends = edges[1:] + [n]
@@ -105,8 +105,7 @@ def _edge_counts(vlines, bounds, num_sets, flush=True):
     last = {}
     group = None
     for e, end in zip(edges, run_ends):
-        g = (0 if not flush else -1 if end == n
-             else np.searchsorted(bounds, end, side="right"))
+        g = -1 if end == n else np.searchsorted(bounds, end, side="right")
         if g != group:
             group, last = g, {}
         s = vlines[e] % num_sets
@@ -202,8 +201,7 @@ def test_flat_shared_cache_lag_fold_matches_reference(backend, policy, mc):
     assert np.array_equal(oneshot.hits, reference.hits)
     assert oneshot.policy_stats == reference.policy_stats
     assert _observable(tel) == _observable(ref_tel)
-    edges, kernel = _edge_counts(lines, [0, len(addresses)], FLAT.num_sets,
-                                 flush=False)
+    edges, kernel = _edge_counts(lines, [0, len(addresses)], FLAT.num_sets)
     assert tel.counters["engine.edge_accesses"] == edges
     if backend == "python":
         assert tel.counters["engine.kernel_accesses"] == kernel

@@ -79,14 +79,14 @@ def _hot_set_trace(num_sets, per_set, hot_factor, seed):
 
 def _spy_dispatch(monkeypatch):
     """Record, per ``run_sets`` call of the SRRIP, Random and EMISSARY
-    kernels, the lockstep steps taken and the sets the scalar loop
-    finished."""
+    kernels, the accesses dispatched, the lockstep steps taken and the
+    sets the scalar loop finished."""
     calls = []
     run_sets = PolicyKernel.run_sets
 
-    def spy_run_sets(self, *args):
-        calls.append({"steps": 0, "scalar": []})
-        return run_sets(self, *args)
+    def spy_run_sets(self, sets, starts, ends, lines, *args):
+        calls.append({"accesses": len(lines), "steps": 0, "scalar": []})
+        return run_sets(self, sets, starts, ends, lines, *args)
 
     def spy_lockstep(inner):
         def lockstep(self, lanes, active, *args):
@@ -130,9 +130,14 @@ def test_hot_set_hands_off_mid_dispatch(monkeypatch, spec):
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.hit_count == reference.hit_count
     assert batched.policy_stats == reference.policy_stats
-    assert sanitizer.checks == len(calls) == 1
-    assert calls[0]["steps"] == 12
-    assert calls[0]["scalar"] == [0]
+    # A one-shot run is a one-chunk stream: the hand-off happens in the
+    # chunk's dispatch, and the trailing access resolves on its own at
+    # the flush.
+    assert sanitizer.checks == len(calls) == 2
+    hand_off, flush = calls
+    assert hand_off["steps"] == 12
+    assert hand_off["scalar"] == [0]
+    assert flush["accesses"] == 1
 
 
 @pytest.mark.parametrize("spec", MULTICORE_POLICIES, ids=MULTICORE_IDS)

@@ -75,8 +75,9 @@ def _check_against_reference(spec, lines, expected_hits,
         # No two consecutive accesses share a line: trace-order collapse
         # finds nothing, only the set-order fold does.
         assert counters["engine.edge_accesses"] == len(lines)
-    # One-shot folds across the whole trace; the chunk cut puts the two
-    # touches of A in different dispatches, so nothing folds there.
+    # One-shot folds across its one chunk (the trailing run resolves
+    # alone at the flush); the chunk cut puts the two touches of A in
+    # different dispatches, so nothing folds there.
     assert oneshot.telemetry["counters"]["engine.kernel_accesses"] \
         == kernel_accesses
     assert streamed.telemetry["counters"]["engine.kernel_accesses"] \
@@ -85,18 +86,19 @@ def _check_against_reference(spec, lines, expected_hits,
 
 
 def test_lru_second_touch_in_own_set_is_folded():
-    """LRU ``A B A``: sorted by set the trace is ``A A | B``, so the
-    second A is an MRU repeat and never reaches the kernel.  It still
+    """LRU ``A B A C``: sorted by set the dispatch before the flush is
+    ``A A | B``, so the second A is an MRU repeat and never reaches the
+    kernel (C, the trailing run, resolves alone at the flush).  It still
     counts as one hit on A's line (the folded-hit count rides on the
     first A)."""
     result = _check_against_reference(
-        PolicySpec("lru"), [A, B, A],
-        expected_hits=[False, False, True], kernel_accesses=2)
+        PolicySpec("lru"), [A, B, A, C],
+        expected_hits=[False, False, True, False], kernel_accesses=3)
     counters = result.telemetry["counters"]
-    assert counters["fills"] == 2
+    assert counters["fills"] == 3
     assert counters["hits"] == 1
     assert result.telemetry["histograms"]["resident_line_hits"] \
-        == {"0": 1, "1": 1}
+        == {"0": 2, "1": 1}
 
 
 def test_srrip_retouched_fill_keeps_its_victim():

@@ -394,7 +394,10 @@ def test_cli_telemetry_flag_embeds_payload(tmp_path):
     assert envelope["telemetry_enabled"] is True
     telemetry = envelope["rows"][0]["result"]["telemetry"]
     assert telemetry["counters"]["hp_promotions"] >= 0
-    assert [s["name"] for s in telemetry["spans"]].count("kernel_loop") == 1
+    names = [s["name"] for s in telemetry["spans"]]
+    # One run of one chunk: the chunk's dispatch plus the flush's.
+    assert names.count("stream_chunk") == 1
+    assert names.count("kernel_loop") == 2
 
 
 def test_cli_exits_nonzero_on_config_error(tmp_path, capsys, monkeypatch):

@@ -202,7 +202,11 @@ def test_engine_phase_spans_recorded():
                            telemetry=Telemetry()).run(_addresses(),
                                                       PolicySpec("lru"), seed=0)
     names = [s["name"] for s in result.telemetry["spans"]]
-    assert names == ["decode", "run_collapse", "stable_sort", "kernel_loop"]
+    # A one-shot run is a one-chunk stream: the chunk's phases close
+    # inside its ``stream_chunk`` span, then the flush dispatches the
+    # trailing run.
+    assert names == ["decode", "run_collapse", "stable_sort", "kernel_loop",
+                     "stream_chunk", "stable_sort", "kernel_loop"]
     for span in result.telemetry["spans"]:
         assert span["dur_us"] >= 0.0
 

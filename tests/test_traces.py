@@ -1,5 +1,7 @@
 """Tests for the synthetic instruction-stream generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from emissary.traces import (
     InterleaveSpec,
     TraceSpec,
     _ADDR_ITEMSIZE,
+    _NOISE_BLOCK,
     _interleave,
     call_heavy,
     call_heavy_chunks,
@@ -47,6 +50,35 @@ def test_looping_code_stays_in_footprint():
     lines = trace // LINE_BYTES
     assert lines.min() >= base // LINE_BYTES
     assert lines.max() < base // LINE_BYTES + footprint
+
+
+def test_loop_generation_peak_memory_bounded_by_output():
+    """Deterministic memory guard for the loop generator (tracemalloc peak
+    of a 1M-access ``generate()`` above its inputs).
+
+    At its peak the generator holds the output (8 B per access), one
+    block of noise uniforms and one period of the loop (8 B per
+    instruction slot of the footprint), and the taken branches'
+    positions, twice while their blocks are joined (8 B each, about
+    ``branch_noise`` of the accesses).  Drawing all of a chunk's noise
+    uniforms at once needs another 8 B per access, past this bound."""
+    n = 1_000_000
+    spec = TraceSpec("loop", n, 7)
+    footprint, noise = 4096, 0.02  # looping_code's defaults
+    span = footprint * (LINE_BYTES // INSTR_BYTES)
+    bound = (8 * n + 8 * _NOISE_BLOCK + 8 * span
+             + 2 * 8 * int(1.5 * noise * n) + (64 << 10))
+    TraceSpec("loop", 1000, 7).generate()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = spec.generate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
+                           f"{bound / 2**20:.2f} MiB bound")
 
 
 def test_working_set_shift_moves_footprint():
