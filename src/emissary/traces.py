@@ -303,7 +303,7 @@ def _emit_chunks(segments: Iterator[AddressArray],
 #: Noise uniforms drawn per block: the draws are positional, so blocks
 #: give the same bits as one draw of a chunk's, without 8 B per access.
 #: Kept small (32 KiB): in the ``multicore-2c`` benchmark 512 KiB blocks
-#: read about 7% more peak RSS than whole-chunk draws, 32 KiB blocks less.
+#: read about 7% more peak RSS than whole-chunk draws, 32 KiB blocks 2%.
 _NOISE_BLOCK = 1 << 12
 
 

@@ -18,8 +18,8 @@ from emissary.traces import (
     InterleaveSpec,
     TraceSpec,
     _ADDR_ITEMSIZE,
-    _NOISE_BLOCK,
     _interleave,
+    _NOISE_BLOCK,
     call_heavy,
     call_heavy_chunks,
     looping_code,
