@@ -37,15 +37,23 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from emissary.policies import PARAM_SCHEMAS, REGISTRY
-from emissary.traces import (FILE_KIND, FrozenParams, InterleaveSpec,
-                             TraceSpec, trace_spec_from_dict)
+from emissary.traces import (FrozenParams, InterleaveSpec, TraceSpec,
+                             trace_spec_from_dict)
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_int, check_known_keys, check_wire_version)
 
-#: Engine/kernel backends a :class:`SimRequest` may select.  All three
-#: produce bit-identical outcomes (the differential suite enforces it);
-#: they differ only in speed.
-BACKENDS = ("batched", "compiled", "reference")
+#: Backends that run on the batched engines, which take them as their
+#: ``kernel_backend``: NumPy/Python kernels or native ones.
+BATCHED_BACKENDS = ("batched", "compiled")
+
+#: Backends a :class:`SimRequest` may select: the batched ones plus the
+#: per-access oracle.  All produce bit-identical outcomes (the
+#: differential suite enforces it); they differ only in speed.
+BACKENDS = BATCHED_BACKENDS + ("reference",)
+
+#: The backend a request, the array form of :func:`simulate`, the
+#: engines and the sweep CLI use when none is named.
+DEFAULT_BACKEND = "batched"
 
 
 @dataclass(frozen=True)
@@ -112,14 +120,17 @@ class SimRequest:
     it participates in :meth:`to_dict` (the results-cache key) only when
     enabled, so every pre-existing cache entry keeps its key.
 
-    ``backend`` selects the execution engine (:data:`BACKENDS`):
-    ``"batched"`` is the vectorized NumPy engine, ``"compiled"`` the
-    same engine with native per-set kernels (numba or the bundled C
-    fallback), ``"reference"`` the per-access Python oracle.  Because
-    all three are bit-identical, ``backend`` is deliberately *excluded*
-    from :meth:`to_dict`: the encoding is a results-cache content key,
-    and the same request run on any backend must hit the same cache
-    entry (and keep every pre-existing key byte-identical).
+    ``backend`` selects the execution engine (:data:`BACKENDS`,
+    default :data:`DEFAULT_BACKEND`): ``"batched"`` is the vectorized
+    NumPy engine, ``"compiled"`` the same engine with native per-set
+    kernels (numba or the bundled C fallback), ``"reference"`` the
+    per-access Python oracle.  Because all three are bit-identical,
+    ``backend`` is deliberately *excluded* from :meth:`to_dict`: the
+    encoding is a results-cache content key, and the same request run on
+    any backend must hit the same cache entry (and keep every
+    pre-existing key byte-identical).  Sweep and serve workers receive
+    the request as that encoding plus its ``backend`` key, which
+    :meth:`from_dict` accepts.
     """
 
     trace: TraceSpec | InterleaveSpec
@@ -127,7 +138,7 @@ class SimRequest:
     config: Any = None  # CacheConfig (single-level) or HierarchyConfig (L1I -> L2)
     seed: int = 0
     telemetry: bool = False
-    backend: str = "batched"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         from emissary.engine import CacheConfig
@@ -208,7 +219,9 @@ class SimRequest:
         """Strictly decode a v0/v1 wire dict (see :mod:`emissary.wire`):
         unknown keys are rejected, a missing ``schema_version`` means
         the pre-versioned v0 layout, and a newer version than this
-        process understands refuses to half-parse."""
+        process understands refuses to half-parse.  ``telemetry`` must
+        be a JSON boolean: ``"false"`` is a ``TypeError``, not a truthy
+        opt-in."""
         from emissary.engine import CacheConfig
         from emissary.hierarchy import HierarchyConfig
 
@@ -221,8 +234,8 @@ class SimRequest:
                    policy=PolicySpec.from_dict(d["policy"]),
                    config=config,
                    seed=check_int(d.get("seed", 0), "SimRequest.seed"),
-                   telemetry=bool(d.get("telemetry", False)),
-                   backend=str(d.get("backend", "batched")))
+                   telemetry=d.get("telemetry", False),
+                   backend=str(d.get("backend", DEFAULT_BACKEND)))
 
 
 def _array_chunks(addresses: Any, chunk_bytes: int):
@@ -252,13 +265,14 @@ def _progress_chunks(chunks: Any, progress: Any, total: int):
 def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
              seed: int = 0, engine: str | None = None, telemetry: bool = False,
              stream: bool = False, chunk_bytes: int | None = None,
-             progress: Any = None):
-    """Unified typed entry point.
+             progress: Any = None, keep_hits: bool = True):
+    """Unified typed entry point: the one place a request becomes an
+    engine run.
 
     ``simulate(SimRequest(...))`` generates the trace from its spec and
-    dispatches on the config type (single-level vs hierarchy) — this is
-    the form the serving layer (:mod:`emissary.serve`) executes verbatim
-    for every accepted wire request.  The array form
+    dispatches on the config type (single-level vs hierarchy) and the
+    trace type (one core vs an interleave).  The sweep and serve workers
+    run every request through it.  The array form
     ``simulate(addresses, PolicySpec(...), ...)`` runs a policy over an
     in-memory trace; the PR 2 string-policy shim has been removed.
 
@@ -266,8 +280,8 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     (vectorized NumPy), ``"compiled"`` (native per-set kernels — see
     :mod:`emissary.compiled`), or ``"reference"`` (per-access oracle).
     When ``None`` it defaults to the request's ``backend`` field (or
-    ``"batched"`` for the array form); an explicit value overrides the
-    request.  All backends produce bit-identical outcomes.
+    :data:`DEFAULT_BACKEND` for the array form); an explicit value
+    overrides the request.  All backends produce bit-identical outcomes.
 
     ``stream=True`` feeds the trace through the engine in fixed-size
     chunks (``chunk_bytes``, default :data:`emissary.trace_io.DEFAULT_CHUNK_BYTES`)
@@ -275,12 +289,15 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     (``kind="file"``) the file is read incrementally, and synthetic
     traces are *generated* chunk-by-chunk
     (:meth:`~emissary.traces.TraceSpec.generate_chunks`), so the trace
-    itself is held one chunk at a time either way.  The kept hit vectors
-    still grow by one byte per access per level: peak memory is the
-    chunk budget plus those bytes, not the trace's 8 B per access.
-    Outcomes are bit-identical to the one-shot path, which is the same
-    engine stream fed a single chunk.  Streaming requires a
-    batched-engine backend (``"batched"`` or ``"compiled"``).
+    itself is held one chunk at a time either way.  Outcomes are
+    bit-identical to the one-shot path, which is the same engine stream
+    fed a single chunk.  Streaming requires a batched-engine backend
+    (:data:`BATCHED_BACKENDS`).
+
+    ``keep_hits`` is forwarded to the engine: with the default ``True``
+    the result keeps one hit byte per access per level, so a streamed
+    run's memory grows with the trace; ``False`` drops the vectors and
+    keeps only the counts, which is all a result's ``to_dict`` carries.
 
     ``telemetry=True`` (or a request with ``telemetry=True``) enables
     the instrumentation layer: the returned result's ``telemetry``
@@ -297,15 +314,18 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
                                     HierarchyReferenceEngine)
     from emissary.telemetry import Telemetry
 
-    if chunk_bytes is not None and not stream:
+    if stream:
+        from emissary import trace_io
+
+        chunk_bytes = chunk_bytes or trace_io.DEFAULT_CHUNK_BYTES
+    elif chunk_bytes is not None:
         raise TypeError("chunk_bytes only applies to stream=True")
     if progress is not None and not stream:
         raise TypeError("progress only applies to stream=True")
 
     chunks: Any = None
     total = 0
-    multicore = False
-    num_cores = 1
+    num_cores = 0  # 0: single-core; else the interleave's core count
     core_ids = None
     if isinstance(target, SimRequest):
         if policy is not None or config is not None:
@@ -315,17 +335,12 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
         telemetry = telemetry or target.telemetry
         if engine is None:
             engine = target.backend
-        multicore = target.is_multicore
-        if multicore:
+        if target.is_multicore:
             num_cores = target.trace.num_cores
         if stream:
-            from emissary import trace_io
-
-            chunks = target.trace.generate_chunks(
-                chunk_bytes=chunk_bytes or trace_io.DEFAULT_CHUNK_BYTES)
+            chunks = target.trace.generate_chunks(chunk_bytes=chunk_bytes)
             total = target.trace.n
-            addresses = None
-        elif multicore:
+        elif num_cores:
             addresses, core_ids = target.trace.generate()
         else:
             addresses = target.trace.generate()
@@ -333,43 +348,35 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
         addresses = target
         spec = require_policy_spec(policy, caller="simulate")
     if engine is None:
-        engine = "batched"
-    if stream and engine == "reference":
-        raise ValueError("stream=True requires a batched-engine backend "
-                         "('batched' or 'compiled'; the reference engines "
-                         "have no streaming path)")
-
-    hierarchy = isinstance(config, HierarchyConfig)
-    if engine in ("batched", "compiled"):
-        backend = "compiled" if engine == "compiled" else "python"
-        if hierarchy:
-            eng: Any = BatchedHierarchyEngine(
-                config, telemetry=Telemetry() if telemetry else None,
-                kernel_backend=backend)
-        else:
-            eng = BatchedEngine(config,
-                                telemetry=Telemetry() if telemetry else None,
-                                kernel_backend=backend)
-    elif engine == "reference":
-        cls = HierarchyReferenceEngine if hierarchy else ReferenceEngine
-        eng = cls(config, telemetry=Telemetry() if telemetry else None)
-    else:
+        engine = DEFAULT_BACKEND
+    if engine not in BACKENDS:
         raise ValueError(f"unknown engine {engine!r}; known: {list(BACKENDS)}")
+    if stream and engine not in BATCHED_BACKENDS:
+        raise ValueError(f"stream=True requires a batched-engine backend "
+                         f"({list(BATCHED_BACKENDS)}; the reference "
+                         f"engines have no streaming path)")
+
+    tel = Telemetry() if telemetry else None
+    hierarchy = isinstance(config, HierarchyConfig)
+    eng: Any
+    if engine == "reference":
+        reference = HierarchyReferenceEngine if hierarchy else ReferenceEngine
+        eng = reference(config, telemetry=tel)
+    else:
+        batched = BatchedHierarchyEngine if hierarchy else BatchedEngine
+        eng = batched(config, telemetry=tel, kernel_backend=engine)
     if stream:
         if chunks is None:
-            from emissary import trace_io
-
             total = len(addresses)
-            chunks = _array_chunks(
-                addresses, chunk_bytes or trace_io.DEFAULT_CHUNK_BYTES)
+            chunks = _array_chunks(addresses, chunk_bytes)
         if progress is not None:
             chunks = _progress_chunks(chunks, progress, total)
-        if multicore:
+        if num_cores:
             return eng.simulate_stream_multicore(chunks, spec,
                                                  num_cores=num_cores,
-                                                 seed=seed)
-        return eng.simulate_stream(chunks, spec, seed=seed)
-    if multicore:
-        return eng.run_multicore(addresses, core_ids, spec,
-                                 num_cores=num_cores, seed=seed)
-    return eng.run(addresses, spec, seed=seed)
+                                                 seed=seed, keep_hits=keep_hits)
+        return eng.simulate_stream(chunks, spec, seed=seed, keep_hits=keep_hits)
+    if num_cores:
+        return eng.run_multicore(addresses, core_ids, spec, num_cores=num_cores,
+                                 seed=seed, keep_hits=keep_hits)
+    return eng.run(addresses, spec, seed=seed, keep_hits=keep_hits)

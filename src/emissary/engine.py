@@ -57,7 +57,8 @@ from typing import TYPE_CHECKING, Any, TypeVar, overload
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.api import PolicySpec, require_policy_spec
+from emissary.api import (BATCHED_BACKENDS, DEFAULT_BACKEND, PolicySpec,
+                          require_policy_spec)
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
 from emissary.compiled import (
@@ -72,10 +73,6 @@ from emissary.traces import AddressArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.analysis.sanitizer import Sanitizer
-
-#: Kernel backends a :class:`BatchedEngine` can execute with.
-KERNEL_BACKENDS = ("python", "compiled")
-
 
 def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
                         kernel_backend: str,
@@ -112,9 +109,6 @@ def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
                 "back to the batched Python kernels (outcomes are "
                 "bit-identical, only slower)",
                 RuntimeWarning, stacklevel=3)
-    elif kernel_backend != "python":
-        raise ValueError(f"unknown kernel_backend {kernel_backend!r} "
-                         f"(expected one of {KERNEL_BACKENDS})")
     return make_kernel(spec.name, config.num_sets, config.ways,
                        **spec.params, **extra)
 
@@ -554,7 +548,7 @@ class BatchedEngine:
                  collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
-                 kernel_backend: str = "python",
+                 kernel_backend: str = DEFAULT_BACKEND,
                  compiled_provider: str | None = None,
                  num_cores: int = 1) -> None:
         self.config = config or CacheConfig()
@@ -570,10 +564,10 @@ class BatchedEngine:
         #: (debug mode): validates per-set kernel state after every
         #: dispatch.  None (the default) costs one ``is None`` test per run.
         self.sanitizer = sanitizer
-        if kernel_backend not in KERNEL_BACKENDS:
+        if kernel_backend not in BATCHED_BACKENDS:
             raise ValueError(f"unknown kernel_backend {kernel_backend!r} "
-                             f"(expected one of {KERNEL_BACKENDS})")
-        #: ``"python"`` runs the NumPy/Python kernels; ``"compiled"``
+                             f"(expected one of {BATCHED_BACKENDS})")
+        #: ``"batched"`` runs the NumPy/Python kernels; ``"compiled"``
         #: dispatches whole batches in trace order to a native provider
         #: (see :mod:`emissary.compiled`), skipping the set-major sort.
         self.kernel_backend = kernel_backend

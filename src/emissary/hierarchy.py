@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from emissary.api import PolicySpec, require_policy_spec
+from emissary.api import DEFAULT_BACKEND, PolicySpec, require_policy_spec
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
 from emissary.engine import (BatchedEngine, CacheConfig, IndexArray, SimResult,
@@ -388,7 +388,7 @@ class BatchedHierarchyEngine:
                  collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
-                 kernel_backend: str = "python",
+                 kernel_backend: str = DEFAULT_BACKEND,
                  compiled_provider: str | None = None) -> None:
         self.config = config or HierarchyConfig()
         self.collapse_runs = collapse_runs
@@ -399,7 +399,8 @@ class BatchedHierarchyEngine:
         #: Optional :class:`~emissary.analysis.sanitizer.Sanitizer`,
         #: shared by both stage engines (one instance checks both levels).
         self.sanitizer = sanitizer
-        #: Kernel backend for *both* stage engines ("python" or
+        #: Kernel backend for *both* stage engines, one of
+        #: :data:`~emissary.api.BATCHED_BACKENDS` ("batched" or
         #: "compiled"); outcomes are bit-identical either way.  Validated
         #: by the stage :class:`~emissary.engine.BatchedEngine`\ s.
         self.kernel_backend = kernel_backend

@@ -159,7 +159,7 @@ class ServeApp:
                                 {"error": "body must be a JSON object"})
             return
         stream = request.query.get("stream", "").lower() in _TRUTHY
-        telemetry_enabled = bool(payload.get("telemetry", False))
+        telemetry_enabled = payload.get("telemetry", False) is True
         ctx = self.service.next_trace_context()
         # Server-side phase spans exist only for requests that opted into
         # telemetry — they are the only ones whose trace is recorded, and

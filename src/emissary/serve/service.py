@@ -135,7 +135,11 @@ def run_simulation_worker(request_dict: dict[str, Any], progress_path: str | Non
 
     This is deliberately the same typed path a library user takes —
     :func:`emissary.api.simulate` on a :class:`~emissary.api.SimRequest`
-    — with the streaming progress callback wired to the spool file.
+    — on the request's own ``backend``, with the streaming progress
+    callback wired to the spool file.  Batched backends stream in
+    ``chunk_bytes`` pieces without hit vectors, so a worker's memory
+    stays near the chunk budget however long the trace; the
+    ``"reference"`` oracle has no streaming path and runs one-shot.
     """
     request = SimRequest.from_dict(request_dict)
     progress: Callable[[int, int], None] | None = None
@@ -151,11 +155,10 @@ def run_simulation_worker(request_dict: dict[str, Any], progress_path: str | Non
                 logger.warning("progress tick for %s failed: %s", spool, exc)
 
     if request.backend == "reference":
-        # The reference oracle has no streaming path; run it one-shot.
-        result = simulate(request)
+        result = simulate(request, keep_hits=False)
     else:
         result = simulate(request, stream=True, chunk_bytes=chunk_bytes,
-                          progress=progress)
+                          progress=progress, keep_hits=False)
     payload = dict(result.to_dict())
     # Advisory key (always allowed by check_known_keys, stripped by the
     # service before caching): lets the merged request trace put worker
@@ -328,7 +331,8 @@ class SimService:
         try:
             try:
                 result = await loop.run_in_executor(
-                    self._executor, self._worker_fn, request.to_dict(),
+                    self._executor, self._worker_fn,
+                    dict(request.to_dict(), backend=request.backend),
                     str(progress_path), self.chunk_bytes)
             except BrokenProcessPool:
                 # Abrupt worker death poisons the whole executor; rebuild

@@ -31,14 +31,15 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import replace
 from typing import Any
 
-from emissary.api import PolicySpec, SimRequest
-from emissary.engine import BatchedEngine, CacheConfig
-from emissary.hierarchy import BatchedHierarchyEngine, HierarchyConfig
+from emissary.api import (BATCHED_BACKENDS, DEFAULT_BACKEND, PolicySpec,
+                          SimRequest, simulate)
+from emissary.engine import CacheConfig
+from emissary.hierarchy import HierarchyConfig
 from emissary.policies import POLICY_NAMES
 from emissary.results_cache import DEFAULT_CACHE_DIR, ResultsCache
-from emissary.telemetry import Telemetry
 from emissary.traces import FILE_KIND, InterleaveSpec, TraceSpec
 
 logger = logging.getLogger(__name__)
@@ -63,53 +64,25 @@ def make_config(request: SimRequest) -> dict[str, Any]:
     return request.to_dict()
 
 
-def run_config(config: dict[str, Any],
-               backend: str = "batched") -> dict[str, Any]:
-    """Worker entry point: simulate one configuration, return plain dicts.
+def run_config(config: dict[str, Any]) -> dict[str, Any]:
+    """Worker entry point: simulate one wire dict, return plain dicts.
 
-    A config with ``"telemetry": true`` runs instrumented; its result
-    dict then carries the telemetry payload.  File-backed traces
-    (``kind="file"``) are *streamed* from disk in chunk-budget-sized
-    pieces rather than materialized, so a worker's peak memory stays
-    bounded by the chunk budget however large the trace file is.
-
-    ``backend`` selects the kernel backend (``"batched"`` or
-    ``"compiled"``).  It rides *next to* the config rather than inside
-    it because backends are bit-identical and the config dict is the
-    results-cache key — the same point run on either backend must share
-    one cache entry.
+    The dict is decoded into a :class:`~emissary.api.SimRequest` and run
+    through :func:`emissary.api.simulate` on the request's own
+    ``backend``, without hit vectors.  A config with ``"telemetry":
+    true`` runs instrumented; its result dict then carries the telemetry
+    payload.  File-backed traces (``kind="file"``) are *streamed* from
+    disk in chunk-budget-sized pieces rather than materialized, so a
+    worker's peak memory stays bounded by the chunk budget however large
+    the trace file is; synthetic and multi-core points run one-shot.
     """
-    if backend not in ("batched", "compiled"):
-        raise ValueError(f"unknown sweep backend {backend!r} "
-                         f"(expected 'batched' or 'compiled')")
-    kernel_backend = "compiled" if backend == "compiled" else "python"
     request = SimRequest.from_dict(config)
-    telemetry = Telemetry() if request.telemetry else None
-    if request.is_hierarchy:
-        engine: Any = BatchedHierarchyEngine(request.config, telemetry=telemetry,
-                                             kernel_backend=kernel_backend)
-    else:
-        engine = BatchedEngine(request.config, telemetry=telemetry,
-                               kernel_backend=kernel_backend)
-    if request.is_multicore:
-        addresses, core_ids = request.trace.generate()
-        result = engine.run_multicore(addresses, core_ids, request.policy,
-                                      num_cores=request.trace.num_cores,
-                                      seed=request.seed, keep_hits=False)
-    elif request.trace.kind == FILE_KIND:
-        from emissary import trace_io
-
-        source = trace_io.spec_source(request.trace)
-        result = engine.simulate_stream(source, request.policy,
-                                        seed=request.seed, keep_hits=False)
-    else:
-        addresses = request.trace.generate()
-        result = engine.run(addresses, request.policy, seed=request.seed,
-                            keep_hits=False)
-    return result.to_dict()
+    file_backed = (isinstance(request.trace, TraceSpec)
+                   and request.trace.kind == FILE_KIND)
+    return simulate(request, stream=file_backed, keep_hits=False).to_dict()
 
 
-def _run_indexed(item: tuple[int, dict[str, Any], str]
+def _run_indexed(item: tuple[int, dict[str, Any]]
                  ) -> tuple[int, dict[str, Any], dict[str, Any]]:
     """Run one indexed config, never letting an exception escape the
     worker: a raising config becomes an ``{"error": ...}`` payload so one
@@ -117,10 +90,10 @@ def _run_indexed(item: tuple[int, dict[str, Any], str]
 
     The third element is worker metadata (pid, wall time) for the run
     report."""
-    index, config, backend = item
+    index, config = item
     started = time.perf_counter()
     try:
-        payload = {"result": run_config(config, backend=backend)}
+        payload = {"result": run_config(config)}
     except Exception as exc:  # noqa: BLE001 - isolate arbitrary config failures
         payload = {"error": f"{type(exc).__name__}: {exc}"}
     worker = {"pid": os.getpid(), "elapsed_s": time.perf_counter() - started}
@@ -169,9 +142,10 @@ def solo_requests(request: SimRequest) -> list[SimRequest]:
     """One single-core request per core of a multi-core sweep point.
 
     Each core's own :class:`~emissary.traces.TraceSpec` runs alone on the
-    same hierarchy, policy, and seed — the baseline the fairness metric
-    compares the contended run against.  Solo requests are ordinary
-    cacheable sweep points, so repeated fairness sweeps reuse them.
+    same hierarchy, policy, seed and backend — the baseline the fairness
+    metric compares the contended run against.  Solo requests are
+    ordinary cacheable sweep points, so repeated fairness sweeps reuse
+    them.
     """
     if not request.is_multicore:
         raise ValueError("solo_requests needs a multi-core request "
@@ -183,42 +157,41 @@ def solo_requests(request: SimRequest) -> list[SimRequest]:
     params = {k: v for k, v in request.policy.params.items()
               if k != "hp_budget"}
     policy = PolicySpec(request.policy.name, params)
-    return [SimRequest(core_spec, policy, request.config, request.seed)
+    return [SimRequest(core_spec, policy, request.config, request.seed,
+                       backend=request.backend)
             for core_spec in request.trace.cores]
 
 
 def add_fairness(rows: list[dict[str, Any]], workers: int = 0,
                  cache_dir: str = DEFAULT_CACHE_DIR,
-                 store: ResultsCache | None = None,
-                 backend: str = "batched") -> int:
+                 store: ResultsCache | None = None) -> int:
     """Attach per-core fairness deltas to every multi-core sweep row.
 
     For each multi-core row, every core's trace is re-run *solo* (same
     hierarchy, policy, seed; deduplicated across rows and served from the
     results cache), and the row gains ``row["fairness"]["per_core"]``:
     the core's solo L2 MPKI, its MPKI inside the contended run, and the
-    contention penalty ``delta_l2_mpki = shared - solo``.  Returns the
-    number of rows annotated.
+    contention penalty ``delta_l2_mpki = shared - solo``.  Solo runs use
+    the row's ``backend``.  Returns the number of rows annotated.
     """
-    targets: list[tuple[dict[str, Any], list[dict[str, Any]]]] = []
-    solo_configs: dict[str, dict[str, Any]] = {}
+    targets: list[tuple[dict[str, Any], list[str]]] = []
+    solos: dict[str, SimRequest] = {}
     for row in rows:
         if "result" not in row or "cores" not in row["config"].get("trace", {}):
             continue
-        request = SimRequest.from_dict(row["config"])
+        request = SimRequest.from_dict(
+            dict(row["config"], backend=row.get("backend", DEFAULT_BACKEND)))
         keys = []
         for solo in solo_requests(request):
-            config = solo.to_dict()
-            key = json.dumps(config, sort_keys=True)
-            solo_configs[key] = config
+            key = json.dumps(solo.to_dict(), sort_keys=True)
+            solos.setdefault(key, solo)
             keys.append(key)
         targets.append((row, keys))
     if not targets:
         return 0
-    ordered = sorted(solo_configs)
-    solo_rows = run_sweep([solo_configs[key] for key in ordered],
-                          workers=workers, cache_dir=cache_dir, store=store,
-                          backend=backend)
+    ordered = sorted(solos)
+    solo_rows = run_sweep([solos[key] for key in ordered],
+                          workers=workers, cache_dir=cache_dir, store=store)
     by_key = dict(zip(ordered, solo_rows))
     for row, keys in targets:
         per_core = []
@@ -242,8 +215,7 @@ def add_fairness(rows: list[dict[str, Any]], workers: int = 0,
 def run_sweep(grid: Sequence[SimRequest | dict[str, Any]], workers: int = 0,
               cache_dir: str = DEFAULT_CACHE_DIR,
               telemetry: bool = False,
-              store: ResultsCache | None = None,
-              backend: str = "batched") -> list[dict[str, Any]]:
+              store: ResultsCache | None = None) -> list[dict[str, Any]]:
     """Run every configuration, reusing cached results; returns one row per config.
 
     Fresh results are persisted to the cache *as each worker completes*
@@ -259,9 +231,10 @@ def run_sweep(grid: Sequence[SimRequest | dict[str, Any]], workers: int = 0,
     Fresh rows also record ``row["worker"]`` metadata (pid, wall time)
     for the run report.
 
-    ``backend`` selects the worker kernel backend (``"batched"`` or
-    ``"compiled"``); it never enters the cache key, so a sweep run on
-    either backend reuses (and warms) the same cached results.
+    Each request runs on its own ``backend`` (a wire dict may carry a
+    ``backend`` key); rows record it next to the backend-free ``config``,
+    which is the cache key, so a sweep run on any backend reuses (and
+    warms) the same cached results.
 
     Pass ``store`` to supply (and afterwards inspect, via
     :meth:`~emissary.results_cache.ResultsCache.stats`) the results-cache
@@ -269,10 +242,11 @@ def run_sweep(grid: Sequence[SimRequest | dict[str, Any]], workers: int = 0,
     """
     if store is None:
         store = ResultsCache(cache_dir)
-    if backend not in ("batched", "compiled"):
-        raise ValueError(f"unknown sweep backend {backend!r} "
-                         f"(expected 'batched' or 'compiled')")
     configs = [g.to_dict() if isinstance(g, SimRequest) else dict(g) for g in grid]
+    # A wire dict may name its backend; the cache key never does.
+    backends = [g.backend if isinstance(g, SimRequest)
+                else config.pop("backend", DEFAULT_BACKEND)
+                for g, config in zip(grid, configs)]
     if telemetry:
         for config in configs:
             config["telemetry"] = True
@@ -281,12 +255,14 @@ def run_sweep(grid: Sequence[SimRequest | dict[str, Any]], workers: int = 0,
     for i, config in enumerate(configs):
         cached = store.load(config)
         if cached is not None:
-            rows[i] = {"config": config, "result": cached, "cached": True}
+            rows[i] = {"config": config, "backend": backends[i],
+                       "result": cached, "cached": True}
         else:
             pending.append(i)
 
     def record(i: int, payload: dict[str, Any], worker: dict[str, Any]) -> None:
-        row = {"config": configs[i], "cached": False, "worker": worker}
+        row = {"config": configs[i], "backend": backends[i], "cached": False,
+               "worker": worker}
         if "error" in payload:
             logger.error("config %d failed: %s", i, payload["error"])
             row["error"] = payload["error"]
@@ -298,7 +274,7 @@ def run_sweep(grid: Sequence[SimRequest | dict[str, Any]], workers: int = 0,
     if pending:
         if workers <= 0:
             workers = min(len(pending), os.cpu_count() or 1)
-        items = [(i, configs[i], backend) for i in pending]
+        items = [(i, dict(configs[i], backend=backends[i])) for i in pending]
         if workers == 1:
             for item in items:
                 record(*_run_indexed(item))
@@ -480,15 +456,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--telemetry", action="store_true",
                         help="run every configuration instrumented: rows carry "
                              "policy counters, histograms, and engine phase spans")
-    parser.add_argument("--backend", choices=("batched", "compiled"),
-                        default="batched",
-                        help="kernel backend for workers; outcomes are "
+    parser.add_argument("--backend", choices=BATCHED_BACKENDS,
+                        default=DEFAULT_BACKEND,
+                        help="backend of every grid request; outcomes are "
                              "bit-identical, so either backend shares the "
                              "same results cache")
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
+    grid: Sequence[SimRequest | dict[str, Any]]
     if args.demo:
         if args.trace_file:
             parser.error("--trace-file cannot be combined with --demo")
@@ -530,15 +507,16 @@ def main(argv: list[str] | None = None) -> int:
                           min_l1_misses=args.min_l1_misses,
                           hp_budgets=hp_budgets)
 
+    # --backend rides on every request; a wire dict names it as a key.
+    grid = [replace(g, backend=args.backend) if isinstance(g, SimRequest)
+            else dict(g, backend=args.backend) for g in grid]
     store = ResultsCache(args.cache_dir)
     start = time.perf_counter()
     rows = run_sweep(grid, workers=args.workers, cache_dir=args.cache_dir,
-                     telemetry=args.telemetry, store=store,
-                     backend=args.backend)
+                     telemetry=args.telemetry, store=store)
     if not args.no_fairness:
         annotated = add_fairness(rows, workers=args.workers,
-                                 cache_dir=args.cache_dir, store=store,
-                                 backend=args.backend)
+                                 cache_dir=args.cache_dir, store=store)
         if annotated:
             logger.info("fairness baselines attached to %d multi-core rows",
                         annotated)

@@ -221,6 +221,18 @@ class TestWireSchema:
         with pytest.raises(TypeError, match="SimRequest.seed"):
             SimRequest.from_dict(d)
 
+    @pytest.mark.parametrize("telemetry", ["false", "no", [0], 0, 1, None])
+    def test_request_telemetry_must_be_bool(self, telemetry):
+        # Regression: from_dict cast with bool(), so "false", "no" and
+        # [0] all ran instrumented under a separate cache key.
+        d = SimRequest(TRACE, PolicySpec("lru")).to_dict()
+        d["telemetry"] = telemetry
+        with pytest.raises(TypeError, match="telemetry must be a bool"):
+            SimRequest.from_dict(d)
+        for flag in (True, False):
+            d["telemetry"] = flag
+            assert SimRequest.from_dict(d).telemetry is flag
+
     def test_interleave_weights_never_truncated(self):
         d = InterleaveSpec(cores=(TRACE, TRACE), weights=(2, 1)).to_dict()
         d["weights"] = [1.5, 1]

@@ -10,7 +10,7 @@ module covers the machinery *around* them:
   error on a pinned provider, ``kernel_backend`` validation),
 - :class:`~emissary.api.SimRequest` backend plumbing — including the
   deliberate *exclusion* of ``backend`` from the results-cache key,
-- the sweep worker's backend parameter,
+- the sweep worker running a wire dict's ``backend``,
 - the sanitizer on the compiled flat-state path, and
 - the ``bench --backend`` harness (small-n smoke).
 
@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from emissary.analysis.sanitizer import Sanitizer, SanitizerError
-from emissary.api import BACKENDS, PolicySpec, SimRequest, simulate
+from emissary.api import (BACKENDS, DEFAULT_BACKEND, PolicySpec, SimRequest,
+                          simulate)
 from emissary.compiled import (
     COMPILED_ENV,
     PROVIDER_NAMES,
@@ -36,6 +37,7 @@ from emissary.compiled import (
 )
 from emissary.compiled.numba_backend import HAVE_NUMBA
 from emissary.engine import BatchedEngine, CacheConfig
+from emissary.hierarchy import BatchedHierarchyEngine
 from emissary.traces import TraceSpec
 
 try:
@@ -174,8 +176,14 @@ def test_python_provider_matches_python_backend(clean_providers):
 
 
 def test_unknown_kernel_backend_rejected():
-    with pytest.raises(ValueError, match="kernel_backend"):
-        BatchedEngine(CacheConfig(), kernel_backend="gpu")
+    """The engines take the batched members of ``api.BACKENDS``; the
+    ``python`` provider name and the reference oracle are not kernel
+    backends."""
+    assert BatchedEngine(CacheConfig()).kernel_backend == DEFAULT_BACKEND
+    assert BatchedHierarchyEngine().kernel_backend == DEFAULT_BACKEND
+    for backend in ("gpu", "python", "reference"):
+        with pytest.raises(ValueError, match="kernel_backend"):
+            BatchedEngine(CacheConfig(), kernel_backend=backend)
 
 
 def test_auto_compiled_falls_back_with_warning(clean_providers):
@@ -272,10 +280,10 @@ def test_run_config_compiled_backend():
                 if k not in ("elapsed_s", "accesses_per_s")}
 
     batched = run_config(request.to_dict())
-    compiled = run_config(request.to_dict(), backend="compiled")
+    compiled = run_config(dict(request.to_dict(), backend="compiled"))
     assert outcomes(compiled) == outcomes(batched)
-    with pytest.raises(ValueError, match="sweep backend"):
-        run_config(request.to_dict(), backend="gpu")
+    with pytest.raises(ValueError, match="unknown backend"):
+        run_config(dict(request.to_dict(), backend="gpu"))
 
 
 # -- sanitizer on the compiled path ---------------------------------------

@@ -55,7 +55,7 @@ def _addresses(lines):
 def _engine(kind):
     if kind == "reference":
         return HierarchyReferenceEngine(CONFIG)
-    backend = "compiled" if kind == "compiled" else "python"
+    backend = "compiled" if kind == "compiled" else "batched"
     return BatchedHierarchyEngine(CONFIG, kernel_backend=backend)
 
 

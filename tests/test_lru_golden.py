@@ -14,7 +14,7 @@ The sets are ``line % num_sets`` (line-sized addresses, no offset bits).
 Each docstring shows the set's recency stack LRU -> MRU after the
 interesting steps.
 
-Every table runs on the batched python engine, the compiled backend,
+Every table runs on the batched engine, the compiled backend,
 the per-access reference engine, and the streamed engine cut at every
 position; victims are checked by probing the victim line just before and
 just after its eviction; and the same trace is the L1I stream of a
@@ -135,7 +135,7 @@ def _run(kind, config, lines, telemetry=None, cut=None):
     if kind == "reference":
         return ReferenceEngine(config, telemetry=telemetry).run(
             addresses, LRU).hits.tolist()
-    backend = "compiled" if kind == "compiled" else "python"
+    backend = "compiled" if kind == "compiled" else "batched"
     engine = BatchedEngine(config, telemetry=telemetry,
                            kernel_backend=backend)
     if kind == "streamed":

@@ -238,7 +238,7 @@ def _run_flat(kind, spec, ways, lines):
         engine = ReferenceEngine(config)
     else:
         engine = BatchedEngine(config, kernel_backend="compiled"
-                               if kind == "compiled" else "python")
+                               if kind == "compiled" else "batched")
     return engine.run(_addresses(lines), spec)
 
 
@@ -336,7 +336,7 @@ def _run_partitioned(kind, rows, probe=None):
         engine = HierarchyReferenceEngine(PART_CONFIG)
     else:
         engine = BatchedHierarchyEngine(PART_CONFIG, kernel_backend="compiled"
-                                        if kind == "compiled" else "python")
+                                        if kind == "compiled" else "batched")
     result = engine.run_multicore(addresses, cores, PARTITIONED, num_cores=2)
     # Every access misses its core's one-line L1I.
     assert not result.l1.hits.any()

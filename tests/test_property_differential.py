@@ -356,7 +356,7 @@ def test_partitioned_budget_equals_shared_on_one_core(addresses):
 def test_multicore_folds_match_no_collapse(policy, mc):
     """The trace-order collapse and the set-order fold only skip kernel
     work: on interleaved multi-core input (where the set-order fold does
-    most of the folding) the python backend gives the same outcomes with
+    most of the folding) the batched backend gives the same outcomes with
     ``collapse_runs=True`` as with both folds off, one-shot and
     streamed.  Traces are kept long enough that sets fill and evict, so
     a wrong repeat flag or a dropped state update changes a victim."""

@@ -14,6 +14,7 @@ import asyncio
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,8 @@ from emissary.serve.__main__ import _stream_simulate
 from emissary.serve.loadgen import build_request_mix, fetch_json, fetch_text
 from emissary.serve.server import start_server
 from emissary.serve.service import (DEFAULT_RETRY_AFTER_S, MAX_RETRY_AFTER_S,
-                                    QueueFullError, SimService)
+                                    QueueFullError, SimService,
+                                    run_simulation_worker)
 from emissary.traces import TraceSpec
 
 TRACE = TraceSpec("loop", 2_000, 1, {"footprint_lines": 100})
@@ -58,6 +60,11 @@ def crashing_worker(request_dict, progress_path, chunk_bytes):
 
 def failing_worker(request_dict, progress_path, chunk_bytes):
     raise RuntimeError("synthetic simulation failure")
+
+
+def backend_worker(request_dict, progress_path, chunk_bytes):
+    # ``_``-prefixed keys are advisory: config keys ignore them.
+    return {"hit_rate": 0.5, "_backend": request_dict["backend"]}
 
 
 def run(coro, timeout=60.0):
@@ -262,6 +269,88 @@ class TestSingleFlight:
         assert "serve.simulations" not in service.telemetry.counters
 
 
+class TestRequestBackend:
+    """The worker runs the request on its own backend, while dedupe and
+    cache keys stay backend-invariant."""
+
+    def test_worker_receives_the_request_backend(self, tmp_path):
+        def wire(seed, backend):
+            return dict(make_request(seed=seed).to_dict(), backend=backend)
+
+        async def scenario():
+            service = SimService(cache_dir=tmp_path, worker_fn=backend_worker)
+            try:
+                ran = {}
+                for seed, backend in ((1, "compiled"), (2, "reference")):
+                    admission = service.admit(wire(seed, backend))
+                    ran[backend] = (await admission.future)["result"]
+                # Same request on another backend: same key, so served
+                # from the cache entry the compiled run left.
+                cached = service.admit(wire(1, "reference"))
+                # Concurrent submissions differing only in backend share
+                # one simulation.
+                first = service.admit(wire(3, "reference"))
+                joined = service.admit(wire(3, "batched"))
+                await first.future
+            finally:
+                await service.aclose()
+            return ran, cached, first, joined, service
+
+        ran, cached, first, joined, service = run(scenario())
+        assert ran["compiled"]["_backend"] == "compiled"
+        assert ran["reference"]["_backend"] == "reference"
+        assert cached.status == "cached"
+        assert cached.key == config_key(make_request(seed=1))
+        assert cached.result["_backend"] == "compiled"
+        assert (first.status, joined.status) == ("accepted", "joined")
+        assert first.key == joined.key
+        assert service.telemetry.counters["serve.simulations"] == 3
+
+    def test_reference_request_runs_the_oracle_one_shot(self, tmp_path):
+        request = make_request(seed=4, hierarchy=True)
+        progress = tmp_path / "progress.json"
+        payload = run_simulation_worker(
+            dict(request.to_dict(), backend="reference"), str(progress), 4096)
+        assert not progress.exists()  # one-shot: no chunk-boundary ticks
+        expected = simulate(request, engine="reference").to_dict()
+
+        def outcomes(d):
+            if not isinstance(d, dict):
+                return d
+            return {k: outcomes(v) for k, v in d.items()
+                    if k not in ("elapsed_s", "accesses_per_s", "_worker_pid")}
+
+        assert outcomes(payload) == outcomes(expected)
+
+
+def test_worker_memory_stays_flat_in_trace_length():
+    """Deterministic memory guard for the serve worker (tracemalloc peak
+    of ``run_simulation_worker`` on a 4M-access flat ``call`` request,
+    streamed in 256 KiB chunks).
+
+    The streamed path holds one generated chunk and a handful of
+    chunk-sized temporaries (decoded lines, run collapse, set sort,
+    kernel scratch): about 7.4 chunk budgets, 1.5-1.9 MiB at 250k, 1M
+    and 4M accesses alike.  The bound is 12 chunk budgets (3 MiB).  A
+    worker that keeps the hit vector holds one more byte per access,
+    3.8 MiB at this length on its own, and reads 7.7 MiB here."""
+    chunk_bytes = 256 * 1024
+    request = SimRequest(TraceSpec("call", 4_000_000, 1), PolicySpec("lru"),
+                         CacheConfig()).to_dict()
+    warm = dict(request, trace=TraceSpec("call", 10_000, 1).to_dict())
+    run_simulation_worker(warm, None, chunk_bytes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_simulation_worker(request, None, chunk_bytes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 12 * chunk_bytes
+    assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
+                           f"{bound / 2**20:.2f} MiB bound")
+
+
 class TestHttpServer:
     """End-to-end over a real socket with the real simulation worker."""
 
@@ -385,6 +474,26 @@ class TestHttpServer:
         assert [status for status, _ in results] == [400, 400, 400]
         assert "n must be positive" in results[0][1]["error"]
         assert "TraceSpec.n must be an int" in results[1][1]["error"]
+
+    def test_non_bool_telemetry_is_400(self, tmp_path):
+        async def scenario():
+            service = SimService(cache_dir=tmp_path / "cache",
+                                 worker_fn=fake_worker)
+            server = await start_server(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                bad = dict(make_request().to_dict(), telemetry="false")
+                return await fetch_json("127.0.0.1", port, "/v1/simulate",
+                                        "POST", bad), service
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.aclose()
+
+        (status, body), service = run(scenario())
+        assert status == 400
+        assert "telemetry must be a bool" in body["error"]
+        assert "serve.simulations" not in service.telemetry.counters
 
     def test_queue_full_gets_429_with_retry_after(self, tmp_path):
         async def scenario():

@@ -343,7 +343,9 @@ def test_mismatched_cost_length_rejected():
 
 
 @pytest.mark.parametrize("backend", [
-    "python",
+    # The batched backend runs the NumPy/Python kernels; its test id
+    # stays "python".
+    pytest.param("batched", id="python"),
     pytest.param("compiled", marks=[
         pytest.mark.needs_compiled,
         pytest.mark.skipif(not COMPILED_AVAILABLE,

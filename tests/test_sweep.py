@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from emissary.api import PolicySpec, SimRequest
+from emissary.api import PolicySpec, SimRequest, simulate
 from emissary.engine import CacheConfig
 from emissary.hierarchy import HierarchyConfig
 from emissary.sweep import (SWEEP_SCHEMA_VERSION, add_fairness, build_envelope,
@@ -111,7 +111,9 @@ def test_build_grid_threads_min_l1_misses():
 
 
 def test_run_config_returns_stats():
-    result = run_config(small_grid()[0].to_dict())
+    request = small_grid()[0]
+    result = run_config(request.to_dict())
+    assert _scrub_timing(result) == _scrub_timing(simulate(request).to_dict())
     assert result["policy"] == "lru"
     assert result["n"] == 2_000
     assert 0.0 <= result["hit_rate"] <= 1.0
@@ -119,7 +121,9 @@ def test_run_config_returns_stats():
 
 
 def test_run_config_hierarchy_returns_per_level_stats():
-    result = run_config(hierarchy_grid()[-1].to_dict())  # emissary point
+    request = hierarchy_grid()[-1]  # emissary point
+    result = run_config(request.to_dict())
+    assert _scrub_timing(result) == _scrub_timing(simulate(request).to_dict())
     assert result["policy"] == "emissary"
     assert result["n"] == 2_000
     assert result["l1"]["n"] == 2_000
@@ -138,7 +142,8 @@ def _scrub_timing(d):
 
 def test_run_config_streams_file_traces(tmp_path):
     """A file-backed config must produce the same stats as the same
-    addresses simulated from memory (workers stream it chunk by chunk)."""
+    addresses simulated from memory (workers stream it chunk by chunk),
+    on the backend its wire dict names."""
     from emissary import trace_io
 
     synth = small_grid()[0]
@@ -146,8 +151,10 @@ def test_run_config_streams_file_traces(tmp_path):
     trace_io.write_trace(path, [synth.trace.generate()])
     file_request = SimRequest(trace_io.file_spec(path), synth.policy,
                               synth.config, seed=synth.seed)
-    assert _scrub_timing(run_config(file_request.to_dict())) == \
-        _scrub_timing(run_config(synth.to_dict()))
+    expected = _scrub_timing(run_config(synth.to_dict()))
+    assert _scrub_timing(run_config(file_request.to_dict())) == expected
+    assert _scrub_timing(run_config(
+        dict(file_request.to_dict(), backend="compiled"))) == expected
 
 
 def test_cli_trace_file_sweeps_and_caches(tmp_path, capsys):
@@ -238,6 +245,19 @@ def test_sweep_isolates_failing_configs(tmp_path, workers, caplog):
     # Error payloads are never cached; good ones are.
     again = run_sweep([grid[0], bad, grid[1]], workers=1, cache_dir=tmp_path)
     assert [r["cached"] for r in again] == [True, False, True]
+
+
+def test_wire_dict_backend_stays_out_of_the_key(tmp_path):
+    """A wire dict's ``backend`` picks the worker's engine; the row and
+    the cache key carry the backend-free config."""
+    request = small_grid()[0]
+    rows = run_sweep([dict(request.to_dict(), backend="reference")],
+                     workers=1, cache_dir=tmp_path)
+    assert rows[0]["backend"] == "reference"
+    assert rows[0]["config"] == request.to_dict()
+    again = run_sweep([request], workers=1, cache_dir=tmp_path)
+    assert again[0]["cached"] and again[0]["backend"] == "batched"
+    assert again[0]["result"] == rows[0]["result"]
 
 
 def test_sweep_fresh_rows_carry_worker_metadata(tmp_path):
