@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from emissary.api import DEFAULT_BACKEND, PolicySpec, require_policy_spec
+from emissary.api import (BATCHED_BACKENDS, DEFAULT_BACKEND, PolicySpec,
+                          require_policy_spec)
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
 from emissary.engine import (BatchedEngine, CacheConfig, IndexArray, SimResult,
@@ -399,10 +400,12 @@ class BatchedHierarchyEngine:
         #: Optional :class:`~emissary.analysis.sanitizer.Sanitizer`,
         #: shared by both stage engines (one instance checks both levels).
         self.sanitizer = sanitizer
+        if kernel_backend not in BATCHED_BACKENDS:
+            raise ValueError(f"unknown kernel_backend {kernel_backend!r} "
+                             f"(expected one of {BATCHED_BACKENDS})")
         #: Kernel backend for *both* stage engines, one of
         #: :data:`~emissary.api.BATCHED_BACKENDS` ("batched" or
-        #: "compiled"); outcomes are bit-identical either way.  Validated
-        #: by the stage :class:`~emissary.engine.BatchedEngine`\ s.
+        #: "compiled"); outcomes are bit-identical either way.
         self.kernel_backend = kernel_backend
         self.compiled_provider = compiled_provider
 

@@ -184,6 +184,8 @@ def test_unknown_kernel_backend_rejected():
     for backend in ("gpu", "python", "reference"):
         with pytest.raises(ValueError, match="kernel_backend"):
             BatchedEngine(CacheConfig(), kernel_backend=backend)
+        with pytest.raises(ValueError, match="kernel_backend"):
+            BatchedHierarchyEngine(kernel_backend=backend)
 
 
 def test_auto_compiled_falls_back_with_warning(clean_providers):

@@ -63,7 +63,7 @@ def failing_worker(request_dict, progress_path, chunk_bytes):
 
 
 def backend_worker(request_dict, progress_path, chunk_bytes):
-    # ``_``-prefixed keys are advisory: config keys ignore them.
+    # Reports the backend it received under an advisory ``_`` key.
     return {"hit_rate": 0.5, "_backend": request_dict["backend"]}
 
 
