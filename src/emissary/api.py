@@ -269,12 +269,17 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     """Unified typed entry point: the one place a request becomes an
     engine run.
 
-    ``simulate(SimRequest(...))`` generates the trace from its spec and
-    dispatches on the config type (single-level vs hierarchy) and the
-    trace type (one core vs an interleave).  The sweep and serve workers
-    run every request through it.  The array form
-    ``simulate(addresses, PolicySpec(...), ...)`` runs a policy over an
-    in-memory trace; the PR 2 string-policy shim has been removed.
+    ``simulate(SimRequest(...))`` dispatches on the config type
+    (single-level vs hierarchy) and the trace type (one core vs an
+    interleave).  The sweep and serve workers run every request through
+    it.  On a batched backend a request's trace is always generated (or,
+    for a file-backed spec, read) one chunk budget at a time
+    (:meth:`~emissary.traces.TraceSpec.generate_chunks`) and fed to the
+    engine's stream, so the trace itself is never resident whole; the
+    reference oracle generates the whole trace and runs it one-shot.
+    The array form ``simulate(addresses, PolicySpec(...), ...)`` runs a
+    policy over an in-memory trace; the PR 2 string-policy shim has been
+    removed.
 
     ``engine`` selects the backend (:data:`BACKENDS`): ``"batched"``
     (vectorized NumPy), ``"compiled"`` (native per-set kernels — see
@@ -283,16 +288,13 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     :data:`DEFAULT_BACKEND` for the array form); an explicit value
     overrides the request.  All backends produce bit-identical outcomes.
 
-    ``stream=True`` feeds the trace through the engine in fixed-size
-    chunks (``chunk_bytes``, default :data:`emissary.trace_io.DEFAULT_CHUNK_BYTES`)
-    instead of one array.  For a request whose trace is file-backed
-    (``kind="file"``) the file is read incrementally, and synthetic
-    traces are *generated* chunk-by-chunk
-    (:meth:`~emissary.traces.TraceSpec.generate_chunks`), so the trace
-    itself is held one chunk at a time either way.  Outcomes are
-    bit-identical to the one-shot path, which is the same engine stream
-    fed a single chunk.  Streaming requires a batched-engine backend
-    (:data:`BATCHED_BACKENDS`).
+    ``stream=True`` asks for the streamed path explicitly: it lets
+    ``chunk_bytes`` (default :data:`emissary.traces.DEFAULT_CHUNK_BYTES`)
+    set the chunk budget and ``progress`` watch the chunks, feeds the
+    array form through the engine in chunks instead of one array, and
+    is an error on the reference backend, which has no streaming path.
+    Outcomes are bit-identical to the one-shot path, which is the same
+    engine stream fed a single chunk.
 
     ``keep_hits`` is forwarded to the engine: with the default ``True``
     the result keeps one hit byte per access per level, so a streamed
@@ -313,39 +315,24 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                     HierarchyReferenceEngine)
     from emissary.telemetry import Telemetry
+    from emissary.traces import DEFAULT_CHUNK_BYTES
 
-    if stream:
-        from emissary import trace_io
-
-        chunk_bytes = chunk_bytes or trace_io.DEFAULT_CHUNK_BYTES
-    elif chunk_bytes is not None:
+    if chunk_bytes is not None and not stream:
         raise TypeError("chunk_bytes only applies to stream=True")
     if progress is not None and not stream:
         raise TypeError("progress only applies to stream=True")
+    chunk_bytes = chunk_bytes or DEFAULT_CHUNK_BYTES
 
-    chunks: Any = None
-    total = 0
-    num_cores = 0  # 0: single-core; else the interleave's core count
-    core_ids = None
-    if isinstance(target, SimRequest):
+    request = target if isinstance(target, SimRequest) else None
+    if request is not None:
         if policy is not None or config is not None:
             raise TypeError("simulate(SimRequest) takes no policy/config "
                             "arguments — they live inside the request")
-        spec, config, seed = target.policy, target.config, target.seed
-        telemetry = telemetry or target.telemetry
+        spec, config, seed = request.policy, request.config, request.seed
+        telemetry = telemetry or request.telemetry
         if engine is None:
-            engine = target.backend
-        if target.is_multicore:
-            num_cores = target.trace.num_cores
-        if stream:
-            chunks = target.trace.generate_chunks(chunk_bytes=chunk_bytes)
-            total = target.trace.n
-        elif num_cores:
-            addresses, core_ids = target.trace.generate()
-        else:
-            addresses = target.trace.generate()
+            engine = request.backend
     else:
-        addresses = target
         spec = require_policy_spec(policy, caller="simulate")
     if engine is None:
         engine = DEFAULT_BACKEND
@@ -358,25 +345,35 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
 
     tel = Telemetry() if telemetry else None
     hierarchy = isinstance(config, HierarchyConfig)
+    num_cores = request.trace.num_cores if (
+        request is not None and request.is_multicore) else 0
     eng: Any
     if engine == "reference":
         reference = HierarchyReferenceEngine if hierarchy else ReferenceEngine
         eng = reference(config, telemetry=tel)
-    else:
-        batched = BatchedHierarchyEngine if hierarchy else BatchedEngine
-        eng = batched(config, telemetry=tel, kernel_backend=engine)
-    if stream:
-        if chunks is None:
-            total = len(addresses)
-            chunks = _array_chunks(addresses, chunk_bytes)
-        if progress is not None:
-            chunks = _progress_chunks(chunks, progress, total)
+        if request is None:
+            return eng.run(target, spec, seed=seed, keep_hits=keep_hits)
         if num_cores:
-            return eng.simulate_stream_multicore(chunks, spec,
-                                                 num_cores=num_cores,
-                                                 seed=seed, keep_hits=keep_hits)
-        return eng.simulate_stream(chunks, spec, seed=seed, keep_hits=keep_hits)
+            addresses, core_ids = request.trace.generate()
+            return eng.run_multicore(addresses, core_ids, spec,
+                                     num_cores=num_cores, seed=seed,
+                                     keep_hits=keep_hits)
+        return eng.run(request.trace.generate(), spec, seed=seed,
+                       keep_hits=keep_hits)
+
+    batched = BatchedHierarchyEngine if hierarchy else BatchedEngine
+    eng = batched(config, telemetry=tel, kernel_backend=engine)
+    if request is not None:
+        chunks = request.trace.generate_chunks(chunk_bytes=chunk_bytes)
+        total = request.trace.n
+    elif stream:
+        chunks = _array_chunks(target, chunk_bytes)
+        total = len(target)
+    else:
+        return eng.run(target, spec, seed=seed, keep_hits=keep_hits)
+    if progress is not None:
+        chunks = _progress_chunks(chunks, progress, total)
     if num_cores:
-        return eng.run_multicore(addresses, core_ids, spec, num_cores=num_cores,
-                                 seed=seed, keep_hits=keep_hits)
-    return eng.run(addresses, spec, seed=seed, keep_hits=keep_hits)
+        return eng.simulate_stream_multicore(chunks, spec, num_cores=num_cores,
+                                             seed=seed, keep_hits=keep_hits)
+    return eng.simulate_stream(chunks, spec, seed=seed, keep_hits=keep_hits)

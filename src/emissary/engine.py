@@ -52,7 +52,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, TypeVar, overload
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -250,24 +250,21 @@ def _run_flags(kernel: "PolicyKernel | CompiledKernel", with_extra: bool,
             lengths - 1 if with_extra else None)
 
 
-_Array = TypeVar("_Array", bound="NDArray[Any]")
+_Column = TypeVar("_Column", bound="NDArray[Any]")
 
 
-@overload
-def _prepend(value: Any, arr: _Array) -> _Array: ...
-
-
-@overload
-def _prepend(value: Any, arr: None) -> None: ...
-
-
-def _prepend(value: Any, arr: NDArray[Any] | None) -> NDArray[Any] | None:
-    """``arr`` with ``value`` in front (None stays None)."""
-    if arr is None:
+def _gather(col: _Column | None, at: IndexArray, lead: bool,
+            head: Any = None) -> _Column | None:
+    """``col[at]`` (None stays None), with ``head`` in front when
+    ``lead``: one allocation, where a gather and then a prepend copy the
+    result twice.  ``mode="clip"`` lets ``take`` write straight into the
+    output (the positions are in range)."""
+    if col is None:
         return None
-    out = np.empty(len(arr) + 1, dtype=arr.dtype)
-    out[0] = value
-    out[1:] = arr
+    out = np.empty(len(at) + lead, dtype=col.dtype)
+    col.take(at, out=out[lead:], mode="clip")
+    if lead:
+        out[0] = head
     return out
 
 
@@ -389,6 +386,8 @@ def _collapse(lines: AddressArray, u: UniformArray | None,
     single lag-1 run)."""
     n = len(lines)
     k = carried = 0
+    lead = pending is not None
+    pline = pu = pcost = pcore = None
     if pending is not None:
         pline, pu, pcost, pcore, carried = pending
         differs = lines != np.uint64(pline)
@@ -403,39 +402,40 @@ def _collapse(lines: AddressArray, u: UniformArray | None,
     del edge_mask
     if k:
         edges += k
-    # Run lengths of the resolved runs (the trailing one is carried).
-    lengths: IndexArray | None = np.diff(edges) if want_lengths else None
     bound = int(edges[-1])
     carry = (int(lines[bound]),
              float(u[bound]) if u is not None else None,
              int(cost[bound]) if cost is not None else None,
              int(core[bound]) if core is not None else None,
              n - bound)
-    edges = edges[:-1]
-    edge_lines = lines[edges]
-    starts = edges
-    if pending is not None:
-        # The carried run is resolved access 0; the chunk follows it.
-        edge_lines = _prepend(pline, edge_lines)
-        lengths = _prepend(carried + k, lengths)
-        starts = _prepend(0, edges + carried)
-    m = len(edge_lines)
+    # The chunk's resolved run starts (its trailing run is carried); a
+    # carried run in front is resolved access 0.
+    resolved = edges[:-1]
+    m = len(resolved) + lead
+    edge_lines = _gather(lines, resolved, lead, pline)
+    assert edge_lines is not None
+    lengths: IndexArray | None = None
+    if want_lengths:
+        lengths = np.empty(m, dtype=np.int64)
+        np.subtract(edges[1:], resolved, out=lengths[lead:])
+        if lead:
+            lengths[0] = carried + k
+    starts = resolved
+    if lead:
+        starts = np.empty(m, dtype=resolved.dtype)
+        starts[0] = 0
+        np.add(resolved, carried, out=starts[1:])
+    del edges
     if num_cores > 1 and m > 2:
         keep, lengths = _lag_fold(edge_lines, lengths, num_sets, num_cores)
         edge_lines, starts = edge_lines[keep], starts[keep]
         # The kept chunk positions (the lag fold never drops access 0).
-        edges = starts[1:] - carried if pending is not None else starts
+        resolved = starts[1:] - carried if lead else starts
     # Side channels are gathered once, at the kept chunk positions.
-    batch = _Batch(edge_lines,
-                   u[edges] if u is not None else None,
-                   cost[edges] if cost is not None else None,
-                   core[edges] if core is not None else None,
-                   lengths, starts, carried + bound, m)
-    if pending is not None:
-        batch.u = _prepend(pu, batch.u)
-        batch.cost = _prepend(pcost, batch.cost)
-        batch.core = _prepend(pcore, batch.core)
-    return batch, carry
+    return _Batch(edge_lines, _gather(u, resolved, lead, pu),
+                  _gather(cost, resolved, lead, pcost),
+                  _gather(core, resolved, lead, pcore),
+                  lengths, starts, carried + bound, m), carry
 
 
 def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,

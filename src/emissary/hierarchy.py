@@ -49,7 +49,8 @@ from emissary.engine import (BatchedEngine, CacheConfig, IndexArray, SimResult,
 from emissary.policies import make_naive, policy_needs_rng
 from emissary.policies.base import stable_argsort
 from emissary.telemetry import Telemetry, span_factory
-from emissary.traces import MAX_CORES, AddressArray, CoreIdArray
+from emissary.traces import (DEFAULT_CHUNK_BYTES, MAX_CORES, AddressArray,
+                             CoreIdArray)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.analysis.sanitizer import Sanitizer
@@ -57,12 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default L1I: 64 sets x 8 ways x 64 B lines = 32 KiB, the common size.
 DEFAULT_L1 = CacheConfig(num_sets=64, ways=8)
 
-#: Default byte budget for coalescing L1I miss chunks before forwarding
-#: them to the L2 stream (1 MiB of uint64 lines ~= 128k misses).  Small
-#: ingest chunks on low-miss-rate traces otherwise produce many tiny L2
-#: dispatches; coalescing is outcome-invariant because the running
-#: per-line miss counts carry across batch boundaries in a counter table.
-DEFAULT_L2_CHUNK_BYTES = 1 << 20
+#: Accesses per L1 stage piece: the chunk budget's worth of addresses.
+_PIECE = DEFAULT_CHUNK_BYTES // np.dtype(np.uint64).itemsize
 
 
 @dataclass(frozen=True)
@@ -372,8 +369,21 @@ class MissCountTable:
         cost[order] = rank
         self._counts[at] += sizes[known]
         new = ~known
-        self._keys = np.insert(self._keys, pos[new], uniq[new])
-        self._counts = np.insert(self._counts, pos[new], sizes[new])
+        # Merge the new keys in at the positions the lookup found (each
+        # shifted past the new keys before it): ``np.insert`` would
+        # argsort those positions again, twice.
+        at_new = pos[new]
+        at_new += np.arange(len(at_new), dtype=at_new.dtype)
+        grown = len(self._keys) + len(at_new)
+        old = np.ones(grown, dtype=bool)
+        old[at_new] = False
+        keys_out = np.empty(grown, dtype=np.uint64)
+        keys_out[old] = self._keys
+        keys_out[at_new] = uniq[new]
+        counts_out = np.empty(grown, dtype=np.int64)
+        counts_out[old] = self._counts
+        counts_out[at_new] = sizes[new]
+        self._keys, self._counts = keys_out, counts_out
         return cost
 
 
@@ -420,10 +430,11 @@ class BatchedHierarchyEngine:
 
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True) -> HierarchyResult:
-        """One core, whole trace in memory: a stream of one chunk."""
+        """One core, whole trace in memory: a stream of one chunk (which
+        :meth:`_run` works through in chunk-budget views)."""
         spec = require_policy_spec(policy, caller="BatchedHierarchyEngine.run")
         return self._run([(addresses, None, None)], spec, 1, seed, keep_hits,
-                         DEFAULT_L2_CHUNK_BYTES, multicore=False)
+                         DEFAULT_CHUNK_BYTES, multicore=False)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
                       policy: PolicySpec, num_cores: int | None = None,
@@ -435,19 +446,22 @@ class BatchedHierarchyEngine:
         interleaved trace order *is* the arrival order at the shared
         L2); ``num_cores=None`` infers the count from the ids.  The
         private L1Is share one core-virtualized engine (see
-        :func:`_core_virtual_layout`), whose set-order fold still finds
-        each core's line repeats that interleaving hides from
-        trace-order collapse: on a 2:1 two-core interleave about 8% of
-        accesses reach the L1 kernel, against 68% after trace-order
-        collapse alone (the compiled backend applies only the latter).
-        The shared L2 gets the issuing core on the core channel, so a
-        partitioned-budget EMISSARY L2 can enforce per-core HP quotas.
+        :func:`_core_virtual_layout`), whose lag fold and set-order fold
+        still find each core's line repeats that interleaving hides from
+        trace-order collapse.  On a 300k-access 2:1 ``loop``/``call``
+        interleave, 204,004 accesses (68%) are trace-order edges and
+        about 22.8k (7.6%) reach the L1 kernel.  The lag fold runs
+        before the set sort on every backend, so the compiled backend,
+        which skips only the set-order fold, still sends just 29.4k
+        (9.8%).  The shared L2 gets the issuing core on the core
+        channel, so a partitioned-budget EMISSARY L2 can enforce
+        per-core HP quotas.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.run_multicore")
         core, counts = _check_core_ids(core_ids, len(addresses), num_cores)
         result = self._run([(addresses, core, counts)], spec, len(counts),
-                           seed, keep_hits, DEFAULT_L2_CHUNK_BYTES,
+                           seed, keep_hits, DEFAULT_CHUNK_BYTES,
                            multicore=True)
         assert isinstance(result, MultiCoreHierarchyResult)
         return result
@@ -455,7 +469,7 @@ class BatchedHierarchyEngine:
     def simulate_stream(self, chunks: Iterable[AddressArray],
                         policy: PolicySpec, seed: int = 0,
                         keep_hits: bool = True,
-                        chunk_bytes: int | None = DEFAULT_L2_CHUNK_BYTES
+                        chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
                         ) -> HierarchyResult:
         """Run the two-level hierarchy over a chunked trace in bounded memory.
 
@@ -480,7 +494,7 @@ class BatchedHierarchyEngine:
             self, chunks: Iterable[tuple[AddressArray, CoreIdArray]],
             policy: PolicySpec, num_cores: int, seed: int = 0,
             keep_hits: bool = True,
-            chunk_bytes: int | None = DEFAULT_L2_CHUNK_BYTES
+            chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
             ) -> MultiCoreHierarchyResult:
         """Streamed N-core shared-L2 run in bounded memory.
 
@@ -514,10 +528,14 @@ class BatchedHierarchyEngine:
 
         ``chunks`` yields ``(addresses, core, per_core_counts)`` triples
         in trace order, the ids already through :func:`_check_core_ids`
-        (both None on one core).  Each chunk is decoded to lines once,
+        (both None on one core).  Each chunk is cut into views of at
+        most one chunk budget (:data:`~emissary.traces.DEFAULT_CHUNK_BYTES`)
+        of accesses, without copies, so the line build, the collapse and
+        the lag fold work on cache-resident arrays whoever the caller
+        is.  Each piece is decoded to lines once,
         with the core ORed in below the line when there are several
         (the L1 stage's ``decode`` span), and enters the L1 stream as
-        lines.  Each resolved L1I chunk's miss lines go, coalesced up to
+        lines.  Each resolved L1I piece's miss lines go, coalesced up to
         ``chunk_bytes``, into the L2 stream, again as lines, with their
         running per-``(core, line)`` L1I miss counts, carried across
         chunks in a :class:`MissCountTable`.  At one core ``core_bits``
@@ -614,12 +632,15 @@ class BatchedHierarchyEngine:
             del item
             if counts is not None:
                 n_by_core += counts
-            with span("l1_stage"):
-                # The lines are a call temporary: the stream frees them
-                # after its collapse.
-                _, miss_vlines = l1_stream.feed_lines(l1_lines(addrs, core))
+            for lo in range(0, len(addrs), _PIECE):
+                with span("l1_stage"):
+                    # The lines are a call temporary: the stream frees
+                    # them after its collapse.
+                    _, miss_vlines = l1_stream.feed_lines(l1_lines(
+                        addrs[lo:lo + _PIECE],
+                        None if core is None else core[lo:lo + _PIECE]))
+                enqueue(miss_vlines)
             del addrs, core
-            enqueue(miss_vlines)
         with span("l1_stage"):
             _, miss_vlines = l1_stream.flush()
         enqueue(miss_vlines, flush=True)

@@ -41,9 +41,13 @@ the L1I -> L2 hierarchy engine every L2 access genuinely is an L1I miss,
 and the engine supplies the line's running L1I miss count as the
 per-access ``cost`` signal; ``min_l1_misses`` then gates HP candidacy on
 *measured* cost (a line must have cost at least that many L1I misses so
-far to qualify).  With ``min_l1_misses=1`` the hierarchy reproduces the
-paper's binary signal exactly (every L2 fill was an L1I miss); higher
-values demand repeat offenders.
+far to qualify); higher values demand repeat offenders.  This is not
+the paper's signal.  The paper promotes a fill whose miss starved
+decode, ANDed with the ``1 / prob_inv`` draw; the decode-starvation bit
+comes from a core model, which this trace-driven simulator does not
+have.  With the default ``min_l1_misses=1`` every L2 fill is a
+candidate (every L2 access is an L1I miss), so selection reduces to the
+random draw up to ``hp_threshold``.
 """
 
 from __future__ import annotations

@@ -136,20 +136,21 @@ def _scan_windows(prev: NDArray[np.int64], owners: NDArray[np.int64],
     in its window ``(prev[i], i)``.
 
     Each round reads the next ``width`` positions of every open window
-    as rows of a sliding-window view of the padded ``prev``; ``width``
-    starts at ``2 * ways`` and doubles each round, up to ``cap``, the
-    padding."""
+    as the leading columns of rows of one sliding-window view of the
+    padded ``prev``, ``cap`` (the padding) wide; ``width`` starts at
+    ``2 * ways`` and doubles each round, up to ``cap``.  The view is
+    built once per call: building it costs as much as a small round."""
     first = prev[owners]
     cur = first + 1
     seen = np.zeros(len(owners), dtype=np.int64)
     width = min(2 * ways, cap)
+    windows = np.lib.stride_tricks.sliding_window_view(prev, cap)
     while len(owners):
-        windows = np.lib.stride_tricks.sliding_window_view(prev, width)
         step = np.minimum(owners - cur, width)
         rows = max(1, SCAN_BUDGET // width)
         for lo in range(0, len(owners), rows):
             hi = lo + rows
-            fresh = windows[cur[lo:hi]] < first[lo:hi, None]
+            fresh = windows[cur[lo:hi], :width] < first[lo:hi, None]
             # Positions at or past the owner belong to later windows.
             fresh &= np.arange(width, dtype=np.int64) < step[lo:hi, None]
             seen[lo:hi] += np.count_nonzero(fresh, axis=1)
@@ -216,23 +217,25 @@ class LRUKernel(PolicyKernel):
         _previous(keys, order, prev)
 
         # New state: the last ``ways`` distinct lines per set by last use.
+        # Last uses are in position order, so each set's are one run
+        # ending where its extended accesses end; only the run's tail of
+        # up to ``ways`` is gathered, LRU first.
         last = np.ones(total, dtype=bool)
         reused = prev[:total]
         last[reused[reused >= 0]] = False
         del reused
         last_pos = np.flatnonzero(last)
         del last
-        group = np.searchsorted(ext_ends, last_pos, side="right")
-        n_last = np.bincount(group, minlength=len(sets))
-        depth = np.cumsum(n_last)[group]
-        depth -= np.arange(len(last_pos), dtype=np.int64)  # 1 = MRU
-        keep = depth <= ways
-        kept_pos = last_pos[keep]
-        kept_n = np.minimum(n_last, ways)
-        slots = sets[group[keep]] * ways + kept_n[group[keep]] - depth[keep]
+        last_ends = np.searchsorted(last_pos, ext_ends)
+        kept_n = np.minimum(np.diff(last_ends, prepend=0), ways)
+        kept_ends = np.cumsum(kept_n)
+        rank = np.arange(int(kept_ends[-1]), dtype=np.int64)
+        rank -= np.repeat(kept_ends - kept_n, kept_n)
+        kept_pos = last_pos[np.repeat(last_ends - kept_n, kept_n) + rank]
+        slots = np.repeat(sets * ways, kept_n) + rank
         self._tag[slots] = (keys[kept_pos] >> set_bits).astype(np.int64)
         self._size[sets] = kept_n
-        del keys, last_pos, group, depth, keep
+        del keys, last_pos, rank
 
         hit = _closed_form_hits(prev, total, ways)
         del prev

@@ -35,6 +35,7 @@ progress spool
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
 import logging
@@ -129,34 +130,36 @@ def _write_progress_file(path: Path, done: int, total: int) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _progress_tick(spool: Path, done: int, total: int) -> None:
+    """A worker's progress callback: publish the tick, and log instead of
+    raising when it cannot be written."""
+    try:
+        _write_progress_file(spool, done, total)
+    except OSError as exc:
+        # Ticks are advisory; the simulation must not die because the
+        # spool directory vanished under it.
+        logger.warning("progress tick for %s failed: %s", spool, exc)
+
+
 def run_simulation_worker(request_dict: dict[str, Any], progress_path: str | None,
                           chunk_bytes: int) -> dict[str, Any]:
     """Executed inside a worker process: decode, stream, encode.
 
     This is deliberately the same typed path a library user takes —
     :func:`emissary.api.simulate` on a :class:`~emissary.api.SimRequest`
-    — on the request's own ``backend``, with the streaming progress
-    callback wired to the spool file.  Batched backends stream in
-    ``chunk_bytes`` pieces without hit vectors, so a worker's memory
-    stays near the chunk budget however long the trace; the
-    ``"reference"`` oracle has no streaming path and runs one-shot.
+    — on the request's own ``backend``.  Batched backends stream in
+    ``chunk_bytes`` pieces (the progress-tick budget) without hit
+    vectors, ticking to the spool file at ``progress_path`` when one is
+    given, so a worker's memory stays near the chunk budget however long
+    the trace; the ``"reference"`` oracle has no chunks to tick at and
+    runs one-shot.
     """
     request = SimRequest.from_dict(request_dict)
-    progress: Callable[[int, int], None] | None = None
-    if progress_path is not None:
-        spool = Path(progress_path)
-
-        def progress(done: int, total: int) -> None:
-            try:
-                _write_progress_file(spool, done, total)
-            except OSError as exc:
-                # Ticks are advisory; the simulation must not die because
-                # the spool directory vanished under it.
-                logger.warning("progress tick for %s failed: %s", spool, exc)
-
     if request.backend == "reference":
         result = simulate(request, keep_hits=False)
     else:
+        progress = (None if progress_path is None
+                    else functools.partial(_progress_tick, Path(progress_path)))
         result = simulate(request, stream=True, chunk_bytes=chunk_bytes,
                           progress=progress, keep_hits=False)
     payload = dict(result.to_dict())

@@ -40,7 +40,7 @@ from emissary.engine import CacheConfig
 from emissary.hierarchy import HierarchyConfig
 from emissary.policies import POLICY_NAMES
 from emissary.results_cache import DEFAULT_CACHE_DIR, ResultsCache
-from emissary.traces import FILE_KIND, InterleaveSpec, TraceSpec
+from emissary.traces import InterleaveSpec, TraceSpec
 
 logger = logging.getLogger(__name__)
 
@@ -71,15 +71,12 @@ def run_config(config: dict[str, Any]) -> dict[str, Any]:
     through :func:`emissary.api.simulate` on the request's own
     ``backend``, without hit vectors.  A config with ``"telemetry":
     true`` runs instrumented; its result dict then carries the telemetry
-    payload.  File-backed traces (``kind="file"``) are *streamed* from
-    disk in chunk-budget-sized pieces rather than materialized, so a
-    worker's peak memory stays bounded by the chunk budget however large
-    the trace file is; synthetic and multi-core points run one-shot.
+    payload.  On a batched backend every trace, synthetic, multi-core
+    or file-backed (``kind="file"``), is generated or read one chunk
+    budget at a time rather than materialized, so a worker's peak memory
+    stays bounded by the budget however long the trace is.
     """
-    request = SimRequest.from_dict(config)
-    file_backed = (isinstance(request.trace, TraceSpec)
-                   and request.trace.kind == FILE_KIND)
-    return simulate(request, stream=file_backed, keep_hits=False).to_dict()
+    return simulate(SimRequest.from_dict(config), keep_hits=False).to_dict()
 
 
 def _run_indexed(item: tuple[int, dict[str, Any]]

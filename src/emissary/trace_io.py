@@ -87,11 +87,8 @@ from typing import Any, BinaryIO, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.traces import (FILE_KIND, GENERATORS, LINE_BYTES,
-                             AddressArray, TraceSpec)
-
-#: Default streaming memory budget: 8 MiB of addresses per chunk.
-DEFAULT_CHUNK_BYTES = 8 << 20
+from emissary.traces import (DEFAULT_CHUNK_BYTES, FILE_KIND, GENERATORS,
+                             LINE_BYTES, AddressArray, TraceSpec)
 
 #: ChampSim's packed ``trace_instr_format`` (64 bytes per instruction).
 CHAMPSIM_DTYPE = np.dtype([

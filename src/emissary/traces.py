@@ -265,10 +265,13 @@ GENERATORS: dict[str, Callable[..., AddressArray]] = {
     "call": call_heavy,
 }
 
-#: Default chunk budget for chunked generation (mirrors
-#: :data:`emissary.trace_io.DEFAULT_CHUNK_BYTES` without importing it —
-#: trace_io imports this module).
-DEFAULT_CHUNK_BYTES = 1 << 22
+#: The one chunk budget: bytes of addresses per piece wherever a trace
+#: is generated, read or simulated in pieces (chunked generation, trace
+#: file readers, streamed requests, the hierarchy engine's L1 pieces and
+#: its L2 coalescing).  1 MiB is 128Ki accesses, so one piece and its
+#: chunk-sized temporaries stay resident in a per-core L2 cache of a
+#: few MiB; larger pieces run each pass over the piece out of DRAM.
+DEFAULT_CHUNK_BYTES = 1 << 20
 
 _ADDR_ITEMSIZE = np.dtype(np.uint64).itemsize
 
@@ -621,6 +624,18 @@ class _CoreFeed:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _tile(out: CoreIdArray, period: CoreIdArray) -> None:
+    """Fill ``out`` (a whole number of periods long) with ``period``
+    repeated: one period, then contiguous copies of the filled prefix,
+    doubling it each time."""
+    k = len(period)
+    out[:k] = period
+    while k < len(out):
+        step = min(k, len(out) - k)
+        out[k:k + step] = out[:step]
+        k += step
+
+
 def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
                 ) -> tuple[AddressArray, CoreIdArray]:
     """Weighted round-robin merge of per-core address arrays.
@@ -630,8 +645,13 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
     what it has left and drops out.  While a set of cores is active, the
     ``R`` full rounds they can all supply form one ``(R, sum(w))`` block
     of the output, and each core's ``R * w_i`` accesses go into its
-    column slice; then one partial round is written, which drops at
-    least one core.  So the loop runs at most once per core.
+    columns; then one partial round is written, which drops at least one
+    core.  So the loop runs at most once per core.
+
+    Each column is copied on its own (a 2-D slice copy of ``w`` columns
+    steps through rows ``w`` elements at a time, about 7x slower on a
+    cache-resident block), and the block's core ids, one round's ids
+    repeated, are filled by doubling contiguous copies.
     """
     counts = [len(part) for part in parts]
     total = sum(counts)
@@ -646,14 +666,14 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
         if rounds:
             end = pos + rounds * sum(widths)
             block = addresses[pos:end].reshape(rounds, -1)
-            ids = core_ids[pos:end].reshape(rounds, -1)
             col = 0
             for i, w in zip(active, widths):
                 lo = rounds_done * w
-                block[:, col:col + w] = parts[i][lo:lo + rounds * w].reshape(
-                    rounds, w)
-                ids[:, col:col + w] = i
+                src = parts[i][lo:lo + rounds * w]
+                for j in range(w):
+                    block[:, col + j] = src[j::w]
                 col += w
+            _tile(core_ids[pos:end], np.repeat(active, widths))
             pos = end
             rounds_done += rounds
         still_active = []
