@@ -636,6 +636,14 @@ def _tile(out: CoreIdArray, period: CoreIdArray) -> None:
         k += step
 
 
+#: Smallest interleave weight whose columns are copied as one 2-D slice
+#: rather than one column at a time.  On 128Ki-access blocks the column
+#: copies win at weights 1-3 (weights 2:1, 150 against 300-480 us) and
+#: lose from 4 on (weights 8:8, 360 against 165 us; 256:256, 1.1 ms
+#: against 80 us), timed on a 2-vCPU x86-64 VM.
+_SLAB_MIN_WEIGHT = 4
+
+
 def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
                 ) -> tuple[AddressArray, CoreIdArray]:
     """Weighted round-robin merge of per-core address arrays.
@@ -648,10 +656,12 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
     columns; then one partial round is written, which drops at least one
     core.  So the loop runs at most once per core.
 
-    Each column is copied on its own (a 2-D slice copy of ``w`` columns
-    steps through rows ``w`` elements at a time, about 7x slower on a
-    cache-resident block), and the block's core ids, one round's ids
-    repeated, are filled by doubling contiguous copies.
+    A core of weight below :data:`_SLAB_MIN_WEIGHT` has its columns
+    copied one at a time: a 2-D slice copy of so few columns steps
+    through rows a couple of elements at a time, 1.4-3x slower on a
+    cache-resident block.  Wider cores take one 2-D slice copy, which
+    costs one call however large the weight.  The block's core ids, one
+    round's ids repeated, are filled by doubling contiguous copies.
     """
     counts = [len(part) for part in parts]
     total = sum(counts)
@@ -670,8 +680,11 @@ def _interleave(parts: Sequence[AddressArray], weights: Sequence[int]
             for i, w in zip(active, widths):
                 lo = rounds_done * w
                 src = parts[i][lo:lo + rounds * w]
-                for j in range(w):
-                    block[:, col + j] = src[j::w]
+                if w < _SLAB_MIN_WEIGHT:
+                    for j in range(w):
+                        block[:, col + j] = src[j::w]
+                else:
+                    block[:, col:col + w] = src.reshape(rounds, w)
                 col += w
             _tile(core_ids[pos:end], np.repeat(active, widths))
             pos = end

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import emissary.hierarchy as hierarchy
@@ -215,7 +214,3 @@ def test_request_peak_memory_bounded_by_budget_and_hits():
     assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
                            f"{bound / 2**20:.2f} MiB bound")
 
-
-def test_piece_is_one_chunk_budget():
-    assert hierarchy._PIECE * np.dtype(np.uint64).itemsize \
-        == DEFAULT_CHUNK_BYTES

@@ -279,6 +279,33 @@ def test_interleave_matches_argsort_schedule(shape):
     assert np.array_equal(core_ids, expected_ids)
 
 
+class _SliceCounter(np.ndarray):
+    """An array that counts the slices taken of it (and of its views)."""
+
+    taken = 0
+
+    def __getitem__(self, key):
+        type(self).taken += 1
+        return super().__getitem__(key)
+
+
+def test_interleave_copies_wide_weights_in_one_slice_per_core():
+    # Weights in the thousands model coarse time slicing.  A core's full
+    # rounds go in as one 2-D slice copy, so the slices taken of each
+    # part stay a handful per core; copying a column at a time would take
+    # one per unit of weight, 2,000 per block here.
+    weights = (1000, 1000)
+    plain = [np.arange(65_500, dtype=np.uint64) + np.uint64(i << 40)
+             for i in range(2)]
+    parts = [part.view(_SliceCounter) for part in plain]
+    _SliceCounter.taken = 0
+    addresses, core_ids = _interleave(parts, weights)
+    assert _SliceCounter.taken <= 4 * len(parts)
+    expected_addresses, expected_ids = _interleave_oracle(plain, weights)
+    assert np.array_equal(np.asarray(addresses), expected_addresses)
+    assert np.array_equal(core_ids, expected_ids)
+
+
 class TestFrozenSpec:
     """TraceSpec is genuinely immutable: params cannot be edited in place."""
 
