@@ -206,7 +206,7 @@ def test_stream_cut_anywhere(name, num_sets, ways, table):
     assert one_per_chunk.hits.tolist() == _expected_hits(table)
 
 
-@pytest.mark.parametrize("kind", ["batched", "reference", "streamed"])
+@pytest.mark.parametrize("kind", ENGINES)
 @pytest.mark.parametrize("name,num_sets,ways,table", CASES, ids=CASE_IDS)
 def test_telemetry(kind, name, num_sets, ways, table):
     tel = Telemetry()

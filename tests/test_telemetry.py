@@ -19,12 +19,26 @@ import numpy as np
 import pytest
 
 from emissary import (PolicySpec, SimRequest, Telemetry, simulate)
+from emissary.compiled import CompiledUnavailableError, get_kernels
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine, SimResult
 from emissary.hierarchy import HierarchyConfig
 from emissary.policies import make_kernel
 from emissary.telemetry import (TELEMETRY_SCHEMA_VERSION, null_span, span_factory,
                                 spans_to_chrome_trace)
-from emissary.traces import TraceSpec
+from emissary.traces import InterleaveSpec, TraceSpec
+
+try:
+    get_kernels()
+    COMPILED_AVAILABLE = True
+except CompiledUnavailableError:
+    COMPILED_AVAILABLE = False
+
+#: Kernel backends whose telemetry must match the reference oracle.
+BACKENDS = ["batched",
+            pytest.param("compiled", marks=[
+                pytest.mark.needs_compiled,
+                pytest.mark.skipif(not COMPILED_AVAILABLE,
+                                   reason="no compiled kernel provider")])]
 
 POLICY_SPECS = [
     PolicySpec("lru"),
@@ -111,28 +125,53 @@ def test_null_span_is_reusable_noop():
 
 # -- guarantee 3: cross-engine counter/histogram parity ----------------------
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
-def test_counters_match_across_engines(spec):
+def test_counters_match_across_engines(spec, backend):
     addresses = _addresses()
     config = CacheConfig(num_sets=32, ways=4)
-    batched = BatchedEngine(config, telemetry=Telemetry()).run(addresses, spec, seed=3)
+    batched = BatchedEngine(config, telemetry=Telemetry(),
+                            kernel_backend=backend).run(addresses, spec, seed=3)
     reference = ReferenceEngine(config, telemetry=Telemetry()).run(addresses, spec,
                                                                    seed=3)
     assert _policy_payload(batched.telemetry) == _policy_payload(reference.telemetry)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
-def test_hierarchy_counters_match_across_engines(spec):
+def test_hierarchy_counters_match_across_engines(spec, backend):
     config = HierarchyConfig(l1=CacheConfig(num_sets=8, ways=2),
                              l2=CacheConfig(num_sets=32, ways=4))
     trace = TraceSpec("call", 6_000, 1, {"caller_lines": 128, "num_callees": 32})
     request = SimRequest(trace, spec, config, seed=3, telemetry=True)
-    batched = simulate(request, engine="batched")
+    batched = simulate(request, engine=backend)
     reference = simulate(request, engine="reference")
     assert _policy_payload(batched.telemetry) == _policy_payload(reference.telemetry)
     # Both levels are present under their prefixes.
     for prefix in ("l1.", "l2."):
         assert batched.telemetry["counters"][prefix + "fills"] > 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_partitioned_interleave_counters_match_across_engines(backend):
+    """Two cores into a shared L2 under a partitioned HP budget: the
+    per-core quota path keeps every counter and histogram in step."""
+    config = HierarchyConfig(l1=CacheConfig(num_sets=8, ways=2),
+                             l2=CacheConfig(num_sets=32, ways=4))
+    trace = InterleaveSpec(
+        cores=(TraceSpec("loop", 4_000, 1, {"footprint_lines": 150}),
+               TraceSpec("call", 2_000, 2, {"caller_lines": 128,
+                                            "num_callees": 32})),
+        weights=(2, 1))
+    spec = PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 2,
+                                   "hp_budget": "partitioned"})
+    request = SimRequest(trace, spec, config, seed=3, telemetry=True)
+    batched = simulate(request, engine=backend)
+    reference = simulate(request, engine="reference")
+    assert _policy_payload(batched.telemetry) == _policy_payload(reference.telemetry)
+    counters = batched.telemetry["counters"]
+    assert counters["l2.hp_promotions"] > 0
+    assert counters["l2.evictions_hp"] > 0
 
 
 # -- counter correctness on hand-computed traces -----------------------------
