@@ -12,9 +12,9 @@ Policy for L2 Instruction Caching" (ISCA 2023).  The package provides:
   candidacy driven by measured L1I miss counts)
 - :mod:`emissary.policies` — replacement policy kernels (LRU, Random,
   SRRIP, EMISSARY)
-- :mod:`emissary.compiled` — compiled kernel backend (numba ``@njit`` or
-  the bundled C fallback), bit-identical to the python kernels and
-  selectable via ``SimRequest(backend="compiled")``
+- :mod:`emissary.compiled` — compiled kernel backend (one C source,
+  built on demand with the system C compiler), bit-identical to the
+  python kernels and selectable via ``SimRequest(backend="compiled")``
 - :mod:`emissary.sweep` — parallel (trace x policy x params) sweep runner
   with an on-disk results cache
 - :mod:`emissary.telemetry` — opt-in instrumentation layer: policy

@@ -84,15 +84,11 @@ def classify_forbidden(name: str) -> str | None:
 
 def kernel_entry_points(graph: CallGraph) -> Iterator[FunctionInfo]:
     """Every policy-kernel entry point present in the graph: the
-    ``policies/`` per-set/per-event methods plus the ``kernels_py``
-    flat dispatch functions the compiled backend mirrors."""
+    ``policies/`` per-set/per-event methods.  (The compiled kernels are
+    C; a tier-1 test holds their source to calls of its own functions.)"""
     for fn in graph.iter_functions():
-        mod_parts = fn.module.split(".")
-        if "policies" in mod_parts and fn.cls is not None \
+        if "policies" in fn.module.split(".") and fn.cls is not None \
                 and fn.name in KERNEL_ENTRY_METHODS:
-            yield fn
-        elif mod_parts[-1] == "kernels_py" and fn.cls is None \
-                and (fn.name.endswith("_run") or fn.name.endswith("_run_tel")):
             yield fn
 
 

@@ -123,7 +123,7 @@ class SimRequest:
     ``backend`` selects the execution engine (:data:`BACKENDS`,
     default :data:`DEFAULT_BACKEND`): ``"batched"`` is the vectorized
     NumPy engine, ``"compiled"`` the same engine with native per-set
-    kernels (numba or the bundled C fallback), ``"reference"`` the
+    kernels (C, built on demand), ``"reference"`` the
     per-access Python oracle.  Because all three are bit-identical,
     ``backend`` is deliberately *excluded* from :meth:`to_dict`: the
     encoding is a results-cache content key, and the same request run on

@@ -245,14 +245,13 @@ def run_backend_bench(n: int = 1_000_000, policies: list[str] | None = None,
     hierarchy point where EMISSARY's ``cost`` channel is live.
 
     Timings are *warm*: each compiled engine runs a small slice first so
-    provider setup (numba JIT or the C build/load) is paid before the
-    clock starts, and ``_best_of`` keeps the fastest of ``repeats`` runs.
+    the C build and load are paid before the clock starts, and ``_best_of`` keeps the fastest of ``repeats`` runs.
     Every row records ``outcomes_identical`` (hit vectors and policy
     stats across backends) and the report carries the aggregate
     ``all_outcomes_identical`` — a speedup that changes outcomes is a
-    bug, not a result.  The compiled provider is resolved up front and
-    the bench fails loudly when none is available (a silent fallback to
-    the python kernels would benchmark python against itself).
+    bug, not a result.  The C kernels are loaded up front and the bench
+    fails loudly when they are unavailable (a silent fallback to the
+    python kernels would benchmark python against itself).
     """
     from emissary.compiled import get_kernels
 

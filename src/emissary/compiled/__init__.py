@@ -1,53 +1,43 @@
-"""Compiled kernel backend: provider registry + batch dispatcher.
+"""Compiled kernel backend: the C kernels' loader and batch dispatcher.
 
 The batched Python engine pays three costs the policies themselves
 don't need: the stable set-major sort, the per-step NumPy calls of the
 lockstep kernels (a few dozen per step, each over the active sets'
 rows), and the Python bytecode of the per-set loops that finish the
 long sets (with a NumPy->list conversion per set).  The compiled backend
-removes all three — accesses stay in **trace order** (sets are
+removes all three: accesses stay in **trace order** (sets are
 independent, so per-set state evolution is identical; see
-:mod:`emissary.compiled.kernels_py` for the proof obligations) and one
+:mod:`emissary.compiled.cc_backend` for the semantics contract) and one
 call into native code processes the whole batch over flat per-set state
 arrays, under the same names the Python kernels use.
 
-Three providers implement the same ten kernel entry points:
-
-``numba``
-    ``@njit`` over ``kernels_py`` (optional dependency; install extra
-    ``emissary[compiled]``).  First use pays JIT compilation.
-``cc``
-    A C translation compiled on demand with the system C compiler and
-    bound via ``ctypes`` — no third-party dependency at all.
-``python``
-    ``kernels_py`` executed by the interpreter.  Slow (it exists so the
-    kernel logic is always testable), so it is *not* auto-selected.
-
-:func:`get_kernels` picks the first available provider in the order
-``numba``, ``cc``.  The ``EMISSARY_COMPILED`` environment variable
-overrides: ``off`` disables the backend entirely (engines fall back to
-the batched Python kernels with a warning), any provider name pins the
-auto choice.  Requesting a specific unavailable provider raises
-:class:`CompiledUnavailableError` — auto selection with no provider
-available also raises it, and the *engine* turns that into a
-warn-and-fall-back unless the caller pinned a provider.
+The kernels are one C source (:mod:`emissary.compiled.cc_backend`),
+compiled on demand with the system C compiler and bound via ``ctypes``.
+:func:`get_kernels` loads them once per process.  The
+``EMISSARY_COMPILED`` environment variable is the kill switch: ``off``
+disables the backend (engines fall back to the batched Python kernels
+with a warning); unset, ``auto`` or ``cc`` load the C kernels.  When
+they cannot be loaded (no C compiler, or ``off``),
+:func:`get_kernels` raises :class:`CompiledUnavailableError`, which the
+*engine* turns into a warn-and-fall-back.
 
 Outcome contract: bit-identical hit vectors, policy stats, telemetry
 counters, and histograms versus the batched Python kernels and the
-naive reference — enforced by the differential test suite and the
+naive reference, enforced by the differential test suite and the
 runtime sanitizer.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.compiled import kernels_py
-from emissary.compiled.kernels_py import (
+from emissary.compiled import cc_backend
+from emissary.compiled.cc_backend import (
     CTR_DEAD_ON_FILL,
     CTR_EVICTIONS,
     CTR_EVICTIONS_HP,
@@ -58,6 +48,8 @@ from emissary.compiled.kernels_py import (
     NUM_STATS,
     STAT_HP_EVICTIONS,
     STAT_HP_PROMOTIONS,
+    CcKernels,
+    KernelArgs,
 )
 from emissary.policies.emissary import (
     DEFAULT_HP_BUDGET,
@@ -75,125 +67,63 @@ BoolArray = NDArray[np.bool_]
 IndexArray = NDArray[np.int64]
 UniformArray = NDArray[np.float64]
 
-#: Auto-selection order.  ``python`` is deliberately absent: it is the
-#: same interpreter loop the batched engine already beats, so silently
-#: "succeeding" with it would defeat the point of asking for compiled.
-PROVIDER_ORDER = ("numba", "cc")
-
-#: All loadable provider names (``python`` must be requested explicitly).
-PROVIDER_NAMES = ("numba", "cc", "python")
-
 COMPILED_ENV = "EMISSARY_COMPILED"
 
 POLICY_NAMES = ("lru", "random", "srrip", "emissary")
 
+#: ``KernelArgs`` fields that point at a ``CompiledKernel``'s flat state
+#: array of the same name (``tag`` is ``_tag``).
+STATE_FIELDS = ("tag", "ts", "rrpv", "prio", "owner", "size", "hp",
+                "hp_by_core", "quota", "clock", "stats", "line_hits",
+                "counters")
+
 
 class CompiledUnavailableError(RuntimeError):
-    """No compiled kernel provider could be loaded (or it was disabled)."""
+    """The compiled kernels could not be loaded (or were disabled)."""
 
 
-class PyKernels:
-    """Interpreter provider: ``kernels_py`` called directly (test/debug)."""
-
-    name = "python"
-
-    def __init__(self) -> None:
-        for fn_name in kernels_py.KERNEL_NAMES:
-            setattr(self, fn_name, getattr(kernels_py, fn_name))
-
-
-def _load_provider(name: str) -> Any:
-    if name == "numba":
-        from emissary.compiled import numba_backend
-        return numba_backend.load_kernels()
-    if name == "cc":
-        from emissary.compiled import cc_backend
-        return cc_backend.load_kernels()
-    if name == "python":
-        return PyKernels()
-    raise ValueError(
-        f"unknown compiled provider {name!r} (expected one of {PROVIDER_NAMES})")
-
-
-#: Loaded provider objects by name; failures cached as error strings so
-#: e.g. a missing C compiler is probed once per process, not per run.
-_provider_cache: dict[str, Any] = {}
-_failure_cache: dict[str, str] = {}
+#: The loaded kernels, or why they failed to load, so e.g. a missing C
+#: compiler is probed once per process, not per run.
+_loaded: CcKernels | None = None
+_failure: str | None = None
 
 
 def reset_provider_cache() -> None:
-    """Forget cached providers and failures (tests re-probe after
-    monkeypatching the environment)."""
-    _provider_cache.clear()
-    _failure_cache.clear()
+    """Forget the loaded kernels and any load failure (tests re-probe
+    after monkeypatching the environment)."""
+    global _loaded, _failure
+    _loaded = None
+    _failure = None
 
 
-def _env_choice() -> str:
-    return os.environ.get(COMPILED_ENV, "").strip().lower()
+def get_kernels() -> CcKernels:
+    """Load the C kernels (cached per process).
 
-
-def available_providers() -> tuple[str, ...]:
-    """Provider names auto-selection may try, in preference order,
-    honoring ``EMISSARY_COMPILED`` (``off`` -> none, a name -> just it)."""
-    env = _env_choice()
-    if env == "off":
-        return ()
-    if env in PROVIDER_NAMES:
-        return (env,)
-    if env not in ("", "auto"):
-        raise ValueError(
-            f"{COMPILED_ENV}={env!r} not understood (expected 'off', "
-            f"'auto', or one of {PROVIDER_NAMES})")
-    return PROVIDER_ORDER
-
-
-def _try_load(name: str) -> Any | None:
-    if name in _provider_cache:
-        return _provider_cache[name]
-    if name in _failure_cache:
-        return None
-    try:
-        kernels = _load_provider(name)
-    except Exception as exc:  # ImportError / CcBuildError / OSError
-        _failure_cache[name] = f"{name}: {exc}"
-        return None
-    _provider_cache[name] = kernels
-    return kernels
-
-
-def get_kernels(provider: str | None = None) -> Any:
-    """Load a kernel provider (cached per process).
-
-    ``provider=None`` auto-selects via :func:`available_providers`;
-    naming one pins it (and still respects ``EMISSARY_COMPILED=off``,
-    the operational kill-switch).  Raises
-    :class:`CompiledUnavailableError` with the collected per-provider
-    reasons when nothing can be loaded.
+    Raises :class:`CompiledUnavailableError` when ``EMISSARY_COMPILED``
+    is ``off`` or the kernels cannot be built, and ``ValueError`` for
+    any other value than unset, ``auto`` or ``cc``.
     """
-    if _env_choice() == "off":
+    global _loaded, _failure
+    env = os.environ.get(COMPILED_ENV, "").strip().lower()
+    if env == "off":
         raise CompiledUnavailableError(
             f"compiled kernels disabled via {COMPILED_ENV}=off")
-    if provider is not None:
-        if provider not in PROVIDER_NAMES:
-            raise ValueError(f"unknown compiled provider {provider!r} "
-                             f"(expected one of {PROVIDER_NAMES})")
-        kernels = _try_load(provider)
-        if kernels is None:
-            raise CompiledUnavailableError(_failure_cache[provider])
-        return kernels
-    tried: list[str] = []
-    for name in available_providers():
-        kernels = _try_load(name)
-        if kernels is not None:
-            return kernels
-        tried.append(_failure_cache[name])
-    raise CompiledUnavailableError(
-        "no compiled kernel provider available"
-        + (f" ({'; '.join(tried)})" if tried else ""))
+    if env not in ("", "auto", "cc"):
+        raise ValueError(f"{COMPILED_ENV}={env!r} not understood "
+                         "(expected 'off', 'auto' or 'cc')")
+    if _loaded is None and _failure is None:
+        try:
+            _loaded = cc_backend.load_kernels()
+        except Exception as exc:  # CcBuildError / OSError
+            _failure = f"cc: {exc}"
+    if _loaded is None:
+        raise CompiledUnavailableError(
+            f"no compiled kernels available ({_failure})")
+    return _loaded
 
 
 class CompiledKernel:
-    """Batch dispatcher over one provider's native kernels.
+    """Batch dispatcher over the C kernels.
 
     Mirrors the :class:`~emissary.policies.base.PolicyKernel` surface
     the engines rely on (``needs_rng`` / ``needs_repeat_flags`` /
@@ -206,6 +136,11 @@ class CompiledKernel:
     per channel) shared across dispatches, so streamed chunked execution
     carries state exactly like the Python kernels do.
 
+    Every dispatch passes one :class:`~emissary.compiled.cc_backend.KernelArgs`
+    block, built once: its state pointers address the flat arrays, which
+    are updated in place and never rebound, and each dispatch only fills
+    in its inputs.
+
     Telemetry semantics match the instrumented Python kernels name for
     name: counter deltas accumulate in a packed int64 array inside the
     native loop and fold into the registry at
@@ -213,12 +148,11 @@ class CompiledKernel:
     through a per-dispatch buffer and feed the ``line_hits`` histogram.
     """
 
-    def __init__(self, kernels: Any, policy: str, num_sets: int, ways: int,
-                 **params: Any) -> None:
+    def __init__(self, kernels: CcKernels, policy: str, num_sets: int,
+                 ways: int, **params: Any) -> None:
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r} "
                              f"(expected one of {POLICY_NAMES})")
-        self.provider = kernels.name
         self._kernels = kernels
         self.policy = policy
         self.name = policy
@@ -259,7 +193,6 @@ class CompiledKernel:
             self._prio = np.zeros(lines, dtype=np.int64)
             self._hp = np.zeros(num_sets, dtype=np.int64)
             self._stats = np.zeros(NUM_STATS, dtype=np.int64)
-            self._dummy_cost = np.zeros(0, dtype=np.int64)
             self._partitioned = self.hp_budget == "partitioned"
             if self._partitioned:
                 self.consumes_core = True
@@ -269,6 +202,21 @@ class CompiledKernel:
                 self._quota = np.asarray(
                     core_quotas(self.hp_threshold, self.num_cores),
                     dtype=np.int64)
+        self._kind = "emissary_part" if self._partitioned else policy
+        self._entry = kernels.entry(self._kind, tel=False)
+        self._args = KernelArgs(ways=ways)
+        self._args_ref = ctypes.pointer(self._args)
+        if policy == "emissary":
+            self._args.num_cores = self.num_cores
+            self._args.hp_threshold = self.hp_threshold
+            self._args.prob_inv = self.prob_inv
+            self._args.min_cost = self.min_l1_misses
+        self._bind_state()
+
+    def _bind_state(self) -> None:
+        for name in STATE_FIELDS:
+            arr = getattr(self, "_" + name, None)
+            setattr(self._args, name, None if arr is None else arr.ctypes.data)
 
     # -- execution --------------------------------------------------------
 
@@ -289,111 +237,50 @@ class CompiledKernel:
         hits = np.empty(m, dtype=np.bool_)
         if m == 0:
             return hits
-        set_idx = np.ascontiguousarray(set_idx, dtype=np.int64)
-        tags = np.ascontiguousarray(tags, dtype=np.int64)
-        h8 = hits.view(np.uint8)
-        k = self._kernels
-        ways = self.ways
-        policy = self.policy
         self._dispatches += 1
-        if self._tel is None:
-            if policy == "lru":
-                k.lru_run(set_idx, tags, self._tag, self._ts, self._size,
-                          self._clock, ways, h8)
-            elif policy == "random":
-                assert u is not None
-                k.random_run(set_idx, tags,
-                             np.ascontiguousarray(u, dtype=np.float64),
-                             self._tag, self._size, ways, h8)
-            elif policy == "srrip":
-                assert rep is not None
-                k.srrip_run(set_idx, tags,
-                            np.ascontiguousarray(rep, dtype=np.uint8),
-                            self._tag, self._rrpv, self._size, ways, h8)
-            elif self._partitioned:
-                assert u is not None
-                cost_arr, has_cost = self._cost_args(cost)
-                k.emissary_part_run(set_idx, tags,
-                                    np.ascontiguousarray(u, dtype=np.float64),
-                                    cost_arr, has_cost, self._core_arg(core, m),
-                                    self._tag, self._ts, self._prio,
-                                    self._owner, self._size, self._hp,
-                                    self._hp_by_core, self._quota, self._clock,
-                                    self._stats, ways, self.num_cores,
-                                    self.hp_threshold, self.prob_inv,
-                                    self.min_l1_misses, h8)
-            else:
-                assert u is not None
-                cost_arr, has_cost = self._cost_args(cost)
-                k.emissary_run(set_idx, tags,
-                               np.ascontiguousarray(u, dtype=np.float64),
-                               cost_arr, has_cost, self._tag, self._ts,
-                               self._prio, self._size, self._hp, self._clock,
-                               self._stats, ways, self.hp_threshold,
-                               self.prob_inv, self.min_l1_misses, h8)
-            return hits
-
-        tel = self._tel
-        assert extra is not None
-        extra_arr = np.ascontiguousarray(extra, dtype=np.int64)
-        evbuf = np.empty(m, dtype=np.int64)
-        if policy == "lru":
-            nev = k.lru_run_tel(set_idx, tags, extra_arr, self._tag, self._ts,
-                                self._size, self._clock, self._line_hits,
-                                self._counters, evbuf, ways, h8)
-        elif policy == "random":
+        a = self._args
+        a.m = m
+        a.hits = hits.ctypes.data
+        # The converted arrays must outlive the call: ``keep`` holds them.
+        keep = [self._feed("set_idx", set_idx, np.int64),
+                self._feed("tags", tags, np.int64)]
+        if self.needs_rng:
             assert u is not None
-            nev = k.random_run_tel(set_idx, tags,
-                                   np.ascontiguousarray(u, dtype=np.float64),
-                                   extra_arr, self._tag, self._size,
-                                   self._line_hits, self._counters, evbuf,
-                                   ways, h8)
-        elif policy == "srrip":
+            keep.append(self._feed("u", u, np.float64))
+        if self.needs_repeat_flags:
             assert rep is not None
-            nev = k.srrip_run_tel(set_idx, tags,
-                                  np.ascontiguousarray(rep, dtype=np.uint8),
-                                  extra_arr, self._tag, self._rrpv, self._size,
-                                  self._line_hits, self._counters, evbuf,
-                                  ways, h8)
-        elif self._partitioned:
-            assert u is not None
-            cost_arr, has_cost = self._cost_args(cost)
-            nev = k.emissary_part_run_tel(
-                set_idx, tags, np.ascontiguousarray(u, dtype=np.float64),
-                cost_arr, has_cost, self._core_arg(core, m), extra_arr,
-                self._tag, self._ts, self._prio, self._owner, self._size,
-                self._hp, self._hp_by_core, self._quota, self._clock,
-                self._line_hits, self._counters, evbuf, self._stats, ways,
-                self.num_cores, self.hp_threshold, self.prob_inv,
-                self.min_l1_misses, h8)
-        else:
-            assert u is not None
-            cost_arr, has_cost = self._cost_args(cost)
-            nev = k.emissary_run_tel(set_idx, tags,
-                                     np.ascontiguousarray(u, dtype=np.float64),
-                                     cost_arr, has_cost, extra_arr, self._tag,
-                                     self._ts, self._prio, self._size,
-                                     self._hp, self._clock, self._line_hits,
-                                     self._counters, evbuf, self._stats, ways,
-                                     self.hp_threshold, self.prob_inv,
-                                     self.min_l1_misses, h8)
+            keep.append(self._feed("rep", rep, np.uint8))
+        if self.consumes_cost:
+            a.has_cost = cost is not None
+            keep.append(self._feed("cost", cost, np.int64))
+        if self.consumes_core:
+            # A core-less caller (single-core engine) is core 0.
+            keep.append(self._feed(
+                "core", np.zeros(m, dtype=np.int64) if core is None else core,
+                np.int64))
+        tel = self._tel
+        if tel is None:
+            self._entry(self._args_ref)
+            return hits
+        assert extra is not None
+        keep.append(self._feed("extra", extra, np.int64))
+        evbuf = np.empty(m, dtype=np.int64)
+        a.evbuf = evbuf.ctypes.data
+        nev = self._entry(self._args_ref)
         if nev:
             tel.observe_many("line_hits", evbuf[:nev].tolist())
         return hits
 
-    def _cost_args(self, cost: IndexArray | None) -> tuple[IndexArray, int]:
-        """(cost array, has_cost flag); the kernels never index the
-        zero-length dummy because ``has_cost == 0`` short-circuits."""
-        if cost is None:
-            return self._dummy_cost, 0
-        return np.ascontiguousarray(cost, dtype=np.int64), 1
-
-    def _core_arg(self, core: IndexArray | None, m: int) -> IndexArray:
-        """Partitioned kernels index ``core`` unconditionally; a
-        core-less caller (single-core engine) is treated as core 0."""
-        if core is None:
-            return np.zeros(m, dtype=np.int64)
-        return np.ascontiguousarray(core, dtype=np.int64)
+    def _feed(self, field: str, arr: NDArray[Any] | None,
+              dtype: type) -> NDArray[Any] | None:
+        """Point ``field`` at ``arr`` as a contiguous ``dtype`` array
+        (NULL for None); returns the array the pointer addresses."""
+        if arr is None:
+            setattr(self._args, field, None)
+            return None
+        arr = np.ascontiguousarray(arr, dtype=dtype)
+        setattr(self._args, field, arr.ctypes.data)
+        return arr
 
     # -- telemetry --------------------------------------------------------
 
@@ -404,6 +291,8 @@ class CompiledKernel:
         self._tel = telemetry
         self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
         self._counters = np.zeros(NUM_COUNTERS, dtype=np.int64)
+        self._entry = self._kernels.entry(self._kind, tel=True)
+        self._bind_state()
 
     def telemetry_finalize(self) -> None:
         """Fold the packed counters and end-of-run histograms into the
@@ -462,11 +351,8 @@ class CompiledKernel:
 
 
 def make_compiled_kernel(policy: str, num_sets: int, ways: int,
-                         provider: str | None = None,
                          **params: Any) -> CompiledKernel:
-    """Load a provider (auto unless pinned) and build a
-    :class:`CompiledKernel` for ``policy`` over a ``num_sets x ways``
-    geometry.  Raises :class:`CompiledUnavailableError` when no provider
-    can be loaded."""
-    return CompiledKernel(get_kernels(provider), policy, num_sets, ways,
-                          **params)
+    """Load the C kernels and build a :class:`CompiledKernel` for
+    ``policy`` over a ``num_sets x ways`` geometry.  Raises
+    :class:`CompiledUnavailableError` when they cannot be loaded."""
+    return CompiledKernel(get_kernels(), policy, num_sets, ways, **params)

@@ -1,21 +1,57 @@
-"""C compiled-kernel provider (``cc``): gcc + ctypes, stdlib only.
+"""The compiled kernels: one C definition of every policy's flat state.
 
-Numba is the first-choice provider for the compiled backend, but plenty
-of environments (including minimal CI images) have a C toolchain and no
-numba wheel.  This module gives them the same compiled hot loop: the C
-source below is a mechanical, line-for-line translation of
-:mod:`emissary.compiled.kernels_py` (same state layout, same scan
-orders, same IEEE-754 double comparisons — outcomes are bit-identical
-and the differential suite checks it), compiled once per toolchain into
-a shared library with ``cc -O3 -shared -fPIC`` and bound through
-:mod:`ctypes`.
+The C source below is the compiled backend's single definition of the
+four policies over flat per-set state arrays (the same names the batched
+Python kernels use).  It is compiled once per toolchain into a shared
+library with ``cc -O3 -shared -fPIC`` and bound through :mod:`ctypes`,
+so the backend needs no third-party dependency, only a C compiler.
+
+Semantics contract — bit-identical to the batched Python kernels in
+:mod:`emissary.policies` and to the naive reference (the differential
+suite, the golden tables and the telemetry parity tests check it):
+
+* Accesses arrive in **trace order** (``set_idx`` / ``tags`` aligned
+  per access).  Sets are independent, so trace-order processing equals
+  the batched engine's set-major processing access for access, and the
+  compiled path skips the stable sort entirely.
+* Ways fill in physical order ``0 .. ways-1`` and never invalidate, so
+  ``size[s]`` fully describes residency (no tag sentinel needed).
+* LRU / EMISSARY recency is a per-line int64 timestamp from one global
+  monotonically increasing clock (``clock[0]``, starting at 1), exactly
+  like the naive references; timestamps are unique, so the LRU victim
+  (minimum timestamp) is totally ordered and matches dict recency order.
+* RANDOM's victim is ``(int64_t)(u_i * ways)``: physical way positions
+  match the batched kernel because cold fills append at index ``size``.
+* SRRIP inserts at ``RRPV_MAX - 1`` (0 when the fill is immediately
+  re-referenced, the engine's repeat flag), promotes to 0 on hit, ages
+  every way by ``RRPV_MAX - max(rrpv)`` when no way is at the maximum,
+  and evicts the lowest-index way at the maximum.
+* EMISSARY's two-class victim search prefers the LRU line among
+  low-priority ways (high-priority once the set is HP-saturated); an
+  empty preferred class falls back to the overall LRU way.  Promotion
+  on fill requires measured cost ``>= min_l1_misses`` (every fill
+  qualifies when no cost signal exists), ``u_i < 1.0 / prob_inv``, and
+  a free HP slot: below ``hp_threshold`` in the set for the shared
+  budget, below the filling core's quota for the partitioned one.
+
+Each policy body is written once with a compile-time-constant ``tel``
+flag and instantiated twice, as ``emissary_<kind>_run`` and
+``emissary_<kind>_run_tel``.  The ``tel`` instantiation also keeps
+per-line hits-since-fill (``line_hits``), adds counter deltas into the
+packed ``counters`` array, and writes each eviction victim's hit count
+into ``evbuf`` (returning how many it wrote); the plain one compiles
+without any of that work.  Every entry point takes the one
+:class:`KernelArgs` block; the plain instantiations never read its
+telemetry buffers, which stay NULL.  The source calls nothing but its
+own functions and includes only ``<stdint.h>``: a kernel cannot reach
+an RNG, a clock or I/O (``tests/test_compiled_backend.py`` checks it).
 
 The build is cached under ``$EMISSARY_CC_CACHE`` (default: a
 per-user directory inside the system temp dir) keyed by the SHA-256 of
-the source plus the compiler identity, so repeated processes — sweep
-workers, test runs — reuse one ``.so``.  Build failures surface as
-:class:`CcBuildError` and the provider registry treats them as
-"provider unavailable", never as a crash.
+the source plus the compiler identity, so repeated processes (sweep
+workers, test runs) reuse one ``.so``.  Build failures surface as
+:class:`CcBuildError`, which the registry treats as "compiled kernels
+unavailable", never as a crash.
 """
 
 from __future__ import annotations
@@ -28,131 +64,179 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any
 
-import numpy as np
-from numpy.typing import NDArray
+from emissary.policies.srrip import RRPV_INSERT, RRPV_MAX
 
-C_SOURCE = r"""
-#include <stdint.h>
+#: ``counters`` slot layout for the telemetry instantiations.
+CTR_FILLS = 0
+CTR_EVICTIONS = 1
+CTR_DEAD_ON_FILL = 2
+CTR_EVICTIONS_HP = 3
+CTR_EVICTIONS_LP = 4
+CTR_HP_PROMOTIONS = 5
+NUM_COUNTERS = 6
 
-#define CTR_FILLS 0
-#define CTR_EVICTIONS 1
-#define CTR_DEAD_ON_FILL 2
-#define CTR_EVICTIONS_HP 3
-#define CTR_EVICTIONS_LP 4
-#define CTR_HP_PROMOTIONS 5
-#define STAT_HP_PROMOTIONS 0
-#define STAT_HP_EVICTIONS 1
-#define SRRIP_RRPV_MAX 3
-#define SRRIP_RRPV_INSERT 2
+#: ``stats`` slot layout for EMISSARY (these two feed ``extra_stats`` and
+#: are maintained with telemetry off too).
+STAT_HP_PROMOTIONS = 0
+STAT_HP_EVICTIONS = 1
+NUM_STATS = 2
 
-int64_t emissary_lru_run(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        int64_t *tag_arr, int64_t *ts_arr, int64_t *size_arr,
-        int64_t *clock, int64_t ways, uint8_t *hits) {
-    int64_t c = clock[0];
+SRRIP_RRPV_MAX = RRPV_MAX
+SRRIP_RRPV_INSERT = RRPV_INSERT
+
+#: The one argument block every entry point takes, in C declaration
+#: order: the per-dispatch inputs and outputs, then the kernel's flat
+#: state (each named after its ``CompiledKernel`` array, ``_tag`` ->
+#: ``tag``), then the geometry and policy parameters.
+ARG_FIELDS: tuple[tuple[str, str], ...] = (
+    ("set_idx", "const int64_t *"),
+    ("tags", "const int64_t *"),
+    ("u", "const double *"),
+    ("rep", "const uint8_t *"),
+    ("cost", "const int64_t *"),
+    ("core", "const int64_t *"),
+    ("extra", "const int64_t *"),
+    ("evbuf", "int64_t *"),
+    ("hits", "uint8_t *"),
+    ("m", "int64_t"),
+    ("has_cost", "int64_t"),
+    ("tag", "int64_t *"),
+    ("ts", "int64_t *"),
+    ("rrpv", "int64_t *"),
+    ("prio", "int64_t *"),
+    ("owner", "int64_t *"),
+    ("size", "int64_t *"),
+    ("hp", "int64_t *"),
+    ("hp_by_core", "int64_t *"),
+    ("quota", "const int64_t *"),
+    ("clock", "int64_t *"),
+    ("stats", "int64_t *"),
+    ("line_hits", "int64_t *"),
+    ("counters", "int64_t *"),
+    ("ways", "int64_t"),
+    ("num_cores", "int64_t"),
+    ("hp_threshold", "int64_t"),
+    ("prob_inv", "int64_t"),
+    ("min_cost", "int64_t"),
+)
+
+#: Kernel kinds; each has a plain and a ``_tel`` entry point.
+KINDS = ("lru", "random", "srrip", "emissary", "emissary_part")
+
+
+def symbol(kind: str, tel: bool) -> str:
+    """Exported name of ``kind``'s plain or telemetry entry point."""
+    return f"emissary_{kind}_run" + ("_tel" if tel else "")
+
+
+KERNEL_SYMBOLS = tuple(symbol(kind, tel) for kind in KINDS
+                       for tel in (False, True))
+
+
+class KernelArgs(ctypes.Structure):
+    """ctypes twin of the C ``Args`` struct (every field is 8 bytes)."""
+
+    _fields_ = [(name, ctypes.c_void_p if ctype.endswith("*")
+                 else ctypes.c_int64) for name, ctype in ARG_FIELDS]
+
+
+def _c_header() -> str:
+    defines = {name: value for name, value in globals().items()
+               if name.startswith(("CTR_", "STAT_", "SRRIP_RRPV_"))}
+    fields = "".join(f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};\n"
+                     for name, ctype in ARG_FIELDS)
+    return ("#include <stdint.h>\n\n"
+            + "".join(f"#define {name} {value}\n"
+                      for name, value in defines.items())
+            + "\ntypedef struct {\n" + fields + "} Args;\n")
+
+
+_C_KERNELS = r"""
+#define KERNEL static inline __attribute__((always_inline))
+
+/* Telemetry tallies of one dispatch (the tel instantiations only). */
+typedef struct { int64_t fills, evictions, dead, nev; } Tally;
+
+/* The way of set `base` holding `tag`, or -1. */
+KERNEL int64_t find_way(const int64_t *tag_arr, int64_t base, int64_t size,
+                        int64_t tag) {
+    for (int64_t w = 0; w < size; w++) {
+        if (tag_arr[base + w] == tag) return w;
+    }
+    return -1;
+}
+
+/* The way with the oldest timestamp (timestamps are unique). */
+KERNEL int64_t oldest_way(const int64_t *ts_arr, int64_t base, int64_t ways) {
+    int64_t way = 0, best = ts_arr[base];
+    for (int64_t w = 1; w < ways; w++) {
+        if (ts_arr[base + w] < best) { best = ts_arr[base + w]; way = w; }
+    }
+    return way;
+}
+
+/* One eviction: the victim's lifetime hits go to `evbuf`. */
+KERNEL void tally_eviction(Tally *t, int64_t *evbuf, int64_t victim_hits) {
+    evbuf[t->nev++] = victim_hits;
+    t->evictions += 1;
+    if (victim_hits == 0) t->dead += 1;
+}
+
+KERNEL void tally_fold(const Tally *t, int64_t *counters) {
+    counters[CTR_FILLS] += t->fills;
+    counters[CTR_EVICTIONS] += t->evictions;
+    counters[CTR_DEAD_ON_FILL] += t->dead;
+}
+
+KERNEL int64_t lru_body(const Args *a, const int tel) {
+    const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
+    int64_t *tag_arr = a->tag, *ts_arr = a->ts, *size_arr = a->size;
+    int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
+    uint8_t *hits = a->hits;
+    const int64_t m = a->m, ways = a->ways;
+    int64_t c = a->clock[0];
+    Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
+        int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
+        int64_t tag = tags[i], way = find_way(tag_arr, base, size, tag);
         if (way >= 0) {
             hits[i] = 1;
+            if (tel) line_hits[base + way] += 1 + extra[i];
         } else {
             hits[i] = 0;
             if (size < ways) {
                 way = size;
                 size_arr[s] = size + 1;
             } else {
-                way = 0;
-                int64_t best = ts_arr[base];
-                for (int64_t w = 1; w < ways; w++) {
-                    if (ts_arr[base + w] < best) {
-                        best = ts_arr[base + w];
-                        way = w;
-                    }
-                }
+                way = oldest_way(ts_arr, base, ways);
+                if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
             }
             tag_arr[base + way] = tag;
+            if (tel) { line_hits[base + way] = extra[i]; t.fills += 1; }
         }
-        ts_arr[base + way] = c;
-        c += 1;
+        ts_arr[base + way] = c++;
     }
-    clock[0] = c;
-    return 0;
+    a->clock[0] = c;
+    if (tel) tally_fold(&t, a->counters);
+    return t.nev;
 }
 
-int64_t emissary_lru_run_tel(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const int64_t *extra, int64_t *tag_arr, int64_t *ts_arr,
-        int64_t *size_arr, int64_t *clock, int64_t *line_hits,
-        int64_t *counters, int64_t *evbuf, int64_t ways, uint8_t *hits) {
-    int64_t c = clock[0];
-    int64_t fills = 0, evictions = 0, dead = 0, nev = 0;
+KERNEL int64_t random_body(const Args *a, const int tel) {
+    const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
+    const double *u = a->u;
+    int64_t *tag_arr = a->tag, *size_arr = a->size;
+    int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
+    uint8_t *hits = a->hits;
+    const int64_t m = a->m, ways = a->ways;
+    Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
-            line_hits[base + way] += 1 + extra[i];
-            hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            if (size < ways) {
-                way = size;
-                size_arr[s] = size + 1;
-            } else {
-                way = 0;
-                int64_t best = ts_arr[base];
-                for (int64_t w = 1; w < ways; w++) {
-                    if (ts_arr[base + w] < best) {
-                        best = ts_arr[base + w];
-                        way = w;
-                    }
-                }
-                int64_t victim_hits = line_hits[base + way];
-                evbuf[nev++] = victim_hits;
-                evictions += 1;
-                if (victim_hits == 0) dead += 1;
-            }
-            tag_arr[base + way] = tag;
-            line_hits[base + way] = extra[i];
-            fills += 1;
-        }
-        ts_arr[base + way] = c;
-        c += 1;
-    }
-    clock[0] = c;
-    counters[CTR_FILLS] += fills;
-    counters[CTR_EVICTIONS] += evictions;
-    counters[CTR_DEAD_ON_FILL] += dead;
-    return nev;
-}
-
-int64_t emissary_random_run(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, int64_t *tag_arr, int64_t *size_arr,
-        int64_t ways, uint8_t *hits) {
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
+        int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
+        int64_t tag = tags[i], way = find_way(tag_arr, base, size, tag);
         if (way >= 0) {
             hits[i] = 1;
+            if (tel) line_hits[base + way] += 1 + extra[i];
         } else {
             hits[i] = 0;
             if (size < ways) {
@@ -160,73 +244,33 @@ int64_t emissary_random_run(
                 size_arr[s] = size + 1;
             } else {
                 way = (int64_t)(u[i] * (double)ways);
+                if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
             }
             tag_arr[base + way] = tag;
+            if (tel) { line_hits[base + way] = extra[i]; t.fills += 1; }
         }
     }
-    return 0;
+    if (tel) tally_fold(&t, a->counters);
+    return t.nev;
 }
 
-int64_t emissary_random_run_tel(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, const int64_t *extra, int64_t *tag_arr,
-        int64_t *size_arr, int64_t *line_hits, int64_t *counters,
-        int64_t *evbuf, int64_t ways, uint8_t *hits) {
-    int64_t fills = 0, evictions = 0, dead = 0, nev = 0;
+KERNEL int64_t srrip_body(const Args *a, const int tel) {
+    const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
+    const uint8_t *rep = a->rep;
+    int64_t *tag_arr = a->tag, *rrpv_arr = a->rrpv, *size_arr = a->size;
+    int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
+    uint8_t *hits = a->hits;
+    const int64_t m = a->m, ways = a->ways;
+    Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
+        int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
+        int64_t tag = tags[i], way = find_way(tag_arr, base, size, tag);
         if (way >= 0) {
-            line_hits[base + way] += 1 + extra[i];
             hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            if (size < ways) {
-                way = size;
-                size_arr[s] = size + 1;
-            } else {
-                way = (int64_t)(u[i] * (double)ways);
-                int64_t victim_hits = line_hits[base + way];
-                evbuf[nev++] = victim_hits;
-                evictions += 1;
-                if (victim_hits == 0) dead += 1;
-            }
-            tag_arr[base + way] = tag;
-            line_hits[base + way] = extra[i];
-            fills += 1;
-        }
-    }
-    counters[CTR_FILLS] += fills;
-    counters[CTR_EVICTIONS] += evictions;
-    counters[CTR_DEAD_ON_FILL] += dead;
-    return nev;
-}
-
-int64_t emissary_srrip_run(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const uint8_t *rep, int64_t *tag_arr, int64_t *rrpv_arr,
-        int64_t *size_arr, int64_t ways, uint8_t *hits) {
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
             rrpv_arr[base + way] = 0;
-            hits[i] = 1;
+            if (tel) line_hits[base + way] += 1 + extra[i];
         } else {
             hits[i] = 0;
-            int64_t insert = rep[i] != 0 ? 0 : SRRIP_RRPV_INSERT;
             if (size < ways) {
                 way = size;
                 size_arr[s] = size + 1;
@@ -243,106 +287,48 @@ int64_t emissary_srrip_run(
                 }
                 way = 0;
                 for (int64_t w = 0; w < ways; w++) {
-                    if (rrpv_arr[base + w] == SRRIP_RRPV_MAX) {
-                        way = w;
-                        break;
-                    }
+                    if (rrpv_arr[base + w] == SRRIP_RRPV_MAX) { way = w; break; }
                 }
+                if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
             }
             tag_arr[base + way] = tag;
-            rrpv_arr[base + way] = insert;
+            rrpv_arr[base + way] = rep[i] != 0 ? 0 : SRRIP_RRPV_INSERT;
+            if (tel) { line_hits[base + way] = extra[i]; t.fills += 1; }
         }
     }
-    return 0;
+    if (tel) tally_fold(&t, a->counters);
+    return t.nev;
 }
 
-int64_t emissary_srrip_run_tel(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const uint8_t *rep, const int64_t *extra, int64_t *tag_arr,
-        int64_t *rrpv_arr, int64_t *size_arr, int64_t *line_hits,
-        int64_t *counters, int64_t *evbuf, int64_t ways, uint8_t *hits) {
-    int64_t fills = 0, evictions = 0, dead = 0, nev = 0;
+/* `part` selects the partitioned HP budget: each HP line has an owner
+   core, and a fill promotes only while its core is under quota. */
+KERNEL int64_t emissary_body(const Args *a, const int tel, const int part) {
+    const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
+    const int64_t *cost = a->cost, *core = a->core, *quota = a->quota;
+    const double *u = a->u;
+    int64_t *tag_arr = a->tag, *ts_arr = a->ts, *prio_arr = a->prio;
+    int64_t *owner_arr = a->owner, *size_arr = a->size;
+    int64_t *hp_counts = a->hp, *hp_by_core = a->hp_by_core;
+    int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
+    uint8_t *hits = a->hits;
+    const int64_t m = a->m, ways = a->ways, has_cost = a->has_cost;
+    const int64_t num_cores = a->num_cores, hp_threshold = a->hp_threshold;
+    const int64_t min_cost = a->min_cost;
+    const double p_hit = 1.0 / (double)a->prob_inv;
+    int64_t c = a->clock[0];
+    int64_t promotions = 0, hp_evictions = 0, lp_evictions = 0;
+    Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
-            rrpv_arr[base + way] = 0;
-            line_hits[base + way] += 1 + extra[i];
-            hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            int64_t insert = rep[i] != 0 ? 0 : SRRIP_RRPV_INSERT;
-            if (size < ways) {
-                way = size;
-                size_arr[s] = size + 1;
-            } else {
-                int64_t top = rrpv_arr[base];
-                for (int64_t w = 1; w < ways; w++) {
-                    if (rrpv_arr[base + w] > top) top = rrpv_arr[base + w];
-                }
-                if (top < SRRIP_RRPV_MAX) {
-                    int64_t aging = SRRIP_RRPV_MAX - top;
-                    for (int64_t w = 0; w < ways; w++) {
-                        rrpv_arr[base + w] += aging;
-                    }
-                }
-                way = 0;
-                for (int64_t w = 0; w < ways; w++) {
-                    if (rrpv_arr[base + w] == SRRIP_RRPV_MAX) {
-                        way = w;
-                        break;
-                    }
-                }
-                int64_t victim_hits = line_hits[base + way];
-                evbuf[nev++] = victim_hits;
-                evictions += 1;
-                if (victim_hits == 0) dead += 1;
-            }
-            tag_arr[base + way] = tag;
-            rrpv_arr[base + way] = insert;
-            line_hits[base + way] = extra[i];
-            fills += 1;
-        }
-    }
-    counters[CTR_FILLS] += fills;
-    counters[CTR_EVICTIONS] += evictions;
-    counters[CTR_DEAD_ON_FILL] += dead;
-    return nev;
-}
-
-int64_t emissary_emissary_run(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, const int64_t *cost, int64_t has_cost,
-        int64_t *tag_arr, int64_t *ts_arr, int64_t *prio_arr,
-        int64_t *size_arr, int64_t *hp_counts, int64_t *clock,
-        int64_t *stats, int64_t ways, int64_t hp_threshold,
-        int64_t prob_inv, int64_t min_cost, uint8_t *hits) {
-    int64_t c = clock[0];
-    double p_hit = 1.0 / (double)prob_inv;
-    int64_t promotions = 0, hp_evictions = 0;
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
+        int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
+        int64_t tag = tags[i], way = find_way(tag_arr, base, size, tag);
         if (way >= 0) {
             hits[i] = 1;
+            if (tel) line_hits[base + way] += 1 + extra[i];
         } else {
             hits[i] = 0;
             int64_t hp = hp_counts[s];
             if (size == ways) {
                 int64_t want = hp >= hp_threshold ? 1 : 0;
-                way = -1;
                 int64_t best = 0;
                 for (int64_t w = 0; w < ways; w++) {
                     if (prio_arr[base + w] == want
@@ -351,314 +337,75 @@ int64_t emissary_emissary_run(
                         way = w;
                     }
                 }
-                if (way < 0) {  /* preferred class empty: overall LRU */
-                    way = 0;
-                    best = ts_arr[base];
-                    for (int64_t w = 1; w < ways; w++) {
-                        if (ts_arr[base + w] < best) {
-                            best = ts_arr[base + w];
-                            way = w;
-                        }
-                    }
-                }
+                /* preferred class empty: overall LRU */
+                if (way < 0) way = oldest_way(ts_arr, base, ways);
+                if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
                 if (prio_arr[base + way] != 0) {
                     hp -= 1;
                     hp_evictions += 1;
-                }
-            } else {
-                way = size;
-                size_arr[s] = size + 1;
-            }
-            if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
-                    && hp < hp_threshold) {
-                prio_arr[base + way] = 1;
-                hp += 1;
-                promotions += 1;
-            } else {
-                prio_arr[base + way] = 0;
-            }
-            hp_counts[s] = hp;
-            tag_arr[base + way] = tag;
-        }
-        ts_arr[base + way] = c;
-        c += 1;
-    }
-    clock[0] = c;
-    stats[STAT_HP_PROMOTIONS] += promotions;
-    stats[STAT_HP_EVICTIONS] += hp_evictions;
-    return 0;
-}
-
-int64_t emissary_emissary_run_tel(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, const int64_t *cost, int64_t has_cost,
-        const int64_t *extra, int64_t *tag_arr, int64_t *ts_arr,
-        int64_t *prio_arr, int64_t *size_arr, int64_t *hp_counts,
-        int64_t *clock, int64_t *line_hits, int64_t *counters,
-        int64_t *evbuf, int64_t *stats, int64_t ways,
-        int64_t hp_threshold, int64_t prob_inv, int64_t min_cost,
-        uint8_t *hits) {
-    int64_t c = clock[0];
-    double p_hit = 1.0 / (double)prob_inv;
-    int64_t promotions = 0, hp_evictions = 0;
-    int64_t fills = 0, evictions = 0, dead = 0, lp_evictions = 0, nev = 0;
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
-            line_hits[base + way] += 1 + extra[i];
-            hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            int64_t hp = hp_counts[s];
-            if (size == ways) {
-                int64_t want = hp >= hp_threshold ? 1 : 0;
-                way = -1;
-                int64_t best = 0;
-                for (int64_t w = 0; w < ways; w++) {
-                    if (prio_arr[base + w] == want
-                            && (way < 0 || ts_arr[base + w] < best)) {
-                        best = ts_arr[base + w];
-                        way = w;
+                    if (part) {
+                        hp_by_core[s * num_cores + owner_arr[base + way]] -= 1;
+                        owner_arr[base + way] = -1;
                     }
-                }
-                if (way < 0) {  /* preferred class empty: overall LRU */
-                    way = 0;
-                    best = ts_arr[base];
-                    for (int64_t w = 1; w < ways; w++) {
-                        if (ts_arr[base + w] < best) {
-                            best = ts_arr[base + w];
-                            way = w;
-                        }
-                    }
-                }
-                int64_t victim_hits = line_hits[base + way];
-                evbuf[nev++] = victim_hits;
-                evictions += 1;
-                if (victim_hits == 0) dead += 1;
-                if (prio_arr[base + way] != 0) {
-                    hp -= 1;
-                    hp_evictions += 1;
-                } else {
+                } else if (tel) {
                     lp_evictions += 1;
                 }
             } else {
                 way = size;
                 size_arr[s] = size + 1;
             }
+            int64_t cr = part ? core[i] : 0;
             if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
-                    && hp < hp_threshold) {
+                    && (part ? hp_by_core[s * num_cores + cr] < quota[cr]
+                             : hp < hp_threshold)) {
                 prio_arr[base + way] = 1;
+                if (part) {
+                    owner_arr[base + way] = cr;
+                    hp_by_core[s * num_cores + cr] += 1;
+                }
                 hp += 1;
                 promotions += 1;
             } else {
                 prio_arr[base + way] = 0;
+                if (part) owner_arr[base + way] = -1;
             }
             hp_counts[s] = hp;
             tag_arr[base + way] = tag;
-            line_hits[base + way] = extra[i];
-            fills += 1;
+            if (tel) { line_hits[base + way] = extra[i]; t.fills += 1; }
         }
-        ts_arr[base + way] = c;
-        c += 1;
+        ts_arr[base + way] = c++;
     }
-    clock[0] = c;
-    stats[STAT_HP_PROMOTIONS] += promotions;
-    stats[STAT_HP_EVICTIONS] += hp_evictions;
-    counters[CTR_FILLS] += fills;
-    counters[CTR_EVICTIONS] += evictions;
-    counters[CTR_DEAD_ON_FILL] += dead;
-    counters[CTR_EVICTIONS_HP] += hp_evictions;
-    counters[CTR_EVICTIONS_LP] += lp_evictions;
-    counters[CTR_HP_PROMOTIONS] += promotions;
-    return nev;
+    a->clock[0] = c;
+    a->stats[STAT_HP_PROMOTIONS] += promotions;
+    a->stats[STAT_HP_EVICTIONS] += hp_evictions;
+    if (tel) {
+        tally_fold(&t, a->counters);
+        a->counters[CTR_EVICTIONS_HP] += hp_evictions;
+        a->counters[CTR_EVICTIONS_LP] += lp_evictions;
+        a->counters[CTR_HP_PROMOTIONS] += promotions;
+    }
+    return t.nev;
 }
 
-int64_t emissary_emissary_part_run(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, const int64_t *cost, int64_t has_cost,
-        const int64_t *core, int64_t *tag_arr, int64_t *ts_arr,
-        int64_t *prio_arr, int64_t *owner_arr, int64_t *size_arr,
-        int64_t *hp_counts, int64_t *hp_by_core, const int64_t *quota,
-        int64_t *clock, int64_t *stats, int64_t ways, int64_t num_cores,
-        int64_t hp_threshold, int64_t prob_inv, int64_t min_cost,
-        uint8_t *hits) {
-    int64_t c = clock[0];
-    double p_hit = 1.0 / (double)prob_inv;
-    int64_t promotions = 0, hp_evictions = 0;
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
-            hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            int64_t hp = hp_counts[s];
-            if (size == ways) {
-                int64_t want = hp >= hp_threshold ? 1 : 0;
-                way = -1;
-                int64_t best = 0;
-                for (int64_t w = 0; w < ways; w++) {
-                    if (prio_arr[base + w] == want
-                            && (way < 0 || ts_arr[base + w] < best)) {
-                        best = ts_arr[base + w];
-                        way = w;
-                    }
-                }
-                if (way < 0) {  /* preferred class empty: overall LRU */
-                    way = 0;
-                    best = ts_arr[base];
-                    for (int64_t w = 1; w < ways; w++) {
-                        if (ts_arr[base + w] < best) {
-                            best = ts_arr[base + w];
-                            way = w;
-                        }
-                    }
-                }
-                if (prio_arr[base + way] != 0) {
-                    hp -= 1;
-                    hp_evictions += 1;
-                    hp_by_core[s * num_cores + owner_arr[base + way]] -= 1;
-                    owner_arr[base + way] = -1;
-                }
-            } else {
-                way = size;
-                size_arr[s] = size + 1;
-            }
-            int64_t cr = core[i];
-            if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
-                    && hp_by_core[s * num_cores + cr] < quota[cr]) {
-                prio_arr[base + way] = 1;
-                owner_arr[base + way] = cr;
-                hp_by_core[s * num_cores + cr] += 1;
-                hp += 1;
-                promotions += 1;
-            } else {
-                prio_arr[base + way] = 0;
-                owner_arr[base + way] = -1;
-            }
-            hp_counts[s] = hp;
-            tag_arr[base + way] = tag;
-        }
-        ts_arr[base + way] = c;
-        c += 1;
-    }
-    clock[0] = c;
-    stats[STAT_HP_PROMOTIONS] += promotions;
-    stats[STAT_HP_EVICTIONS] += hp_evictions;
-    return 0;
+int64_t emissary_lru_run(const Args *a) { return lru_body(a, 0); }
+int64_t emissary_lru_run_tel(const Args *a) { return lru_body(a, 1); }
+int64_t emissary_random_run(const Args *a) { return random_body(a, 0); }
+int64_t emissary_random_run_tel(const Args *a) { return random_body(a, 1); }
+int64_t emissary_srrip_run(const Args *a) { return srrip_body(a, 0); }
+int64_t emissary_srrip_run_tel(const Args *a) { return srrip_body(a, 1); }
+int64_t emissary_emissary_run(const Args *a) { return emissary_body(a, 0, 0); }
+int64_t emissary_emissary_run_tel(const Args *a) {
+    return emissary_body(a, 1, 0);
 }
-
-int64_t emissary_emissary_part_run_tel(
-        const int64_t *set_idx, const int64_t *tags, int64_t m,
-        const double *u, const int64_t *cost, int64_t has_cost,
-        const int64_t *core, const int64_t *extra, int64_t *tag_arr,
-        int64_t *ts_arr, int64_t *prio_arr, int64_t *owner_arr,
-        int64_t *size_arr, int64_t *hp_counts, int64_t *hp_by_core,
-        const int64_t *quota, int64_t *clock, int64_t *line_hits,
-        int64_t *counters, int64_t *evbuf, int64_t *stats, int64_t ways,
-        int64_t num_cores, int64_t hp_threshold, int64_t prob_inv,
-        int64_t min_cost, uint8_t *hits) {
-    int64_t c = clock[0];
-    double p_hit = 1.0 / (double)prob_inv;
-    int64_t promotions = 0, hp_evictions = 0;
-    int64_t fills = 0, evictions = 0, dead = 0, lp_evictions = 0, nev = 0;
-    for (int64_t i = 0; i < m; i++) {
-        int64_t s = set_idx[i];
-        int64_t base = s * ways;
-        int64_t tag = tags[i];
-        int64_t size = size_arr[s];
-        int64_t way = -1;
-        for (int64_t w = 0; w < size; w++) {
-            if (tag_arr[base + w] == tag) { way = w; break; }
-        }
-        if (way >= 0) {
-            line_hits[base + way] += 1 + extra[i];
-            hits[i] = 1;
-        } else {
-            hits[i] = 0;
-            int64_t hp = hp_counts[s];
-            if (size == ways) {
-                int64_t want = hp >= hp_threshold ? 1 : 0;
-                way = -1;
-                int64_t best = 0;
-                for (int64_t w = 0; w < ways; w++) {
-                    if (prio_arr[base + w] == want
-                            && (way < 0 || ts_arr[base + w] < best)) {
-                        best = ts_arr[base + w];
-                        way = w;
-                    }
-                }
-                if (way < 0) {  /* preferred class empty: overall LRU */
-                    way = 0;
-                    best = ts_arr[base];
-                    for (int64_t w = 1; w < ways; w++) {
-                        if (ts_arr[base + w] < best) {
-                            best = ts_arr[base + w];
-                            way = w;
-                        }
-                    }
-                }
-                int64_t victim_hits = line_hits[base + way];
-                evbuf[nev++] = victim_hits;
-                evictions += 1;
-                if (victim_hits == 0) dead += 1;
-                if (prio_arr[base + way] != 0) {
-                    hp -= 1;
-                    hp_evictions += 1;
-                    hp_by_core[s * num_cores + owner_arr[base + way]] -= 1;
-                    owner_arr[base + way] = -1;
-                } else {
-                    lp_evictions += 1;
-                }
-            } else {
-                way = size;
-                size_arr[s] = size + 1;
-            }
-            int64_t cr = core[i];
-            if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
-                    && hp_by_core[s * num_cores + cr] < quota[cr]) {
-                prio_arr[base + way] = 1;
-                owner_arr[base + way] = cr;
-                hp_by_core[s * num_cores + cr] += 1;
-                hp += 1;
-                promotions += 1;
-            } else {
-                prio_arr[base + way] = 0;
-                owner_arr[base + way] = -1;
-            }
-            hp_counts[s] = hp;
-            tag_arr[base + way] = tag;
-            line_hits[base + way] = extra[i];
-            fills += 1;
-        }
-        ts_arr[base + way] = c;
-        c += 1;
-    }
-    clock[0] = c;
-    stats[STAT_HP_PROMOTIONS] += promotions;
-    stats[STAT_HP_EVICTIONS] += hp_evictions;
-    counters[CTR_FILLS] += fills;
-    counters[CTR_EVICTIONS] += evictions;
-    counters[CTR_DEAD_ON_FILL] += dead;
-    counters[CTR_EVICTIONS_HP] += hp_evictions;
-    counters[CTR_EVICTIONS_LP] += lp_evictions;
-    counters[CTR_HP_PROMOTIONS] += promotions;
-    return nev;
+int64_t emissary_emissary_part_run(const Args *a) {
+    return emissary_body(a, 0, 1);
+}
+int64_t emissary_emissary_part_run_tel(const Args *a) {
+    return emissary_body(a, 1, 1);
 }
 """
+
+C_SOURCE = _c_header() + _C_KERNELS
 
 
 class CcBuildError(RuntimeError):
@@ -686,6 +433,20 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"emissary-cc-{uid}"
 
 
+def _bind(lib_path: Path) -> ctypes.CDLL:
+    """Load the library and type every entry point; a library missing
+    one raises :class:`CcBuildError`."""
+    lib = ctypes.CDLL(str(lib_path))
+    for name in KERNEL_SYMBOLS:
+        try:
+            fn = getattr(lib, name)
+        except AttributeError:
+            raise CcBuildError(f"{lib_path} does not export {name}") from None
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.POINTER(KernelArgs)]
+    return lib
+
+
 def build_library(compiler: str | None = None) -> Path:
     """Compile (or reuse) the kernel shared library; returns its path."""
     compiler = compiler or find_compiler()
@@ -701,171 +462,42 @@ def build_library(compiler: str | None = None) -> Path:
     if lib_path.exists():
         return lib_path
     cache.mkdir(parents=True, exist_ok=True)
-    src_path = cache / f"emissary_kernels_{key}.c"
-    src_path.write_text(C_SOURCE)
-    tmp_path = cache / f"emissary_kernels_{key}.{os.getpid()}.tmp{suffix}"
-    cmd = [compiler, "-O3", "-fPIC", "-shared",
-           str(src_path), "-o", str(tmp_path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise CcBuildError(
-            f"kernel library build failed ({' '.join(cmd)}):\n{proc.stderr}")
-    # Atomic publish so concurrent builders (sweep workers) cannot load
-    # a half-written library.
-    os.replace(tmp_path, lib_path)
+    # Source and library both live under per-process names until the
+    # checked library is published, so concurrent builders (sweep or
+    # serve workers on a cold cache) never compile or load each other's
+    # half-written files.
+    stem = f"emissary_kernels_{key}.{os.getpid()}.tmp"
+    src_path = cache / f"{stem}.c"
+    tmp_path = cache / f"{stem}{suffix}"
+    try:
+        src_path.write_text(C_SOURCE)
+        cmd = [compiler, "-O3", "-fPIC", "-shared",
+               str(src_path), "-o", str(tmp_path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise CcBuildError(
+                f"kernel library build failed ({' '.join(cmd)}):\n"
+                f"{proc.stderr}")
+        _bind(tmp_path)
+        os.replace(tmp_path, lib_path)
+    finally:
+        src_path.unlink(missing_ok=True)
+        tmp_path.unlink(missing_ok=True)
     return lib_path
 
 
-_I64 = NDArray[np.int64]
-_U8 = NDArray[np.uint8]
-_F64 = NDArray[np.float64]
-
-
-def _ptr(arr: NDArray) -> "ctypes.c_int64":  # type: ignore[type-arg]
-    # Every kernel parameter is an int64 or a 64-bit pointer; wrapping
-    # each argument in c_int64 keeps the ctypes marshalling 8 bytes wide
-    # (a bare Python int would be passed as a 32-bit C int).
-    return ctypes.c_int64(arr.ctypes.data)
-
-
-def _i64(value: int) -> "ctypes.c_int64":
-    return ctypes.c_int64(value)
-
-
 class CcKernels:
-    """ctypes bindings exposing the same callables as ``kernels_py``."""
+    """The built library's entry points, looked up by kind and telemetry."""
 
     name = "cc"
 
     def __init__(self, lib_path: Path) -> None:
         self.lib_path = lib_path
-        lib = ctypes.CDLL(str(lib_path))
-        for symbol in (
-                "emissary_lru_run", "emissary_lru_run_tel",
-                "emissary_random_run", "emissary_random_run_tel",
-                "emissary_srrip_run", "emissary_srrip_run_tel",
-                "emissary_emissary_run", "emissary_emissary_run_tel",
-                "emissary_emissary_part_run",
-                "emissary_emissary_part_run_tel"):
-            fn = getattr(lib, symbol)
-            fn.restype = ctypes.c_int64
-            fn.argtypes = None  # all-int marshalling via raw addresses
-        self._lib = lib
+        self._lib = _bind(lib_path)
 
-    # Each wrapper mirrors the kernels_py signature exactly, so the
-    # dispatcher treats every provider identically.
-
-    def lru_run(self, set_idx: _I64, tags: _I64, tag_arr: _I64, ts_arr: _I64,
-                size_arr: _I64, clock: _I64, ways: int, hits: _U8) -> int:
-        return int(self._lib.emissary_lru_run(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(tag_arr),
-            _ptr(ts_arr), _ptr(size_arr), _ptr(clock), _i64(ways),
-            _ptr(hits)))
-
-    def lru_run_tel(self, set_idx: _I64, tags: _I64, extra: _I64,
-                    tag_arr: _I64, ts_arr: _I64, size_arr: _I64, clock: _I64,
-                    line_hits: _I64, counters: _I64, evbuf: _I64, ways: int,
-                    hits: _U8) -> int:
-        return int(self._lib.emissary_lru_run_tel(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(extra),
-            _ptr(tag_arr), _ptr(ts_arr), _ptr(size_arr), _ptr(clock),
-            _ptr(line_hits), _ptr(counters), _ptr(evbuf), _i64(ways),
-            _ptr(hits)))
-
-    def random_run(self, set_idx: _I64, tags: _I64, u: _F64, tag_arr: _I64,
-                   size_arr: _I64, ways: int, hits: _U8) -> int:
-        return int(self._lib.emissary_random_run(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(tag_arr), _ptr(size_arr), _i64(ways), _ptr(hits)))
-
-    def random_run_tel(self, set_idx: _I64, tags: _I64, u: _F64, extra: _I64,
-                       tag_arr: _I64, size_arr: _I64, line_hits: _I64,
-                       counters: _I64, evbuf: _I64, ways: int,
-                       hits: _U8) -> int:
-        return int(self._lib.emissary_random_run_tel(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(extra), _ptr(tag_arr), _ptr(size_arr), _ptr(line_hits),
-            _ptr(counters), _ptr(evbuf), _i64(ways), _ptr(hits)))
-
-    def srrip_run(self, set_idx: _I64, tags: _I64, rep: _U8, tag_arr: _I64,
-                  rrpv_arr: _I64, size_arr: _I64, ways: int,
-                  hits: _U8) -> int:
-        return int(self._lib.emissary_srrip_run(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(rep),
-            _ptr(tag_arr), _ptr(rrpv_arr), _ptr(size_arr), _i64(ways),
-            _ptr(hits)))
-
-    def srrip_run_tel(self, set_idx: _I64, tags: _I64, rep: _U8, extra: _I64,
-                      tag_arr: _I64, rrpv_arr: _I64, size_arr: _I64,
-                      line_hits: _I64, counters: _I64, evbuf: _I64, ways: int,
-                      hits: _U8) -> int:
-        return int(self._lib.emissary_srrip_run_tel(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(rep),
-            _ptr(extra), _ptr(tag_arr), _ptr(rrpv_arr), _ptr(size_arr),
-            _ptr(line_hits), _ptr(counters), _ptr(evbuf), _i64(ways),
-            _ptr(hits)))
-
-    def emissary_run(self, set_idx: _I64, tags: _I64, u: _F64, cost: _I64,
-                     has_cost: int, tag_arr: _I64, ts_arr: _I64,
-                     prio_arr: _I64, size_arr: _I64, hp_counts: _I64,
-                     clock: _I64, stats: _I64, ways: int, hp_threshold: int,
-                     prob_inv: int, min_cost: int, hits: _U8) -> int:
-        return int(self._lib.emissary_emissary_run(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(cost), _i64(has_cost), _ptr(tag_arr), _ptr(ts_arr),
-            _ptr(prio_arr), _ptr(size_arr), _ptr(hp_counts), _ptr(clock),
-            _ptr(stats), _i64(ways), _i64(hp_threshold), _i64(prob_inv),
-            _i64(min_cost), _ptr(hits)))
-
-    def emissary_run_tel(self, set_idx: _I64, tags: _I64, u: _F64,
-                         cost: _I64, has_cost: int, extra: _I64,
-                         tag_arr: _I64, ts_arr: _I64, prio_arr: _I64,
-                         size_arr: _I64, hp_counts: _I64, clock: _I64,
-                         line_hits: _I64, counters: _I64, evbuf: _I64,
-                         stats: _I64, ways: int, hp_threshold: int,
-                         prob_inv: int, min_cost: int, hits: _U8) -> int:
-        return int(self._lib.emissary_emissary_run_tel(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(cost), _i64(has_cost), _ptr(extra), _ptr(tag_arr),
-            _ptr(ts_arr), _ptr(prio_arr), _ptr(size_arr), _ptr(hp_counts),
-            _ptr(clock), _ptr(line_hits), _ptr(counters), _ptr(evbuf),
-            _ptr(stats), _i64(ways), _i64(hp_threshold), _i64(prob_inv),
-            _i64(min_cost), _ptr(hits)))
-
-    def emissary_part_run(self, set_idx: _I64, tags: _I64, u: _F64,
-                          cost: _I64, has_cost: int, core: _I64,
-                          tag_arr: _I64, ts_arr: _I64, prio_arr: _I64,
-                          owner_arr: _I64, size_arr: _I64, hp_counts: _I64,
-                          hp_by_core: _I64, quota: _I64, clock: _I64,
-                          stats: _I64, ways: int, num_cores: int,
-                          hp_threshold: int, prob_inv: int, min_cost: int,
-                          hits: _U8) -> int:
-        return int(self._lib.emissary_emissary_part_run(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(cost), _i64(has_cost), _ptr(core), _ptr(tag_arr),
-            _ptr(ts_arr), _ptr(prio_arr), _ptr(owner_arr), _ptr(size_arr),
-            _ptr(hp_counts), _ptr(hp_by_core), _ptr(quota), _ptr(clock),
-            _ptr(stats), _i64(ways), _i64(num_cores), _i64(hp_threshold),
-            _i64(prob_inv), _i64(min_cost), _ptr(hits)))
-
-    def emissary_part_run_tel(self, set_idx: _I64, tags: _I64, u: _F64,
-                              cost: _I64, has_cost: int, core: _I64,
-                              extra: _I64, tag_arr: _I64, ts_arr: _I64,
-                              prio_arr: _I64, owner_arr: _I64,
-                              size_arr: _I64, hp_counts: _I64,
-                              hp_by_core: _I64, quota: _I64, clock: _I64,
-                              line_hits: _I64, counters: _I64, evbuf: _I64,
-                              stats: _I64, ways: int, num_cores: int,
-                              hp_threshold: int, prob_inv: int,
-                              min_cost: int, hits: _U8) -> int:
-        return int(self._lib.emissary_emissary_part_run_tel(
-            _ptr(set_idx), _ptr(tags), _i64(len(set_idx)), _ptr(u),
-            _ptr(cost), _i64(has_cost), _ptr(core), _ptr(extra),
-            _ptr(tag_arr), _ptr(ts_arr), _ptr(prio_arr), _ptr(owner_arr),
-            _ptr(size_arr), _ptr(hp_counts), _ptr(hp_by_core), _ptr(quota),
-            _ptr(clock), _ptr(line_hits), _ptr(counters), _ptr(evbuf),
-            _ptr(stats), _i64(ways), _i64(num_cores), _i64(hp_threshold),
-            _i64(prob_inv), _i64(min_cost), _ptr(hits)))
+    def entry(self, kind: str, tel: bool) -> Any:
+        """The ctypes function for ``kind`` (one of :data:`KINDS`)."""
+        return getattr(self._lib, symbol(kind, tel))
 
 
 def load_kernels() -> CcKernels:

@@ -75,19 +75,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.analysis.sanitizer import Sanitizer
 
 def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
-                        kernel_backend: str,
-                        compiled_provider: str | None,
-                        num_cores: int = 1
+                        kernel_backend: str, num_cores: int = 1
                         ) -> "PolicyKernel | CompiledKernel":
     """Build the policy kernel for one run.
 
-    ``kernel_backend="compiled"`` tries the compiled providers; if none
-    loads and no provider was pinned, it **warns and falls back** to the
-    batched Python kernels (outcomes are bit-identical, only slower), so
-    ``backend="compiled"`` requests stay portable to hosts without numba
-    or a C compiler.  A pinned ``compiled_provider`` turns that fallback
-    into a hard :class:`~emissary.compiled.CompiledUnavailableError` —
-    benchmarks must fail loudly rather than silently time Python.
+    ``kernel_backend="compiled"`` loads the C kernels; if they cannot be
+    loaded it **warns and falls back** to the batched Python kernels
+    (outcomes are bit-identical, only slower), so ``backend="compiled"``
+    requests stay portable to hosts without a C compiler.  Benchmarks
+    that must not silently time Python call
+    :func:`~emissary.compiled.get_kernels` first, which raises
+    :class:`~emissary.compiled.CompiledUnavailableError`.
 
     ``num_cores`` is the engine's execution context (how many front-ends
     feed this cache), not a policy parameter — it is injected into the
@@ -100,10 +98,8 @@ def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
         try:
             return make_compiled_kernel(
                 spec.name, config.num_sets, config.ways,
-                provider=compiled_provider, **spec.params, **extra)
+                **spec.params, **extra)
         except CompiledUnavailableError as exc:
-            if compiled_provider is not None:
-                raise
             warnings.warn(
                 f"compiled kernel backend unavailable ({exc}); falling "
                 "back to the batched Python kernels (outcomes are "
@@ -549,7 +545,6 @@ class BatchedEngine:
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
                  kernel_backend: str = DEFAULT_BACKEND,
-                 compiled_provider: str | None = None,
                  num_cores: int = 1) -> None:
         self.config = config or CacheConfig()
         self.collapse_runs = collapse_runs
@@ -568,10 +563,9 @@ class BatchedEngine:
             raise ValueError(f"unknown kernel_backend {kernel_backend!r} "
                              f"(expected one of {BATCHED_BACKENDS})")
         #: ``"batched"`` runs the NumPy/Python kernels; ``"compiled"``
-        #: dispatches whole batches in trace order to a native provider
+        #: dispatches whole batches in trace order to the C kernels
         #: (see :mod:`emissary.compiled`), skipping the set-major sort.
         self.kernel_backend = kernel_backend
-        self.compiled_provider = compiled_provider
 
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True, cost: IndexArray | None = None,
@@ -656,7 +650,6 @@ class EngineStream:
         self.telemetry = engine.telemetry
         self._span = span_factory(self.telemetry)
         self.kernel = _make_engine_kernel(spec, config, engine.kernel_backend,
-                                          engine.compiled_provider,
                                           num_cores=engine.num_cores)
         if self.telemetry is not None:
             self.kernel.attach_telemetry(self.telemetry)

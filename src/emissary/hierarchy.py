@@ -399,8 +399,7 @@ class BatchedHierarchyEngine:
                  collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
-                 kernel_backend: str = DEFAULT_BACKEND,
-                 compiled_provider: str | None = None) -> None:
+                 kernel_backend: str = DEFAULT_BACKEND) -> None:
         self.config = config or HierarchyConfig()
         self.collapse_runs = collapse_runs
         #: Optional :class:`~emissary.telemetry.Telemetry`; each stage
@@ -417,7 +416,6 @@ class BatchedHierarchyEngine:
         #: :data:`~emissary.api.BATCHED_BACKENDS` ("batched" or
         #: "compiled"); outcomes are bit-identical either way.
         self.kernel_backend = kernel_backend
-        self.compiled_provider = compiled_provider
 
     def _stage_engine(self, config: CacheConfig,
                       telemetry: Telemetry | None,
@@ -425,7 +423,6 @@ class BatchedHierarchyEngine:
         return BatchedEngine(config, collapse_runs=self.collapse_runs,
                              telemetry=telemetry, sanitizer=self.sanitizer,
                              kernel_backend=self.kernel_backend,
-                             compiled_provider=self.compiled_provider,
                              num_cores=num_cores)
 
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,

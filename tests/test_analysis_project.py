@@ -62,20 +62,6 @@ def test_emi101_clock_two_calls_below_entry_point(tmp_path):
     assert "outer -> inner" in v.message
 
 
-def test_emi101_flags_kernels_py_dispatch_fns(tmp_path):
-    root = make_pkg(tmp_path, {
-        "compiled/kernels_py.py": """
-            import random
-
-            def lru_run(state):
-                return random.random()
-        """,
-    })
-    report = lint_paths([root], select=["EMI101"])
-    assert len(codes_of(report, "EMI101")) == 1
-    assert "random.random" in codes_of(report, "EMI101")[0].message
-
-
 def test_emi101_clean_kernel_passes(tmp_path):
     root = make_pkg(tmp_path, {
         "policies/ok.py": """

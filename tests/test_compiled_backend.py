@@ -1,23 +1,24 @@
-"""Compiled kernel backend: provider registry, selection, and fallback.
+"""Compiled kernel backend: loading, selection, fallback and the C source.
 
 The bit-identity of the compiled kernels themselves is established by
 the hypothesis differential suite (``test_property_differential``); this
 module covers the machinery *around* them:
 
-- the provider registry (:func:`emissary.compiled.get_kernels`,
-  ``EMISSARY_COMPILED`` environment override, cache reset),
-- engine-level backend selection (warn-and-fall-back on auto, hard
-  error on a pinned provider, ``kernel_backend`` validation),
-- :class:`~emissary.api.SimRequest` backend plumbing — including the
+- loading the C kernels (:func:`emissary.compiled.get_kernels`, the
+  ``EMISSARY_COMPILED`` kill switch, cache reset, the library build),
+- the C source's purity: it calls nothing outside itself,
+- engine-level backend selection (warn-and-fall-back, ``kernel_backend``
+  validation),
+- :class:`~emissary.api.SimRequest` backend plumbing, including the
   deliberate *exclusion* of ``backend`` from the results-cache key,
 - the sweep worker running a wire dict's ``backend``,
 - the sanitizer on the compiled flat-state path, and
 - the ``bench --backend`` harness (small-n smoke).
 
-Everything here runs without numba installed: the interpreter provider
-(``python``) is always loadable, and tests that need a real native
-provider (numba or the bundled C fallback) are skip-marked.
+Tests that need the C kernels (a C compiler) are skip-marked.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -27,17 +28,15 @@ from emissary.api import (BACKENDS, DEFAULT_BACKEND, PolicySpec, SimRequest,
                           simulate)
 from emissary.compiled import (
     COMPILED_ENV,
-    PROVIDER_NAMES,
-    PROVIDER_ORDER,
     CompiledUnavailableError,
-    available_providers,
+    cc_backend,
     get_kernels,
     make_compiled_kernel,
     reset_provider_cache,
 )
-from emissary.compiled.numba_backend import HAVE_NUMBA
 from emissary.engine import BatchedEngine, CacheConfig
 from emissary.hierarchy import BatchedHierarchyEngine
+from emissary.telemetry import Telemetry
 from emissary.traces import TraceSpec
 
 try:
@@ -48,26 +47,11 @@ except CompiledUnavailableError:
 
 _needs_compiled_skip = pytest.mark.skipif(
     not COMPILED_AVAILABLE,
-    reason="no compiled kernel provider (numba or a C compiler) available")
+    reason="no compiled kernels (no C compiler) available")
 
 
 def needs_compiled(func):  # noqa: ANN001, ANN201 - pytest decorator
     return pytest.mark.needs_compiled(_needs_compiled_skip(func))
-
-# Wheel-availability guard: numba ships binary wheels on a lag behind new
-# CPython releases, so "pip install numba" can legitimately fail or be
-# skipped on a matrix leg.  Tests that *require* the numba provider take
-# this marker; the rest of the file must stay green without the wheel.
-# The selectable `needs_numba` mark (registered in pyproject.toml) rides
-# along so the CI numba leg can run `-m needs_numba` and fail — exit 5 —
-# if the marked tests ever stop being collected.
-_needs_numba_skip = pytest.mark.skipif(
-    not HAVE_NUMBA,
-    reason="numba wheel not installed in this environment")
-
-
-def needs_numba(func):  # noqa: ANN001, ANN201 - pytest decorator
-    return pytest.mark.needs_numba(_needs_numba_skip(func))
 
 POLICIES = [
     PolicySpec("lru"),
@@ -91,94 +75,91 @@ def _trace(n=4000, seed=7):
                      params={"footprint_lines": 256}).generate()
 
 
-# -- provider registry ----------------------------------------------------
+# -- loading the C kernels ------------------------------------------------
 
+@needs_compiled
 def test_available_providers_auto_is_provider_order(clean_providers):
-    clean_providers.delenv(COMPILED_ENV, raising=False)
-    assert available_providers() == PROVIDER_ORDER
-    clean_providers.setenv(COMPILED_ENV, "auto")
-    assert available_providers() == PROVIDER_ORDER
+    """Unset, ``auto`` and ``cc`` all load the one C provider."""
+    for value in (None, "auto", "cc", " CC "):
+        if value is None:
+            clean_providers.delenv(COMPILED_ENV, raising=False)
+        else:
+            clean_providers.setenv(COMPILED_ENV, value)
+        reset_provider_cache()
+        assert get_kernels().name == "cc"
 
 
 def test_available_providers_env_off(clean_providers):
+    # `off` is the operational kill-switch.
     clean_providers.setenv(COMPILED_ENV, "off")
-    assert available_providers() == ()
     with pytest.raises(CompiledUnavailableError, match="disabled"):
         get_kernels()
-    # `off` is the operational kill-switch: it beats even a pinned provider.
     with pytest.raises(CompiledUnavailableError, match="disabled"):
-        get_kernels("python")
+        make_compiled_kernel("lru", num_sets=4, ways=2)
 
 
+@needs_compiled
 def test_available_providers_env_pinned(clean_providers):
     clean_providers.setenv(COMPILED_ENV, "cc")
-    assert available_providers() == ("cc",)
+    assert get_kernels() is get_kernels()  # loaded once per process
 
 
 def test_available_providers_env_invalid(clean_providers):
     clean_providers.setenv(COMPILED_ENV, "gpu")
     with pytest.raises(ValueError, match="EMISSARY_COMPILED"):
-        available_providers()
+        get_kernels()
 
 
 def test_get_kernels_unknown_provider(clean_providers):
-    clean_providers.delenv(COMPILED_ENV, raising=False)
-    with pytest.raises(ValueError, match="unknown compiled provider"):
-        get_kernels("fortran")
+    """Only the C provider exists: the old interpreter provider name is
+    an error, not a silent choice."""
+    clean_providers.setenv(COMPILED_ENV, "python")
+    with pytest.raises(ValueError, match="not understood"):
+        get_kernels()
 
 
-def test_python_provider_always_loadable(clean_providers):
-    clean_providers.delenv(COMPILED_ENV, raising=False)
-    kernels = get_kernels("python")
-    assert kernels.name == "python"
-    # ...but never auto-selected: it would silently defeat the point.
-    assert "python" not in PROVIDER_ORDER
-    assert "python" in PROVIDER_NAMES
+@needs_compiled
+def test_build_library_rejects_empty_source(clean_providers, tmp_path):
+    """A library without the kernel symbols (``cc`` builds one from an
+    empty file) is never published to the shared cache."""
+    clean_providers.setenv("EMISSARY_CC_CACHE", str(tmp_path))
+    clean_providers.setattr(cc_backend, "C_SOURCE", "")
+    with pytest.raises(cc_backend.CcBuildError, match="does not export"):
+        cc_backend.build_library()
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-def test_pinned_numba_unavailable_raises(clean_providers):
-    clean_providers.delenv(COMPILED_ENV, raising=False)
-    with pytest.raises(CompiledUnavailableError, match="numba"):
-        get_kernels("numba")
+@needs_compiled
+def test_build_library_publishes_only_the_library(clean_providers, tmp_path):
+    clean_providers.setenv("EMISSARY_CC_CACHE", str(tmp_path))
+    lib_path = cc_backend.build_library()
+    assert list(tmp_path.iterdir()) == [lib_path]
+    assert cc_backend.build_library() == lib_path  # reused, not rebuilt
+    assert cc_backend.CcKernels(lib_path).name == "cc"
 
 
-@needs_numba
-def test_numba_provider_matches_python_backend():
-    kernels = get_kernels("numba")
-    assert kernels.name == "numba"
-    addresses = _trace()
-    config = CacheConfig(num_sets=8, ways=4)
-    for spec in POLICIES:
-        compiled = BatchedEngine(config, kernel_backend="compiled",
-                                 compiled_provider="numba").run(
-            addresses, spec, seed=3)
-        python = BatchedEngine(config).run(addresses, spec, seed=3)
-        assert np.array_equal(compiled.hits, python.hits)
-        assert compiled.policy_stats == python.policy_stats
+def test_c_source_calls_only_its_own_functions():
+    """The C source is the compiled kernels' purity guarantee: it
+    includes nothing but ``<stdint.h>`` and every call names a function
+    or macro it defines, so no kernel reaches ``rand``, ``time``,
+    ``printf`` or ``fopen``."""
+    source = re.sub(r"/\*.*?\*/", "", cc_backend.C_SOURCE, flags=re.S)
+    assert re.findall(r"#\s*include\s*(\S+)", source) == ["<stdint.h>"]
+    defined = set(re.findall(
+        r"^[A-Za-z_][\w \t*]*?\b(\w+)\s*\([^;{]*\)\s*\{", source, re.M))
+    defined |= set(re.findall(r"#\s*define\s+(\w+)\(", source))
+    assert {"find_way", "lru_body", "emissary_body",
+            *cc_backend.KERNEL_SYMBOLS} <= defined
+    syntax = {"if", "for", "while", "return", "sizeof", "__attribute__"}
+    calls = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", source))
+    assert calls - defined - syntax == set()
 
 
 # -- engine backend selection ---------------------------------------------
 
-def test_python_provider_matches_python_backend(clean_providers):
-    """The interpreter provider exercises the full compiled dispatch path
-    (trace-order batches over flat state) with no native code at all."""
-    clean_providers.delenv(COMPILED_ENV, raising=False)
-    addresses = _trace()
-    config = CacheConfig(num_sets=8, ways=4)
-    for spec in POLICIES:
-        compiled = BatchedEngine(config, kernel_backend="compiled",
-                                 compiled_provider="python").run(
-            addresses, spec, seed=3)
-        python = BatchedEngine(config).run(addresses, spec, seed=3)
-        assert np.array_equal(compiled.hits, python.hits)
-        assert compiled.policy_stats == python.policy_stats
-
-
 def test_unknown_kernel_backend_rejected():
-    """The engines take the batched members of ``api.BACKENDS``; the
-    ``python`` provider name and the reference oracle are not kernel
-    backends."""
+    """The engines take the batched members of ``api.BACKENDS``;
+    ``python`` and the reference oracle are not kernel backends."""
     assert BatchedEngine(CacheConfig()).kernel_backend == DEFAULT_BACKEND
     assert BatchedHierarchyEngine().kernel_backend == DEFAULT_BACKEND
     for backend in ("gpu", "python", "reference"):
@@ -203,14 +184,20 @@ def test_auto_compiled_falls_back_with_warning(clean_providers):
     assert result.policy_stats == expected.policy_stats
 
 
+@needs_compiled
 def test_pinned_compiled_unavailable_is_hard_error(clean_providers):
-    """A pinned provider must never silently time Python instead."""
+    """Callers that must never silently time Python (the benchmarks) load
+    the kernels through ``get_kernels``, which fails loudly once the
+    kill switch is thrown, even after a successful load."""
+    clean_providers.delenv(COMPILED_ENV, raising=False)
+    assert get_kernels().name == "cc"
     clean_providers.setenv(COMPILED_ENV, "off")
-    engine = BatchedEngine(CacheConfig(num_sets=4, ways=2),
-                           kernel_backend="compiled",
-                           compiled_provider="cc")
     with pytest.raises(CompiledUnavailableError):
-        engine.run(_trace(n=100), PolicySpec("lru"), seed=3)
+        get_kernels()
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        BatchedEngine(CacheConfig(num_sets=4, ways=2),
+                      kernel_backend="compiled").run(
+            _trace(n=100), PolicySpec("lru"), seed=3)
 
 
 # -- SimRequest / api.simulate plumbing -----------------------------------
@@ -290,12 +277,13 @@ def test_run_config_compiled_backend():
 
 # -- sanitizer on the compiled path ---------------------------------------
 
+@needs_compiled
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no silent fallback
 def test_sanitizer_checks_compiled_dispatches(clean_providers):
     clean_providers.delenv(COMPILED_ENV, raising=False)
     sanitizer = Sanitizer()
     engine = BatchedEngine(CacheConfig(num_sets=4, ways=2),
-                           sanitizer=sanitizer, kernel_backend="compiled",
-                           compiled_provider="python")
+                           sanitizer=sanitizer, kernel_backend="compiled")
     engine.run(_trace(n=500), PolicySpec("lru"), seed=3)
     assert sanitizer.checks > 0
     # MRU-run collapsing means the kernel sees at most n accesses.
@@ -303,10 +291,10 @@ def test_sanitizer_checks_compiled_dispatches(clean_providers):
     assert sanitizer.attached == ["lru"]
 
 
+@needs_compiled
 def test_sanitizer_catches_compiled_state_corruption(clean_providers):
     clean_providers.delenv(COMPILED_ENV, raising=False)
-    kernel = make_compiled_kernel("lru", num_sets=4, ways=2,
-                                  provider="python")
+    kernel = make_compiled_kernel("lru", num_sets=4, ways=2)
     sanitizer = Sanitizer()
     sanitizer.attach_kernel(kernel)
     set_idx = np.zeros(4, dtype=np.int64)
@@ -317,6 +305,25 @@ def test_sanitizer_catches_compiled_state_corruption(clean_providers):
         kernel.run_batch(set_idx, tags)
 
 
+@needs_compiled
+@pytest.mark.parametrize("policy,params", [
+    ("lru", {}), ("random", {}), ("srrip", {}),
+    ("emissary", {"hp_threshold": 2}),
+    ("emissary", {"hp_threshold": 2, "hp_budget": "partitioned",
+                  "num_cores": 2})])
+def test_telemetry_off_runs_the_plain_kernels(policy, params):
+    """Telemetry off costs nothing: the plain instantiation runs with no
+    telemetry buffers bound until ``attach_telemetry`` switches to the
+    ``_tel`` entry point."""
+    kernel = make_compiled_kernel(policy, num_sets=4, ways=4, **params)
+    kind = kernel._kind
+    assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=False)
+    assert kernel._args.line_hits is None and kernel._args.counters is None
+    kernel.attach_telemetry(Telemetry())
+    assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=True)
+    assert kernel._args.line_hits == kernel._line_hits.ctypes.data
+
+
 # -- bench harness --------------------------------------------------------
 
 @needs_compiled
@@ -325,7 +332,7 @@ def test_backend_bench_smoke():
 
     report = run_backend_bench(n=4096, repeats=1, skip_reference=True)
     assert report["benchmark"] == "backend_throughput"
-    assert report["compiled_provider"] == get_kernels().name
+    assert report["compiled_provider"] == get_kernels().name == "cc"
     assert report["all_outcomes_identical"] is True
     rows = report["policies"]
     assert {row["policy"] for row in rows} == \

@@ -10,8 +10,8 @@ access patterns, cache geometries, and chunk splits for divergence between
   boundaries themselves generated — including ones that split MRU runs,
   and
 * the compiled kernel backend (:mod:`emissary.compiled`) against both,
-  one-shot and streamed, flat and two-level — skipped only when no
-  compiled provider (numba or a C compiler) is available, and
+  one-shot and streamed, flat and two-level — skipped only when the C
+  kernels cannot be built (no C compiler), and
 * the multi-core shared-L2 paths: N interleaved instruction streams
   (generated core counts, per-access core-id patterns, chunk cuts)
   through the batched, streamed, and compiled engines against the
@@ -57,7 +57,7 @@ except CompiledUnavailableError:
 
 _needs_compiled_skip = pytest.mark.skipif(
     not COMPILED_AVAILABLE,
-    reason="no compiled kernel provider (numba or a C compiler) available")
+    reason="no compiled kernels (no C compiler) available")
 
 
 def needs_compiled(func):  # noqa: ANN001, ANN201 - pytest decorator

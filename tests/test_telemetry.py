@@ -33,12 +33,12 @@ try:
 except CompiledUnavailableError:
     COMPILED_AVAILABLE = False
 
+_COMPILED_MARKS = [pytest.mark.needs_compiled,
+                   pytest.mark.skipif(not COMPILED_AVAILABLE,
+                                      reason="no compiled kernels available")]
+
 #: Kernel backends whose telemetry must match the reference oracle.
-BACKENDS = ["batched",
-            pytest.param("compiled", marks=[
-                pytest.mark.needs_compiled,
-                pytest.mark.skipif(not COMPILED_AVAILABLE,
-                                   reason="no compiled kernel provider")])]
+BACKENDS = ["batched", pytest.param("compiled", marks=_COMPILED_MARKS)]
 
 POLICY_SPECS = [
     PolicySpec("lru"),
@@ -46,6 +46,13 @@ POLICY_SPECS = [
     PolicySpec("srrip"),
     PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 8}),
 ]
+
+
+#: (spec, backend) cases: a batched case keeps the bare policy name as id.
+SPEC_BACKENDS = [case for spec in POLICY_SPECS for case in (
+    pytest.param(spec, "batched", id=spec.name),
+    pytest.param(spec, "compiled", id=f"{spec.name}-compiled",
+                 marks=_COMPILED_MARKS))]
 
 
 def _addresses(n=6_000, seed=0):
@@ -125,8 +132,7 @@ def test_null_span_is_reusable_noop():
 
 # -- guarantee 3: cross-engine counter/histogram parity ----------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec,backend", SPEC_BACKENDS)
 def test_counters_match_across_engines(spec, backend):
     addresses = _addresses()
     config = CacheConfig(num_sets=32, ways=4)
@@ -137,8 +143,7 @@ def test_counters_match_across_engines(spec, backend):
     assert _policy_payload(batched.telemetry) == _policy_payload(reference.telemetry)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("spec,backend", SPEC_BACKENDS)
 def test_hierarchy_counters_match_across_engines(spec, backend):
     config = HierarchyConfig(l1=CacheConfig(num_sets=8, ways=2),
                              l2=CacheConfig(num_sets=32, ways=4))
