@@ -114,7 +114,7 @@ def get_kernels() -> CcKernels:
     if _loaded is None and _failure is None:
         try:
             _loaded = cc_backend.load_kernels()
-        except Exception as exc:  # CcBuildError / OSError
+        except (cc_backend.CcBuildError, OSError) as exc:
             _failure = f"cc: {exc}"
     if _loaded is None:
         raise CompiledUnavailableError(
@@ -242,28 +242,27 @@ class CompiledKernel:
         a.m = m
         a.hits = hits.ctypes.data
         # The converted arrays must outlive the call: ``keep`` holds them.
-        keep = [self._feed("set_idx", set_idx, np.int64),
-                self._feed("tags", tags, np.int64)]
+        keep = [self._feed("set_idx", set_idx, np.int64, m),
+                self._feed("tags", tags, np.int64, m)]
         if self.needs_rng:
-            assert u is not None
-            keep.append(self._feed("u", u, np.float64))
+            keep.append(self._feed("u", u, np.float64, m))
         if self.needs_repeat_flags:
-            assert rep is not None
-            keep.append(self._feed("rep", rep, np.uint8))
+            keep.append(self._feed("rep", rep, np.uint8, m))
         if self.consumes_cost:
             a.has_cost = cost is not None
-            keep.append(self._feed("cost", cost, np.int64))
+            a.cost = None
+            if cost is not None:
+                keep.append(self._feed("cost", cost, np.int64, m))
         if self.consumes_core:
             # A core-less caller (single-core engine) is core 0.
             keep.append(self._feed(
                 "core", np.zeros(m, dtype=np.int64) if core is None else core,
-                np.int64))
+                np.int64, m))
         tel = self._tel
         if tel is None:
             self._entry(self._args_ref)
             return hits
-        assert extra is not None
-        keep.append(self._feed("extra", extra, np.int64))
+        keep.append(self._feed("extra", extra, np.int64, m))
         evbuf = np.empty(m, dtype=np.int64)
         a.evbuf = evbuf.ctypes.data
         nev = self._entry(self._args_ref)
@@ -271,14 +270,16 @@ class CompiledKernel:
             tel.observe_many("line_hits", evbuf[:nev].tolist())
         return hits
 
-    def _feed(self, field: str, arr: NDArray[Any] | None,
-              dtype: type) -> NDArray[Any] | None:
-        """Point ``field`` at ``arr`` as a contiguous ``dtype`` array
-        (NULL for None); returns the array the pointer addresses."""
+    def _feed(self, field: str, arr: NDArray[Any] | None, dtype: type,
+              m: int) -> NDArray[Any]:
+        """Point ``field`` at ``arr`` as ``m`` contiguous ``dtype`` values
+        (one per access); returns the array the pointer addresses."""
         if arr is None:
-            setattr(self._args, field, None)
-            return None
+            raise ValueError(f"{self.policy} kernel needs {field!r}")
         arr = np.ascontiguousarray(arr, dtype=dtype)
+        if len(arr) != m:
+            raise ValueError(f"{field!r} has {len(arr)} entries for {m} "
+                             "accesses")
         setattr(self._args, field, arr.ctypes.data)
         return arr
 

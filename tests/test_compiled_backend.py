@@ -306,6 +306,27 @@ def test_sanitizer_catches_compiled_state_corruption(clean_providers):
 
 
 @needs_compiled
+def test_run_batch_rejects_missing_or_short_inputs():
+    """Every per-access array reaches C as a bare pointer, so a missing
+    or short one is refused before the call."""
+    set_idx = np.zeros(4, dtype=np.int64)
+    tags = np.arange(4, dtype=np.int64)
+    kernel = make_compiled_kernel("random", num_sets=4, ways=2)
+    with pytest.raises(ValueError, match="needs 'u'"):
+        kernel.run_batch(set_idx, tags)
+    with pytest.raises(ValueError, match="'u' has 3 entries for 4"):
+        kernel.run_batch(set_idx, tags, u=np.zeros(3))
+    with pytest.raises(ValueError, match="'tags' has 3 entries for 4"):
+        kernel.run_batch(set_idx, tags[:3], u=np.zeros(4))
+    kernel.attach_telemetry(Telemetry())
+    with pytest.raises(ValueError, match="needs 'extra'"):
+        kernel.run_batch(set_idx, tags, u=np.zeros(4))
+    assert kernel.run_batch(set_idx, tags, u=np.zeros(4),
+                            extra=np.zeros(4, dtype=np.int64)).tolist() \
+        == [False] * 4
+
+
+@needs_compiled
 @pytest.mark.parametrize("policy,params", [
     ("lru", {}), ("random", {}), ("srrip", {}),
     ("emissary", {"hp_threshold": 2}),
