@@ -85,7 +85,8 @@ def classify_forbidden(name: str) -> str | None:
 def kernel_entry_points(graph: CallGraph) -> Iterator[FunctionInfo]:
     """Every policy-kernel entry point present in the graph: the
     ``policies/`` per-set/per-event methods.  (The compiled kernels are
-    C; a tier-1 test holds their source to calls of its own functions.)"""
+    C; ``tests/test_compiled_backend.py`` holds their source to calls of
+    its own functions.)"""
     for fn in graph.iter_functions():
         if "policies" in fn.module.split(".") and fn.cls is not None \
                 and fn.name in KERNEL_ENTRY_METHODS:
