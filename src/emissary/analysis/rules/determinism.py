@@ -66,7 +66,6 @@ MONOTONIC_CALLS = frozenset({
 HOT_FUNCTIONS = frozenset({
     "run_sets",
     "run_set",
-    "_run_set_tel",
     "_run_set_wide",
     "_lockstep",
     "_dispatch",

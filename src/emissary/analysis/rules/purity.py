@@ -28,7 +28,6 @@ from emissary.analysis.rules.determinism import (
 KERNEL_ENTRY_METHODS = frozenset({
     "run_sets",
     "run_set",
-    "_run_set_tel",
     "on_hit",
     "on_fill",
     "find_victim",

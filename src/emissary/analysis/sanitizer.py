@@ -20,14 +20,13 @@ hot paths carry a single ``is None`` test per run, nothing per access —
 the bench guard (``python -m emissary.bench --sanitizer-overhead``)
 holds the detached overhead under 5%.
 
-Attachment order matters and the engines get it right: telemetry first
-(it swaps in the instrumented loops), then the sanitizer (which wraps
+The engines attach telemetry first, then the sanitizer (which wraps
 the dispatch entry point), so instrumented and plain runs are both
 checked.  Every batched kernel resolves a whole dispatch in one call —
 ``run_sets`` for the Python kernels, ``run_batch`` for the compiled
 ones — and keeps its state in flat per-set arrays under the same names
 (``_tag``, ``_size``, ``_ts``, ``_rrpv``, ``_prio``, ``_hp``,
-``_owner``, ``_hp_by_core``).  The sanitizer wraps that call and runs
+``_owner``, ``_hp_by_pool``).  The sanitizer wraps that call and runs
 one flat-state checker over every set it touched.
 """
 
@@ -210,48 +209,47 @@ class Sanitizer:
             raise SanitizerError(
                 f"{name}: {hp} HP lines exceed hp_threshold="
                 f"{kernel.hp_threshold}", set_index=s, access_position=pos)
-        if getattr(kernel, "_partitioned", False):
-            nc = kernel.num_cores
-            owner_row = kernel._owner[base:end].tolist()
-            self._check_partition(
-                name, s, pos, kernel._quota.tolist(),
-                kernel._hp_by_core[s * nc:(s + 1) * nc].tolist(), hp,
-                owner_of={w for w, p in enumerate(prios) if p},
-                owners={w: cr for w, cr in enumerate(owner_row) if cr >= 0})
+        pools = kernel.pools
+        owner_row = kernel._owner[base:end].tolist()
+        self._check_pools(
+            name, s, pos, kernel._quota.tolist(),
+            kernel._hp_by_pool[s * pools:(s + 1) * pools].tolist(), hp,
+            owner_of={w for w, p in enumerate(prios) if p},
+            owners={w: p for w, p in enumerate(owner_row) if p >= 0})
 
     @staticmethod
-    def _check_partition(name: str, s: int, pos: int, quotas: Sequence[int],
-                         by_core: Sequence[int], hp: int,
-                         owner_of: set, owners: dict) -> None:
-        """Partitioned-budget invariants: per-core counts stay inside
-        their quotas and sum to the set's HP total, and exactly the HP
-        lines carry an owner whose tally matches the per-core counts."""
+    def _check_pools(name: str, s: int, pos: int, quotas: Sequence[int],
+                     by_pool: Sequence[int], hp: int,
+                     owner_of: set, owners: dict) -> None:
+        """HP budget invariants: per-pool counts stay inside their
+        quotas and sum to the set's HP total, and exactly the HP lines
+        carry a pool whose tally matches the per-pool counts."""
         if owners.keys() != owner_of:
             raise SanitizerError(
                 f"{name}: owner map tracks {sorted(owners)} but the HP "
                 f"lines are {sorted(owner_of)}",
                 set_index=s, access_position=pos)
         tallied = [0] * len(quotas)
-        for cr in owners.values():
-            if not 0 <= cr < len(quotas):
+        for p in owners.values():
+            if not 0 <= p < len(quotas):
                 raise SanitizerError(
-                    f"{name}: owner core {cr} outside [0, {len(quotas)})",
+                    f"{name}: owner pool {p} outside [0, {len(quotas)})",
                     set_index=s, access_position=pos)
-            tallied[cr] += 1
-        if list(by_core) != tallied:
+            tallied[p] += 1
+        if list(by_pool) != tallied:
             raise SanitizerError(
-                f"{name}: hp_by_core {list(by_core)} disagrees with the "
+                f"{name}: hp_by_pool {list(by_pool)} disagrees with the "
                 f"owner map tally {tallied}",
                 set_index=s, access_position=pos)
-        if sum(by_core) != hp:
+        if sum(by_pool) != hp:
             raise SanitizerError(
-                f"{name}: per-core HP counts sum to {sum(by_core)} but "
+                f"{name}: per-pool HP counts sum to {sum(by_pool)} but "
                 f"{hp} HP lines are resident",
                 set_index=s, access_position=pos)
-        for cr, (count, quota) in enumerate(zip(by_core, quotas)):
+        for p, (count, quota) in enumerate(zip(by_pool, quotas)):
             if not 0 <= count <= quota:
                 raise SanitizerError(
-                    f"{name}: core {cr} holds {count} HP lines outside its "
+                    f"{name}: pool {p} holds {count} HP lines outside its "
                     f"quota [0, {quota}]", set_index=s, access_position=pos)
 
     # -- naive (per-access reference) impls -------------------------------
@@ -335,7 +333,7 @@ class Sanitizer:
                 f"emissary: {hp} HP lines exceed hp_threshold="
                 f"{impl.hp_threshold}", set_index=s, access_position=pos)
         if impl.partitioned:
-            self._check_partition(
+            self._check_pools(
                 "emissary", s, pos, impl.core_quotas,
                 impl.hp_by_core[s], hp,
                 owner_of={w for w in range(impl.ways)

@@ -74,7 +74,7 @@ POLICY_NAMES = ("lru", "random", "srrip", "emissary")
 #: ``KernelArgs`` fields that point at a ``CompiledKernel``'s flat state
 #: array of the same name (``tag`` is ``_tag``).
 STATE_FIELDS = ("tag", "ts", "rrpv", "prio", "owner", "size", "hp",
-                "hp_by_core", "quota", "clock", "stats", "line_hits",
+                "hp_by_pool", "quota", "clock", "stats", "line_hits",
                 "counters")
 
 
@@ -163,7 +163,6 @@ class CompiledKernel:
         self.needs_repeat_flags = policy == "srrip"
         self.consumes_cost = policy == "emissary"
         self.consumes_core = False
-        self._partitioned = False
         self._tel: "Telemetry" | None = None
         self._dispatches = 0
 
@@ -190,24 +189,22 @@ class CompiledKernel:
             self.num_cores = int(self.params.pop("num_cores", 1))
             _check_params(ways, self.hp_threshold, self.prob_inv,
                           self.min_l1_misses, self.hp_budget, self.num_cores)
+            # The HP budget's pools, as in the Python kernel.
+            self.pools = (self.num_cores if self.hp_budget == "partitioned"
+                          else 1)
+            self.consumes_core = self.pools > 1
             self._prio = np.zeros(lines, dtype=np.int64)
             self._hp = np.zeros(num_sets, dtype=np.int64)
             self._stats = np.zeros(NUM_STATS, dtype=np.int64)
-            self._partitioned = self.hp_budget == "partitioned"
-            if self._partitioned:
-                self.consumes_core = True
-                self._owner = np.full(lines, -1, dtype=np.int64)
-                self._hp_by_core = np.zeros(num_sets * self.num_cores,
-                                            dtype=np.int64)
-                self._quota = np.asarray(
-                    core_quotas(self.hp_threshold, self.num_cores),
-                    dtype=np.int64)
-        self._kind = "emissary_part" if self._partitioned else policy
-        self._entry = kernels.entry(self._kind, tel=False)
+            self._owner = np.full(lines, -1, dtype=np.int64)
+            self._hp_by_pool = np.zeros(num_sets * self.pools, dtype=np.int64)
+            self._quota = np.asarray(core_quotas(self.hp_threshold, self.pools),
+                                     dtype=np.int64)
+        self._entry = kernels.entry(policy, tel=False)
         self._args = KernelArgs(ways=ways)
         self._args_ref = ctypes.pointer(self._args)
         if policy == "emissary":
-            self._args.num_cores = self.num_cores
+            self._args.pools = self.pools
             self._args.hp_threshold = self.hp_threshold
             self._args.prob_inv = self.prob_inv
             self._args.min_cost = self.min_l1_misses
@@ -292,7 +289,7 @@ class CompiledKernel:
         self._tel = telemetry
         self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
         self._counters = np.zeros(NUM_COUNTERS, dtype=np.int64)
-        self._entry = self._kernels.entry(self._kind, tel=True)
+        self._entry = self._kernels.entry(self.policy, tel=True)
         self._bind_state()
 
     def telemetry_finalize(self) -> None:
@@ -334,10 +331,10 @@ class CompiledKernel:
             "hp_evictions": int(self._stats[STAT_HP_EVICTIONS]),
             "hp_lines_final": int(self._hp.sum()),
         }
-        if self._partitioned:
+        if self.hp_budget == "partitioned":
             stats["hp_budget"] = self.hp_budget
             stats["hp_lines_final_by_core"] = (
-                self._hp_by_core.reshape(self.num_sets, self.num_cores)
+                self._hp_by_pool.reshape(self.num_sets, self.pools)
                 .sum(axis=0).tolist())
         return stats
 

@@ -31,8 +31,9 @@ suite, the golden tables and the telemetry parity tests check it):
   empty preferred class falls back to the overall LRU way.  Promotion
   on fill requires measured cost ``>= min_l1_misses`` (every fill
   qualifies when no cost signal exists), ``u_i < 1.0 / prob_inv``, and
-  a free HP slot: below ``hp_threshold`` in the set for the shared
-  budget, below the filling core's quota for the partitioned one.
+  a free HP slot in the fill's pool: ``hp_by_pool`` below ``quota``.
+  The shared budget is one pool of ``hp_threshold``; the partitioned
+  one has a pool per core, and the fill's pool is its core.
 
 Each policy body is written once with a compile-time-constant ``tel``
 flag and instantiated twice, as ``emissary_<kind>_run`` and
@@ -47,9 +48,12 @@ own functions and includes only ``<stdint.h>``: a kernel cannot reach
 an RNG, a clock or I/O (``tests/test_compiled_backend.py`` checks it).
 
 The build is cached under ``$EMISSARY_CC_CACHE`` (default: a
-per-user directory inside the system temp dir) keyed by the SHA-256 of
-the source plus the compiler identity, so repeated processes (sweep
-workers, test runs) reuse one ``.so``.  Build failures surface as
+per-user directory inside the system temp dir, created with mode
+``0o700``) keyed by the SHA-256 of the source plus the compiler
+identity, so repeated processes (sweep workers, test runs) reuse one
+``.so``.  A cache directory or cached library that another user owns,
+or that its group or others may write, is refused with
+:class:`CcBuildError`.  Build failures surface as
 :class:`CcBuildError`, which the registry treats as "compiled kernels
 unavailable", never as a crash.
 """
@@ -60,6 +64,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -109,21 +114,21 @@ ARG_FIELDS: tuple[tuple[str, str], ...] = (
     ("owner", "int64_t *"),
     ("size", "int64_t *"),
     ("hp", "int64_t *"),
-    ("hp_by_core", "int64_t *"),
+    ("hp_by_pool", "int64_t *"),
     ("quota", "const int64_t *"),
     ("clock", "int64_t *"),
     ("stats", "int64_t *"),
     ("line_hits", "int64_t *"),
     ("counters", "int64_t *"),
     ("ways", "int64_t"),
-    ("num_cores", "int64_t"),
+    ("pools", "int64_t"),
     ("hp_threshold", "int64_t"),
     ("prob_inv", "int64_t"),
     ("min_cost", "int64_t"),
 )
 
 #: Kernel kinds; each has a plain and a ``_tel`` entry point.
-KINDS = ("lru", "random", "srrip", "emissary", "emissary_part")
+KINDS = ("lru", "random", "srrip", "emissary")
 
 
 def symbol(kind: str, tel: bool) -> str:
@@ -300,19 +305,20 @@ KERNEL int64_t srrip_body(const Args *a, const int tel) {
     return t.nev;
 }
 
-/* `part` selects the partitioned HP budget: each HP line has an owner
-   core, and a fill promotes only while its core is under quota. */
-KERNEL int64_t emissary_body(const Args *a, const int tel, const int part) {
+/* The HP budget is `pools` pools per set: an HP line is charged to its
+   pool in `owner`, and a fill promotes only while its pool (its core
+   when there are several pools, else 0) is under quota. */
+KERNEL int64_t emissary_body(const Args *a, const int tel) {
     const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
     const int64_t *cost = a->cost, *core = a->core, *quota = a->quota;
     const double *u = a->u;
     int64_t *tag_arr = a->tag, *ts_arr = a->ts, *prio_arr = a->prio;
     int64_t *owner_arr = a->owner, *size_arr = a->size;
-    int64_t *hp_counts = a->hp, *hp_by_core = a->hp_by_core;
+    int64_t *hp_counts = a->hp, *hp_by_pool = a->hp_by_pool;
     int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
     uint8_t *hits = a->hits;
     const int64_t m = a->m, ways = a->ways, has_cost = a->has_cost;
-    const int64_t num_cores = a->num_cores, hp_threshold = a->hp_threshold;
+    const int64_t pools = a->pools, hp_threshold = a->hp_threshold;
     const int64_t min_cost = a->min_cost;
     const double p_hit = 1.0 / (double)a->prob_inv;
     int64_t c = a->clock[0];
@@ -343,10 +349,8 @@ KERNEL int64_t emissary_body(const Args *a, const int tel, const int part) {
                 if (prio_arr[base + way] != 0) {
                     hp -= 1;
                     hp_evictions += 1;
-                    if (part) {
-                        hp_by_core[s * num_cores + owner_arr[base + way]] -= 1;
-                        owner_arr[base + way] = -1;
-                    }
+                    hp_by_pool[s * pools + owner_arr[base + way]] -= 1;
+                    owner_arr[base + way] = -1;
                 } else if (tel) {
                     lp_evictions += 1;
                 }
@@ -354,20 +358,17 @@ KERNEL int64_t emissary_body(const Args *a, const int tel, const int part) {
                 way = size;
                 size_arr[s] = size + 1;
             }
-            int64_t cr = part ? core[i] : 0;
+            int64_t pool = pools > 1 ? core[i] : 0;
+            int64_t *pool_hp = &hp_by_pool[s * pools + pool];
             if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
-                    && (part ? hp_by_core[s * num_cores + cr] < quota[cr]
-                             : hp < hp_threshold)) {
+                    && *pool_hp < quota[pool]) {
                 prio_arr[base + way] = 1;
-                if (part) {
-                    owner_arr[base + way] = cr;
-                    hp_by_core[s * num_cores + cr] += 1;
-                }
+                owner_arr[base + way] = pool;
+                *pool_hp += 1;
                 hp += 1;
                 promotions += 1;
             } else {
                 prio_arr[base + way] = 0;
-                if (part) owner_arr[base + way] = -1;
             }
             hp_counts[s] = hp;
             tag_arr[base + way] = tag;
@@ -393,16 +394,8 @@ int64_t emissary_random_run(const Args *a) { return random_body(a, 0); }
 int64_t emissary_random_run_tel(const Args *a) { return random_body(a, 1); }
 int64_t emissary_srrip_run(const Args *a) { return srrip_body(a, 0); }
 int64_t emissary_srrip_run_tel(const Args *a) { return srrip_body(a, 1); }
-int64_t emissary_emissary_run(const Args *a) { return emissary_body(a, 0, 0); }
-int64_t emissary_emissary_run_tel(const Args *a) {
-    return emissary_body(a, 1, 0);
-}
-int64_t emissary_emissary_part_run(const Args *a) {
-    return emissary_body(a, 0, 1);
-}
-int64_t emissary_emissary_part_run_tel(const Args *a) {
-    return emissary_body(a, 1, 1);
-}
+int64_t emissary_emissary_run(const Args *a) { return emissary_body(a, 0); }
+int64_t emissary_emissary_run_tel(const Args *a) { return emissary_body(a, 1); }
 """
 
 C_SOURCE = _c_header() + _C_KERNELS
@@ -433,6 +426,31 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"emissary-cc-{uid}"
 
 
+def _check_private(path: Path) -> None:
+    """Refuse ``path`` (raise :class:`CcBuildError`) unless it belongs to
+    the current user and neither its group nor others may write it: a
+    library loaded from there runs with this process's rights.  Skipped
+    where the platform has no user ids."""
+    if not hasattr(os, "getuid"):
+        return
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise CcBuildError(
+            f"refusing {path}: owned by uid {st.st_uid} with mode "
+            f"{stat.S_IMODE(st.st_mode):o}; it must belong to uid "
+            f"{os.getuid()} and not be writable by group or others")
+
+
+def library_name(compiler: str) -> str:
+    """File name of the kernel library ``compiler`` builds: keyed by the
+    SHA-256 of the source, the compiler and the platform."""
+    key = hashlib.sha256(
+        (C_SOURCE + "\0" + compiler + "\0" + sys.platform).encode()
+    ).hexdigest()[:24]
+    suffix = ".dll" if sys.platform == "win32" else ".so"
+    return f"emissary_kernels_{key}{suffix}"
+
+
 def _bind(lib_path: Path) -> ctypes.CDLL:
     """Load the library and type every entry point; a library missing
     one raises :class:`CcBuildError`."""
@@ -453,22 +471,22 @@ def build_library(compiler: str | None = None) -> Path:
     if compiler is None:
         raise CcBuildError(
             "no C compiler found (set $CC, or install gcc/clang/cc)")
-    key = hashlib.sha256(
-        (C_SOURCE + "\0" + compiler + "\0" + sys.platform).encode()
-    ).hexdigest()[:24]
-    suffix = ".dll" if sys.platform == "win32" else ".so"
     cache = _cache_dir()
-    lib_path = cache / f"emissary_kernels_{key}{suffix}"
+    # Private to this user: the cached library is loaded without a
+    # rebuild, so nobody else may be able to plant or replace it.
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    _check_private(cache)
+    lib_path = cache / library_name(compiler)
     if lib_path.exists():
+        _check_private(lib_path)
         return lib_path
-    cache.mkdir(parents=True, exist_ok=True)
     # Source and library both live under per-process names until the
     # checked library is published, so concurrent builders (sweep or
     # serve workers on a cold cache) never compile or load each other's
     # half-written files.
-    stem = f"emissary_kernels_{key}.{os.getpid()}.tmp"
+    stem = f"{lib_path.stem}.{os.getpid()}.tmp"
     src_path = cache / f"{stem}.c"
-    tmp_path = cache / f"{stem}{suffix}"
+    tmp_path = cache / f"{stem}{lib_path.suffix}"
     try:
         src_path.write_text(C_SOURCE)
         cmd = [compiler, "-O3", "-fPIC", "-shared",

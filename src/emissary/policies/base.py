@@ -33,7 +33,8 @@ Lane floor
     loop then finishes the tails (hot sets, few-set caches, small
     trailing dispatches) from the same flat state.  Instrumented runs
     take the same two phases: the steps count line lifetimes through a
-    :class:`LaneHits`, the tails run the instrumented scalar twin.
+    :class:`LaneHits`, and the scalar loop tests the kernel's telemetry
+    per hit and per eviction.
 
 Randomness is never drawn inside a kernel.  Policies that need it set
 ``needs_rng = True`` and receive a pre-generated uniform in [0, 1) per
@@ -73,9 +74,10 @@ def stable_argsort(keys: NDArray[np.uint64]) -> NDArray[np.intp]:
 #: Fewest active lanes (sets) a lockstep step may resolve; narrower
 #: steps go to the scalar per-set loop.  Measured on full 8-way sets
 #: (NumPy 2.4, 2-vCPU x86 VM), a step breaks even with the scalar loop
-#: at about 48 lanes for Random, 64 for SRRIP and EMISSARY and 96 for
-#: partitioned EMISSARY, and wins 4-5x at 1024 lanes; the floor is the
-#: highest break-even, so no policy steps below it.
+#: at about 48 lanes for Random, 64 for SRRIP and 96 for EMISSARY
+#: (measured on its partitioned budget, whose pooled step both budgets
+#: now take), and wins 4-5x at 1024 lanes; the floor is the highest
+#: break-even, so no policy steps below it.
 LANE_FLOOR = 96
 
 
@@ -83,24 +85,23 @@ class PolicyKernel:
     """Batched set-major kernel: the engine calls :meth:`run_sets` once
     per dispatch.
 
-    Telemetry is opt-in per instance: :meth:`attach_telemetry` swaps
-    ``run_set`` for the kernel's instrumented variant (``_run_set_tel``),
-    so the scalar loops carry **no** telemetry branches, and the
-    lockstep steps test for it once per step, never per access —
-    disabled telemetry is structurally free, not just cheap.  (LRU,
-    which overrides ``run_sets``, skips its accounting block instead.)
+    Telemetry is opt-in per instance: :meth:`attach_telemetry` sets
+    ``_tel`` and allocates the per-slot hit counts.  The lockstep steps
+    test it once per step, the scalar loop once per hit and per
+    eviction; a disabled run allocates nothing and records nothing.
+    (LRU, which overrides ``run_sets``, skips its accounting block.)
     """
 
     name: str = "base"
     needs_rng: bool = False
-    #: Set by :meth:`attach_telemetry`; instrumented loops record into it.
+    #: Set by :meth:`attach_telemetry`; dispatches record into it.
     _tel: "Telemetry" | None = None
     #: Flat per-set state: ``ways`` slots per set, and the filled slots
     #: of each set (slots fill in order and never empty).
     _tag: NDArray[np.int64]
     _size: NDArray[np.int64]
     #: Hits since fill per slot, for kernels that count line lifetimes in
-    #: flat per-set rows; allocated by their ``attach_telemetry``.
+    #: flat per-set rows; allocated by :meth:`attach_telemetry`.
     _line_hits: NDArray[np.int64] | None = None
     #: True if the kernel must know whether an access is immediately
     #: re-referenced (same line, no intervening access) — required for
@@ -137,7 +138,8 @@ class PolicyKernel:
         in the L1I -> L2 hierarchy, the line's running L1I miss count.
         ``extra`` is only supplied to instrumented kernels: the number of
         MRU-collapsed hits folded into each access, so per-line hit
-        accounting stays exact under run collapsing.  ``core`` (only when
+        accounting stays exact under run collapsing; the loop reads it
+        only while ``_tel`` is set.  ``core`` (only when
         ``consumes_core``) is the per-access issuing core id; None means
         a single-core caller (treated as core 0).
         Returns one hit/miss bool per access.
@@ -211,24 +213,15 @@ class PolicyKernel:
         raise NotImplementedError
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Enable instrumentation: rebind ``run_set`` to ``_run_set_tel``.
+        """Enable instrumentation: record into ``telemetry`` and count
+        hits since fill per slot in ``_line_hits``.
 
-        Must be called before the first access (kernels may allocate
-        accounting state here).  Subclasses extend it; every instrumented
-        loop is semantically identical to its fast twin — the telemetry
-        test suite asserts bit-identical hit vectors either way.
+        Must be called before the first access.  Instrumented dispatches
+        run the same code as plain ones — the telemetry test suite
+        asserts bit-identical hit vectors either way.
         """
         self._tel = telemetry
-        self.run_set = self._run_set_tel  # type: ignore[method-assign]
-
-    def _run_set_tel(self, set_index: int, tags: list[int],
-                     u: Sequence[float] | None,
-                     rep: Sequence[bool] | None = None,
-                     cost: Sequence[int] | None = None,
-                     extra: Sequence[int] | None = None,
-                     core: Sequence[int] | None = None) -> list[bool]:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no instrumented loop")
+        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
 
     def telemetry_finalize(self) -> None:
         """End-of-run accounting: by default the ``resident_line_hits``
@@ -244,6 +237,17 @@ class PolicyKernel:
     def extra_stats(self) -> dict[str, Any]:
         """Policy-specific counters folded into the simulation result."""
         return {}
+
+
+def record_lifetimes(tel: "Telemetry", fills: int, victims: list[int]) -> None:
+    """Record one dispatch's line lifetimes: its fills, its evictions,
+    the victims evicted without a hit (dead on fill), and each victim's
+    hits since fill in the ``line_hits`` histogram."""
+    tel.inc("fills", fills)
+    tel.inc("evictions", len(victims))
+    tel.inc("dead_on_fill", victims.count(0))
+    if victims:
+        tel.observe_many("line_hits", victims)
 
 
 def lookup(tag: NDArray[np.int64],
@@ -295,14 +299,9 @@ class LaneHits:
         """Write the rows back, count fills, evictions and dead-on-fill
         lines, and observe each victim's hits; returns the evictions."""
         self._line_hits.reshape(-1, self.rows.shape[1])[self._lanes] = self.rows
-        victims = (np.concatenate(self.victims) if self.victims
-                   else np.zeros(0, dtype=np.int64))
-        tel = self._tel
-        tel.inc("fills", self.fills)
-        tel.inc("evictions", len(victims))
-        tel.inc("dead_on_fill", int(np.count_nonzero(victims == 0)))
-        if len(victims):
-            tel.observe_many("line_hits", victims.tolist())
+        victims = (np.concatenate(self.victims).tolist() if self.victims
+                   else [])
+        record_lifetimes(self._tel, self.fills, victims)
         return len(victims)
 
 

@@ -21,18 +21,29 @@ HP bookkeeping is strictly per set.  That is what the paper's threshold
 means (N of the W ways in a set may be protected), and it is also what
 makes set-major batched execution legal: no state is shared across sets.
 
+**The HP budget is a set of pools.**  Each set's ``hp_threshold`` is
+split into ``pools`` quotas (:func:`core_quotas`), every HP line is
+charged to one pool, and a candidate fill promotes only while its pool
+is under its quota.  The paper's shared budget is one pool holding the
+whole threshold, so the rule reads "fewer than ``hp_threshold`` HP
+lines in the set".  Under a multi-core shared L2 the ``partitioned``
+budget (``hp_budget``) gives each core a pool of its own, so no core can
+starve another's protection.  The quotas sum to the threshold, so the
+set-wide bound holds in both modes and victim selection, which reads
+only the set's total, is the same.
+
 The batched kernel keeps flat per-set arrays, named like the compiled
 backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock),
-``_prio`` and ``_size`` per slot or set, ``_hp`` (HP lines per set) and,
-for the partitioned budget, ``_owner`` (core of each HP line) and
-``_hp_by_core``.  A lockstep step (see :mod:`emissary.policies.base`)
-stamps every hit slot with the step's time and picks every full set's
-victim with one ``argmin`` over slot keys that put the priority bit
-above the timestamp (:data:`PRIO_SHIFT`), flipped for sets whose
-preferred class is HP.  The scalar loop that finishes long sets reads a
-set into an insertion-ordered tag -> priority dict (recency order,
-front = LRU), walks it for the two-class victim, and writes it back with
-fresh ascending timestamps.
+``_prio`` and ``_owner`` (the HP line's pool, -1 for low priority) per
+slot, and ``_size``, ``_hp`` (HP lines) and ``_hp_by_pool`` per set.  A
+lockstep step (see :mod:`emissary.policies.base`) stamps every hit slot
+with the step's time and picks every full set's victim with one
+``argmin`` over slot keys that put the priority bit above the timestamp
+(:data:`PRIO_SHIFT`), flipped for sets whose preferred class is HP.  The
+scalar loop that finishes long sets reads a set into an
+insertion-ordered tag -> owner dict (recency order, front = LRU), walks
+it for the two-class victim, and writes it back with fresh ascending
+timestamps.
 
 **Miss awareness.**  The paper's priority signal is *which fills cost
 L1I demand misses*.  Standalone (single-level) runs cannot measure that,
@@ -53,12 +64,13 @@ random draw up to ``hp_threshold``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup, record_lifetimes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -70,10 +82,8 @@ DEFAULT_HP_BUDGET = "shared"
 
 #: HP-budget sharing modes under a multi-core shared L2.  ``shared`` is
 #: the paper's policy verbatim: one per-set pool of ``hp_threshold``
-#: protected ways contended by every core.  ``partitioned`` splits the
-#: threshold into per-core sub-budgets (round-robin remainder), so no
-#: core can starve another's protection; victim selection is unchanged
-#: (two-class over the *total* HP population).
+#: protected ways contended by every core.  ``partitioned`` gives each
+#: core a pool of its own (see the module docstring).
 HP_BUDGET_MODES = ("shared", "partitioned")
 
 
@@ -96,9 +106,9 @@ def _check_params(ways: int, hp_threshold: int, prob_inv: int,
 
 
 def core_quotas(hp_threshold: int, num_cores: int) -> list[int]:
-    """Per-core HP sub-budgets for the partitioned mode: the threshold
-    split as evenly as possible (lower core ids absorb the remainder),
-    so the quotas always sum to exactly ``hp_threshold``."""
+    """Per-pool HP quotas: the threshold split as evenly as possible
+    over ``num_cores`` pools (lower ids absorb the remainder), so the
+    quotas always sum to exactly ``hp_threshold``."""
     base, rem = divmod(hp_threshold, num_cores)
     return [base + (1 if c < rem else 0) for c in range(num_cores)]
 
@@ -131,6 +141,10 @@ class EmissaryKernel(PolicyKernel):
         self.min_l1_misses = min_l1_misses
         self.hp_budget = hp_budget
         self.num_cores = num_cores
+        #: HP budget pools: one per core when partitioned, else one.
+        self.pools = num_cores if hp_budget == "partitioned" else 1
+        # Only a budget of several pools reads the issuing core.
+        self.consumes_core = self.pools > 1
         lines = num_sets * ways
         #: Resident tags, ``ways`` slots per set; -1 = empty.  A line's
         #: slot carries no meaning: victims are chosen by recency.
@@ -144,29 +158,26 @@ class EmissaryKernel(PolicyKernel):
         #: Filled slots and resident HP lines per set.
         self._size = np.zeros(num_sets, dtype=np.int64)
         self._hp = np.zeros(num_sets, dtype=np.int64)
+        #: Each pool's share of the threshold.
+        self._quota = np.asarray(core_quotas(hp_threshold, self.pools),
+                                 dtype=np.int64)
+        #: Pool of the HP line per slot; -1 marks low-priority lines.
+        self._owner = np.full(lines, -1, dtype=np.int64)
+        #: HP lines per (set, pool), ``pools`` slots per set.
+        self._hp_by_pool = np.zeros(num_sets * self.pools, dtype=np.int64)
         self.hp_promotions = 0
         self.hp_evictions = 0
-        self._partitioned = hp_budget == "partitioned"
-        if self._partitioned:
-            # Partitioned candidacy needs the issuing core; priority bits
-            # stay 0/1 (victim search and all invariants are unchanged) —
-            # ownership lives in a parallel per-slot core array.
-            self.consumes_core = True
-            self._quota = np.asarray(core_quotas(hp_threshold, num_cores),
-                                     dtype=np.int64)
-            #: Owning core per slot; -1 marks low-priority lines.
-            self._owner = np.full(lines, -1, dtype=np.int64)
-            #: HP lines per (set, core), ``num_cores`` slots per set.
-            self._hp_by_core = np.zeros(num_sets * num_cores, dtype=np.int64)
-            # The shared-mode hot loop stays untouched; partitioned runs
-            # dispatch through their own twin.
-            self.run_set = self._run_set_part  # type: ignore[method-assign]
 
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        super().attach_telemetry(telemetry)
-        if self._partitioned:
-            self.run_set = self._run_set_part_tel  # type: ignore[method-assign]
-        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
+    def _count_classes(self, tel: "Telemetry", evictions: int,
+                       hp_evictions: int, promotions: int) -> None:
+        """Record one dispatch's eviction split by priority class and its
+        promotions.  A line loses HP protection only by eviction, so
+        demotions are exactly the HP evictions — kept as a named counter
+        so reports and cross-engine parity checks read one name."""
+        tel.inc("evictions_hp", hp_evictions)
+        tel.inc("evictions_lp", evictions - hp_evictions)
+        tel.inc("hp_promotions", promotions)
+        tel.inc("hp_demotions", hp_evictions)
 
     def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
                   tags: NDArray[np.int64], u: NDArray[np.float64] | None,
@@ -182,21 +193,26 @@ class EmissaryKernel(PolicyKernel):
         key |= self._prio.reshape(-1, ways)[lanes] << PRIO_SHIFT
         size = self._size[lanes]
         hp = self._hp[lanes]
+        # Working owners name a pool for every line, low-priority lines
+        # included (their pool is never charged); -1 is restored on store.
+        owner = np.maximum(self._owner.reshape(-1, ways)[lanes], 0)
+        pools = self.pools
+        by_pool = self._hp_by_pool.reshape(-1, pools)[lanes]
         tag_flat = tag.reshape(-1)
         key_flat = key.reshape(-1)
-        # Candidacy before the budget check: the 1/P draw and, when
-        # measured, the L1I miss count.
+        owner_flat = owner.reshape(-1)
+        pool_flat = by_pool.reshape(-1)
+        # Each access's pool: its core when there are several pools (a
+        # core-less caller is core 0), else pool 0.  And the HP count
+        # its pool must stay under for the fill to promote: the pool's
+        # quota for a candidate (the 1/P draw and, when measured, the
+        # L1I miss count), 0 otherwise.
+        pool = (core if pools > 1 and core is not None
+                else np.zeros(len(tags), dtype=np.int64))
         eligible = u < 1.0 / self.prob_inv
         if cost is not None:
             eligible &= cost >= self.min_l1_misses
-        partitioned = self._partitioned
-        if partitioned:
-            quota = self._quota
-            by_core = self._hp_by_core.reshape(-1, self.num_cores)[lanes]
-            owner = self._owner.reshape(-1, ways)[lanes]
-            owner_flat = owner.reshape(-1)
-            if core is None:
-                core = np.zeros(len(tags), dtype=np.int64)
+        limit = np.where(eligible, self._quota[pool], 0)
         count = None
         if extra is not None:
             count = LaneHits(self, lanes)
@@ -221,24 +237,20 @@ class EmissaryKernel(PolicyKernel):
                     want = (hp[full] >= threshold).astype(np.int64) << PRIO_SHIFT
                     slot[~cold] = (key[full] ^ want[:, None]).argmin(axis=1)
                 idx = miss * ways + slot
-                # 1 where an HP line is evicted (empty slots have key 0).
+                # 1 where an HP line is evicted (empty slots have key 0);
+                # its pool loses it, every other victim's pool loses 0.
                 evicted = key_flat[idx] >> PRIO_SHIFT
                 evictions += int(np.count_nonzero(evicted))
-                hp_left = hp[miss] - evicted
-                chosen = eligible[lo:hi][miss]
-                if partitioned:
-                    # The issuing core's sub-budget gates candidacy; the
-                    # quotas sum to the threshold, so hp < threshold holds.
-                    cores = core[lo:hi][miss]
-                    gone = evicted.astype(np.bool_)
-                    by_core[miss[gone], owner_flat[idx[gone]]] -= 1
-                    chosen &= by_core[miss, cores] < quota[cores]
-                    by_core[miss[chosen], cores[chosen]] += 1
-                    owner_flat[idx] = np.where(chosen, cores, -1)
-                else:
-                    chosen &= hp_left < threshold
-                hp[miss] = hp_left + chosen
+                row = miss * pools  # each lane's first pool slot
+                pool_flat[row + owner_flat[idx]] -= evicted
+                fill_pool = pool[lo:hi][miss]
+                owner_flat[idx] = fill_pool
+                at = row + fill_pool
+                held = pool_flat[at]
+                chosen = held < limit[lo:hi][miss]
+                pool_flat[at] = held + chosen
                 promotions += int(np.count_nonzero(chosen))
+                hp[miss] = hp[miss] - evicted + chosen
                 tag_flat[idx] = t[miss]
                 key_flat[idx] = (chosen.astype(np.int64) << PRIO_SHIFT) | now
                 size[miss] += cold
@@ -251,18 +263,14 @@ class EmissaryKernel(PolicyKernel):
         self._prio.reshape(-1, ways)[lanes] = key >> PRIO_SHIFT
         self._size[lanes] = size
         self._hp[lanes] = hp
-        if partitioned:
-            self._hp_by_core.reshape(-1, self.num_cores)[lanes] = by_core
-            self._owner.reshape(-1, ways)[lanes] = owner
+        self._owner.reshape(-1, ways)[lanes] = np.where(key >> PRIO_SHIFT,
+                                                        owner, -1)
+        self._hp_by_pool.reshape(-1, pools)[lanes] = by_pool
         self.hp_promotions += promotions
         self.hp_evictions += evictions
         tel = self._tel
         if count is not None and tel is not None:
-            lp_evictions = count.close() - evictions
-            tel.inc("evictions_hp", evictions)
-            tel.inc("evictions_lp", lp_evictions)
-            tel.inc("hp_promotions", promotions)
-            tel.inc("hp_demotions", evictions)
+            self._count_classes(tel, count.close(), evictions, promotions)
         return hits
 
     def _recency(self, set_index: int,
@@ -277,20 +285,20 @@ class EmissaryKernel(PolicyKernel):
                       for row in (a[base:end].tolist() for a in arrays)]
 
     def _store(self, set_index: int, base: int, d: dict[int, int], hp: int,
-               owner: dict[int, int] | None = None,
-               hits_of: dict[int, int] | None = None) -> None:
-        """Write a set back from its recency-ordered tag -> priority
-        dict: slots in dict order, with fresh ascending timestamps."""
+               hits_of: dict[int, int] | None) -> None:
+        """Write a set back from its recency-ordered tag -> owner dict
+        (see :meth:`run_set`): slots in dict order, with fresh ascending
+        timestamps."""
         end = base + len(d)
+        owners = list(d.values())
         self._tag[base:end] = list(d)
-        self._prio[base:end] = list(d.values())
+        self._prio[base:end] = [1 if p >= 0 else 0 for p in owners]
+        self._owner[base:end] = owners
         self._ts[base:end] = np.arange(self._clock, self._clock + len(d),
                                        dtype=np.int64)
         self._clock += len(d)
         self._size[set_index] = len(d)
         self._hp[set_index] = hp
-        if owner is not None:
-            self._owner[base:end] = [owner.get(tag, -1) for tag in d]
         if hits_of is not None:
             assert self._line_hits is not None
             self._line_hits[base:end] = [hits_of[tag] for tag in d]
@@ -302,12 +310,25 @@ class EmissaryKernel(PolicyKernel):
                 extra: Sequence[int] | None = None,
                 core: Sequence[int] | None = None) -> list[bool]:
         assert u is not None
-        # An insertion-ordered dict mapping tag -> priority bit: a hit
-        # pops and reinserts, so dict order is recency order (front =
-        # LRU) and the two-class victim search walks it oldest-first.
-        base, (resident, prios) = self._recency(set_index, self._tag,
-                                                self._prio)
-        d = dict(zip(resident, prios))
+        tel = self._tel
+        instrumented = tel is not None
+        # An insertion-ordered dict mapping tag -> owner: the pool of an
+        # HP line, -1 for a low-priority one.  A hit pops and reinserts,
+        # so dict order is recency order (front = LRU) and the two-class
+        # victim search walks it oldest-first.
+        rows = [self._tag, self._owner]
+        if instrumented:
+            assert extra is not None and self._line_hits is not None
+            rows.append(self._line_hits)
+        base, (resident, owners, *counts) = self._recency(set_index, *rows)
+        d = dict(zip(resident, owners))
+        # Instrumented: hits since fill per line, and the victims' counts.
+        hits_of = dict(zip(resident, counts[0])) if instrumented else {}
+        victims: list[int] = []
+        pools = self.pools
+        first = set_index * pools
+        by_pool = self._hp_by_pool[first:first + pools].tolist()
+        quota = self._quota.tolist()
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
@@ -318,276 +339,62 @@ class EmissaryKernel(PolicyKernel):
         hits: list[bool] = []
         hit_append = hits.append
         pop = d.pop
+        # Each access's pool: its core when there are several pools (a
+        # core-less caller is core 0), else pool 0.
+        pool_of = core if pools > 1 and core is not None else repeat(0)
         # Without a measured cost signal every fill is candidate-eligible
         # (the synthetic single-level assumption); with one, eligibility
         # is the measured L1I miss count reaching min_l1_misses.
-        if cost is None:
-            cost = (min_cost,) * len(tags)
-        for tag, u_i, c_i in zip(tags, u, cost):
-            prio = pop(tag, -1)
-            if prio >= 0:
-                d[tag] = prio  # reinsert at the MRU end
+        for tag, u_i, c_i, p, extra_i in zip(
+                tags, u, cost or repeat(min_cost), pool_of,
+                extra or repeat(0)):
+            owner = pop(tag, None)
+            if owner is not None:
+                d[tag] = owner  # reinsert at the MRU end
+                if instrumented:
+                    hits_of[tag] += 1 + extra_i
                 hit_append(True)
             else:
                 if len(d) == ways:
-                    want = 1 if hp >= threshold else 0
                     victim = -1
-                    for vt, vp in d.items():
-                        if vp == want:
-                            victim = vt
-                            break
-                    if victim < 0:
-                        victim = next(iter(d))  # preferred class empty: overall LRU
-                    if pop(victim):
-                        hp -= 1
-                        hp_evictions += 1
-                if c_i >= min_cost and u_i < p_hit and hp < threshold:
-                    d[tag] = 1
-                    hp += 1
-                    promotions += 1
-                else:
-                    d[tag] = 0
-                hit_append(False)
-        self._store(set_index, base, d, hp)
-        self.hp_promotions += promotions
-        self.hp_evictions += hp_evictions
-        return hits
-
-    def _run_set_tel(self, set_index: int, tags: list[int],
-                     u: Sequence[float] | None,
-                     rep: Sequence[bool] | None = None,
-                     cost: Sequence[int] | None = None,
-                     extra: Sequence[int] | None = None,
-                     core: Sequence[int] | None = None) -> list[bool]:
-        """Instrumented twin of ``run_set``: identical two-class victim
-        search, plus the paper's diagnostic accounting (eviction split by
-        priority class, promotions, demotions, dead-on-fill lines)."""
-        tel = self._tel
-        assert u is not None and tel is not None and extra is not None
-        assert self._line_hits is not None
-        base, (resident, prios, counts) = self._recency(
-            set_index, self._tag, self._prio, self._line_hits)
-        d = dict(zip(resident, prios))
-        hits_of = dict(zip(resident, counts))
-        ways = self.ways
-        threshold = self.hp_threshold
-        min_cost = self.min_l1_misses
-        p_hit = 1.0 / self.prob_inv
-        hp = int(self._hp[set_index])
-        promotions = 0
-        hp_evictions = 0
-        hits: list[bool] = []
-        hit_append = hits.append
-        pop = d.pop
-        observe = tel.observe
-        fills = evictions = dead = lp_evictions = 0
-        if cost is None:
-            cost = (min_cost,) * len(tags)
-        for tag, u_i, c_i, extra_i in zip(tags, u, cost, extra):
-            prio = pop(tag, -1)
-            if prio >= 0:
-                d[tag] = prio  # reinsert at the MRU end
-                hits_of[tag] += 1 + extra_i
-                hit_append(True)
-            else:
-                if len(d) == ways:
-                    want = 1 if hp >= threshold else 0
-                    victim = -1
-                    for vt, vp in d.items():
-                        if vp == want:
-                            victim = vt
-                            break
-                    if victim < 0:
-                        victim = next(iter(d))  # preferred class empty: overall LRU
-                    victim_hits = hits_of.pop(victim)
-                    observe("line_hits", victim_hits)
-                    evictions += 1
-                    if victim_hits == 0:
-                        dead += 1
-                    if pop(victim):
-                        hp -= 1
-                        hp_evictions += 1
+                    if hp >= threshold:
+                        for vt, vp in d.items():
+                            if vp >= 0:
+                                victim = vt
+                                break
                     else:
-                        lp_evictions += 1
-                if c_i >= min_cost and u_i < p_hit and hp < threshold:
-                    d[tag] = 1
-                    hp += 1
-                    promotions += 1
-                else:
-                    d[tag] = 0
-                hits_of[tag] = extra_i
-                fills += 1
-                hit_append(False)
-        self._store(set_index, base, d, hp, hits_of=hits_of)
-        self.hp_promotions += promotions
-        self.hp_evictions += hp_evictions
-        tel.inc("fills", fills)
-        tel.inc("evictions", evictions)
-        tel.inc("dead_on_fill", dead)
-        tel.inc("evictions_hp", hp_evictions)
-        tel.inc("evictions_lp", lp_evictions)
-        tel.inc("hp_promotions", promotions)
-        # A line loses HP protection only by eviction, so demotions are
-        # exactly the HP evictions — kept as a named counter so reports
-        # and cross-engine parity checks read one canonical name.
-        tel.inc("hp_demotions", hp_evictions)
-        return hits
-
-    def _run_set_part(self, set_index: int, tags: list[int],
-                      u: Sequence[float] | None,
-                      rep: Sequence[bool] | None = None,
-                      cost: Sequence[int] | None = None,
-                      extra: Sequence[int] | None = None,
-                      core: Sequence[int] | None = None) -> list[bool]:
-        """Partitioned-budget twin of ``run_set``: candidacy is gated by
-        the issuing core's sub-budget (``hp_by_core < quota``) instead of
-        the shared pool.  Quotas sum to ``hp_threshold``, so the per-set
-        total can never exceed the shared bound and victim selection is
-        byte-for-byte the same two-class walk."""
-        assert u is not None
-        base, (resident, prios, owners) = self._recency(
-            set_index, self._tag, self._prio, self._owner)
-        d = dict(zip(resident, prios))
-        owner = {tag: cr for tag, cr in zip(resident, owners) if cr >= 0}
-        nc = self.num_cores
-        hp_by_core = self._hp_by_core[set_index * nc:(set_index + 1) * nc].tolist()
-        quota = self._quota.tolist()
-        ways = self.ways
-        threshold = self.hp_threshold
-        min_cost = self.min_l1_misses
-        p_hit = 1.0 / self.prob_inv
-        hp = int(self._hp[set_index])
-        promotions = 0
-        hp_evictions = 0
-        hits: list[bool] = []
-        hit_append = hits.append
-        pop = d.pop
-        if cost is None:
-            cost = (min_cost,) * len(tags)
-        if core is None:
-            core = (0,) * len(tags)
-        for tag, u_i, c_i, cr in zip(tags, u, cost, core):
-            prio = pop(tag, -1)
-            if prio >= 0:
-                d[tag] = prio  # reinsert at the MRU end
-                hit_append(True)
-            else:
-                if len(d) == ways:
-                    want = 1 if hp >= threshold else 0
-                    victim = -1
-                    for vt, vp in d.items():
-                        if vp == want:
-                            victim = vt
-                            break
+                        for vt, vp in d.items():
+                            if vp < 0:
+                                victim = vt
+                                break
                     if victim < 0:
                         victim = next(iter(d))  # preferred class empty: overall LRU
-                    if pop(victim):
+                    if instrumented:
+                        victims.append(hits_of.pop(victim))
+                    vp = pop(victim)
+                    if vp >= 0:
                         hp -= 1
                         hp_evictions += 1
-                        hp_by_core[owner.pop(victim)] -= 1
-                # hp_by_core[cr] < quota[cr] implies hp < threshold (the
-                # quotas sum to the threshold and every sub-count is
-                # bounded by its quota), so no shared-pool check remains.
-                if c_i >= min_cost and u_i < p_hit \
-                        and hp_by_core[cr] < quota[cr]:
-                    d[tag] = 1
-                    owner[tag] = cr
-                    hp_by_core[cr] += 1
+                        by_pool[vp] -= 1
+                # The quotas sum to the threshold, so a pool under its
+                # quota leaves the set under the threshold.
+                if c_i >= min_cost and u_i < p_hit and by_pool[p] < quota[p]:
+                    d[tag] = p
+                    by_pool[p] += 1
                     hp += 1
                     promotions += 1
                 else:
-                    d[tag] = 0
+                    d[tag] = -1
+                if instrumented:
+                    hits_of[tag] = extra_i
                 hit_append(False)
-        self._store(set_index, base, d, hp, owner=owner)
-        self._hp_by_core[set_index * nc:(set_index + 1) * nc] = hp_by_core
+        self._store(set_index, base, d, hp, hits_of if instrumented else None)
+        self._hp_by_pool[first:first + pools] = by_pool
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
-        return hits
-
-    def _run_set_part_tel(self, set_index: int, tags: list[int],
-                          u: Sequence[float] | None,
-                          rep: Sequence[bool] | None = None,
-                          cost: Sequence[int] | None = None,
-                          extra: Sequence[int] | None = None,
-                          core: Sequence[int] | None = None) -> list[bool]:
-        """Instrumented twin of ``_run_set_part``."""
-        tel = self._tel
-        assert u is not None and tel is not None and extra is not None
-        assert self._line_hits is not None
-        base, (resident, prios, owners, counts) = self._recency(
-            set_index, self._tag, self._prio, self._owner, self._line_hits)
-        d = dict(zip(resident, prios))
-        owner = {tag: cr for tag, cr in zip(resident, owners) if cr >= 0}
-        hits_of = dict(zip(resident, counts))
-        nc = self.num_cores
-        hp_by_core = self._hp_by_core[set_index * nc:(set_index + 1) * nc].tolist()
-        quota = self._quota.tolist()
-        ways = self.ways
-        threshold = self.hp_threshold
-        min_cost = self.min_l1_misses
-        p_hit = 1.0 / self.prob_inv
-        hp = int(self._hp[set_index])
-        promotions = 0
-        hp_evictions = 0
-        hits: list[bool] = []
-        hit_append = hits.append
-        pop = d.pop
-        observe = tel.observe
-        fills = evictions = dead = lp_evictions = 0
-        if cost is None:
-            cost = (min_cost,) * len(tags)
-        if core is None:
-            core = (0,) * len(tags)
-        for tag, u_i, c_i, extra_i, cr in zip(tags, u, cost, extra, core):
-            prio = pop(tag, -1)
-            if prio >= 0:
-                d[tag] = prio  # reinsert at the MRU end
-                hits_of[tag] += 1 + extra_i
-                hit_append(True)
-            else:
-                if len(d) == ways:
-                    want = 1 if hp >= threshold else 0
-                    victim = -1
-                    for vt, vp in d.items():
-                        if vp == want:
-                            victim = vt
-                            break
-                    if victim < 0:
-                        victim = next(iter(d))  # preferred class empty: overall LRU
-                    victim_hits = hits_of.pop(victim)
-                    observe("line_hits", victim_hits)
-                    evictions += 1
-                    if victim_hits == 0:
-                        dead += 1
-                    if pop(victim):
-                        hp -= 1
-                        hp_evictions += 1
-                        hp_by_core[owner.pop(victim)] -= 1
-                    else:
-                        lp_evictions += 1
-                if c_i >= min_cost and u_i < p_hit \
-                        and hp_by_core[cr] < quota[cr]:
-                    d[tag] = 1
-                    owner[tag] = cr
-                    hp_by_core[cr] += 1
-                    hp += 1
-                    promotions += 1
-                else:
-                    d[tag] = 0
-                hits_of[tag] = extra_i
-                fills += 1
-                hit_append(False)
-        self._store(set_index, base, d, hp, owner=owner, hits_of=hits_of)
-        self._hp_by_core[set_index * nc:(set_index + 1) * nc] = hp_by_core
-        self.hp_promotions += promotions
-        self.hp_evictions += hp_evictions
-        tel.inc("fills", fills)
-        tel.inc("evictions", evictions)
-        tel.inc("dead_on_fill", dead)
-        tel.inc("evictions_hp", hp_evictions)
-        tel.inc("evictions_lp", lp_evictions)
-        tel.inc("hp_promotions", promotions)
-        tel.inc("hp_demotions", hp_evictions)
+        if tel is not None:
+            record_lifetimes(tel, hits.count(False), victims)
+            self._count_classes(tel, len(victims), hp_evictions, promotions)
         return hits
 
     def telemetry_finalize(self) -> None:
@@ -612,10 +419,10 @@ class EmissaryKernel(PolicyKernel):
             "hp_evictions": self.hp_evictions,
             "hp_lines_final": int(self._hp.sum()),
         }
-        if self._partitioned:
+        if self.hp_budget == "partitioned":
             stats["hp_budget"] = self.hp_budget
             stats["hp_lines_final_by_core"] = (
-                self._hp_by_core.reshape(self.num_sets, self.num_cores)
+                self._hp_by_pool.reshape(self.num_sets, self.pools)
                 .sum(axis=0).tolist())
         return stats
 

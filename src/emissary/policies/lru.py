@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.policies.base import NaivePolicy, PolicyKernel, stable_argsort
+from emissary.policies.base import NaivePolicy, PolicyKernel, record_lifetimes, stable_argsort
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -269,12 +269,8 @@ class LRUKernel(PolicyKernel):
         end_slot = slot_of[life_end]
         resident = end_slot >= 0
         self._hits[end_slot[resident]] = life_hits[resident]
-        evicted = life_hits[~resident]
-        tel.inc("fills", len(acc_hits) - int(np.count_nonzero(acc_hits)))
-        tel.inc("evictions", len(evicted))
-        tel.inc("dead_on_fill", int(np.count_nonzero(evicted == 0)))
-        if len(evicted):
-            tel.observe_many("line_hits", evicted.tolist())
+        record_lifetimes(tel, len(acc_hits) - int(np.count_nonzero(acc_hits)),
+                         life_hits[~resident].tolist())
 
     def telemetry_finalize(self) -> None:
         tel = self._tel

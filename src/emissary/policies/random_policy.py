@@ -17,15 +17,13 @@ back.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from itertools import repeat
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from emissary.telemetry import Telemetry
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup, record_lifetimes
 
 
 class RandomKernel(PolicyKernel):
@@ -98,76 +96,43 @@ class RandomKernel(PolicyKernel):
                 core: Sequence[int] | None = None) -> list[bool]:
         assert u is not None
         base, tag_at, ways_of = self._load(set_index)
-        ways = self.ways
-        hits: list[bool] = []
-        hit_append = hits.append
-        for tag, u_i in zip(tags, u):
-            if tag in ways_of:
-                hit_append(True)
-            else:
-                size = len(tag_at)
-                if size < ways:
-                    ways_of[tag] = size
-                    tag_at.append(tag)
-                else:
-                    victim = int(u_i * ways)
-                    del ways_of[tag_at[victim]]
-                    ways_of[tag] = victim
-                    tag_at[victim] = tag
-                hit_append(False)
-        self._store(set_index, base, tag_at)
-        return hits
-
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        super().attach_telemetry(telemetry)
-        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
-
-    def _run_set_tel(self, set_index: int, tags: list[int],
-                     u: Sequence[float] | None,
-                     rep: Sequence[bool] | None = None,
-                     cost: Sequence[int] | None = None,
-                     extra: Sequence[int] | None = None,
-                     core: Sequence[int] | None = None) -> list[bool]:
-        """Instrumented twin of ``run_set`` with per-way hit accounting."""
         tel = self._tel
-        assert u is not None and tel is not None and extra is not None
-        assert self._line_hits is not None
-        base, tag_at, ways_of = self._load(set_index)
-        way_hits = self._line_hits[base:base + len(tag_at)].tolist()
+        instrumented = tel is not None
+        # Instrumented: hits since fill per way, and the victims' counts.
+        way_hits: list[int] = []
+        victims: list[int] = []
+        if instrumented:
+            assert extra is not None and self._line_hits is not None
+            way_hits = self._line_hits[base:base + len(tag_at)].tolist()
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
-        observe = tel.observe
-        fills = evictions = dead = 0
-        for tag, u_i, extra_i in zip(tags, u, extra):
-            way = ways_of.get(tag)
-            if way is not None:
-                way_hits[way] += 1 + extra_i
+        for tag, u_i, extra_i in zip(tags, u, extra or repeat(0)):
+            if tag in ways_of:
+                if instrumented:
+                    way_hits[ways_of[tag]] += 1 + extra_i
                 hit_append(True)
             else:
                 size = len(tag_at)
                 if size < ways:
                     ways_of[tag] = size
                     tag_at.append(tag)
-                    way_hits.append(extra_i)
+                    if instrumented:
+                        way_hits.append(extra_i)
                 else:
                     victim = int(u_i * ways)
-                    victim_hits = way_hits[victim]
-                    observe("line_hits", victim_hits)
-                    evictions += 1
-                    if victim_hits == 0:
-                        dead += 1
+                    if instrumented:
+                        victims.append(way_hits[victim])
+                        way_hits[victim] = extra_i
                     del ways_of[tag_at[victim]]
                     ways_of[tag] = victim
                     tag_at[victim] = tag
-                    way_hits[victim] = extra_i
-                fills += 1
                 hit_append(False)
         self._store(set_index, base, tag_at)
-        self._line_hits[base:base + len(way_hits)] = way_hits
-        tel.inc("fills", fills)
-        tel.inc("evictions", evictions)
-        tel.inc("dead_on_fill", dead)
+        if tel is not None:
+            assert self._line_hits is not None
+            self._line_hits[base:base + len(way_hits)] = way_hits
+            record_lifetimes(tel, hits.count(False), victims)
         return hits
 
 

@@ -22,24 +22,24 @@ RRPVs into one Python int (2 bits per way) for associativities up to
   the packed value to the lowest-index way holding the maximum RRPV;
 - *hit promotion* is one mask.
 
-For wider caches it falls back to a plain list-of-RRPVs loop with the
-same semantics.  A fill that is immediately re-referenced is promoted to
-RRPV 0 by that hit, so the kernel consumes the engine's repeat flags
-(``needs_repeat_flags``) to stay exact under MRU run collapsing.
+For wider caches, and for instrumented runs, it takes a plain
+list-of-RRPVs loop with the same semantics, which also counts each
+line's hits since fill while telemetry is attached.  A fill that is
+immediately re-referenced is promoted to RRPV 0 by that hit, so the
+kernel consumes the engine's repeat flags (``needs_repeat_flags``) to
+stay exact under MRU run collapsing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from itertools import repeat
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
-from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from emissary.telemetry import Telemetry
+from emissary.policies.base import LaneHits, NaivePolicy, PolicyKernel, lookup, record_lifetimes
 
 RRPV_BITS = 2
 RRPV_MAX = (1 << RRPV_BITS) - 1
@@ -85,13 +85,6 @@ class SRRIPKernel(PolicyKernel):
             self._ones = int("01" * ways, 2)
             self._clear = [~(RRPV_MAX << (RRPV_BITS * w)) & ((1 << (RRPV_BITS * ways)) - 1)
                            for w in range(ways)]
-
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Instrumented tails take the list-based loop — one instrumented
-        scalar loop instead of two, with semantics the equivalence suite
-        already proves identical to the packed fast path."""
-        super().attach_telemetry(telemetry)
-        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
 
     def _lockstep(self, lanes: NDArray[np.int64], active: list[int],
                   tags: NDArray[np.int64], u: NDArray[np.float64] | None,
@@ -168,8 +161,8 @@ class SRRIPKernel(PolicyKernel):
                 extra: Sequence[int] | None = None,
                 core: Sequence[int] | None = None) -> list[bool]:
         assert rep is not None
-        if self.ways > PACK_MAX_WAYS:
-            return self._run_set_wide(set_index, tags, rep)
+        if self.ways > PACK_MAX_WAYS or self._tel is not None:
+            return self._run_set_wide(set_index, tags, rep, extra)
         base, tag_at, ways_of, fields = self._load(set_index)
         packed = 0
         for way, field in enumerate(fields):
@@ -210,63 +203,29 @@ class SRRIPKernel(PolicyKernel):
         return hits
 
     def _run_set_wide(self, set_index: int, tags: list[int],
-                      rep: Sequence[bool]) -> list[bool]:
-        """List-based loop for associativities beyond the packed tables."""
+                      rep: Sequence[bool],
+                      extra: Sequence[int] | None) -> list[bool]:
+        """List-based loop for associativities beyond the packed tables,
+        and the one loop that counts line lifetimes when instrumented."""
         base, tag_at, ways_of, rrpv = self._load(set_index)
-        ways = self.ways
-        hits: list[bool] = []
-        hit_append = hits.append
-        get = ways_of.get
-        for tag, repeated in zip(tags, rep):
-            way = get(tag)
-            if way is not None:
-                rrpv[way] = 0
-                hit_append(True)
-            else:
-                insert = 0 if repeated else RRPV_INSERT
-                size = len(tag_at)
-                if size < ways:
-                    ways_of[tag] = size
-                    tag_at.append(tag)
-                    rrpv.append(insert)
-                else:
-                    top = max(rrpv)
-                    if top < RRPV_MAX:
-                        aging = RRPV_MAX - top
-                        for k in range(ways):
-                            rrpv[k] += aging
-                    victim = rrpv.index(RRPV_MAX)
-                    del ways_of[tag_at[victim]]
-                    ways_of[tag] = victim
-                    tag_at[victim] = tag
-                    rrpv[victim] = insert
-                hit_append(False)
-        self._store(set_index, base, tag_at, rrpv)
-        return hits
-
-    def _run_set_tel(self, set_index: int, tags: list[int],
-                     u: Sequence[float] | None,
-                     rep: Sequence[bool] | None = None,
-                     cost: Sequence[int] | None = None,
-                     extra: Sequence[int] | None = None,
-                     core: Sequence[int] | None = None) -> list[bool]:
-        """Instrumented twin of ``_run_set_wide`` with per-way hit counts."""
         tel = self._tel
-        assert rep is not None and tel is not None and extra is not None
-        assert self._line_hits is not None
-        base, tag_at, ways_of, rrpv = self._load(set_index)
-        way_hits = self._line_hits[base:base + len(tag_at)].tolist()
+        instrumented = tel is not None
+        # Instrumented: hits since fill per way, and the victims' counts.
+        way_hits: list[int] = []
+        victims: list[int] = []
+        if instrumented:
+            assert extra is not None and self._line_hits is not None
+            way_hits = self._line_hits[base:base + len(tag_at)].tolist()
         ways = self.ways
         hits: list[bool] = []
         hit_append = hits.append
         get = ways_of.get
-        observe = tel.observe
-        fills = evictions = dead = 0
-        for tag, repeated, extra_i in zip(tags, rep, extra):
+        for tag, repeated, extra_i in zip(tags, rep, extra or repeat(0)):
             way = get(tag)
             if way is not None:
                 rrpv[way] = 0
-                way_hits[way] += 1 + extra_i
+                if instrumented:
+                    way_hits[way] += 1 + extra_i
                 hit_append(True)
             else:
                 insert = 0 if repeated else RRPV_INSERT
@@ -275,7 +234,8 @@ class SRRIPKernel(PolicyKernel):
                     ways_of[tag] = size
                     tag_at.append(tag)
                     rrpv.append(insert)
-                    way_hits.append(extra_i)
+                    if instrumented:
+                        way_hits.append(extra_i)
                 else:
                     top = max(rrpv)
                     if top < RRPV_MAX:
@@ -283,23 +243,19 @@ class SRRIPKernel(PolicyKernel):
                         for k in range(ways):
                             rrpv[k] += aging
                     victim = rrpv.index(RRPV_MAX)
-                    victim_hits = way_hits[victim]
-                    observe("line_hits", victim_hits)
-                    evictions += 1
-                    if victim_hits == 0:
-                        dead += 1
+                    if instrumented:
+                        victims.append(way_hits[victim])
+                        way_hits[victim] = extra_i
                     del ways_of[tag_at[victim]]
                     ways_of[tag] = victim
                     tag_at[victim] = tag
                     rrpv[victim] = insert
-                    way_hits[victim] = extra_i
-                fills += 1
                 hit_append(False)
         self._store(set_index, base, tag_at, rrpv)
-        self._line_hits[base:base + len(way_hits)] = way_hits
-        tel.inc("fills", fills)
-        tel.inc("evictions", evictions)
-        tel.inc("dead_on_fill", dead)
+        if tel is not None:
+            assert self._line_hits is not None
+            self._line_hits[base:base + len(way_hits)] = way_hits
+            record_lifetimes(tel, hits.count(False), victims)
         return hits
 
     def effective_rrpv(self, set_index: int) -> list[int]:

@@ -1,10 +1,11 @@
 """Explicitly-enabled instrumentation layer: counters, histograms, spans.
 
-Telemetry is **off by default and structurally free when off**: engines
-hold ``telemetry=None`` and never touch this module, and policy kernels
-swap in their instrumented loop only when :meth:`~emissary.policies.base.
-PolicyKernel.attach_telemetry` is called — the fast paths contain no
-telemetry branches at all.  When enabled, instrumentation may cost time
+Telemetry is **off by default and cheap when off**: engines hold
+``telemetry=None`` and never touch this module, and policy kernels
+record only after :meth:`~emissary.policies.base.PolicyKernel.
+attach_telemetry` is called — their loops test a flag (per step, or per
+hit and per eviction in the scalar loops) and allocate no accounting
+state while it is off.  When enabled, instrumentation may cost time
 but must never perturb outcomes: the telemetry test suite asserts
 bit-identical hit vectors with telemetry on and off, on both engines.
 

@@ -4,6 +4,7 @@ project findings, EMI007 staleness)."""
 
 from __future__ import annotations
 
+import ast
 import shutil
 import textwrap
 from pathlib import Path
@@ -292,3 +293,17 @@ def test_emi007_not_judged_for_unexecuted_rules(tmp_path):
     # On a full run it is stale.
     report = lint_paths([root])
     assert len(codes_of(report, "EMI007")) == 1
+
+
+def test_kernel_name_lists_name_defined_functions():
+    """EMI002's hot functions and EMI101's kernel entry points are
+    method names; each must still be defined somewhere in the package,
+    so neither list quietly names a deleted method."""
+    from emissary.analysis.rules.determinism import HOT_FUNCTIONS
+    from emissary.analysis.rules.purity import KERNEL_ENTRY_METHODS
+
+    defined = {node.name
+               for path in Path(emissary.__file__).parent.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert (HOT_FUNCTIONS | KERNEL_ENTRY_METHODS) - defined == set()

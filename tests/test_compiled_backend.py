@@ -18,7 +18,9 @@ module covers the machinery *around* them:
 Tests that need the C kernels (a C compiler) are skip-marked.
 """
 
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -136,6 +138,66 @@ def test_build_library_publishes_only_the_library(clean_providers, tmp_path):
     assert list(tmp_path.iterdir()) == [lib_path]
     assert cc_backend.build_library() == lib_path  # reused, not rebuilt
     assert cc_backend.CcKernels(lib_path).name == "cc"
+
+
+_NO_UIDS = pytest.mark.skipif(not hasattr(os, "getuid"),
+                              reason="the platform has no user ids")
+
+
+def _refuse_loads(monkeypatch):
+    def no_load(*args, **kwargs):
+        raise AssertionError("a refused library was loaded")
+
+    monkeypatch.setattr(cc_backend, "_bind", no_load)
+    monkeypatch.setattr(cc_backend.ctypes, "CDLL", no_load)
+
+
+@_NO_UIDS
+def test_build_library_refuses_a_shared_cache_dir(clean_providers, tmp_path):
+    """A cache directory others may write can hold a planted library:
+    it is refused before anything in it is loaded, and the registry
+    reports the kernels unavailable (engines then fall back)."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o777)
+    planted = cache / cc_backend.library_name("cc")
+    planted.write_bytes(b"not a library")
+    clean_providers.setenv("EMISSARY_CC_CACHE", str(cache))
+    clean_providers.delenv(COMPILED_ENV, raising=False)
+    clean_providers.setattr(cc_backend, "find_compiler", lambda: "cc")
+    _refuse_loads(clean_providers)
+    with pytest.raises(cc_backend.CcBuildError, match=re.escape(str(cache))):
+        cc_backend.build_library()
+    with pytest.raises(CompiledUnavailableError, match="refusing"):
+        get_kernels()
+
+
+@_NO_UIDS
+def test_build_library_refuses_a_shared_cached_library(clean_providers,
+                                                       tmp_path):
+    """A private directory with a group-writable library in it: the
+    library is refused, not loaded."""
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    planted = cache / cc_backend.library_name("cc")
+    planted.write_bytes(b"not a library")
+    planted.chmod(0o664)
+    clean_providers.setenv("EMISSARY_CC_CACHE", str(cache))
+    _refuse_loads(clean_providers)
+    with pytest.raises(cc_backend.CcBuildError, match=re.escape(str(planted))):
+        cc_backend.build_library("cc")
+
+
+@_NO_UIDS
+def test_default_cache_dir_is_private(clean_providers, tmp_path):
+    """The default cache directory is created readable by its owner only."""
+    clean_providers.delenv("EMISSARY_CC_CACHE", raising=False)
+    clean_providers.setattr(cc_backend.tempfile, "gettempdir",
+                            lambda: str(tmp_path))
+    cache = cc_backend._cache_dir()
+    with pytest.raises(cc_backend.CcBuildError):
+        cc_backend.build_library("false")  # a compiler that always fails
+    assert cache.is_dir() and stat.S_IMODE(cache.stat().st_mode) == 0o700
 
 
 def test_c_source_calls_only_its_own_functions():
@@ -337,7 +399,7 @@ def test_telemetry_off_runs_the_plain_kernels(policy, params):
     telemetry buffers bound until ``attach_telemetry`` switches to the
     ``_tel`` entry point."""
     kernel = make_compiled_kernel(policy, num_sets=4, ways=4, **params)
-    kind = kernel._kind
+    kind = kernel.policy
     assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=False)
     assert kernel._args.line_hits is None and kernel._args.counters is None
     kernel.attach_telemetry(Telemetry())

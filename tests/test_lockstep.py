@@ -37,6 +37,19 @@ MULTICORE_POLICIES = [
 ]
 SPEC_IDS = ["srrip", "random", "emissary"]
 MULTICORE_IDS = ["srrip", "emissary", "partitioned"]
+
+
+def _hot_set_cases(specs, ids):
+    """(spec, ways, telemetry) cases of a hot-set hand-off: every spec
+    at 4 ways, SRRIP also at 16 (past its packed loop), each with
+    telemetry off (the bare id) and on (``-tel``)."""
+    cases = [(spec, 4, name) for spec, name in zip(specs, ids)]
+    cases.append((PolicySpec("srrip"), 16, "srrip-16way"))
+    return [pytest.param(spec, ways, telemetry,
+                         id=name + ("-tel" if telemetry else ""))
+            for telemetry in (False, True) for spec, ways, name in cases]
+
+
 #: A power-of-two set count of at least twice the default floor.
 WIDE_SETS = 1 << (2 * kernel_base.LANE_FLOOR - 1).bit_length()
 
@@ -51,6 +64,7 @@ PROPERTIES = [
     prop.test_multicore_batched_matches_reference,
     prop.test_multicore_stream_matches_oneshot,
     prop.test_partitioned_budget_equals_shared_on_one_core,
+    prop.test_shared_budget_ignores_core_ids,
     prop.test_multicore_folds_match_no_collapse,
 ]
 
@@ -63,14 +77,16 @@ def test_properties_at_low_floor(monkeypatch, floor, prop_test):
     prop_test()
 
 
-def _hot_set_trace(num_sets, per_set, hot_factor, seed):
+def _hot_set_trace(num_sets, per_set, hot_factor, seed, pool=6):
     """Round-robin accesses over ``num_sets`` sets, ``per_set`` each,
     except set 0, which gets ``hot_factor`` times as many.  Each set
-    walks a pool of 6 tags in random steps that never repeat a tag, so
-    no access folds away and a 4-way set both hits and evicts."""
+    walks a pool of ``pool`` tags in random steps that never repeat a
+    tag, so no access folds away and a set of ``pool - 2`` ways both
+    hits and evicts."""
     rng = np.random.default_rng(seed)
     rounds = per_set * hot_factor
-    tags = np.cumsum(rng.integers(1, 6, (rounds, num_sets)), axis=0) % 6
+    tags = np.cumsum(rng.integers(1, pool, (rounds, num_sets)),
+                     axis=0) % pool
     sets = np.broadcast_to(np.arange(num_sets), (rounds, num_sets))
     keep = (sets == 0) | (np.arange(rounds)[:, None] < per_set)
     lines = tags[keep] * num_sets + sets[keep]
@@ -104,59 +120,71 @@ def _spy_dispatch(monkeypatch):
     for cls in PolicyKernel.__subclasses__():
         if "_lockstep" in cls.__dict__:
             monkeypatch.setattr(cls, "_lockstep", spy_lockstep(cls._lockstep))
-            for name in ("run_set", "_run_set_part"):
-                if name in cls.__dict__:
-                    monkeypatch.setattr(cls, name,
-                                        spy_scalar(cls.__dict__[name]))
+            monkeypatch.setattr(cls, "run_set", spy_scalar(cls.run_set))
     return calls
 
 
-@pytest.mark.parametrize("spec", FLAT_POLICIES, ids=SPEC_IDS)
-def test_hot_set_hands_off_mid_dispatch(monkeypatch, spec):
+@pytest.mark.parametrize("spec,ways,telemetry",
+                         _hot_set_cases(FLAT_POLICIES, SPEC_IDS))
+def test_hot_set_hands_off_mid_dispatch(monkeypatch, spec, ways, telemetry):
     """One dispatch over at least twice the floor's sets, one of them 10x
     longer:
     the lockstep steps stop when the other sets run out, and the scalar
     loop finishes the hot set from the same state.  Hits, counts and
-    policy statistics equal the reference engine's, sanitized."""
+    policy statistics equal the reference engine's, sanitized, and so
+    does every telemetry counter and histogram when instrumented."""
     num_sets = WIDE_SETS
-    config = CacheConfig(num_sets=num_sets, ways=4)
-    addresses = _hot_set_trace(num_sets, per_set=12, hot_factor=10, seed=3)
+    config = CacheConfig(num_sets=num_sets, ways=ways)
+    addresses = _hot_set_trace(num_sets, per_set=12, hot_factor=10, seed=3,
+                               pool=ways + 2)
     calls = _spy_dispatch(monkeypatch)
     sanitizer = Sanitizer()
-    batched = BatchedEngine(config, sanitizer=sanitizer).run(
-        addresses, spec, seed=4)
-    reference = ReferenceEngine(config, sanitizer=Sanitizer()).run(
+    tels = [Telemetry(), Telemetry()] if telemetry else [None, None]
+    batched = BatchedEngine(config, telemetry=tels[0],
+                            sanitizer=sanitizer).run(addresses, spec, seed=4)
+    reference = ReferenceEngine(config, telemetry=tels[1],
+                                sanitizer=Sanitizer()).run(
         addresses, spec, seed=4)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.hit_count == reference.hit_count
     assert batched.policy_stats == reference.policy_stats
+    if telemetry:
+        assert _policy_payload(tels[0]) == _policy_payload(tels[1])
     # A one-shot run is a one-chunk stream: the hand-off happens in the
     # chunk's dispatch, and the trailing access resolves on its own at
-    # the flush.
-    assert sanitizer.checks == len(calls) == 2
+    # the flush.  An instrumented run's counters are checked at the end.
+    assert len(calls) == 2
+    assert sanitizer.checks == len(calls) + telemetry
     hand_off, flush = calls
     assert hand_off["steps"] == 12
     assert hand_off["scalar"] == [0]
     assert flush["accesses"] == 1
 
 
-@pytest.mark.parametrize("spec", MULTICORE_POLICIES, ids=MULTICORE_IDS)
-def test_hot_set_hands_off_in_shared_l2(monkeypatch, spec):
+@pytest.mark.parametrize("spec,ways,telemetry",
+                         _hot_set_cases(MULTICORE_POLICIES, MULTICORE_IDS))
+def test_hot_set_hands_off_in_shared_l2(monkeypatch, spec, ways, telemetry):
     """The same handoff in a two-core shared L2 (the partitioned budget
     reads the core column in both phases), against the reference."""
     num_sets = WIDE_SETS
     config = HierarchyConfig(l1=CacheConfig(num_sets=1, ways=1),
-                             l2=CacheConfig(num_sets=num_sets, ways=4))
-    addresses = _hot_set_trace(num_sets, per_set=12, hot_factor=10, seed=5)
+                             l2=CacheConfig(num_sets=num_sets, ways=ways))
+    addresses = _hot_set_trace(num_sets, per_set=12, hot_factor=10, seed=5,
+                               pool=ways + 2)
     cores = np.random.default_rng(6).integers(0, 2, len(addresses))
     calls = _spy_dispatch(monkeypatch)
-    batched = BatchedHierarchyEngine(config, sanitizer=Sanitizer()) \
+    tels = [Telemetry(), Telemetry()] if telemetry else [None, None]
+    batched = BatchedHierarchyEngine(config, telemetry=tels[0],
+                                     sanitizer=Sanitizer()) \
         .run_multicore(addresses, cores, spec, num_cores=2, seed=4)
-    reference = HierarchyReferenceEngine(config, sanitizer=Sanitizer()) \
+    reference = HierarchyReferenceEngine(config, telemetry=tels[1],
+                                         sanitizer=Sanitizer()) \
         .run_multicore(addresses, cores, spec, num_cores=2, seed=4)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
     assert batched.l2.policy_stats == reference.l2.policy_stats
+    if telemetry:
+        assert _policy_payload(tels[0]) == _policy_payload(tels[1])
     l2_calls = [call for call in calls if call["steps"]]
     assert len(l2_calls) == 1 and 0 in l2_calls[0]["scalar"]
 

@@ -38,13 +38,14 @@ from hypothesis import strategies as st
 
 from emissary.analysis.sanitizer import Sanitizer
 from emissary.api import PolicySpec
-from emissary.compiled import CompiledUnavailableError, get_kernels
+from emissary.compiled import CompiledUnavailableError, get_kernels, make_compiled_kernel
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine
 from emissary.hierarchy import (
     BatchedHierarchyEngine,
     HierarchyConfig,
     HierarchyReferenceEngine,
 )
+from emissary.policies import make_kernel
 from emissary.traces import LINE_BYTES
 
 SEED = 5
@@ -377,3 +378,63 @@ def test_multicore_folds_match_no_collapse(policy, mc):
         assert np.array_equal(folded.l2.hits, plain.l2.hits)
         assert folded.per_core == plain.per_core
         assert folded.l2.policy_stats == plain.l2.policy_stats
+
+
+def _shared_budget_run(kernel, lines, u, cost, core, compiled):
+    """Dispatch ``lines`` (trace order) to ``kernel`` in two halves,
+    passing ``core`` as the core column; returns the hit vector."""
+    num_sets = kernel.num_sets
+    hits = []
+    for half in np.array_split(np.arange(len(lines)), 2):
+        sets = (lines[half] & np.uint64(num_sets - 1)).astype(np.int64)
+        cols = [u[half], cost[half], None if core is None else core[half]]
+        if compiled:
+            hits.append(kernel.run_batch(
+                sets, (lines[half] >> np.uint64(2)).astype(np.int64),
+                u=cols[0], cost=cols[1], core=cols[2]))
+            continue
+        order = np.argsort(sets, kind="stable")
+        uniq, starts = np.unique(sets[order], return_index=True)
+        ends = np.append(starts[1:], len(order))
+        out = np.empty(len(order), dtype=bool)
+        out[order] = kernel.run_sets(
+            uniq, starts, ends, lines[half][order], cols[0][order], None,
+            cols[1][order], None, None if core is None else cols[2][order])
+        hits.append(out)
+    return np.concatenate(hits)
+
+
+def _check_shared_budget_ignores_core_ids(addresses, num_cores, compiled):
+    rng = np.random.default_rng(len(addresses))
+    lines = addresses >> np.uint64(6)
+    u = rng.random(len(lines))
+    cost = rng.integers(1, 4, len(lines))
+    core = rng.integers(0, num_cores, len(lines))
+    params = {"hp_threshold": 2, "prob_inv": 2, "min_l1_misses": 2,
+              "num_cores": num_cores}
+    runs = []
+    for core_ids in (core, None):
+        kernel = (make_compiled_kernel("emissary", 4, 4, **params) if compiled
+                  else make_kernel("emissary", 4, 4, **params))
+        Sanitizer().attach_kernel(kernel)
+        hits = _shared_budget_run(kernel, lines, u, cost, core_ids, compiled)
+        runs.append((hits, kernel.extra_stats()))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(addresses=traces(min_events=20), num_cores=st.sampled_from([2, 4]))
+def test_shared_budget_ignores_core_ids(addresses, num_cores):
+    """The shared HP budget is one pool at any core count: a kernel built
+    for 2 or 4 cores gives bit-identical hits and stats whether its
+    dispatches carry random core ids or none (``core=None``)."""
+    _check_shared_budget_ignores_core_ids(addresses, num_cores, compiled=False)
+
+
+@needs_compiled
+@settings(max_examples=30, deadline=None)
+@given(addresses=traces(min_events=20), num_cores=st.sampled_from([2, 4]))
+def test_compiled_shared_budget_ignores_core_ids(addresses, num_cores):
+    """The same on the compiled kernels."""
+    _check_shared_budget_ignores_core_ids(addresses, num_cores, compiled=True)

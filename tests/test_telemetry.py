@@ -5,9 +5,9 @@ Three hard guarantees from the design:
 1. Telemetry must never perturb outcomes — hit vectors are bit-identical
    with telemetry on and off, for every policy, on both engines, single
    level and hierarchy.
-2. Telemetry-off is structurally free — kernels keep their fast
-   ``run_set`` untouched until :meth:`attach_telemetry` swaps in the
-   instrumented twin.
+2. Telemetry-off records nothing — a kernel allocates no accounting
+   state and its dispatches record nothing until
+   :meth:`attach_telemetry`.
 3. Batched and reference engines agree on every policy counter and
    histogram (engine-internal ``engine.*`` keys excluded: the two
    pipelines legitimately differ there).
@@ -94,20 +94,23 @@ def test_hierarchy_outcomes_bit_identical_with_telemetry(spec, engine):
     assert on.telemetry is not None and off.telemetry is None
 
 
-# -- guarantee 2: telemetry-off is structurally free -------------------------
+# -- guarantee 2: telemetry-off records nothing -------------------------------
 
 @pytest.mark.parametrize("spec", POLICY_SPECS, ids=lambda s: s.name)
 def test_kernel_fast_path_untouched_until_attach(spec, monkeypatch):
+    """A telemetry-off kernel allocates no per-slot hit counts, and a
+    dispatch through both its lockstep steps and its scalar tail leaves
+    ``_tel`` unset and records nothing; attaching never rebinds the
+    kernel's methods on the instance."""
     kernel = make_kernel(spec.name, 8, 2, **spec.params)
-    # Disabled: run_set resolves to the class method — zero per-call cost.
-    assert "run_set" not in kernel.__dict__
+
+    def no_recording(*args):
+        raise AssertionError(f"telemetry-off {spec.name} recorded")
+
     if spec.name == "lru":
         # LRU's one closed-form body skips its lifetime accounting, and
         # never allocates the per-slot hit counts, until attached.
-        def no_accounting(*args):
-            raise AssertionError("telemetry-off LRU ran its accounting")
-
-        monkeypatch.setattr(kernel, "_account", no_accounting)
+        monkeypatch.setattr(kernel, "_account", no_recording)
         kernel.run_sets(np.array([0]), np.array([0]), np.array([3]),
                         np.array([0, 8, 16], dtype=np.uint64))
         assert kernel._hits is None
@@ -115,9 +118,33 @@ def test_kernel_fast_path_untouched_until_attach(spec, monkeypatch):
         assert "run_sets" not in kernel.__dict__
         assert kernel._hits is not None
         return
+    # At a floor of two lanes, set 1's two accesses are stepped in
+    # lockstep with set 0's first two; the scalar tail finishes set 0.
+    monkeypatch.setattr("emissary.policies.base.LANE_FLOOR", 2)
+    monkeypatch.setattr("emissary.policies.base.LaneHits.__init__",
+                        no_recording)
+    for module in ("random_policy", "srrip", "emissary"):
+        monkeypatch.setattr(f"emissary.policies.{module}.record_lifetimes",
+                            no_recording)
+    phases = []
+    for name in ("_lockstep", "run_set"):
+        def spy(*args, _inner=getattr(type(kernel), name), _name=name):
+            phases.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(type(kernel), name, spy)
+    tags = [1, 2, 3, 1, 4, 2, 5, 6]
+    sets = [0] * 6 + [1] * 2
+    lines = np.array(tags, dtype=np.uint64) * np.uint64(8) \
+        + np.array(sets, dtype=np.uint64)
+    kernel.run_sets(np.array([0, 1]), np.array([0, 6]), np.array([6, 8]),
+                    lines, u=np.random.default_rng(0).random(8),
+                    rep=np.zeros(8, dtype=bool))
+    assert phases == ["_lockstep", "run_set"]
+    assert kernel._tel is None and kernel._line_hits is None
+    monkeypatch.undo()
     kernel.attach_telemetry(Telemetry())
-    # Enabled: the instrumented twin shadows it on the instance.
-    assert kernel.__dict__["run_set"] == kernel._run_set_tel
+    assert "run_set" not in kernel.__dict__
+    assert kernel._line_hits is not None
 
 
 def test_null_span_is_reusable_noop():
