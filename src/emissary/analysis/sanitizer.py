@@ -25,8 +25,8 @@ the dispatch entry point), so instrumented and plain runs are both
 checked.  Every batched kernel resolves a whole dispatch in one call —
 ``run_sets`` for the Python kernels, ``run_batch`` for the compiled
 ones — and keeps its state in flat per-set arrays under the same names
-(``_tag``, ``_size``, ``_ts``, ``_rrpv``, ``_prio``, ``_hp``,
-``_owner``, ``_hp_by_pool``).  The sanitizer wraps that call and runs
+(``_tag``, ``_size``, ``_ts``, ``_rrpv``, ``_owner``, ``_hp``,
+``_hp_by_pool``).  The sanitizer wraps that call and runs
 one flat-state checker over every set it touched.
 """
 
@@ -190,17 +190,13 @@ class Sanitizer:
                     raise SanitizerError(
                         f"{name}: RRPV {rrpv} at way {way} outside "
                         f"[0, {RRPV_MAX}]", set_index=s, access_position=pos)
-        prio_arr = getattr(kernel, "_prio", None)
-        if prio_arr is None:
+        owner_arr = getattr(kernel, "_owner", None)
+        if owner_arr is None:
             return
-        prios = prio_arr[base:end].tolist()
-        hp = 0
-        for way, prio in enumerate(prios):
-            if prio not in (0, 1):
-                raise SanitizerError(
-                    f"{name}: priority bit {prio!r} at way {way} is not "
-                    "0/1", set_index=s, access_position=pos)
-            hp += prio
+        # An HP line is one charged to a pool; -1 marks low priority.
+        owners = {w: p for w, p in enumerate(owner_arr[base:end].tolist())
+                  if p != -1}
+        hp = len(owners)
         if hp != int(kernel._hp[s]):
             raise SanitizerError(
                 f"{name}: hp_counts[{s}] = {int(kernel._hp[s])} but {hp} "
@@ -210,25 +206,17 @@ class Sanitizer:
                 f"{name}: {hp} HP lines exceed hp_threshold="
                 f"{kernel.hp_threshold}", set_index=s, access_position=pos)
         pools = kernel.pools
-        owner_row = kernel._owner[base:end].tolist()
         self._check_pools(
             name, s, pos, kernel._quota.tolist(),
             kernel._hp_by_pool[s * pools:(s + 1) * pools].tolist(), hp,
-            owner_of={w for w, p in enumerate(prios) if p},
-            owners={w: p for w, p in enumerate(owner_row) if p >= 0})
+            owners)
 
     @staticmethod
     def _check_pools(name: str, s: int, pos: int, quotas: Sequence[int],
-                     by_pool: Sequence[int], hp: int,
-                     owner_of: set, owners: dict) -> None:
-        """HP budget invariants: per-pool counts stay inside their
-        quotas and sum to the set's HP total, and exactly the HP lines
-        carry a pool whose tally matches the per-pool counts."""
-        if owners.keys() != owner_of:
-            raise SanitizerError(
-                f"{name}: owner map tracks {sorted(owners)} but the HP "
-                f"lines are {sorted(owner_of)}",
-                set_index=s, access_position=pos)
+                     by_pool: Sequence[int], hp: int, owners: dict) -> None:
+        """HP budget invariants: every HP line (way -> pool in
+        ``owners``) names a valid pool, the per-pool counts match their
+        tally, stay inside their quotas and sum to the set's HP total."""
         tallied = [0] * len(quotas)
         for p in owners.values():
             if not 0 <= p < len(quotas):
@@ -333,13 +321,16 @@ class Sanitizer:
                 f"emissary: {hp} HP lines exceed hp_threshold="
                 f"{impl.hp_threshold}", set_index=s, access_position=pos)
         if impl.partitioned:
-            self._check_pools(
-                "emissary", s, pos, impl.core_quotas,
-                impl.hp_by_core[s], hp,
-                owner_of={w for w in range(impl.ways)
-                          if impl.priority[base + w]},
-                owners={w: impl.owner[base + w] for w in range(impl.ways)
-                        if impl.owner[base + w] >= 0})
+            owners = {w: impl.owner[base + w] for w in range(impl.ways)
+                      if impl.owner[base + w] >= 0}
+            owner_of = {w for w in range(impl.ways) if impl.priority[base + w]}
+            if owners.keys() != owner_of:
+                raise SanitizerError(
+                    f"emissary: owner map tracks {sorted(owners)} but the "
+                    f"HP lines are {sorted(owner_of)}",
+                    set_index=s, access_position=pos)
+            self._check_pools("emissary", s, pos, impl.core_quotas,
+                              impl.hp_by_core[s], hp, owners)
 
     def _check_naive_srrip(self, impl: NaiveSRRIP, s: int, pos: int) -> None:
         base = s * impl.ways

@@ -577,7 +577,7 @@ def run_telemetry_overhead_bench(n: int = 200_000,
                                  repeats: int = 5) -> dict[str, Any]:
     """Guard the telemetry-off default path against overhead creep.
 
-Telemetry-off is cheap: disabled engines hold ``telemetry=None``,
+    Telemetry-off is cheap: disabled engines hold ``telemetry=None``,
     and kernels test a flag per lockstep step, or per hit and per
     eviction in their scalar loops, and record nothing until attached
     (the telemetry tests assert a disabled dispatch records nothing).

@@ -73,9 +73,8 @@ POLICY_NAMES = ("lru", "random", "srrip", "emissary")
 
 #: ``KernelArgs`` fields that point at a ``CompiledKernel``'s flat state
 #: array of the same name (``tag`` is ``_tag``).
-STATE_FIELDS = ("tag", "ts", "rrpv", "prio", "owner", "size", "hp",
-                "hp_by_pool", "quota", "clock", "stats", "line_hits",
-                "counters")
+STATE_FIELDS = ("tag", "ts", "rrpv", "owner", "size", "hp", "hp_by_pool",
+                "quota", "clock", "stats", "line_hits", "counters")
 
 
 class CompiledUnavailableError(RuntimeError):
@@ -193,7 +192,6 @@ class CompiledKernel:
             self.pools = (self.num_cores if self.hp_budget == "partitioned"
                           else 1)
             self.consumes_core = self.pools > 1
-            self._prio = np.zeros(lines, dtype=np.int64)
             self._hp = np.zeros(num_sets, dtype=np.int64)
             self._stats = np.zeros(NUM_STATS, dtype=np.int64)
             self._owner = np.full(lines, -1, dtype=np.int64)

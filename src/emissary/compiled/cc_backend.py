@@ -110,7 +110,6 @@ ARG_FIELDS: tuple[tuple[str, str], ...] = (
     ("tag", "int64_t *"),
     ("ts", "int64_t *"),
     ("rrpv", "int64_t *"),
-    ("prio", "int64_t *"),
     ("owner", "int64_t *"),
     ("size", "int64_t *"),
     ("hp", "int64_t *"),
@@ -306,14 +305,15 @@ KERNEL int64_t srrip_body(const Args *a, const int tel) {
 }
 
 /* The HP budget is `pools` pools per set: an HP line is charged to its
-   pool in `owner`, and a fill promotes only while its pool (its core
-   when there are several pools, else 0) is under quota. */
+   pool in `owner` (-1 marks a low-priority line), and a fill promotes
+   only while its pool (its core when there are several pools, else 0)
+   is under quota. */
 KERNEL int64_t emissary_body(const Args *a, const int tel) {
     const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
     const int64_t *cost = a->cost, *core = a->core, *quota = a->quota;
     const double *u = a->u;
-    int64_t *tag_arr = a->tag, *ts_arr = a->ts, *prio_arr = a->prio;
-    int64_t *owner_arr = a->owner, *size_arr = a->size;
+    int64_t *tag_arr = a->tag, *ts_arr = a->ts, *owner_arr = a->owner;
+    int64_t *size_arr = a->size;
     int64_t *hp_counts = a->hp, *hp_by_pool = a->hp_by_pool;
     int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
     uint8_t *hits = a->hits;
@@ -337,7 +337,7 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
                 int64_t want = hp >= hp_threshold ? 1 : 0;
                 int64_t best = 0;
                 for (int64_t w = 0; w < ways; w++) {
-                    if (prio_arr[base + w] == want
+                    if ((owner_arr[base + w] >= 0) == want
                             && (way < 0 || ts_arr[base + w] < best)) {
                         best = ts_arr[base + w];
                         way = w;
@@ -346,11 +346,10 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
                 /* preferred class empty: overall LRU */
                 if (way < 0) way = oldest_way(ts_arr, base, ways);
                 if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
-                if (prio_arr[base + way] != 0) {
+                if (owner_arr[base + way] >= 0) {
                     hp -= 1;
                     hp_evictions += 1;
                     hp_by_pool[s * pools + owner_arr[base + way]] -= 1;
-                    owner_arr[base + way] = -1;
                 } else if (tel) {
                     lp_evictions += 1;
                 }
@@ -362,13 +361,12 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
             int64_t *pool_hp = &hp_by_pool[s * pools + pool];
             if ((has_cost == 0 || cost[i] >= min_cost) && u[i] < p_hit
                     && *pool_hp < quota[pool]) {
-                prio_arr[base + way] = 1;
                 owner_arr[base + way] = pool;
                 *pool_hp += 1;
                 hp += 1;
                 promotions += 1;
             } else {
-                prio_arr[base + way] = 0;
+                owner_arr[base + way] = -1;
             }
             hp_counts[s] = hp;
             tag_arr[base + way] = tag;

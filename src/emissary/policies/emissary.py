@@ -33,10 +33,10 @@ set-wide bound holds in both modes and victim selection, which reads
 only the set's total, is the same.
 
 The batched kernel keeps flat per-set arrays, named like the compiled
-backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock),
-``_prio`` and ``_owner`` (the HP line's pool, -1 for low priority) per
-slot, and ``_size``, ``_hp`` (HP lines) and ``_hp_by_pool`` per set.  A
-lockstep step (see :mod:`emissary.policies.base`) stamps every hit slot
+backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock) and
+``_owner`` (the HP line's pool, -1 for low priority, so a line's
+priority bit is ``_owner >= 0``) per slot, and ``_size``, ``_hp`` (HP
+lines) and ``_hp_by_pool`` per set.  A lockstep step (see :mod:`emissary.policies.base`) stamps every hit slot
 with the step's time and picks every full set's victim with one
 ``argmin`` over slot keys that put the priority bit above the timestamp
 (:data:`PRIO_SHIFT`), flipped for sets whose preferred class is HP.  The
@@ -153,15 +153,14 @@ class EmissaryKernel(PolicyKernel):
         #: the ``_clock`` the next use gets.
         self._ts = np.zeros(lines, dtype=np.int64)
         self._clock = 1
-        #: Priority bit per slot.
-        self._prio = np.zeros(lines, dtype=np.int64)
         #: Filled slots and resident HP lines per set.
         self._size = np.zeros(num_sets, dtype=np.int64)
         self._hp = np.zeros(num_sets, dtype=np.int64)
         #: Each pool's share of the threshold.
         self._quota = np.asarray(core_quotas(hp_threshold, self.pools),
                                  dtype=np.int64)
-        #: Pool of the HP line per slot; -1 marks low-priority lines.
+        #: Pool of the HP line per slot; -1 marks low-priority lines and
+        #: empty slots, so ``_owner >= 0`` is the priority bit.
         self._owner = np.full(lines, -1, dtype=np.int64)
         #: HP lines per (set, pool), ``pools`` slots per set.
         self._hp_by_pool = np.zeros(num_sets * self.pools, dtype=np.int64)
@@ -188,14 +187,15 @@ class EmissaryKernel(PolicyKernel):
         ways = self.ways
         threshold = self.hp_threshold
         tag = self._tag.reshape(-1, ways)[lanes]
+        owner = self._owner.reshape(-1, ways)[lanes]
         # Slot keys: priority bit over last-use time (PRIO_SHIFT).
         key = self._ts.reshape(-1, ways)[lanes]
-        key |= self._prio.reshape(-1, ways)[lanes] << PRIO_SHIFT
+        key |= (owner >= 0).astype(np.int64) << PRIO_SHIFT
         size = self._size[lanes]
         hp = self._hp[lanes]
         # Working owners name a pool for every line, low-priority lines
         # included (their pool is never charged); -1 is restored on store.
-        owner = np.maximum(self._owner.reshape(-1, ways)[lanes], 0)
+        np.maximum(owner, 0, out=owner)
         pools = self.pools
         by_pool = self._hp_by_pool.reshape(-1, pools)[lanes]
         tag_flat = tag.reshape(-1)
@@ -260,7 +260,6 @@ class EmissaryKernel(PolicyKernel):
         self._clock = clock + len(active)
         self._tag.reshape(-1, ways)[lanes] = tag
         self._ts.reshape(-1, ways)[lanes] = key & (_PRIO_BIT - 1)
-        self._prio.reshape(-1, ways)[lanes] = key >> PRIO_SHIFT
         self._size[lanes] = size
         self._hp[lanes] = hp
         self._owner.reshape(-1, ways)[lanes] = np.where(key >> PRIO_SHIFT,
@@ -290,10 +289,8 @@ class EmissaryKernel(PolicyKernel):
         (see :meth:`run_set`): slots in dict order, with fresh ascending
         timestamps."""
         end = base + len(d)
-        owners = list(d.values())
         self._tag[base:end] = list(d)
-        self._prio[base:end] = [1 if p >= 0 else 0 for p in owners]
-        self._owner[base:end] = owners
+        self._owner[base:end] = list(d.values())
         self._ts[base:end] = np.arange(self._clock, self._clock + len(d),
                                        dtype=np.int64)
         self._clock += len(d)
@@ -407,8 +404,9 @@ class EmissaryKernel(PolicyKernel):
 
     def set_contents(self, set_index: int) -> list[tuple]:
         """(tag, priority) pairs in recency order (LRU first) — for tests."""
-        _, (resident, prios) = self._recency(set_index, self._tag, self._prio)
-        return list(zip(resident, prios))
+        _, (resident, owners) = self._recency(set_index, self._tag,
+                                              self._owner)
+        return [(tag, int(p >= 0)) for tag, p in zip(resident, owners)]
 
     def extra_stats(self) -> dict[str, Any]:
         stats = {

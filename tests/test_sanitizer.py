@@ -110,6 +110,37 @@ def test_emissary_hp_count_corruption_detected():
     assert "[set 0, access 2]" in str(exc.value)
 
 
+def _tally_short(kernel):
+    kernel._hp_by_pool[0] -= 1
+
+
+def _owner_outside(kernel):
+    kernel._owner[int(np.flatnonzero(kernel._owner[:2] >= 0)[0])] = 7
+
+
+@pytest.mark.parametrize("budget", ["shared", "partitioned"])
+@pytest.mark.parametrize("corrupt,message", [
+    (_tally_short, "disagrees with the owner map tally"),
+    (_owner_outside, "owner pool 7 outside"),
+], ids=["tally", "owner"])
+def test_emissary_pool_corruption_detected(budget, corrupt, message):
+    """The HP pools of either budget: a per-pool count that disagrees
+    with the owners, or an owner naming no pool, is caught after a
+    dispatch that only hits."""
+    kernel = make_kernel("emissary", num_sets=4, ways=2, hp_threshold=2,
+                         prob_inv=1, hp_budget=budget, num_cores=2)
+    sanitizer = Sanitizer()
+    sanitizer.attach_kernel(kernel)
+    set_0 = (np.array([0]), np.array([0]), np.array([2]))
+    kernel.run_sets(*set_0, np.array([4, 8], dtype=np.uint64),
+                    np.array([0.0, 0.0]))
+    corrupt(kernel)
+    with pytest.raises(SanitizerError, match=message) as exc:
+        kernel.run_sets(*set_0, np.array([4, 8], dtype=np.uint64),
+                        np.array([0.0, 0.0]))
+    assert exc.value.set_index == 0
+
+
 @pytest.mark.parametrize("policy", ["srrip", "random"])
 def test_flat_duplicate_tag_detected(policy):
     """The flat rows of the SRRIP and Random kernels: a tag smuggled into
