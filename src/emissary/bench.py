@@ -245,7 +245,8 @@ def run_backend_bench(n: int = 1_000_000, policies: list[str] | None = None,
     hierarchy point where EMISSARY's ``cost`` channel is live.
 
     Timings are *warm*: each compiled engine runs a small slice first so
-    the C build and load are paid before the clock starts, and ``_best_of`` keeps the fastest of ``repeats`` runs.
+    the C build and load are paid before the clock starts, and
+    ``_best_of`` keeps the fastest of ``repeats`` runs.
     Every row records ``outcomes_identical`` (hit vectors and policy
     stats across backends) and the report carries the aggregate
     ``all_outcomes_identical`` — a speedup that changes outcomes is a

@@ -36,14 +36,14 @@ The batched kernel keeps flat per-set arrays, named like the compiled
 backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock) and
 ``_owner`` (the HP line's pool, -1 for low priority, so a line's
 priority bit is ``_owner >= 0``) per slot, and ``_size``, ``_hp`` (HP
-lines) and ``_hp_by_pool`` per set.  A lockstep step (see :mod:`emissary.policies.base`) stamps every hit slot
-with the step's time and picks every full set's victim with one
-``argmin`` over slot keys that put the priority bit above the timestamp
-(:data:`PRIO_SHIFT`), flipped for sets whose preferred class is HP.  The
-scalar loop that finishes long sets reads a set into an
-insertion-ordered tag -> owner dict (recency order, front = LRU), walks
-it for the two-class victim, and writes it back with fresh ascending
-timestamps.
+lines) and ``_hp_by_pool`` per set.  A lockstep step (see
+:mod:`emissary.policies.base`) stamps every hit slot with the step's
+time and picks every full set's victim with one ``argmin`` over slot
+keys that put the priority bit above the timestamp (:data:`PRIO_SHIFT`),
+flipped for sets whose preferred class is HP.  The scalar loop that
+finishes long sets reads a set into an insertion-ordered tag -> owner
+dict (recency order, front = LRU), walks it for the two-class victim,
+and writes it back with fresh ascending timestamps.
 
 **Miss awareness.**  The paper's priority signal is *which fills cost
 L1I demand misses*.  Standalone (single-level) runs cannot measure that,
