@@ -213,7 +213,8 @@ class Sanitizer:
 
     @staticmethod
     def _check_pools(name: str, s: int, pos: int, quotas: Sequence[int],
-                     by_pool: Sequence[int], hp: int, owners: dict) -> None:
+                     by_pool: Sequence[int], hp: int,
+                     owners: dict[int, int]) -> None:
         """HP budget invariants: every HP line (way -> pool in
         ``owners``) names a valid pool, the per-pool counts match their
         tally, stay inside their quotas and sum to the set's HP total."""

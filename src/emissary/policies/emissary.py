@@ -402,7 +402,7 @@ class EmissaryKernel(PolicyKernel):
         tel.observe_many("hp_set_occupancy", self._hp.tolist())
         tel.inc("hp_lines_final", int(self._hp.sum()))
 
-    def set_contents(self, set_index: int) -> list[tuple]:
+    def set_contents(self, set_index: int) -> list[tuple[int, int]]:
         """(tag, priority) pairs in recency order (LRU first) — for tests."""
         _, (resident, owners) = self._recency(set_index, self._tag,
                                               self._owner)
