@@ -75,9 +75,9 @@ def stable_argsort(keys: NDArray[np.uint64]) -> NDArray[np.intp]:
 #: steps go to the scalar per-set loop.  Measured on full 8-way sets
 #: (NumPy 2.4, 2-vCPU x86 VM), a step breaks even with the scalar loop
 #: at about 48 lanes for Random, 64 for SRRIP and 96 for EMISSARY
-#: (measured on its partitioned budget, whose pooled step both budgets
-#: now take), and wins 4-5x at 1024 lanes; the floor is the highest
-#: break-even, so no policy steps below it.
+#: (measured with a budget of several pools), and wins 4-5x at 1024
+#: lanes; the floor is the highest break-even, so no policy steps
+#: below it.
 LANE_FLOOR = 96
 
 
