@@ -269,16 +269,16 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     """Unified typed entry point: the one place a request becomes an
     engine run.
 
-    ``simulate(SimRequest(...))`` dispatches on the config type
-    (single-level vs hierarchy) and the trace type (one core vs an
-    interleave).  The sweep and serve workers run every request through
-    it.  On a batched backend a request's trace is always generated (or,
-    for a file-backed spec, read) one chunk budget at a time
-    (:meth:`~emissary.traces.TraceSpec.generate_chunks`) and fed to the
-    engine's stream, so the trace itself is never resident whole; the
-    reference oracle generates the whole trace and runs it one-shot.
-    The array form ``simulate(addresses, PolicySpec(...), ...)`` runs a
-    policy over an in-memory trace; the PR 2 string-policy shim has been
+    ``simulate(SimRequest(...))`` picks the engine from the backend and
+    the config type (single-level vs hierarchy), and calls its
+    ``simulate_stream`` once, with ``num_cores`` when the trace is an
+    interleave.  The sweep and serve workers run every request through
+    it.  On every backend a request's trace is generated (or, for a
+    file-backed spec, read) one chunk budget at a time
+    (:meth:`~emissary.traces.TraceSpec.generate_chunks`), so the trace
+    itself is never resident whole.  The array form
+    ``simulate(addresses, PolicySpec(...), ...)`` runs a policy over an
+    in-memory trace, as one chunk; the PR 2 string-policy shim has been
     removed.
 
     ``engine`` selects the backend (:data:`BACKENDS`): ``"batched"``
@@ -288,13 +288,13 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
     :data:`DEFAULT_BACKEND` for the array form); an explicit value
     overrides the request.  All backends produce bit-identical outcomes.
 
-    ``stream=True`` asks for the streamed path explicitly: it lets
-    ``chunk_bytes`` (default :data:`emissary.traces.DEFAULT_CHUNK_BYTES`)
-    set the chunk budget and ``progress`` watch the chunks, feeds the
-    array form through the engine in chunks instead of one array, and
-    is an error on the reference backend, which has no streaming path.
-    Outcomes are bit-identical to the one-shot path, which is the same
-    engine stream fed a single chunk.
+    ``stream=True`` asks for the streamed path explicitly, on any
+    backend: it lets ``chunk_bytes`` (default
+    :data:`emissary.traces.DEFAULT_CHUNK_BYTES`) set the chunk budget
+    and ``progress`` watch the chunks, and feeds the array form through
+    the engine in chunks instead of one array.  Outcomes are
+    bit-identical to the one-shot path, which is the same engine call
+    fed a single chunk.
 
     ``keep_hits`` is forwarded to the engine: with the default ``True``
     the result keeps one hit byte per access per level, so a streamed
@@ -338,42 +338,27 @@ def simulate(target: Any, policy: PolicySpec | None = None, config: Any = None,
         engine = DEFAULT_BACKEND
     if engine not in BACKENDS:
         raise ValueError(f"unknown engine {engine!r}; known: {list(BACKENDS)}")
-    if stream and engine not in BATCHED_BACKENDS:
-        raise ValueError(f"stream=True requires a batched-engine backend "
-                         f"({list(BATCHED_BACKENDS)}; the reference "
-                         f"engines have no streaming path)")
 
     tel = Telemetry() if telemetry else None
     hierarchy = isinstance(config, HierarchyConfig)
-    num_cores = request.trace.num_cores if (
-        request is not None and request.is_multicore) else 0
     eng: Any
     if engine == "reference":
         reference = HierarchyReferenceEngine if hierarchy else ReferenceEngine
         eng = reference(config, telemetry=tel)
-        if request is None:
-            return eng.run(target, spec, seed=seed, keep_hits=keep_hits)
-        if num_cores:
-            addresses, core_ids = request.trace.generate()
-            return eng.run_multicore(addresses, core_ids, spec,
-                                     num_cores=num_cores, seed=seed,
-                                     keep_hits=keep_hits)
-        return eng.run(request.trace.generate(), spec, seed=seed,
-                       keep_hits=keep_hits)
-
-    batched = BatchedHierarchyEngine if hierarchy else BatchedEngine
-    eng = batched(config, telemetry=tel, kernel_backend=engine)
+    else:
+        batched = BatchedHierarchyEngine if hierarchy else BatchedEngine
+        eng = batched(config, telemetry=tel, kernel_backend=engine)
+    num_cores = None
     if request is not None:
         chunks = request.trace.generate_chunks(chunk_bytes=chunk_bytes)
-        total = request.trace.n
+        if request.is_multicore:
+            num_cores = request.trace.num_cores
     elif stream:
         chunks = _array_chunks(target, chunk_bytes)
-        total = len(target)
     else:
-        return eng.run(target, spec, seed=seed, keep_hits=keep_hits)
+        chunks = [target]
     if progress is not None:
+        total = request.trace.n if request is not None else len(target)
         chunks = _progress_chunks(chunks, progress, total)
-    if num_cores:
-        return eng.simulate_stream_multicore(chunks, spec, num_cores=num_cores,
-                                             seed=seed, keep_hits=keep_hits)
-    return eng.simulate_stream(chunks, spec, seed=seed, keep_hits=keep_hits)
+    return eng.simulate_stream(chunks, spec, num_cores=num_cores, seed=seed,
+                               keep_hits=keep_hits)

@@ -57,7 +57,7 @@ def _best_of(engine, addresses: AddressArray, spec: PolicySpec, seed: int, repea
     so every repeat is bit-identical and any run's hits are representative."""
     best = None
     for _ in range(max(1, repeats)):
-        result = engine.run(addresses, spec, seed=seed)
+        result = engine.simulate_stream([addresses], spec, seed=seed)
         if best is None or result.elapsed_s < best.elapsed_s:
             best = result
     return best
@@ -117,8 +117,8 @@ def bench_multicore_policy(addresses: AddressArray, core_ids: Any,
     engine = BatchedHierarchyEngine(config)
     batched = None
     for _ in range(max(1, repeats)):
-        result = engine.run_multicore(addresses, core_ids, spec,
-                                      num_cores=num_cores, seed=seed)
+        result = engine.simulate_stream([(addresses, core_ids)], spec,
+                                        num_cores=num_cores, seed=seed)
         if batched is None or result.elapsed_s < batched.elapsed_s:
             batched = result
     row: dict[str, Any] = {
@@ -132,8 +132,8 @@ def bench_multicore_policy(addresses: AddressArray, core_ids: Any,
         "per_core": batched.per_core,
     }
     if not skip_reference:
-        reference = HierarchyReferenceEngine(config).run_multicore(
-            addresses, core_ids, spec, num_cores=num_cores, seed=seed)
+        reference = HierarchyReferenceEngine(config).simulate_stream(
+            [(addresses, core_ids)], spec, num_cores=num_cores, seed=seed)
         identical = bool(np.array_equal(batched.l1.hits, reference.l1.hits)
                          and np.array_equal(batched.l2.hits, reference.l2.hits)
                          and batched.per_core == reference.per_core)
@@ -270,7 +270,7 @@ def run_backend_bench(n: int = 1_000_000, policies: list[str] | None = None,
         python = _best_of(BatchedEngine(config), addresses, policy_spec, seed,
                           repeats)
         compiled_engine = BatchedEngine(config, kernel_backend="compiled")
-        compiled_engine.run(warm, policy_spec, seed=seed)  # JIT/build warm-up
+        compiled_engine.simulate_stream([warm], policy_spec, seed=seed)  # JIT/build warm-up
         compiled = _best_of(compiled_engine, addresses, policy_spec, seed,
                             repeats)
         identical = bool(np.array_equal(python.hits, compiled.hits)
@@ -303,7 +303,7 @@ def run_backend_bench(n: int = 1_000_000, policies: list[str] | None = None,
     python_h = _best_of(BatchedHierarchyEngine(hier), addresses, hier_spec,
                         seed, repeats)
     compiled_h_engine = BatchedHierarchyEngine(hier, kernel_backend="compiled")
-    compiled_h_engine.run(warm, hier_spec, seed=seed)
+    compiled_h_engine.simulate_stream([warm], hier_spec, seed=seed)
     compiled_h = _best_of(compiled_h_engine, addresses, hier_spec, seed,
                           repeats)
     identical = bool(np.array_equal(python_h.l1.hits, compiled_h.l1.hits)
@@ -613,14 +613,14 @@ def run_telemetry_overhead_bench(n: int = 200_000,
     arms = ("off", "off_control", "on")
     rows: list[dict[str, Any]] = []
     for policy_spec in _bench_specs(policies):
-        BatchedEngine(config).run(addresses, policy_spec, seed=seed)  # warmup
+        BatchedEngine(config).simulate_stream([addresses], policy_spec, seed=seed)  # warmup
         times: dict[str, list[float]] = {arm: [] for arm in arms}
         for repeat in range(max(1, repeats)):
             for offset in range(len(arms)):
                 arm = arms[(repeat + offset) % len(arms)]
                 telemetry = Telemetry() if arm == "on" else None
-                result = BatchedEngine(config, telemetry=telemetry).run(
-                    addresses, policy_spec, seed=seed)
+                result = BatchedEngine(config, telemetry=telemetry).simulate_stream(
+                    [addresses], policy_spec, seed=seed)
                 times[arm].append(result.elapsed_s)
         off = min(times["off"])
         control = min(times["off_control"])
@@ -670,7 +670,7 @@ def run_sanitizer_overhead_bench(n: int = 200_000,
     arms = ("off", "off_control", "on")
     rows: list[dict[str, Any]] = []
     for policy_spec in _bench_specs(policies):
-        baseline = BatchedEngine(config).run(addresses, policy_spec, seed=seed)
+        baseline = BatchedEngine(config).simulate_stream([addresses], policy_spec, seed=seed)
         times: dict[str, list[float]] = {arm: [] for arm in arms}
         identical = True
         checks = 0
@@ -678,8 +678,8 @@ def run_sanitizer_overhead_bench(n: int = 200_000,
             for offset in range(len(arms)):
                 arm = arms[(repeat + offset) % len(arms)]
                 sanitizer = Sanitizer() if arm == "on" else None
-                result = BatchedEngine(config, sanitizer=sanitizer).run(
-                    addresses, policy_spec, seed=seed)
+                result = BatchedEngine(config, sanitizer=sanitizer).simulate_stream(
+                    [addresses], policy_spec, seed=seed)
                 times[arm].append(result.elapsed_s)
                 if sanitizer is not None:
                     checks = sanitizer.checks

@@ -30,26 +30,26 @@ Two engines with bit-identical outcomes:
     batched engine (the equivalence test suite compares full hit/miss
     sequences) and to anchor the benchmark's speedup figure.
 
-One path: every batched run goes through the incremental
-:class:`EngineStream`, which accepts the trace as a sequence of
-``uint64`` address chunks — e.g. a :class:`~emissary.trace_io.
-TraceSource` reading a multi-GB file under a memory budget — and carries
-all replacement state, the RNG stream, and the MRU run collapsing across
-chunk boundaries.  A one-shot :meth:`BatchedEngine.run` is a stream of
-one chunk; :meth:`BatchedEngine.simulate_stream` feeds many.
+One entry point: both engines run a trace through ``simulate_stream``,
+which takes it as an iterable of chunks — e.g. a
+:class:`~emissary.trace_io.TraceSource` reading a multi-GB file under a
+memory budget — and carries all replacement state, the RNG stream and
+the counts across chunk boundaries.  A one-shot run is a stream of one
+chunk.  Every batched run goes through the incremental
+:class:`EngineStream`, which also carries the MRU run collapsing.
 
 Randomness: each chunk draws one uniform per access from a single
-``numpy.random.Generator`` seeded once per run.  Draws are positional,
-so the sequence is the same however the trace is chunked, and policies
-index it by global access position, so RNG consumption is identical no
-matter the execution order.
+``numpy.random.Generator`` seeded once per run, on both engines.  Draws
+are positional, so the sequence is the same however the trace is
+chunked, and policies index it by global access position, so RNG
+consumption is identical no matter the execution order.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -502,6 +502,37 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     return hits, len(kidx)
 
 
+def _chunk_items(chunks: Iterable[Any], num_cores: int | None,
+                 span: Callable[..., Any], width: int = 3
+                 ) -> Iterator[tuple[Any, ...]]:
+    """The chunk contract every engine's ``simulate_stream`` shares.
+
+    An item is an address array, or ``(addresses, core_ids)`` for a
+    multi-core run; a flat engine's item may also carry the cost column,
+    as ``(addresses, core_ids, cost)`` with ``core_ids`` None on one
+    core.  Yields each item as a ``width``-tuple, absent columns None,
+    pulled under the ``stream_ingest`` span.  Items carry core ids
+    exactly when ``num_cores`` is given."""
+    chunk_iter = iter(chunks)
+    while True:
+        with span("stream_ingest"):
+            item = next(chunk_iter, None)
+        if item is None:
+            return
+        if not isinstance(item, tuple):
+            item = (item,)
+        if len(item) > width:
+            raise ValueError(f"a chunk has at most {width} columns here, "
+                             f"got {len(item)}")
+        item += (None,) * (width - len(item))
+        if (item[1] is None) != (num_cores is None):
+            raise ValueError("chunks carry core ids exactly when num_cores "
+                             "is given")
+        yield item
+        # Drop the chunk before the next is pulled.
+        del item
+
+
 class BatchedEngine:
     """Batched set-major execution core.
 
@@ -537,21 +568,16 @@ class BatchedEngine:
     accesses folded into it (SRRIP's repeat flag, telemetry's folded
     hits).  The compiled backend skips steps 3 and 4;
     ``collapse_runs=False`` skips steps 1, 2 and 4.  Every run goes
-    through :class:`EngineStream`; :meth:`run` feeds it one chunk.
+    through :class:`EngineStream`.
     """
 
     def __init__(self, config: CacheConfig | None = None,
                  collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
-                 kernel_backend: str = DEFAULT_BACKEND,
-                 num_cores: int = 1) -> None:
+                 kernel_backend: str = DEFAULT_BACKEND) -> None:
         self.config = config or CacheConfig()
         self.collapse_runs = collapse_runs
-        #: How many front-ends feed this cache (execution context, not a
-        #: policy parameter).  Injected into core-aware kernels; 1 for
-        #: the ordinary single-stream engine.
-        self.num_cores = num_cores
         #: Optional :class:`~emissary.telemetry.Telemetry` registry; when
         #: None (the default) the run takes the uninstrumented fast path.
         self.telemetry = telemetry
@@ -567,48 +593,36 @@ class BatchedEngine:
         #: (see :mod:`emissary.compiled`), skipping the set-major sort.
         self.kernel_backend = kernel_backend
 
-    def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
-            keep_hits: bool = True, cost: IndexArray | None = None,
-            core: IndexArray | None = None) -> SimResult:
-        """Run ``policy`` over an in-memory trace: a stream of one chunk."""
-        spec = require_policy_spec(policy, caller="BatchedEngine.run")
-        stream = EngineStream(self, spec, seed=seed, keep_hits=keep_hits)
-        stream.feed(addresses, cost=cost, core=core)
-        return stream.finish()
-
-    def stream(self, policy: PolicySpec, seed: int = 0,
-               keep_hits: bool = True) -> "EngineStream":
-        """Open an incremental :class:`EngineStream` for chunked feeding."""
-        spec = require_policy_spec(policy, caller="BatchedEngine.stream")
-        return EngineStream(self, spec, seed=seed, keep_hits=keep_hits)
-
-    def simulate_stream(self, chunks: Iterable[AddressArray],
-                        policy: PolicySpec, seed: int = 0,
+    def simulate_stream(self, chunks: Iterable[Any], policy: PolicySpec, *,
+                        num_cores: int | None = None, seed: int = 0,
                         keep_hits: bool = True) -> SimResult:
         """Run ``policy`` over a chunked trace in bounded memory.
 
-        ``chunks`` is any iterable of ``uint64`` address arrays in trace
-        order — typically a :class:`~emissary.trace_io.TraceSource`
-        reading a file under a memory budget.  Outcomes (hit vector,
-        counts, policy stats) are bit-identical to :meth:`run` on the
-        concatenated trace.  Per-access costs go through
-        :meth:`EngineStream.feed`.
+        ``chunks`` is any iterable of chunk items in trace order (see
+        :func:`_chunk_items`): ``uint64`` address arrays — typically a
+        :class:`~emissary.trace_io.TraceSource` reading a file under a
+        memory budget — or, with ``num_cores`` front-ends feeding this
+        cache, ``(addresses, core_ids)`` pairs; either may carry a cost
+        column.  ``num_cores`` is execution context, not a policy
+        parameter: it sets the lag fold's window and is injected into
+        core-aware kernels.  Outcomes (hit vector, counts, policy stats)
+        are bit-identical however the trace is cut; a one-shot run is a
+        list of one chunk.
         """
-        stream = self.stream(policy, seed=seed, keep_hits=keep_hits)
-        span = span_factory(self.telemetry)
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                chunk = next(chunk_iter, None)
-            if chunk is None:
-                break
-            stream.feed(chunk)
+        spec = require_policy_spec(policy,
+                                   caller="BatchedEngine.simulate_stream")
+        stream = EngineStream(self, spec, seed=seed, keep_hits=keep_hits,
+                              num_cores=1 if num_cores is None else num_cores)
+        for addresses, core, cost in _chunk_items(
+                chunks, num_cores, span_factory(self.telemetry)):
+            stream.feed(addresses, cost=cost, core=core)
         return stream.finish()
 
 
 class EngineStream:
-    """The batched engine's one execution path (a one-shot
-    :meth:`BatchedEngine.run` feeds it a single chunk).
+    """The batched engine's one execution path, which
+    :meth:`BatchedEngine.simulate_stream` and the hierarchy's stages
+    feed.
 
     Feed ``uint64`` address chunks in trace order with :meth:`feed` (or
     chunks already decoded to lines with :meth:`feed_lines`); all
@@ -640,17 +654,18 @@ class EngineStream:
     """
 
     def __init__(self, engine: "BatchedEngine", spec: PolicySpec, seed: int = 0,
-                 keep_hits: bool = True) -> None:
+                 keep_hits: bool = True, num_cores: int = 1) -> None:
         config = engine.config
         self.config = config
         self.spec = spec
         self.keep_hits = keep_hits
         self.collapse_runs = engine.collapse_runs
-        self.num_cores = engine.num_cores
+        #: How many front-ends feed this cache (1: a single stream).
+        self.num_cores = num_cores
         self.telemetry = engine.telemetry
         self._span = span_factory(self.telemetry)
         self.kernel = _make_engine_kernel(spec, config, engine.kernel_backend,
-                                          num_cores=engine.num_cores)
+                                          num_cores=num_cores)
         if self.telemetry is not None:
             self.kernel.attach_telemetry(self.telemetry)
         self.sanitizer = engine.sanitizer
@@ -832,20 +847,22 @@ class EngineStream:
             tel.inc("misses", self.n - self._hit_count)
             if self.sanitizer is not None:
                 self.sanitizer.check_counters(tel, self.n, self._hit_count)
-        hits: BoolArray | None = None
-        if self.keep_hits:
-            hits = (np.concatenate(self._hit_chunks) if self._hit_chunks
-                    else np.zeros(0, dtype=bool))
         return SimResult(
             policy=self.spec.name,
             n=self.n,
             hit_count=self._hit_count,
             miss_count=self.n - self._hit_count,
             elapsed_s=time.perf_counter() - self._start,
-            hits=hits,
+            hits=_joined(self._hit_chunks) if self.keep_hits else None,
             policy_stats=self.kernel.extra_stats(),
             telemetry=tel.to_dict() if tel is not None else None,
         )
+
+
+def _joined(hit_chunks: list[BoolArray]) -> BoolArray:
+    """A run's kept per-chunk hit vectors as one vector."""
+    return (np.concatenate(hit_chunks) if hit_chunks
+            else np.zeros(0, dtype=bool))
 
 
 class _NaiveLevel:
@@ -933,46 +950,61 @@ class ReferenceEngine:
 
     def __init__(self, config: CacheConfig | None = None,
                  telemetry: Telemetry | None = None,
-                 sanitizer: "Sanitizer" | None = None,
-                 num_cores: int = 1) -> None:
+                 sanitizer: "Sanitizer" | None = None) -> None:
         self.config = config or CacheConfig()
         self.telemetry = telemetry
         self.sanitizer = sanitizer
-        self.num_cores = num_cores
 
-    def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
-            keep_hits: bool = True, cost: IndexArray | None = None,
-            core: IndexArray | None = None) -> SimResult:
-        spec = require_policy_spec(policy, caller="ReferenceEngine.run")
+    def simulate_stream(self, chunks: Iterable[Any], policy: PolicySpec, *,
+                        num_cores: int | None = None, seed: int = 0,
+                        keep_hits: bool = True) -> SimResult:
+        """:meth:`BatchedEngine.simulate_stream`'s contract, one access at
+        a time.  The level, the RNG stream and the counts carry across
+        chunks, and each chunk draws its own uniforms, so only one
+        chunk's columns are resident at a time (plus the kept hits)."""
+        spec = require_policy_spec(policy,
+                                   caller="ReferenceEngine.simulate_stream")
         config = self.config
         tel = self.telemetry
-        n = len(addresses)
-        if cost is not None and len(cost) != n:
-            raise ValueError(f"cost has {len(cost)} entries for {n} accesses")
-        if core is not None and len(core) != n:
-            raise ValueError(f"core has {len(core)} entries for {n} accesses")
-
+        span = span_factory(tel)
         start = time.perf_counter()
-        extra = {"num_cores": self.num_cores} if spec.name == "emissary" else {}
+        extra = ({"num_cores": 1 if num_cores is None else num_cores}
+                 if spec.name == "emissary" else {})
         level = _NaiveLevel(make_naive(spec.name, config.num_sets, config.ways,
                                        **spec.params, **extra),
                             config, tel, prefix="")
         if self.sanitizer is not None:
             self.sanitizer.attach_naive(level.impl)
-        offset_bits = config.offset_bits
-        lines = (addr >> offset_bits for addr in addresses.tolist())
-        u = (np.random.default_rng(seed).random(n).tolist()
-             if policy_needs_rng(spec.name) else repeat(0.0))
-        costs = (np.asarray(cost, dtype=np.int64).tolist()
-                 if cost is not None else repeat(None))
-        cores = (np.asarray(core, dtype=np.int64).tolist()
-                 if core is not None else repeat(None))
-        with span_factory(tel)("naive_loop"):
-            hits = np.fromiter(map(level.access, lines, range(n), u, costs,
-                                   cores), dtype=bool, count=n)
+        rng = (np.random.default_rng(seed)
+               if policy_needs_rng(spec.name) else None)
+        offset_bits = np.uint64(config.offset_bits)
+        n = hit_count = 0
+        hit_chunks: list[BoolArray] = []
+        for addresses, core, cost in _chunk_items(chunks, num_cores, span):
+            k = len(addresses)
+            for name, column in (("cost", cost), ("core", core)):
+                if column is not None and len(column) != k:
+                    raise ValueError(f"{name} has {len(column)} entries for "
+                                     f"{k} accesses")
+            lines = (np.asarray(addresses, dtype=np.uint64)
+                     >> offset_bits).tolist()
+            u = rng.random(k).tolist() if rng is not None else repeat(0.0)
+            costs = (np.asarray(cost, dtype=np.int64).tolist()
+                     if cost is not None else repeat(None))
+            cores = (np.asarray(core, dtype=np.int64).tolist()
+                     if core is not None else repeat(None))
+            with span("naive_loop"):
+                hits = np.fromiter(map(level.access, lines, range(n, n + k),
+                                       u, costs, cores), dtype=bool, count=k)
+            # Drop the chunk before the next is pulled: its Python-object
+            # columns take about 40 B per access each.
+            del addresses, core, cost, lines, u, costs, cores
+            n += k
+            hit_count += int(np.count_nonzero(hits))
+            if keep_hits:
+                hit_chunks.append(hits)
 
         elapsed = time.perf_counter() - start
-        hit_count = int(hits.sum())
         if tel is not None:
             _record_levels(tel, [level])
             tel.inc("hits", hit_count)
@@ -987,7 +1019,7 @@ class ReferenceEngine:
             hit_count=hit_count,
             miss_count=n - hit_count,
             elapsed_s=elapsed,
-            hits=hits if keep_hits else None,
+            hits=_joined(hit_chunks) if keep_hits else None,
             policy_stats=level.impl.extra_stats(),
             telemetry=tel.to_dict() if tel is not None else None,
         )

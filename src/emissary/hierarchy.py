@@ -5,9 +5,10 @@ is which lines cost L1I demand misses, so the paper's setting is an L2
 behind L1I filters, shared by several cores.  This module provides it:
 
 :class:`BatchedHierarchyEngine` (the hot path)
-    One streamed N-core path serves all four entry points; a one-shot
-    run is a stream of one chunk, a single-core run has one core.  The
-    N private L1Is run core-virtualized on one incremental batched
+    One streamed N-core path,
+    :meth:`~BatchedHierarchyEngine.simulate_stream`; a one-shot run is
+    a stream of one chunk, a single-core run has one core.  The N
+    private L1Is run core-virtualized on one incremental batched
     engine (MRU run collapsing and the set-order fold drop the fetches
     that re-touch a line, which can never reach L2).  Only the L1I
     *miss stream* goes on, with each miss's running per-(core, line)
@@ -20,8 +21,9 @@ behind L1I filters, shared by several cores.  This module provides it:
     One straightforward Python iteration per trace access through N
     separate naive L1Is and one shared naive L2, interleaving the L1I
     lookup, the miss counter, and the L2 access exactly as a real fetch
-    would.  The equivalence suites assert bit-identical hit vectors,
-    per-level stats and per-core rows against the batched path.
+    would.  It takes the same chunks as the batched path, and the
+    equivalence suites assert bit-identical hit vectors, per-level
+    stats and per-core rows against it on the same chunk cuts.
 
 Randomness: only the L2 policy may consume uniforms (the L1I policy is
 required to be deterministic — LRU or SRRIP), drawn positionally over
@@ -44,8 +46,9 @@ from emissary.api import (BATCHED_BACKENDS, DEFAULT_BACKEND, PolicySpec,
                           require_policy_spec)
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
-from emissary.engine import (BatchedEngine, CacheConfig, IndexArray, SimResult,
-                             _NaiveLevel, _record_levels)
+from emissary.engine import (BatchedEngine, BoolArray, CacheConfig,
+                             EngineStream, IndexArray, SimResult, _chunk_items,
+                             _joined, _NaiveLevel, _record_levels)
 from emissary.policies import make_naive, policy_needs_rng
 from emissary.policies.base import stable_argsort
 from emissary.telemetry import Telemetry, span_factory
@@ -213,12 +216,10 @@ def _check_num_cores(num_cores: int) -> None:
         raise ValueError(f"num_cores {num_cores} exceeds MAX_CORES ({MAX_CORES})")
 
 
-def _check_core_ids(core_ids: CoreIdArray, n: int, num_cores: int | None
+def _check_core_ids(core_ids: CoreIdArray, n: int, num_cores: int
                     ) -> tuple[IndexArray, IndexArray]:
-    """Validate one per-access core-id array (the only place they are
-    checked); return the ids as ``int64`` and the accesses per core.
-    ``num_cores=None`` infers the count from the ids; ``len`` of the
-    counts is the resolved count.
+    """Validate one chunk's per-access core-id array (the only place they
+    are checked); return the ids as ``int64`` and the accesses per core.
 
     The counting doubles as the range check: one
     ``count_nonzero(core == c)`` pass per core (about 0.6 ms per core on
@@ -232,9 +233,6 @@ def _check_core_ids(core_ids: CoreIdArray, n: int, num_cores: int | None
     core = np.ascontiguousarray(core, dtype=np.int64)
     if len(core) != n:
         raise ValueError(f"core_ids length {len(core)} != trace length {n}")
-    if num_cores is None:
-        num_cores = max(int(core.max()) + 1, 1) if n else 1
-    _check_num_cores(num_cores)
     counts = np.array([np.count_nonzero(core == c)
                        for c in range(num_cores)], dtype=np.int64)
     if int(counts.sum()) == n:
@@ -390,9 +388,9 @@ class MissCountTable:
 class BatchedHierarchyEngine:
     """L1I filter stage + L2 policy stage, both on the batched engine.
 
-    All four entry points run one path, :meth:`_run`: N private L1Is
-    over a chunked trace feeding one shared L2.  One-shot runs are a
-    single chunk; single-core runs have one core.
+    One path, :meth:`simulate_stream`: N private L1Is over a chunked
+    trace feeding one shared L2.  One-shot runs are a single chunk;
+    single-core runs have one core.
     """
 
     def __init__(self, config: HierarchyConfig | None = None,
@@ -417,32 +415,53 @@ class BatchedHierarchyEngine:
         #: "compiled"); outcomes are bit-identical either way.
         self.kernel_backend = kernel_backend
 
-    def _stage_engine(self, config: CacheConfig,
-                      telemetry: Telemetry | None,
-                      num_cores: int = 1) -> BatchedEngine:
-        return BatchedEngine(config, collapse_runs=self.collapse_runs,
-                             telemetry=telemetry, sanitizer=self.sanitizer,
-                             kernel_backend=self.kernel_backend,
-                             num_cores=num_cores)
+    def _stage_stream(self, config: CacheConfig, telemetry: Telemetry | None,
+                      spec: PolicySpec, seed: int, keep_hits: bool,
+                      num_cores: int) -> EngineStream:
+        engine = BatchedEngine(config, collapse_runs=self.collapse_runs,
+                               telemetry=telemetry, sanitizer=self.sanitizer,
+                               kernel_backend=self.kernel_backend)
+        return EngineStream(engine, spec, seed=seed, keep_hits=keep_hits,
+                            num_cores=num_cores)
 
-    def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
-            keep_hits: bool = True) -> HierarchyResult:
-        """One core, whole trace in memory: a stream of one chunk (which
-        :meth:`_run` works through in chunk-budget views)."""
-        spec = require_policy_spec(policy, caller="BatchedHierarchyEngine.run")
-        return self._run([(addresses, None, None)], spec, 1, seed, keep_hits,
-                         DEFAULT_CHUNK_BYTES, multicore=False)
+    def run(self, addresses: AddressArray, policy: PolicySpec,
+            seed: int = 0) -> HierarchyResult:
+        """:meth:`simulate_stream` of one chunk.  Kept only for the
+        benchmark's traced pass, which calls it; it goes when that pass
+        times the request path instead."""
+        return self.simulate_stream([addresses], policy, seed=seed)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
-                      policy: PolicySpec, num_cores: int | None = None,
-                      seed: int = 0,
-                      keep_hits: bool = True) -> MultiCoreHierarchyResult:
-        """Run N private L1I front-ends feeding one shared L2.
+                      policy: PolicySpec, num_cores: int,
+                      seed: int = 0) -> MultiCoreHierarchyResult:
+        """:meth:`simulate_stream` of one ``num_cores`` chunk.  Kept, as
+        :meth:`run` is, only for the benchmark's traced pass."""
+        result = self.simulate_stream([(addresses, core_ids)], policy,
+                                      num_cores=num_cores, seed=seed)
+        assert isinstance(result, MultiCoreHierarchyResult)
+        return result
 
-        ``core_ids`` gives, per access, which core issued it (the
-        interleaved trace order *is* the arrival order at the shared
-        L2); ``num_cores=None`` infers the count from the ids.  The
-        private L1Is share one core-virtualized engine (see
+    def simulate_stream(self, chunks: Iterable[Any], policy: PolicySpec, *,
+                        num_cores: int | None = None, seed: int = 0,
+                        keep_hits: bool = True,
+                        chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
+                        ) -> HierarchyResult:
+        """Run the two-level hierarchy over a chunked trace in bounded
+        memory: the one execution path, both stages as incremental
+        :class:`~emissary.engine.EngineStream`\\ s.
+
+        ``chunks`` is any iterable of ``uint64`` address arrays in trace
+        order (e.g. a :class:`~emissary.trace_io.TraceSource`) or, with
+        ``num_cores`` private L1Is, of ``(addresses, core_ids)`` pairs in
+        interleaved trace order (e.g.
+        :meth:`emissary.traces.InterleaveSpec.generate_chunks`): the
+        interleave *is* the arrival order at the shared L2.  Each
+        chunk's ids go through :func:`_check_core_ids`.  With
+        ``num_cores`` the result is a :class:`MultiCoreHierarchyResult`
+        with per-core rows and ``core{c}.*`` counters, at any core
+        count; without, a plain :class:`HierarchyResult`.
+
+        The private L1Is share one core-virtualized engine (see
         :func:`_core_virtual_layout`), whose lag fold and set-order fold
         still find each core's line repeats that interleaving hides from
         trace-order collapse.  On a 300k-access 2:1 ``loop``/``call``
@@ -453,96 +472,37 @@ class BatchedHierarchyEngine:
         (9.8%).  The shared L2 gets the issuing core on the core
         channel, so a partitioned-budget EMISSARY L2 can enforce
         per-core HP quotas.
-        """
-        spec = require_policy_spec(
-            policy, caller="BatchedHierarchyEngine.run_multicore")
-        core, counts = _check_core_ids(core_ids, len(addresses), num_cores)
-        result = self._run([(addresses, core, counts)], spec, len(counts),
-                           seed, keep_hits, DEFAULT_CHUNK_BYTES,
-                           multicore=True)
-        assert isinstance(result, MultiCoreHierarchyResult)
-        return result
 
-    def simulate_stream(self, chunks: Iterable[AddressArray],
-                        policy: PolicySpec, seed: int = 0,
-                        keep_hits: bool = True,
-                        chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
-                        ) -> HierarchyResult:
-        """Run the two-level hierarchy over a chunked trace in bounded memory.
+        Each chunk is cut into views of at most one chunk budget
+        (:data:`~emissary.traces.DEFAULT_CHUNK_BYTES`) of accesses,
+        without copies, so the line build, the collapse and the lag fold
+        work on cache-resident arrays whoever the caller is.  Each piece
+        is decoded to lines once, with the core ORed in below the line
+        when there are several (the L1 stage's ``decode`` span), and
+        enters the L1 stream as lines.  At one core ``core_bits`` is 0:
+        the virtual line is the line, and none of the core bookkeeping
+        runs.
 
-        ``chunks`` is any iterable of ``uint64`` address arrays in trace
-        order (e.g. a :class:`~emissary.trace_io.TraceSource`).  L1I miss
-        lines are buffered and forwarded to L2 once ``chunk_bytes`` of
-        them have accumulated (or at end of trace): the L1I filters out
-        most accesses, and forwarding each chunk's sliver separately
-        would make the L2 stage pay fixed dispatch overhead per sliver.
-        Pass ``chunk_bytes=None`` to forward every chunk's misses
+        Each resolved L1I piece's miss lines go into the L2 stream, again
+        as lines, with their running per-``(core, line)`` L1I miss
+        counts, carried across chunks in a :class:`MissCountTable`.
+        They are buffered and forwarded once ``chunk_bytes`` of them have
+        accumulated (or at end of trace): the L1I filters out most
+        accesses, and forwarding each chunk's sliver separately would
+        make the L2 stage pay fixed dispatch overhead per sliver.  Pass
+        ``chunk_bytes=None`` to forward every piece's misses
         immediately.  Either way, L1/L2 hit vectors and per-level stats
-        are bit-identical to :meth:`run` on the concatenated trace: the
-        cost computation depends only on the order of the miss stream,
-        not on where it is cut.
+        are bit-identical for any chunk cuts: the cost computation
+        depends only on the order of the miss stream, not on where it
+        is cut.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream")
-        return self._run(((chunk, None, None) for chunk in chunks), spec, 1,
-                         seed, keep_hits, chunk_bytes, multicore=False)
-
-    def simulate_stream_multicore(
-            self, chunks: Iterable[tuple[AddressArray, CoreIdArray]],
-            policy: PolicySpec, num_cores: int, seed: int = 0,
-            keep_hits: bool = True,
-            chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
-            ) -> MultiCoreHierarchyResult:
-        """Streamed N-core shared-L2 run in bounded memory.
-
-        ``chunks`` yields ``(addresses, core_ids)`` pairs in interleaved
-        trace order (e.g. :meth:`emissary.traces.InterleaveSpec.generate_chunks`).
-        Same contract as :meth:`simulate_stream`: bit-identical to
-        :meth:`run_multicore` on the concatenated trace for any chunk
-        cuts.  ``num_cores`` must be given up front: the core-virtualized
-        L1 geometry depends on it.
-        """
-        spec = require_policy_spec(
-            policy, caller="BatchedHierarchyEngine.simulate_stream_multicore")
-        if num_cores is None:
-            raise ValueError("simulate_stream_multicore needs an explicit "
-                             "num_cores (the virtual L1 geometry is fixed "
-                             "before the first chunk arrives)")
-        _check_num_cores(num_cores)
-        checked = ((addrs, *_check_core_ids(core_ids, len(addrs), num_cores))
-                   for addrs, core_ids in chunks)
-        result = self._run(checked, spec, num_cores, seed, keep_hits,
-                           chunk_bytes, multicore=True)
-        assert isinstance(result, MultiCoreHierarchyResult)
-        return result
-
-    def _run(self, chunks: Iterable[tuple[AddressArray, IndexArray | None,
-                                          IndexArray | None]],
-             spec: PolicySpec, num_cores: int, seed: int, keep_hits: bool,
-             chunk_bytes: int | None, multicore: bool) -> HierarchyResult:
-        """The one execution path: both stages as incremental
-        :class:`~emissary.engine.EngineStream`\\ s.
-
-        ``chunks`` yields ``(addresses, core, per_core_counts)`` triples
-        in trace order, the ids already through :func:`_check_core_ids`
-        (both None on one core).  Each chunk is cut into views of at
-        most one chunk budget (:data:`~emissary.traces.DEFAULT_CHUNK_BYTES`)
-        of accesses, without copies, so the line build, the collapse and
-        the lag fold work on cache-resident arrays whoever the caller
-        is.  Each piece is decoded to lines once,
-        with the core ORed in below the line when there are several
-        (the L1 stage's ``decode`` span), and enters the L1 stream as
-        lines.  Each resolved L1I piece's miss lines go, coalesced up to
-        ``chunk_bytes``, into the L2 stream, again as lines, with their
-        running per-``(core, line)`` L1I miss counts, carried across
-        chunks in a :class:`MissCountTable`.  At one core ``core_bits``
-        is 0: the virtual line is the line, and none of the core
-        bookkeeping runs.  ``multicore`` picks the result type (per-core
-        rows and ``core{c}.*`` counters or not).
-        """
         if chunk_bytes is not None and chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive or None, "
                              f"got {chunk_bytes}")
+        cores = 1 if num_cores is None else num_cores
+        _check_num_cores(cores)
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
@@ -550,28 +510,26 @@ class BatchedHierarchyEngine:
         l2_tel = Telemetry() if tel is not None else None
         l1_span = span_factory(l1_tel)
         start = time.perf_counter()
-        core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
+        core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, cores)
         offset_bits = np.uint64(config.l1.offset_bits)
         line_cap_bits = 64 - config.l1.offset_bits - core_bits
 
-        l1_stream = self._stage_engine(v_l1, l1_tel,
-                                       num_cores=num_cores).stream(
-            PolicySpec(config.l1_policy), seed=seed, keep_hits=keep_hits)
-        l2_stream = self._stage_engine(config.l2, l2_tel,
-                                       num_cores=num_cores).stream(
-            spec, seed=seed, keep_hits=keep_hits)
+        l1_stream = self._stage_stream(v_l1, l1_tel, PolicySpec(config.l1_policy),
+                                       seed, keep_hits, cores)
+        l2_stream = self._stage_stream(config.l2, l2_tel, spec, seed,
+                                       keep_hits, cores)
         miss_counts = MissCountTable()
         pending: list[AddressArray] = []
         pending_bytes = 0
-        n_by_core = np.zeros(num_cores, dtype=np.int64)
-        l2_miss_by_core = np.zeros(num_cores, dtype=np.int64)
+        n_by_core = np.zeros(cores, dtype=np.int64)
+        l2_miss_by_core = np.zeros(cores, dtype=np.int64)
 
         def tally_l2_misses() -> None:
             """Fold the L2 stream's latest per-miss core attribution
             (None: no core channel) into the fairness tally."""
-            cores = l2_stream.last_miss_cores
-            if cores is not None:
-                l2_miss_by_core[:] += np.bincount(cores, minlength=num_cores)
+            miss_cores = l2_stream.last_miss_cores
+            if miss_cores is not None:
+                l2_miss_by_core[:] += np.bincount(miss_cores, minlength=cores)
 
         def advance(miss_vlines: AddressArray) -> None:
             """Extend the running L1I miss counts and feed the resolved
@@ -619,15 +577,10 @@ class BatchedHierarchyEngine:
                     lines |= core.view(np.uint64)  # validated >= 0
                 return lines
 
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                item = next(chunk_iter, None)
-            if item is None:
-                break
-            addrs, core, counts = item
-            del item
-            if counts is not None:
+        for addrs, core in _chunk_items(chunks, num_cores, span, width=2):
+            if core is not None:
+                with span("stream_ingest"):
+                    core, counts = _check_core_ids(core, len(addrs), cores)
                 n_by_core += counts
             for lo in range(0, len(addrs), _PIECE):
                 with span("l1_stage"):
@@ -650,7 +603,7 @@ class BatchedHierarchyEngine:
         l2_result.policy_stats.setdefault("unique_l1_miss_lines",
                                           len(miss_counts))
         by_core: _PerCoreCounts | None = None
-        if multicore and core_bits:
+        if num_cores is not None and core_bits:
             # Per-core L1I misses come straight off the compacted table:
             # the key's low bits are the core, the count is that
             # (core, line)'s total misses.
@@ -658,9 +611,9 @@ class BatchedHierarchyEngine:
                          & np.uint64(core_pad - 1)).astype(np.int64)
             by_core = (n_by_core,
                        np.bincount(key_cores, weights=miss_counts.counts,
-                                   minlength=num_cores).astype(np.int64),
+                                   minlength=cores).astype(np.int64),
                        l2_miss_by_core)
-        elif multicore:  # one core: its row is the totals
+        elif num_cores is not None:  # one core: its row is the totals
             by_core = ([l1_result.n], [l1_result.miss_count],
                        [l2_result.miss_count])
         elapsed = time.perf_counter() - start
@@ -679,10 +632,10 @@ class HierarchyReferenceEngine:
     """Naive per-access oracle: L1I lookup, miss counting, and L2 access
     interleaved in trace order, one Python step per fetch.
 
-    One loop serves both entry points: N genuinely separate naive L1I
+    One loop, :meth:`simulate_stream`: N genuinely separate naive L1I
     instances (one per core) in front of one shared naive L2 — the
     ground truth the core-virtualized batched path must reproduce bit
-    for bit.  :meth:`run` is that loop at one core.
+    for bit, on the same chunks.
     """
 
     def __init__(self, config: HierarchyConfig | None = None,
@@ -692,37 +645,27 @@ class HierarchyReferenceEngine:
         self.telemetry = telemetry
         self.sanitizer = sanitizer
 
-    def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
-            keep_hits: bool = True) -> HierarchyResult:
-        spec = require_policy_spec(policy, caller="HierarchyReferenceEngine.run")
-        return self._run(addresses, np.zeros(len(addresses), dtype=np.int64),
-                         1, spec, seed, keep_hits, multicore=False)
-
-    def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
-                      policy: PolicySpec, num_cores: int | None = None,
-                      seed: int = 0,
-                      keep_hits: bool = True) -> MultiCoreHierarchyResult:
+    def simulate_stream(self, chunks: Iterable[Any], policy: PolicySpec, *,
+                        num_cores: int | None = None, seed: int = 0,
+                        keep_hits: bool = True) -> HierarchyResult:
+        """:meth:`BatchedHierarchyEngine.simulate_stream`'s contract, one
+        access at a time.  The levels, the miss counts, the RNG stream
+        and the hit, miss and per-core tallies carry across chunks, so
+        only one chunk's columns are resident at a time (plus the kept
+        hits)."""
         spec = require_policy_spec(
-            policy, caller="HierarchyReferenceEngine.run_multicore")
-        core, counts = _check_core_ids(core_ids, len(addresses), num_cores)
-        result = self._run(addresses, core, len(counts), spec, seed,
-                           keep_hits, multicore=True)
-        assert isinstance(result, MultiCoreHierarchyResult)
-        return result
-
-    def _run(self, addresses: AddressArray, core: IndexArray, num_cores: int,
-             spec: PolicySpec, seed: int, keep_hits: bool,
-             multicore: bool) -> HierarchyResult:
+            policy, caller="HierarchyReferenceEngine.simulate_stream")
+        cores = 1 if num_cores is None else num_cores
+        _check_num_cores(cores)
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
-        n = len(addresses)
         start = time.perf_counter()
 
         l1 = [_NaiveLevel(make_naive(config.l1_policy, config.l1.num_sets,
                                      config.l1.ways), config.l1, tel, "l1.")
-              for _ in range(num_cores)]
-        extra = {"num_cores": num_cores} if spec.name == "emissary" else {}
+              for _ in range(cores)]
+        extra = {"num_cores": cores} if spec.name == "emissary" else {}
         l2 = _NaiveLevel(make_naive(spec.name, config.l2.num_sets,
                                     config.l2.ways, **spec.params, **extra),
                          config.l2, tel, "l2.")
@@ -732,37 +675,51 @@ class HierarchyReferenceEngine:
         rng = (np.random.default_rng(seed)
                if policy_needs_rng(spec.name) else None)
         miss_counts: dict[tuple[int, int], int] = {}
-        l1_hits = np.empty(n, dtype=bool)
-        l2_hits_list: list[bool] = []
-        offset_bits = config.l1.offset_bits  # == l2 offset_bits (validated)
+        offset_bits = np.uint64(config.l1.offset_bits)  # == l2's (validated)
+        n = m = l1_hit_count = l2_hit_count = 0
+        n_by_core = np.zeros(cores, dtype=np.int64)
+        l1_miss_by_core = np.zeros(cores, dtype=np.int64)
+        l2_miss_by_core = np.zeros(cores, dtype=np.int64)
+        l1_chunks: list[BoolArray] = []
+        l2_chunks: list[BoolArray] = []
 
-        with span("naive_loop"):
-            for i, (addr, c) in enumerate(zip(addresses.tolist(),
-                                               core.tolist())):
-                line = addr >> offset_bits
-                if l1[c].access(line, i):
-                    l1_hits[i] = True
-                    continue
-                # Private L1I miss: bump that core's measured miss count
-                # for the line, then access the shared L2.
-                l1_hits[i] = False
-                cost = miss_counts.get((c, line), 0) + 1
-                miss_counts[(c, line)] = cost
-                u = rng.random() if rng is not None else 0.0
-                l2_hits_list.append(
-                    l2.access(line, len(l2_hits_list), u, cost, c))
+        for addrs, core_ids in _chunk_items(chunks, num_cores, span, width=2):
+            k = len(addrs)
+            core = (np.zeros(k, dtype=np.int64) if core_ids is None
+                    else _check_core_ids(core_ids, k, cores)[0])
+            l1_hits = np.empty(k, dtype=bool)
+            l2_list: list[bool] = []
+            lines = (np.asarray(addrs, dtype=np.uint64) >> offset_bits).tolist()
+            with span("naive_loop"):
+                for i, (line, c) in enumerate(zip(lines, core.tolist())):
+                    if l1[c].access(line, n + i):
+                        l1_hits[i] = True
+                        continue
+                    # Private L1I miss: bump that core's measured miss
+                    # count for the line, then access the shared L2.
+                    l1_hits[i] = False
+                    cost = miss_counts.get((c, line), 0) + 1
+                    miss_counts[(c, line)] = cost
+                    u = rng.random() if rng is not None else 0.0
+                    l2_list.append(l2.access(line, m + len(l2_list), u,
+                                             cost, c))
+            # Drop the chunk before the next is pulled.
+            del addrs, core_ids, lines
+            l2_hits = np.array(l2_list, dtype=bool)
+            miss_cores = core[~l1_hits]  # the L2 access stream's cores
+            n_by_core += np.bincount(core, minlength=cores)
+            l1_miss_by_core += np.bincount(miss_cores, minlength=cores)
+            l2_miss_by_core += np.bincount(miss_cores[~l2_hits],
+                                           minlength=cores)
+            n += k
+            m += len(l2_hits)
+            l1_hit_count += int(np.count_nonzero(l1_hits))
+            l2_hit_count += int(np.count_nonzero(l2_hits))
+            if keep_hits:
+                l1_chunks.append(l1_hits)
+                l2_chunks.append(l2_hits)
 
         elapsed = time.perf_counter() - start
-        m = len(l2_hits_list)
-        l1_hit_count = int(l1_hits.sum())
-        l2_hits = np.array(l2_hits_list, dtype=bool)
-        l2_hit_count = int(l2_hits.sum())
-        by_core: _PerCoreCounts | None = None
-        if multicore:
-            miss_cores = core[~l1_hits]  # the L2 access stream's cores
-            by_core = (np.bincount(core, minlength=num_cores),
-                       np.bincount(miss_cores, minlength=num_cores),
-                       np.bincount(miss_cores[~l2_hits], minlength=num_cores))
         if tel is not None:
             _record_levels(tel, l1)
             _record_levels(tel, [l2])
@@ -776,17 +733,18 @@ class HierarchyReferenceEngine:
         l1_result = SimResult(policy=config.l1_policy, n=n,
                               hit_count=l1_hit_count,
                               miss_count=n - l1_hit_count, elapsed_s=elapsed,
-                              hits=l1_hits if keep_hits else None,
+                              hits=_joined(l1_chunks) if keep_hits else None,
                               # The L1I policy is deterministic (LRU or
                               # SRRIP) and keeps no statistics, so any
                               # core's instance speaks for all of them.
                               policy_stats=l1[0].impl.extra_stats())
         l2_result = SimResult(policy=spec.name, n=m, hit_count=l2_hit_count,
                               miss_count=m - l2_hit_count, elapsed_s=elapsed,
-                              hits=l2_hits if keep_hits else None,
+                              hits=_joined(l2_chunks) if keep_hits else None,
                               policy_stats={**l2.impl.extra_stats(),
                                             "unique_l1_miss_lines":
                                             len(miss_counts)})
+        by_core = (None if num_cores is None
+                   else (n_by_core, l1_miss_by_core, l2_miss_by_core))
         return _hierarchy_result(spec.name, l1_result, l2_result, elapsed,
                                  tel, by_core)
-

@@ -156,9 +156,10 @@ class EmissaryKernel(PolicyKernel):
         #: Filled slots and resident HP lines per set.
         self._size = np.zeros(num_sets, dtype=np.int64)
         self._hp = np.zeros(num_sets, dtype=np.int64)
-        #: Each pool's share of the threshold.
-        self._quota = np.asarray(core_quotas(hp_threshold, self.pools),
-                                 dtype=np.int64)
+        #: Each pool's share of the threshold, as the scalar tail reads
+        #: it and as the lockstep step gathers it.
+        self._quota_list = core_quotas(hp_threshold, self.pools)
+        self._quota = np.asarray(self._quota_list, dtype=np.int64)
         #: Pool of the HP line per slot; -1 marks low-priority lines and
         #: empty slots, so ``_owner >= 0`` is the priority bit.
         self._owner = np.full(lines, -1, dtype=np.int64)
@@ -325,7 +326,7 @@ class EmissaryKernel(PolicyKernel):
         pools = self.pools
         first = set_index * pools
         by_pool = self._hp_by_pool[first:first + pools].tolist()
-        quota = self._quota.tolist()
+        quota = self._quota_list
         ways = self.ways
         threshold = self.hp_threshold
         min_cost = self.min_l1_misses
@@ -386,7 +387,8 @@ class EmissaryKernel(PolicyKernel):
                     hits_of[tag] = extra_i
                 hit_append(False)
         self._store(set_index, base, d, hp, hits_of if instrumented else None)
-        self._hp_by_pool[first:first + pools] = by_pool
+        if promotions or hp_evictions:
+            self._hp_by_pool[first:first + pools] = by_pool
         self.hp_promotions += promotions
         self.hp_evictions += hp_evictions
         if tel is not None:

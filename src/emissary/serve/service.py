@@ -147,21 +147,17 @@ def run_simulation_worker(request_dict: dict[str, Any], progress_path: str | Non
 
     This is deliberately the same typed path a library user takes —
     :func:`emissary.api.simulate` on a :class:`~emissary.api.SimRequest`
-    — on the request's own ``backend``.  Batched backends stream in
+    — on the request's own ``backend``.  Every backend streams in
     ``chunk_bytes`` pieces (the progress-tick budget) without hit
     vectors, ticking to the spool file at ``progress_path`` when one is
     given, so a worker's memory stays near the chunk budget however long
-    the trace; the ``"reference"`` oracle has no chunks to tick at and
-    runs one-shot.
+    the trace.
     """
     request = SimRequest.from_dict(request_dict)
-    if request.backend == "reference":
-        result = simulate(request, keep_hits=False)
-    else:
-        progress = (None if progress_path is None
-                    else functools.partial(_progress_tick, Path(progress_path)))
-        result = simulate(request, stream=True, chunk_bytes=chunk_bytes,
-                          progress=progress, keep_hits=False)
+    progress = (None if progress_path is None
+                else functools.partial(_progress_tick, Path(progress_path)))
+    result = simulate(request, stream=True, chunk_bytes=chunk_bytes,
+                      progress=progress, keep_hits=False)
     payload = dict(result.to_dict())
     # Advisory key (always allowed by check_known_keys, stripped by the
     # service before caching): lets the merged request trace put worker

@@ -71,8 +71,8 @@ def run_config(config: dict[str, Any]) -> dict[str, Any]:
     through :func:`emissary.api.simulate` on the request's own
     ``backend``, without hit vectors.  A config with ``"telemetry":
     true`` runs instrumented; its result dict then carries the telemetry
-    payload.  On a batched backend every trace, synthetic, multi-core
-    or file-backed (``kind="file"``), is generated or read one chunk
+    payload.  On every backend, each trace, synthetic, multi-core or
+    file-backed (``kind="file"``), is generated or read one chunk
     budget at a time rather than materialized, so a worker's peak memory
     stays bounded by the budget however long the trace is.
     """

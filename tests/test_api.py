@@ -139,8 +139,8 @@ class TestMultiCoreRequest:
         assert result.num_cores == 2
         assert [row["n"] for row in result.per_core] == [4_000, 2_000]
         addresses, core_ids = MIX.generate()
-        direct = BatchedHierarchyEngine(HierarchyConfig()).run_multicore(
-            addresses, core_ids, request.policy, seed=9)
+        direct = BatchedHierarchyEngine(HierarchyConfig()).simulate_stream(
+            [(addresses, core_ids)], request.policy, num_cores=2, seed=9)
         assert result.per_core == direct.per_core
         assert np.array_equal(result.l2.hits, direct.l2.hits)
 
@@ -314,12 +314,12 @@ class TestLegacyFormRemoved:
     def test_engine_run_with_str_policy_raises(self):
         trace = TRACE.generate()[:500]
         with pytest.raises(TypeError, match="PolicySpec"):
-            BatchedEngine().run(trace, "emissary")
+            BatchedEngine().simulate_stream([trace], "emissary")
 
     def test_reference_run_with_str_policy_raises(self):
         trace = TRACE.generate()[:500]
         with pytest.raises(TypeError, match="PolicySpec"):
-            ReferenceEngine().run(trace, "lru")
+            ReferenceEngine().simulate_stream([trace], "lru")
 
     def test_simulate_with_str_policy_raises(self):
         trace = TRACE.generate()[:500]
@@ -329,7 +329,8 @@ class TestLegacyFormRemoved:
     def test_policy_kwargs_sink_removed(self):
         trace = TRACE.generate()[:500]
         with pytest.raises(TypeError):
-            BatchedEngine().run(trace, PolicySpec("emissary"), hp_threshold=2)
+            BatchedEngine().simulate_stream([trace], PolicySpec("emissary"),
+                                            hp_threshold=2)
 
     def test_require_rejects_other_types(self):
         with pytest.raises(TypeError, match="must be a PolicySpec"):
@@ -404,5 +405,21 @@ class TestStreamingSimulate:
         request = SimRequest(TRACE, PolicySpec("lru"))
         with pytest.raises(TypeError, match="chunk_bytes"):
             simulate(request, chunk_bytes=1024)
-        with pytest.raises(ValueError, match="batched"):
-            simulate(request, stream=True, engine="reference")
+        with pytest.raises(TypeError, match="progress"):
+            simulate(request, progress=lambda done, total: None)
+
+    def test_stream_on_the_reference_backend(self):
+        """``stream=True``, ``chunk_bytes`` and ``progress`` go through the
+        one engine call on the reference oracle as on the batched
+        engine."""
+        request = SimRequest(TRACE, PolicySpec("random"),
+                             CacheConfig(num_sets=16, ways=4), seed=5)
+        oneshot = simulate(request)
+        for backend in ("batched", "reference"):
+            ticks = []
+            streamed = simulate(request, engine=backend, stream=True,
+                                chunk_bytes=1024,
+                                progress=lambda done, total: ticks.append(done))
+            assert np.array_equal(streamed.hits, oneshot.hits)
+            assert streamed.policy_stats == oneshot.policy_stats
+            assert ticks[-1] == TRACE.n and len(ticks) == -(-TRACE.n // 128)

@@ -95,11 +95,11 @@ def _whole_run(request):
         kernel_backend=request.backend)
     if request.is_multicore:
         addresses, core_ids = request.trace.generate()
-        return engine.run_multicore(addresses, core_ids, request.policy,
-                                    num_cores=request.trace.num_cores,
-                                    seed=request.seed)
-    return engine.run(request.trace.generate(), request.policy,
-                      seed=request.seed)
+        return engine.simulate_stream([(addresses, core_ids)], request.policy,
+                                      num_cores=request.trace.num_cores,
+                                      seed=request.seed)
+    return engine.simulate_stream([request.trace.generate()], request.policy,
+                                  seed=request.seed)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -128,7 +128,7 @@ def test_small_budget_request_matches_whole_run(monkeypatch, backend,
         config, telemetry=Telemetry() if telemetry else None,
         kernel_backend=backend)
     if trace is MIX:
-        streamed = engine.simulate_stream_multicore(
+        streamed = engine.simulate_stream(
             trace.generate_chunks(GEN_BYTES), request.policy,
             num_cores=trace.num_cores, seed=9, chunk_bytes=L2_BYTES)
     else:
@@ -151,18 +151,24 @@ def test_generator_chunks_reach_the_engine(monkeypatch, backend):
     assert counters["l1.engine.stream_chunks"] == chunks > 1
 
 
-def test_reference_backend_runs_whole(monkeypatch):
-    """The oracle keeps the whole-trace path (it has no stream)."""
+def test_reference_backend_streams(monkeypatch):
+    """The oracle takes the request's generated chunks too: at a budget
+    that cuts runs and interleave rounds, it reproduces the whole run."""
     request = SimRequest(MIX, POLICIES["emissary_partitioned"], CONFIG,
                          seed=9, backend="reference")
+    want = _outcomes(_whole_run(SimRequest(MIX, request.policy, CONFIG,
+                                           seed=9)))
+    budgets = []
+    generate_chunks = InterleaveSpec.generate_chunks
 
-    def no_chunks(*args, **kwargs):
-        raise AssertionError("the reference backend must not stream")
+    def spy(self, chunk_bytes):
+        budgets.append(chunk_bytes)
+        return generate_chunks(self, chunk_bytes)
 
-    monkeypatch.setattr(InterleaveSpec, "generate_chunks", no_chunks)
-    got = simulate(request)
-    assert _outcomes(got) == _outcomes(_whole_run(
-        SimRequest(MIX, request.policy, CONFIG, seed=9)))
+    monkeypatch.setattr(traces, "DEFAULT_CHUNK_BYTES", GEN_BYTES)
+    monkeypatch.setattr(InterleaveSpec, "generate_chunks", spy)
+    assert _outcomes(simulate(request)) == want
+    assert budgets == [GEN_BYTES]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -214,3 +220,37 @@ def test_request_peak_memory_bounded_by_budget_and_hits():
     assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
                            f"{bound / 2**20:.2f} MiB bound")
 
+
+
+def _reference_request_peak(n):
+    """tracemalloc peak of a flat ``call`` request on the reference
+    backend, without hit vectors, above its inputs."""
+    request = SimRequest(TraceSpec("call", n, 1), PolicySpec("lru"),
+                         CacheConfig(), backend="reference")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate(request, keep_hits=False)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_reference_request_memory_follows_the_chunk_budget(monkeypatch):
+    """Deterministic memory guard for the oracle: a reference request
+    holds one chunk at a time, so four times the trace costs no more
+    than the resident cache state.
+
+    At a 128 KiB budget (16Ki accesses), the peak is one generated chunk
+    and the oracle's per-chunk Python columns: 1.36 MiB at 50k accesses
+    and 1.55 MiB at 200k, the difference being the lines the longer run
+    leaves resident in the 1024x8 cache.  The bound is 512 KiB over the
+    short run.  An oracle that runs the whole generated trace reads
+    2.4 and 8.9 MiB."""
+    monkeypatch.setattr(traces, "DEFAULT_CHUNK_BYTES", 128 << 10)
+    _reference_request_peak(1_000)  # warm imports and caches
+    short = _reference_request_peak(50_000)
+    long = _reference_request_peak(200_000)
+    assert long <= short + (512 << 10), (
+        f"peak {long / 2**20:.2f} MiB at 200k accesses against "
+        f"{short / 2**20:.2f} MiB at 50k")

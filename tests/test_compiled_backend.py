@@ -240,8 +240,8 @@ def test_auto_compiled_falls_back_with_warning(clean_providers):
     spec = PolicySpec("emissary", {"hp_threshold": 1, "prob_inv": 2})
     engine = BatchedEngine(config, kernel_backend="compiled")
     with pytest.warns(RuntimeWarning, match="falling back"):
-        result = engine.run(addresses, spec, seed=3)
-    expected = BatchedEngine(config).run(addresses, spec, seed=3)
+        result = engine.simulate_stream([addresses], spec, seed=3)
+    expected = BatchedEngine(config).simulate_stream([addresses], spec, seed=3)
     assert np.array_equal(result.hits, expected.hits)
     assert result.policy_stats == expected.policy_stats
 
@@ -258,8 +258,8 @@ def test_pinned_compiled_unavailable_is_hard_error(clean_providers):
         get_kernels()
     with pytest.warns(RuntimeWarning, match="falling back"):
         BatchedEngine(CacheConfig(num_sets=4, ways=2),
-                      kernel_backend="compiled").run(
-            _trace(n=100), PolicySpec("lru"), seed=3)
+                      kernel_backend="compiled").simulate_stream(
+            [_trace(n=100)], PolicySpec("lru"), seed=3)
 
 
 # -- SimRequest / api.simulate plumbing -----------------------------------
@@ -346,7 +346,7 @@ def test_sanitizer_checks_compiled_dispatches(clean_providers):
     sanitizer = Sanitizer()
     engine = BatchedEngine(CacheConfig(num_sets=4, ways=2),
                            sanitizer=sanitizer, kernel_backend="compiled")
-    engine.run(_trace(n=500), PolicySpec("lru"), seed=3)
+    engine.simulate_stream([_trace(n=500)], PolicySpec("lru"), seed=3)
     assert sanitizer.checks > 0
     # MRU-run collapsing means the kernel sees at most n accesses.
     assert 0 < sanitizer.accesses <= 500

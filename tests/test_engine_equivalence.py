@@ -46,8 +46,9 @@ def test_batched_matches_reference(policy, trace_name, collapse):
     trace = TRACES[trace_name]
     cfg = CacheConfig(num_sets=64, ways=4)
     spec = POLICY_SPECS[policy]
-    batched = BatchedEngine(cfg, collapse_runs=collapse).run(trace, spec, seed=SEED)
-    reference = ReferenceEngine(cfg).run(trace, spec, seed=SEED)
+    batched = BatchedEngine(cfg, collapse_runs=collapse).simulate_stream(
+        [trace], spec, seed=SEED)
+    reference = ReferenceEngine(cfg).simulate_stream([trace], spec, seed=SEED)
     assert batched.n == reference.n == len(trace)
     assert np.array_equal(batched.hits, reference.hits), (
         f"first divergence at access "
@@ -69,9 +70,10 @@ def test_batched_matches_reference_with_cost(policy, collapse):
     spec = (PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4,
                                     "min_l1_misses": 3})
             if policy == "emissary" else POLICY_SPECS[policy])
-    batched = BatchedEngine(cfg, collapse_runs=collapse).run(trace, spec,
-                                                             seed=SEED, cost=cost)
-    reference = ReferenceEngine(cfg).run(trace, spec, seed=SEED, cost=cost)
+    batched = BatchedEngine(cfg, collapse_runs=collapse).simulate_stream(
+        [(trace, None, cost)], spec, seed=SEED)
+    reference = ReferenceEngine(cfg).simulate_stream([(trace, None, cost)],
+                                                     spec, seed=SEED)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.policy_stats == reference.policy_stats
 
@@ -81,10 +83,11 @@ def test_cost_gating_changes_emissary_outcomes():
     cfg = CacheConfig(num_sets=16, ways=8)
     spec = PolicySpec("emissary", {"hp_threshold": 6, "prob_inv": 2,
                                    "min_l1_misses": 2})
-    never = BatchedEngine(cfg).run(trace, spec, seed=SEED,
-                                   cost=np.ones(len(trace), dtype=np.int64))
-    always = BatchedEngine(cfg).run(trace, spec, seed=SEED,
-                                    cost=np.full(len(trace), 5, dtype=np.int64))
+    never = BatchedEngine(cfg).simulate_stream(
+        [(trace, None, np.ones(len(trace), dtype=np.int64))], spec, seed=SEED)
+    always = BatchedEngine(cfg).simulate_stream(
+        [(trace, None, np.full(len(trace), 5, dtype=np.int64))], spec,
+        seed=SEED)
     assert never.policy_stats["hp_promotions"] == 0
     assert always.policy_stats["hp_promotions"] > 0
 
@@ -92,9 +95,11 @@ def test_cost_gating_changes_emissary_outcomes():
 def test_cost_length_mismatch_rejected():
     trace = TRACES["loop"]
     with pytest.raises(ValueError):
-        BatchedEngine().run(trace, POLICY_SPECS["emissary"], cost=np.ones(3))
+        BatchedEngine().simulate_stream([(trace, None, np.ones(3))],
+                                        POLICY_SPECS["emissary"])
     with pytest.raises(ValueError):
-        ReferenceEngine().run(trace, POLICY_SPECS["emissary"], cost=np.ones(3))
+        ReferenceEngine().simulate_stream([(trace, None, np.ones(3))],
+                                          POLICY_SPECS["emissary"])
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -108,14 +113,16 @@ def test_seed_reproducibility(policy):
 def test_different_seeds_differ_for_rng_policies():
     trace = TRACES["uniform_random"][:5000]
     cfg = CacheConfig(num_sets=16, ways=4)
-    a = BatchedEngine(cfg).run(trace, PolicySpec("random"), seed=1)
-    b = BatchedEngine(cfg).run(trace, PolicySpec("random"), seed=2)
+    a = BatchedEngine(cfg).simulate_stream([trace], PolicySpec("random"),
+                                           seed=1)
+    b = BatchedEngine(cfg).simulate_stream([trace], PolicySpec("random"),
+                                           seed=2)
     # Same misses on a cold uniform trace is astronomically unlikely to
     # coincide hit-for-hit once the sets are warm under different victims.
     assert a.n == b.n
     # Deterministic policies must not depend on the seed at all.
-    c = BatchedEngine(cfg).run(trace, PolicySpec("lru"), seed=1)
-    d = BatchedEngine(cfg).run(trace, PolicySpec("lru"), seed=2)
+    c = BatchedEngine(cfg).simulate_stream([trace], PolicySpec("lru"), seed=1)
+    d = BatchedEngine(cfg).simulate_stream([trace], PolicySpec("lru"), seed=2)
     assert np.array_equal(c.hits, d.hits)
 
 

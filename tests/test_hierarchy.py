@@ -52,8 +52,10 @@ TRACES = trace_cases()
 def test_batched_matches_reference(policy, trace_name, seed):
     trace = TRACES[trace_name]
     spec = POLICY_SPECS[policy]
-    batched = BatchedHierarchyEngine(CONFIG).run(trace, spec, seed=seed)
-    reference = HierarchyReferenceEngine(CONFIG).run(trace, spec, seed=seed)
+    batched = BatchedHierarchyEngine(CONFIG).simulate_stream([trace], spec,
+                                                             seed=seed)
+    reference = HierarchyReferenceEngine(CONFIG).simulate_stream(
+        [trace], spec, seed=seed)
 
     assert batched.n == reference.n == len(trace)
     assert np.array_equal(batched.l1.hits, reference.l1.hits), (
@@ -75,13 +77,15 @@ def test_batched_matches_reference(policy, trace_name, seed):
 
 def test_l2_only_sees_l1_misses():
     trace = TRACES["loop"]
-    result = BatchedHierarchyEngine(CONFIG).run(trace, PolicySpec("lru"), seed=0)
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [trace], PolicySpec("lru"), seed=0)
     assert result.l2.n == result.l1.miss_count
     assert result.l1.n == len(trace)
     # An L1I that fits the whole footprint would filter everything.
     big_l1 = HierarchyConfig(l1=CacheConfig(num_sets=1024, ways=8),
                              l2=CacheConfig(num_sets=64, ways=4))
-    filtered = BatchedHierarchyEngine(big_l1).run(trace, PolicySpec("lru"), seed=0)
+    filtered = BatchedHierarchyEngine(big_l1).simulate_stream(
+        [trace], PolicySpec("lru"), seed=0)
     assert filtered.l2.n < result.l2.n
 
 
@@ -114,16 +118,19 @@ def test_min_l1_misses_one_matches_costless_single_level_on_miss_stream():
     the single-level engine directly over the recorded miss stream."""
     trace = TRACES["call"]
     spec = PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 8})
-    hier = BatchedHierarchyEngine(CONFIG).run(trace, spec, seed=7)
-    miss_stream = trace[~BatchedEngine(CONFIG.l1).run(
-        trace, PolicySpec(CONFIG.l1_policy), seed=7).hits]
-    direct = BatchedEngine(CONFIG.l2).run(miss_stream, spec, seed=7)
+    hier = BatchedHierarchyEngine(CONFIG).simulate_stream([trace], spec,
+                                                          seed=7)
+    miss_stream = trace[~BatchedEngine(CONFIG.l1).simulate_stream(
+        [trace], PolicySpec(CONFIG.l1_policy), seed=7).hits]
+    direct = BatchedEngine(CONFIG.l2).simulate_stream([miss_stream], spec,
+                                                      seed=7)
     assert np.array_equal(hier.l2.hits, direct.hits)
 
 
 def test_mpki_renormalization():
     trace = TRACES["shift"]
-    result = BatchedHierarchyEngine(CONFIG).run(trace, PolicySpec("srrip"), seed=0)
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [trace], PolicySpec("srrip"), seed=0)
     assert result.l2_mpki == pytest.approx(1000.0 * result.l2.miss_count / result.n)
     assert result.l2_local_hit_rate == pytest.approx(result.l2.hit_rate)
     assert result.l1_hit_rate == pytest.approx(result.l1.hit_rate)
@@ -131,8 +138,8 @@ def test_mpki_renormalization():
 
 
 def test_hierarchy_result_round_trips_through_dicts():
-    result = BatchedHierarchyEngine(CONFIG).run(TRACES["loop"],
-                                                POLICY_SPECS["emissary"], seed=7)
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [TRACES["loop"]], POLICY_SPECS["emissary"], seed=7)
     rebuilt = HierarchyResult.from_dict(result.to_dict())
     assert rebuilt.to_dict() == result.to_dict()
 
@@ -158,10 +165,10 @@ def test_srrip_l1_filter_supported():
                              l2=CacheConfig(num_sets=64, ways=4),
                              l1_policy="srrip")
     trace = TRACES["call"]
-    batched = BatchedHierarchyEngine(config).run(trace, POLICY_SPECS["emissary"],
-                                                 seed=3)
-    reference = HierarchyReferenceEngine(config).run(trace, POLICY_SPECS["emissary"],
-                                                     seed=3)
+    batched = BatchedHierarchyEngine(config).simulate_stream(
+        [trace], POLICY_SPECS["emissary"], seed=3)
+    reference = HierarchyReferenceEngine(config).simulate_stream(
+        [trace], POLICY_SPECS["emissary"], seed=3)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
 
@@ -177,8 +184,8 @@ def test_simulate_dispatches_on_hierarchy_request():
 
 
 def test_empty_trace_hierarchy():
-    result = BatchedHierarchyEngine(CONFIG).run(np.empty(0, dtype=np.uint64),
-                                                PolicySpec("lru"))
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [np.empty(0, dtype=np.uint64)], PolicySpec("lru"))
     assert result.n == 0
     assert result.l2.n == 0
     assert result.l2_mpki == 0.0
@@ -194,8 +201,9 @@ MIX_ADDRESSES, MIX_CORE_IDS = MIX.generate()
 
 
 def test_multicore_per_core_rows_fold_to_totals():
-    result = BatchedHierarchyEngine(CONFIG).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, POLICY_SPECS["emissary"], seed=7)
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], POLICY_SPECS["emissary"],
+        num_cores=2, seed=7)
     assert result.num_cores == 2
     assert [row["core"] for row in result.per_core] == [0, 1]
     assert [row["n"] for row in result.per_core] == [9_000, 6_000]
@@ -210,8 +218,9 @@ def test_multicore_per_core_rows_fold_to_totals():
 
 
 def test_multicore_result_round_trips_through_dicts():
-    result = BatchedHierarchyEngine(CONFIG).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, POLICY_SPECS["emissary"], seed=7)
+    result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], POLICY_SPECS["emissary"],
+        num_cores=2, seed=7)
     rebuilt = MultiCoreHierarchyResult.from_dict(result.to_dict())
     assert rebuilt.to_dict() == result.to_dict()
     assert rebuilt.num_cores == 2
@@ -225,10 +234,12 @@ def test_multicore_telemetry_parity_batched_vs_oracle():
     the two engines batch work differently — so only the observable
     surface is compared."""
     tel_b, tel_r = Telemetry(), Telemetry()
-    BatchedHierarchyEngine(CONFIG, telemetry=tel_b).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, POLICY_SPECS["emissary"], seed=7)
-    HierarchyReferenceEngine(CONFIG, telemetry=tel_r).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, POLICY_SPECS["emissary"], seed=7)
+    BatchedHierarchyEngine(CONFIG, telemetry=tel_b).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], POLICY_SPECS["emissary"],
+        num_cores=2, seed=7)
+    HierarchyReferenceEngine(CONFIG, telemetry=tel_r).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], POLICY_SPECS["emissary"],
+        num_cores=2, seed=7)
     b, r = tel_b.to_dict(), tel_r.to_dict()
 
     def observable(counters):
@@ -242,10 +253,10 @@ def test_multicore_telemetry_parity_batched_vs_oracle():
 
 def test_multicore_engines_dispatch_and_agree():
     spec = POLICY_SPECS["emissary"]
-    batched = BatchedHierarchyEngine(CONFIG).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, spec, seed=7)
-    reference = HierarchyReferenceEngine(CONFIG).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, spec, seed=7)
+    batched = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], spec, num_cores=2, seed=7)
+    reference = HierarchyReferenceEngine(CONFIG).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], spec, num_cores=2, seed=7)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
@@ -253,13 +264,33 @@ def test_multicore_engines_dispatch_and_agree():
     assert batched.l2.policy_stats == reference.l2.policy_stats
 
 
+def test_benchmark_wrappers_are_one_chunk_streams():
+    """``run`` and ``run_multicore`` stay only for the benchmark's traced
+    pass: each is ``simulate_stream`` fed the whole trace as one chunk."""
+    spec = POLICY_SPECS["emissary"]
+    engine = BatchedHierarchyEngine(CONFIG)
+    for got, want in (
+            (engine.run(MIX_ADDRESSES, spec, seed=7),
+             engine.simulate_stream([MIX_ADDRESSES], spec, seed=7)),
+            (engine.run_multicore(MIX_ADDRESSES, MIX_CORE_IDS, spec,
+                                  num_cores=2, seed=7),
+             engine.simulate_stream([(MIX_ADDRESSES, MIX_CORE_IDS)], spec,
+                                    num_cores=2, seed=7))):
+        assert type(got) is type(want)
+        assert np.array_equal(got.l1.hits, want.l1.hits)
+        assert np.array_equal(got.l2.hits, want.l2.hits)
+        assert got.l2.policy_stats == want.l2.policy_stats
+        assert getattr(got, "per_core", None) == getattr(want, "per_core",
+                                                         None)
+
+
 def test_multicore_interleave_stream_matches_oneshot():
     """Feeding the InterleaveSpec's own chunked generator through the
     streamed engine equals the one-shot run on the full interleave."""
     spec = POLICY_SPECS["emissary"]
-    oneshot = BatchedHierarchyEngine(CONFIG).run_multicore(
-        MIX_ADDRESSES, MIX_CORE_IDS, spec, seed=7)
-    streamed = BatchedHierarchyEngine(CONFIG).simulate_stream_multicore(
+    oneshot = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [(MIX_ADDRESSES, MIX_CORE_IDS)], spec, num_cores=2, seed=7)
+    streamed = BatchedHierarchyEngine(CONFIG).simulate_stream(
         MIX.generate_chunks(chunk_bytes=4_096), spec,
         num_cores=MIX.num_cores, seed=7)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
@@ -271,20 +302,20 @@ def test_multicore_core_id_validation():
     engine = BatchedHierarchyEngine(CONFIG)
     addresses = MIX_ADDRESSES[:4]
     with pytest.raises(ValueError, match="length"):
-        engine.run_multicore(addresses, np.zeros(3, dtype=np.int64),
-                             PolicySpec("lru"))
+        engine.simulate_stream([(addresses, np.zeros(3, dtype=np.int64))],
+                               PolicySpec("lru"), num_cores=2)
     with pytest.raises(ValueError, match="negative"):
-        engine.run_multicore(addresses, np.array([0, -1, 0, 0]),
-                             PolicySpec("lru"))
+        engine.simulate_stream([(addresses, np.array([0, -1, 0, 0]))],
+                               PolicySpec("lru"), num_cores=2)
     with pytest.raises(ValueError, match="num_cores"):
-        engine.run_multicore(addresses, np.array([0, 3, 0, 0]),
-                             PolicySpec("lru"), num_cores=2)
+        engine.simulate_stream([(addresses, np.array([0, 3, 0, 0]))],
+                               PolicySpec("lru"), num_cores=2)
     with pytest.raises(ValueError, match=str(MAX_CORES)):
-        engine.run_multicore(addresses, np.array([0, MAX_CORES, 0, 0]),
-                             PolicySpec("lru"))
+        engine.simulate_stream([(addresses, np.array([0, MAX_CORES, 0, 0]))],
+                               PolicySpec("lru"), num_cores=MAX_CORES + 1)
     with pytest.raises(TypeError, match="integers"):
-        engine.run_multicore(addresses, np.array([0.2, 1.9, 0.0, 1.0]),
-                             PolicySpec("lru"))
+        engine.simulate_stream([(addresses, np.array([0.2, 1.9, 0.0, 1.0]))],
+                               PolicySpec("lru"), num_cores=2)
 
 
 @pytest.mark.parametrize("bad_id, exc, match", [
@@ -307,22 +338,22 @@ def test_multicore_stream_checks_later_chunks(bad_id, exc, match):
         bad[1] = {"at": num_cores, "above": num_cores + 5}.get(bad_id, bad_id)
     chunks = [(addresses[:4], good[:4]), (addresses[4:], bad)]
     with pytest.raises(exc, match=match):
-        BatchedHierarchyEngine(CONFIG).simulate_stream_multicore(
+        BatchedHierarchyEngine(CONFIG).simulate_stream(
             iter(chunks), PolicySpec("lru"), num_cores=num_cores)
 
 
 def test_multicore_counts_cores():
     """Per-core access counts match a direct tally, with idle cores
-    above the highest id and with the core count inferred."""
+    above the highest id and without."""
     ids = np.arange(300, dtype=np.int64) % 6
     addresses = MIX_ADDRESSES[:300]
     for num_cores in (6, 7):
-        result = BatchedHierarchyEngine(CONFIG).run_multicore(
-            addresses, ids, PolicySpec("lru"), num_cores=num_cores)
+        result = BatchedHierarchyEngine(CONFIG).simulate_stream(
+            [(addresses, ids)], PolicySpec("lru"), num_cores=num_cores)
         assert [row["n"] for row in result.per_core] == (
             np.bincount(ids, minlength=num_cores).tolist())
-    narrow = BatchedHierarchyEngine(CONFIG).run_multicore(
-        addresses, ids % 3, PolicySpec("lru"))
+    narrow = BatchedHierarchyEngine(CONFIG).simulate_stream(
+        [(addresses, ids % 3)], PolicySpec("lru"), num_cores=3)
     assert [row["n"] for row in narrow.per_core] == [100, 100, 100]
 
 
@@ -334,9 +365,9 @@ _WIDEST_FIT = np.uint64(0x7FFF_FFFF_FFFF_FFC0)
 
 
 def test_multicore_line_headroom():
-    """Lines too wide to leave room for the core bits fail, one-shot
-    (core count given or inferred) and streamed; the widest line that
-    fits runs, and one core needs no headroom."""
+    """Lines too wide to leave room for the core bits fail, one-shot and
+    streamed; the widest line that fits runs, and one core needs no
+    headroom."""
     addresses = np.array([0x400000, 0x400040, _WIDE, 0x400080],
                          dtype=np.uint64)
     ids = np.array([0, 1, 0, 1], dtype=np.int64)
@@ -344,25 +375,25 @@ def test_multicore_line_headroom():
     spec = PolicySpec("lru")
     match = "need more than 57 bits; no headroom for 1 core bits"
     with pytest.raises(ValueError, match=match):
-        engine.run_multicore(addresses, ids, spec, num_cores=2)
+        engine.simulate_stream([(addresses, ids)], spec, num_cores=2)
     with pytest.raises(ValueError, match=match):
-        engine.run_multicore(addresses, ids, spec)
-    with pytest.raises(ValueError, match=match):
-        engine.simulate_stream_multicore(
+        engine.simulate_stream(
             [(addresses[:2], ids[:2]), (addresses[2:], ids[2:])], spec,
             num_cores=2)
     fits = addresses.copy()
     fits[2] = _WIDEST_FIT
-    result = engine.run_multicore(fits, ids, spec, num_cores=2)
+    result = engine.simulate_stream([(fits, ids)], spec, num_cores=2)
     assert result.l1.miss_count == 4
-    assert engine.run(addresses, spec).l1.miss_count == 4
-    assert engine.run_multicore(addresses, np.zeros(4, dtype=np.int64), spec,
-                                num_cores=1).l1.miss_count == 4
+    assert engine.simulate_stream([addresses], spec).l1.miss_count == 4
+    assert engine.simulate_stream(
+        [(addresses, np.zeros(4, dtype=np.int64))], spec,
+        num_cores=1).l1.miss_count == 4
 
 
 def test_multicore_peak_memory_bounded_by_trace_buffers():
     """Deterministic memory guard for the N-core path (tracemalloc peak
-    of ``run_multicore`` above its inputs, ~120k two-core accesses).
+    of a one-chunk ``simulate_stream`` above its inputs, ~120k two-core
+    accesses).
 
     At its peak, inside the L1 stage's lag fold, the path holds the
     core-virtualized line buffer (8 B per access) and, per trace-order
@@ -388,11 +419,13 @@ def test_multicore_peak_memory_bounded_by_trace_buffers():
     bound = 8 * len(addresses) + 3 * 8 * edges + (512 << 10)
     engine = BatchedHierarchyEngine(bench_hier)
     spec = PolicySpec("emissary", {"min_l1_misses": 2})
-    engine.run_multicore(addresses[:1000], core_ids[:1000], spec, seed=3)
+    engine.simulate_stream([(addresses[:1000], core_ids[:1000])], spec,
+                           num_cores=2, seed=3)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        engine.run_multicore(addresses, core_ids, spec, seed=3)
+        engine.simulate_stream([(addresses, core_ids)], spec, num_cores=2,
+                               seed=3)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

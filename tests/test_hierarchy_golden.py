@@ -68,18 +68,18 @@ def _single_core(kind, lines):
     if kind == "streamed":
         return _engine(kind).simulate_stream(
             [addresses[lo:hi] for lo, hi in _cut(len(lines))], SPEC, seed=0)
-    return _engine(kind).run(addresses, SPEC, seed=0)
+    return _engine(kind).simulate_stream([addresses], SPEC, seed=0)
 
 
 def _two_cores(kind, lines, cores):
     addresses = _addresses(lines)
     core_ids = np.array(cores, dtype=np.int64)
     if kind == "streamed":
-        return _engine(kind).simulate_stream_multicore(
+        return _engine(kind).simulate_stream(
             [(addresses[lo:hi], core_ids[lo:hi])
              for lo, hi in _cut(len(lines))], SPEC, num_cores=2, seed=0)
-    return _engine(kind).run_multicore(addresses, core_ids, SPEC,
-                                       num_cores=2, seed=0)
+    return _engine(kind).simulate_stream([(addresses, core_ids)], SPEC,
+                                         num_cores=2, seed=0)
 
 
 @pytest.mark.parametrize("kind", ENGINES)
@@ -155,14 +155,14 @@ def test_two_cores_count_l1_misses_per_core_and_line(kind):
        lines=st.lists(st.integers(0, 11), min_size=1, max_size=200))
 def test_single_core_run_is_the_one_core_multicore_run(engine_cls, policy,
                                                       lines):
-    """``run`` equals ``run_multicore`` with every access on core 0: the
-    same hits, counts and policy statistics, and one per-core row that
-    is the totals.  Both runs are sanitized."""
+    """A single-core run equals a ``num_cores=1`` run with every access
+    on core 0: the same hits, counts and policy statistics, and one
+    per-core row that is the totals.  Both runs are sanitized."""
     addresses = _addresses(lines)
-    solo = engine_cls(CONFIG, sanitizer=Sanitizer()).run(addresses, policy,
-                                                         seed=3)
-    one = engine_cls(CONFIG, sanitizer=Sanitizer()).run_multicore(
-        addresses, np.zeros(len(lines), dtype=np.int64), policy,
+    solo = engine_cls(CONFIG, sanitizer=Sanitizer()).simulate_stream(
+        [addresses], policy, seed=3)
+    one = engine_cls(CONFIG, sanitizer=Sanitizer()).simulate_stream(
+        [(addresses, np.zeros(len(lines), dtype=np.int64))], policy,
         num_cores=1, seed=3)
     for a, b in ((solo.l1, one.l1), (solo.l2, one.l2)):
         assert np.array_equal(a.hits, b.hits)

@@ -142,8 +142,8 @@ def test_hierarchy_lag_fold_matches_reference(backend, policy, l1_policy,
     config = HierarchyConfig(l1=CONFIG.l1, l2=CONFIG.l2, l1_policy=l1_policy)
     ref_tel = Telemetry()
     reference = HierarchyReferenceEngine(config, telemetry=ref_tel) \
-        .run_multicore(addresses, core_ids, policy, num_cores=num_cores,
-                       seed=SEED)
+        .simulate_stream([(addresses, core_ids)], policy,
+                         num_cores=num_cores, seed=SEED)
     vlines, v_sets = _virtual_lines(addresses, core_ids, num_cores)
     for cut in ([0, len(addresses)], bounds):
         tel = Telemetry()
@@ -152,7 +152,7 @@ def test_hierarchy_lag_fold_matches_reference(backend, policy, l1_policy,
                                         kernel_backend=backend)
         chunks = [(addresses[lo:hi], core_ids[lo:hi])
                   for lo, hi in zip(cut[:-1], cut[1:])]
-        result = engine.simulate_stream_multicore(
+        result = engine.simulate_stream(
             chunks, policy, num_cores=num_cores, seed=SEED)
         assert np.array_equal(result.l1.hits, reference.l1.hits)
         assert np.array_equal(result.l2.hits, reference.l2.hits)
@@ -177,18 +177,17 @@ def test_flat_shared_cache_lag_fold_matches_reference(backend, policy, mc):
     set blocks a drop."""
     num_cores, addresses, core_ids, bounds = mc
     ref_tel = Telemetry()
-    reference = ReferenceEngine(FLAT, telemetry=ref_tel,
-                                num_cores=num_cores).run(
-        addresses, policy, seed=SEED, core=core_ids)
+    reference = ReferenceEngine(FLAT, telemetry=ref_tel).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     lines = (addresses // LINE_BYTES).astype(np.int64).tolist()
     for cut in ([0, len(addresses)], bounds):
         tel = Telemetry()
-        stream = BatchedEngine(FLAT, telemetry=tel, sanitizer=Sanitizer(),
-                               kernel_backend=backend,
-                               num_cores=num_cores).stream(policy, seed=SEED)
-        for lo, hi in zip(cut[:-1], cut[1:]):
-            stream.feed(addresses[lo:hi], core=core_ids[lo:hi])
-        result = stream.finish()
+        engine = BatchedEngine(FLAT, telemetry=tel, sanitizer=Sanitizer(),
+                               kernel_backend=backend)
+        result = engine.simulate_stream(
+            [(addresses[lo:hi], core_ids[lo:hi])
+             for lo, hi in zip(cut[:-1], cut[1:])],
+            policy, num_cores=num_cores, seed=SEED)
         assert np.array_equal(result.hits, reference.hits)
         assert result.policy_stats == reference.policy_stats
         assert _observable(tel) == _observable(ref_tel)
@@ -197,9 +196,9 @@ def test_flat_shared_cache_lag_fold_matches_reference(backend, policy, mc):
         if backend == "batched":
             assert tel.counters["engine.kernel_accesses"] == kernel
     tel = Telemetry()
-    oneshot = BatchedEngine(FLAT, telemetry=tel, kernel_backend=backend,
-                            num_cores=num_cores).run(
-        addresses, policy, seed=SEED, core=core_ids)
+    oneshot = BatchedEngine(FLAT, telemetry=tel,
+                            kernel_backend=backend).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     assert np.array_equal(oneshot.hits, reference.hits)
     assert oneshot.policy_stats == reference.policy_stats
     assert _observable(tel) == _observable(ref_tel)
@@ -218,9 +217,11 @@ def test_single_core_never_enters_the_lag_pass(monkeypatch):
     addresses = (rng.integers(0, 64, 5000).astype(np.uint64)
                  * np.uint64(LINE_BYTES))
     spec = PolicySpec("srrip")
-    BatchedEngine(FLAT, telemetry=Telemetry()).run(addresses, spec)
+    BatchedEngine(FLAT, telemetry=Telemetry()).simulate_stream([addresses],
+                                                               spec)
     BatchedEngine(FLAT).simulate_stream(np.array_split(addresses, 7), spec)
     engine = BatchedHierarchyEngine(CONFIG, telemetry=Telemetry())
-    engine.run(addresses, spec)
-    engine.run_multicore(addresses, np.zeros(len(addresses), dtype=np.int64),
-                         spec, num_cores=1)
+    engine.simulate_stream([addresses], spec)
+    engine.simulate_stream(
+        [(addresses, np.zeros(len(addresses), dtype=np.int64))], spec,
+        num_cores=1)

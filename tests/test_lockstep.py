@@ -141,10 +141,11 @@ def test_hot_set_hands_off_mid_dispatch(monkeypatch, spec, ways, telemetry):
     sanitizer = Sanitizer()
     tels = [Telemetry(), Telemetry()] if telemetry else [None, None]
     batched = BatchedEngine(config, telemetry=tels[0],
-                            sanitizer=sanitizer).run(addresses, spec, seed=4)
+                            sanitizer=sanitizer).simulate_stream([addresses],
+                                                                 spec, seed=4)
     reference = ReferenceEngine(config, telemetry=tels[1],
-                                sanitizer=Sanitizer()).run(
-        addresses, spec, seed=4)
+                                sanitizer=Sanitizer()).simulate_stream(
+        [addresses], spec, seed=4)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.hit_count == reference.hit_count
     assert batched.policy_stats == reference.policy_stats
@@ -176,10 +177,10 @@ def test_hot_set_hands_off_in_shared_l2(monkeypatch, spec, ways, telemetry):
     tels = [Telemetry(), Telemetry()] if telemetry else [None, None]
     batched = BatchedHierarchyEngine(config, telemetry=tels[0],
                                      sanitizer=Sanitizer()) \
-        .run_multicore(addresses, cores, spec, num_cores=2, seed=4)
+        .simulate_stream([(addresses, cores)], spec, num_cores=2, seed=4)
     reference = HierarchyReferenceEngine(config, telemetry=tels[1],
                                          sanitizer=Sanitizer()) \
-        .run_multicore(addresses, cores, spec, num_cores=2, seed=4)
+        .simulate_stream([(addresses, cores)], spec, num_cores=2, seed=4)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
     assert batched.l2.policy_stats == reference.l2.policy_stats
@@ -211,7 +212,8 @@ def test_telemetry_matches_reference_at_low_floor(monkeypatch, floor, spec):
     cores = rng.integers(0, 2, len(addresses))
     tels = [Telemetry(), Telemetry()]
     results = [engine(config, telemetry=tel, sanitizer=Sanitizer())
-               .run_multicore(addresses, cores, spec, num_cores=2, seed=2)
+               .simulate_stream([(addresses, cores)], spec, num_cores=2,
+                                seed=2)
                for engine, tel in zip((BatchedHierarchyEngine,
                                        HierarchyReferenceEngine), tels)]
     assert np.array_equal(results[0].l2.hits, results[1].l2.hits)
@@ -235,8 +237,8 @@ def test_stream_alternates_wide_and_narrow_dispatches(monkeypatch, spec):
         chunks.append((tags * np.uint64(num_sets) + sets) * np.uint64(64))
     calls = _spy_dispatch(monkeypatch)
     oneshot_tel, stream_tel = Telemetry(), Telemetry()
-    oneshot = BatchedEngine(config, telemetry=oneshot_tel).run(
-        np.concatenate(chunks), spec, seed=8)
+    oneshot = BatchedEngine(config, telemetry=oneshot_tel).simulate_stream(
+        [np.concatenate(chunks)], spec, seed=8)
     calls.clear()
     sanitizer = Sanitizer()
     streamed = BatchedEngine(config, telemetry=stream_tel,

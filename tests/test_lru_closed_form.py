@@ -59,7 +59,8 @@ def _policy_payload(tel):
 
 def _assert_matches_reference(config, addresses, result, tel):
     ref_tel = Telemetry()
-    ref = ReferenceEngine(config, telemetry=ref_tel).run(addresses, LRU)
+    ref = ReferenceEngine(config, telemetry=ref_tel).simulate_stream(
+        [addresses], LRU)
     assert np.array_equal(result.hits, ref.hits)
     assert (result.hit_count, result.miss_count) == (ref.hit_count,
                                                      ref.miss_count)
@@ -72,7 +73,8 @@ def test_batched_matches_reference(config, lines):
     addresses = _addresses(lines)
     tel = Telemetry()
     result = BatchedEngine(config, telemetry=tel,
-                           sanitizer=Sanitizer()).run(addresses, LRU)
+                           sanitizer=Sanitizer()).simulate_stream([addresses],
+                                                                  LRU)
     _assert_matches_reference(config, addresses, result, tel)
 
 
@@ -102,7 +104,7 @@ def test_long_alternation_worst_case():
     steps = a_lines + [b_line, c_line] * 20_000 + a_lines
     addresses = _addresses(np.concatenate(steps))  # set-interleaved
     config = CacheConfig(num_sets=num_sets, ways=ways)
-    batched = BatchedEngine(config).run(addresses, LRU)
-    ref = ReferenceEngine(config).run(addresses, LRU)
+    batched = BatchedEngine(config).simulate_stream([addresses], LRU)
+    ref = ReferenceEngine(config).simulate_stream([addresses], LRU)
     assert np.array_equal(batched.hits, ref.hits)
     assert batched.miss_count == num_sets * 8  # A1..A6, B, C once each

@@ -133,8 +133,8 @@ def _run(kind, config, lines, telemetry=None, cut=None):
     """Hit vector of ``lines`` on one engine; ``cut`` splits the stream."""
     addresses = _addresses(lines)
     if kind == "reference":
-        return ReferenceEngine(config, telemetry=telemetry).run(
-            addresses, LRU).hits.tolist()
+        return ReferenceEngine(config, telemetry=telemetry).simulate_stream(
+            [addresses], LRU).hits.tolist()
     backend = "compiled" if kind == "compiled" else "batched"
     engine = BatchedEngine(config, telemetry=telemetry,
                            kernel_backend=backend)
@@ -142,7 +142,7 @@ def _run(kind, config, lines, telemetry=None, cut=None):
         cut = len(lines) // 2 if cut is None else cut
         return engine.simulate_stream(
             [addresses[:cut], addresses[cut:]], LRU).hits.tolist()
-    return engine.run(addresses, LRU).hits.tolist()
+    return engine.simulate_stream([addresses], LRU).hits.tolist()
 
 
 def _expected_telemetry(table):
@@ -233,6 +233,6 @@ def test_as_hierarchy_l1i(stream, name, num_sets, ways, table):
         result = engine.simulate_stream([addresses[:cut], addresses[cut:]],
                                         LRU)
     else:
-        result = engine.run(addresses, LRU)
+        result = engine.simulate_stream([addresses], LRU)
     assert result.l1.hits.tolist() == _expected_hits(table)
     assert result.l2.n == sum(outcome != HIT for _, outcome in table)

@@ -13,9 +13,9 @@ Two grids are pinned:
   front of a 1024x8 L2) under every policy variant, over the ``loop``
   (a footprint of 1.5x the L2), ``call`` and ``shift`` traces and a
   2:1 two-core interleave, at 200k and 1M accesses;
-- the flat cells: the one-shot :meth:`BatchedEngine.run` (single- and
-  two-core, with a cost channel) and the per-access
-  :meth:`ReferenceEngine.run` on a short prefix.
+- the flat cells: a one-chunk :meth:`BatchedEngine.simulate_stream`
+  (single- and two-core, with a cost channel) and the per-access
+  :meth:`ReferenceEngine.simulate_stream` on a short prefix.
 
 Hit vectors are hashed as one byte per access and the statistics as
 sorted-key JSON, so the digests do not depend on the host.
@@ -229,29 +229,30 @@ def test_hierarchy_outcome_digest(key):
     assert got == HIERARCHY_DIGESTS[key]
 
 
-def flat_inputs(cell: str) -> tuple[Any, dict[str, Any], int]:
-    """Addresses, ``run`` keyword arguments and core count of a flat cell:
-    ``loop`` plain, ``loop-cost`` with a per-access cost channel, and
-    ``mix`` a two-core interleave with core ids and costs."""
+def flat_inputs(cell: str) -> tuple[tuple[Any, Any, Any], int | None]:
+    """The chunk item ``(addresses, core_ids, cost)`` and core count of a
+    flat cell: ``loop`` plain, ``loop-cost`` with a per-access cost
+    channel, and ``mix`` a two-core interleave with core ids and costs."""
     if cell == "mix":
         addrs, core = trace("mix", 200_000).generate()
         cost = (np.arange(len(addrs), dtype=np.int64) % 5) + 1
-        return addrs, {"core": core, "cost": cost}, 2
+        return (addrs, core, cost), 2
     addrs = trace("loop", 200_000).generate()
     if cell == "loop-cost":
-        return addrs, {"cost": (np.arange(len(addrs)) % 3) + 1}, 1
-    return addrs, {}, 1
+        return (addrs, None, (np.arange(len(addrs)) % 3) + 1), None
+    return (addrs, None, None), None
 
 
 @pytest.mark.parametrize("key", sorted(FLAT_DIGESTS), ids=str)
 def test_flat_outcome_digest(key):
     engine, policy, cell = key
-    addrs, kwargs, num_cores = flat_inputs(cell)
+    columns, num_cores = flat_inputs(cell)
     if engine == "reference":
-        addrs = addrs[:REFERENCE_PREFIX]
-        kwargs = {k: v[:REFERENCE_PREFIX] for k, v in kwargs.items()}
-        eng: Any = ReferenceEngine(FLAT, num_cores=num_cores)
+        columns = tuple(None if c is None else c[:REFERENCE_PREFIX]
+                        for c in columns)
+        eng: Any = ReferenceEngine(FLAT)
     else:
-        eng = BatchedEngine(FLAT, num_cores=num_cores)
-    result = eng.run(addrs, POLICIES[policy], seed=SEED, **kwargs)
+        eng = BatchedEngine(FLAT)
+    result = eng.simulate_stream([columns], POLICIES[policy],
+                                 num_cores=num_cores, seed=SEED)
     assert digest([result.hits], [result.policy_stats]) == FLAT_DIGESTS[key]

@@ -19,8 +19,8 @@ def run_one_set(policy, lines, ways, engine="batched", seed=0, **params):
     """Run a trace confined to a single set (num_sets=1) and return hits."""
     cfg = CacheConfig(num_sets=1, ways=ways)
     cls = BatchedEngine if engine == "batched" else ReferenceEngine
-    result = cls(cfg).run(addresses_of_lines(lines), PolicySpec(policy, params),
-                          seed=seed)
+    result = cls(cfg).simulate_stream([addresses_of_lines(lines)],
+                                      PolicySpec(policy, params), seed=seed)
     return list(result.hits)
 
 
@@ -111,9 +111,9 @@ class TestEmissary:
         rng = np.random.default_rng(4)
         lines = rng.integers(0, 256, 4000)
         engine = BatchedEngine(cfg)
-        result = engine.run(addresses_of_lines(lines),
-                            PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 1}),
-                            seed=9)
+        result = engine.simulate_stream(
+            [addresses_of_lines(lines)],
+            PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 1}), seed=9)
         assert result.policy_stats["hp_lines_final"] <= 2 * cfg.num_sets
 
     def test_hp_bit_cleared_on_eviction(self):

@@ -239,7 +239,7 @@ def _run_flat(kind, spec, ways, lines):
     else:
         engine = BatchedEngine(config, kernel_backend="compiled"
                                if kind == "compiled" else "batched")
-    return engine.run(_addresses(lines), spec)
+    return engine.simulate_stream([_addresses(lines)], spec)
 
 
 def _expected_hits(outcomes):
@@ -337,7 +337,8 @@ def _run_partitioned(kind, rows, probe=None):
     else:
         engine = BatchedHierarchyEngine(PART_CONFIG, kernel_backend="compiled"
                                         if kind == "compiled" else "batched")
-    result = engine.run_multicore(addresses, cores, PARTITIONED, num_cores=2)
+    result = engine.simulate_stream([(addresses, cores)], PARTITIONED,
+                                    num_cores=2)
     # Every access misses its core's one-line L1I.
     assert not result.l1.hits.any()
     return result

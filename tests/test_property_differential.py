@@ -5,7 +5,7 @@ families; this suite lets hypothesis search the space of short adversarial
 access patterns, cache geometries, and chunk splits for divergence between
 
 * the batched set-major engine and the naive per-access reference
-  (flat and two-level),
+  (flat and two-level), both fed the same generated chunk cuts,
 * the streaming (chunked) path and the one-shot path, with the chunk
   boundaries themselves generated — including ones that split MRU runs,
   and
@@ -17,7 +17,9 @@ access patterns, cache geometries, and chunk splits for divergence between
   through the batched, streamed, and compiled engines against the
   per-access multi-core reference — including the partitioned
   EMISSARY HP budget, and the invariant that a one-core partitioned
-  run is bit-identical to a shared one.
+  run is bit-identical to a shared one, and
+* each reference oracle against itself: any chunk cut reproduces the
+  uncut run, telemetry included.
 
 Address pools are tiny (a handful of lines, few sets) so traces constantly
 collide in sets, re-reference immediately (repeat-flag paths), and evict —
@@ -39,13 +41,15 @@ from hypothesis import strategies as st
 from emissary.analysis.sanitizer import Sanitizer
 from emissary.api import PolicySpec
 from emissary.compiled import CompiledUnavailableError, get_kernels, make_compiled_kernel
-from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine
+from emissary.engine import (BatchedEngine, CacheConfig, ReferenceEngine,
+                             SimResult)
 from emissary.hierarchy import (
     BatchedHierarchyEngine,
     HierarchyConfig,
     HierarchyReferenceEngine,
 )
 from emissary.policies import make_kernel
+from emissary.telemetry import Telemetry
 from emissary.traces import LINE_BYTES
 
 SEED = 5
@@ -125,12 +129,13 @@ def _sanitized_compiled(engine_cls, config):
 
 
 @settings(max_examples=40, deadline=None)
-@given(policy=policies, config=geometries, addresses=traces())
-def test_flat_batched_matches_reference(policy, config, addresses):
+@given(policy=policies, config=geometries, chunked=chunked_traces())
+def test_flat_batched_matches_reference(policy, config, chunked):
+    _, chunks = chunked
     batched_engine = _sanitized(BatchedEngine, config)
     reference_engine = _sanitized(ReferenceEngine, config)
-    batched = batched_engine.run(addresses, policy, seed=SEED)
-    reference = reference_engine.run(addresses, policy, seed=SEED)
+    batched = batched_engine.simulate_stream(chunks, policy, seed=SEED)
+    reference = reference_engine.simulate_stream(chunks, policy, seed=SEED)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.hit_count == reference.hit_count
     assert batched.policy_stats == reference.policy_stats
@@ -139,14 +144,15 @@ def test_flat_batched_matches_reference(policy, config, addresses):
 
 
 @settings(max_examples=40, deadline=None)
-@given(policy=policies, addresses=traces())
-def test_hierarchy_batched_matches_reference(policy, addresses):
+@given(policy=policies, chunked=chunked_traces())
+def test_hierarchy_batched_matches_reference(policy, chunked):
+    _, chunks = chunked
     config = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                              l2=CacheConfig(num_sets=4, ways=2))
-    batched = _sanitized(BatchedHierarchyEngine, config).run(
-        addresses, policy, seed=SEED)
-    reference = _sanitized(HierarchyReferenceEngine, config).run(
-        addresses, policy, seed=SEED)
+    batched = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
+        chunks, policy, seed=SEED)
+    reference = _sanitized(HierarchyReferenceEngine, config).simulate_stream(
+        chunks, policy, seed=SEED)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.l1.policy_stats == reference.l1.policy_stats
@@ -157,7 +163,9 @@ def test_hierarchy_batched_matches_reference(policy, addresses):
 @given(policy=policies, config=geometries, chunked=chunked_traces())
 def test_stream_matches_oneshot(policy, config, chunked):
     addresses, chunks = chunked
-    oneshot = _sanitized(BatchedEngine, config).run(addresses, policy, seed=SEED)
+    oneshot = _sanitized(BatchedEngine, config).simulate_stream([addresses],
+                                                                policy,
+                                                                seed=SEED)
     streamed = _sanitized(BatchedEngine, config).simulate_stream(
         chunks, policy, seed=SEED)
     assert np.array_equal(streamed.hits, oneshot.hits)
@@ -170,8 +178,8 @@ def test_hierarchy_stream_matches_oneshot(policy, chunked):
     addresses, chunks = chunked
     config = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                              l2=CacheConfig(num_sets=4, ways=2))
-    oneshot = _sanitized(BatchedHierarchyEngine, config).run(
-        addresses, policy, seed=SEED)
+    oneshot = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
+        [addresses], policy, seed=SEED)
     streamed = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
         chunks, policy, seed=SEED)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
@@ -185,8 +193,9 @@ def test_hierarchy_stream_matches_oneshot(policy, chunked):
 def test_flat_compiled_matches_reference(policy, config, addresses):
     compiled_engine = _sanitized_compiled(BatchedEngine, config)
     reference_engine = _sanitized(ReferenceEngine, config)
-    compiled = compiled_engine.run(addresses, policy, seed=SEED)
-    reference = reference_engine.run(addresses, policy, seed=SEED)
+    compiled = compiled_engine.simulate_stream([addresses], policy, seed=SEED)
+    reference = reference_engine.simulate_stream([addresses], policy,
+                                                 seed=SEED)
     assert np.array_equal(compiled.hits, reference.hits)
     assert compiled.hit_count == reference.hit_count
     assert compiled.policy_stats == reference.policy_stats
@@ -198,7 +207,9 @@ def test_flat_compiled_matches_reference(policy, config, addresses):
 @given(policy=policies, config=geometries, chunked=chunked_traces())
 def test_compiled_stream_matches_python_oneshot(policy, config, chunked):
     addresses, chunks = chunked
-    oneshot = _sanitized(BatchedEngine, config).run(addresses, policy, seed=SEED)
+    oneshot = _sanitized(BatchedEngine, config).simulate_stream([addresses],
+                                                                policy,
+                                                                seed=SEED)
     compiled_engine = _sanitized_compiled(BatchedEngine, config)
     streamed = compiled_engine.simulate_stream(chunks, policy, seed=SEED)
     assert np.array_equal(streamed.hits, oneshot.hits)
@@ -213,10 +224,10 @@ def test_hierarchy_compiled_matches_python(policy, chunked):
     addresses, chunks = chunked
     config = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                              l2=CacheConfig(num_sets=4, ways=2))
-    oneshot = _sanitized(BatchedHierarchyEngine, config).run(
-        addresses, policy, seed=SEED)
-    compiled = _sanitized_compiled(BatchedHierarchyEngine, config).run(
-        addresses, policy, seed=SEED)
+    oneshot = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
+        [addresses], policy, seed=SEED)
+    compiled = _sanitized_compiled(BatchedHierarchyEngine, config).simulate_stream(
+        [addresses], policy, seed=SEED)
     streamed = _sanitized_compiled(BatchedHierarchyEngine, config).simulate_stream(
         chunks, policy, seed=SEED)
     for other in (compiled, streamed):
@@ -237,6 +248,8 @@ multicore_policies = st.sampled_from([
 
 MC_CONFIG = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                             l2=CacheConfig(num_sets=4, ways=2))
+#: The flat oracle's geometry in the chunk-cut property.
+FLAT_CONFIG = CacheConfig(num_sets=4, ways=2)
 
 
 @st.composite
@@ -273,13 +286,13 @@ def chunked_multicore(draw, min_events=1):
 
 
 @settings(max_examples=30, deadline=None)
-@given(policy=multicore_policies, mc=multicore_traces())
+@given(policy=multicore_policies, mc=chunked_multicore())
 def test_multicore_batched_matches_reference(policy, mc):
-    num_cores, addresses, core_ids = mc
-    batched = _sanitized(BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
-    reference = _sanitized(HierarchyReferenceEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+    num_cores, _, _, chunks = mc
+    batched = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        chunks, policy, num_cores=num_cores, seed=SEED)
+    reference = _sanitized(HierarchyReferenceEngine, MC_CONFIG).simulate_stream(
+        chunks, policy, num_cores=num_cores, seed=SEED)
     assert np.array_equal(batched.l1.hits, reference.l1.hits)
     assert np.array_equal(batched.l2.hits, reference.l2.hits)
     assert batched.per_core == reference.per_core
@@ -296,10 +309,10 @@ def test_multicore_batched_matches_reference(policy, mc):
 @given(policy=multicore_policies, mc=chunked_multicore())
 def test_multicore_stream_matches_oneshot(policy, mc):
     num_cores, addresses, core_ids, chunks = mc
-    oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+    oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     streamed = _sanitized(
-        BatchedHierarchyEngine, MC_CONFIG).simulate_stream_multicore(
+        BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         chunks, policy, num_cores=num_cores, seed=SEED)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
     assert np.array_equal(streamed.l2.hits, oneshot.l2.hits)
@@ -312,19 +325,60 @@ def test_multicore_stream_matches_oneshot(policy, mc):
 @given(policy=multicore_policies, mc=chunked_multicore())
 def test_multicore_compiled_matches_python(policy, mc):
     num_cores, addresses, core_ids, chunks = mc
-    oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+    oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     compiled = _sanitized_compiled(
-        BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
+        BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     streamed = _sanitized_compiled(
-        BatchedHierarchyEngine, MC_CONFIG).simulate_stream_multicore(
+        BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         chunks, policy, num_cores=num_cores, seed=SEED)
     for other in (compiled, streamed):
         assert np.array_equal(other.l1.hits, oneshot.l1.hits)
         assert np.array_equal(other.l2.hits, oneshot.l2.hits)
         assert other.per_core == oneshot.per_core
         assert other.l2.policy_stats == oneshot.l2.policy_stats
+
+
+def _cut_free(d):
+    """A result dict without what may differ between runs of the same
+    outcome: the timings and the telemetry spans."""
+    if not isinstance(d, dict):
+        return d
+    return {k: _cut_free(v) for k, v in d.items()
+            if k not in ("elapsed_s", "accesses_per_s", "spans")}
+
+
+def _hit_vectors(result):
+    if isinstance(result, SimResult):
+        return [result.hits]
+    return [result.l1.hits, result.l2.hits]
+
+
+@settings(max_examples=30, deadline=None)
+@given(policy=st.one_of(policies, multicore_policies), mc=chunked_multicore())
+def test_reference_chunk_cuts_match_uncut(policy, mc):
+    """The oracles carry every piece of state across chunk cuts: any cut
+    gives the uncut run's hits, counts, policy statistics, per-core rows
+    and telemetry counters and histograms — flat and two-level, on one
+    core and on N, with the uniforms drawn per chunk."""
+    num_cores, addresses, core_ids, chunks = mc
+    flat_chunks = [chunk for chunk, _ in chunks]
+    runs = [(engine_cls, config, [addresses], flat_chunks, None)
+            for engine_cls, config in ((ReferenceEngine, FLAT_CONFIG),
+                                       (HierarchyReferenceEngine, MC_CONFIG))]
+    runs += [(engine_cls, config, [(addresses, core_ids)], chunks, num_cores)
+             for engine_cls, config in ((ReferenceEngine, FLAT_CONFIG),
+                                        (HierarchyReferenceEngine, MC_CONFIG))]
+    for engine_cls, config, uncut, cut, cores in runs:
+        whole, pieces = (
+            engine_cls(config, telemetry=Telemetry(),
+                       sanitizer=Sanitizer()).simulate_stream(
+                trace, policy, num_cores=cores, seed=SEED)
+            for trace in (uncut, cut))
+        for got, want in zip(_hit_vectors(pieces), _hit_vectors(whole)):
+            assert np.array_equal(got, want)
+        assert _cut_free(pieces.to_dict()) == _cut_free(whole.to_dict())
 
 
 @settings(max_examples=20, deadline=None)
@@ -337,10 +391,10 @@ def test_partitioned_budget_equals_shared_on_one_core(addresses):
     shared = PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4})
     partitioned = PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4,
                                           "hp_budget": "partitioned"})
-    a = _sanitized(BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, shared, num_cores=1, seed=SEED)
-    b = _sanitized(BatchedHierarchyEngine, MC_CONFIG).run_multicore(
-        addresses, core_ids, partitioned, num_cores=1, seed=SEED)
+    a = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        [(addresses, core_ids)], shared, num_cores=1, seed=SEED)
+    b = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+        [(addresses, core_ids)], partitioned, num_cores=1, seed=SEED)
     assert np.array_equal(a.l2.hits, b.l2.hits)
     assert a.per_core == b.per_core
     # Partitioned runs annotate two extra stat keys; everything the two
@@ -367,11 +421,11 @@ def test_multicore_folds_match_no_collapse(policy, mc):
         return BatchedHierarchyEngine(MC_CONFIG, collapse_runs=collapse,
                                       sanitizer=Sanitizer())
 
-    plain = engine(False).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
-    oneshot = engine(True).run_multicore(
-        addresses, core_ids, policy, num_cores=num_cores, seed=SEED)
-    streamed = engine(True).simulate_stream_multicore(
+    plain = engine(False).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
+    oneshot = engine(True).simulate_stream(
+        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
+    streamed = engine(True).simulate_stream(
         chunks, policy, num_cores=num_cores, seed=SEED)
     for folded in (oneshot, streamed):
         assert np.array_equal(folded.l1.hits, plain.l1.hits)

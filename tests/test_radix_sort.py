@@ -64,7 +64,8 @@ def test_set_key_width_boundary_matches_reference(num_sets, policy):
     lines = rng.integers(0, 4 * num_sets, size=6_000, dtype=np.uint64)
     addresses = lines * np.uint64(config.line_size)
     spec = PolicySpec(policy)
-    batched = BatchedEngine(config).run(addresses, spec, seed=0)
-    reference = ReferenceEngine(config).run(addresses, spec, seed=0)
+    batched = BatchedEngine(config).simulate_stream([addresses], spec, seed=0)
+    reference = ReferenceEngine(config).simulate_stream([addresses], spec,
+                                                        seed=0)
     assert np.array_equal(batched.hits, reference.hits)
     assert batched.policy_stats == reference.policy_stats

@@ -39,11 +39,12 @@ def addresses():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
 def test_batched_sanitized_outcomes_identical(addresses, spec, telemetry):
-    baseline = BatchedEngine(CONFIG).run(addresses, spec, seed=3)
+    baseline = BatchedEngine(CONFIG).simulate_stream([addresses], spec, seed=3)
     sanitizer = Sanitizer()
     tel = Telemetry() if telemetry else None
     result = BatchedEngine(CONFIG, telemetry=tel,
-                           sanitizer=sanitizer).run(addresses, spec, seed=3)
+                           sanitizer=sanitizer).simulate_stream([addresses],
+                                                                spec, seed=3)
     assert np.array_equal(result.hits, baseline.hits)
     assert sanitizer.checks > 0
     # MRU run collapsing folds immediate repeats, so the dispatched
@@ -54,10 +55,11 @@ def test_batched_sanitized_outcomes_identical(addresses, spec, telemetry):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_reference_sanitized_outcomes_identical(addresses, spec):
-    baseline = ReferenceEngine(CONFIG).run(addresses[:800], spec, seed=3)
+    baseline = ReferenceEngine(CONFIG).simulate_stream([addresses[:800]], spec,
+                                                       seed=3)
     sanitizer = Sanitizer()
-    result = ReferenceEngine(CONFIG, sanitizer=sanitizer).run(
-        addresses[:800], spec, seed=3)
+    result = ReferenceEngine(CONFIG, sanitizer=sanitizer).simulate_stream(
+        [addresses[:800]], spec, seed=3)
     assert np.array_equal(result.hits, baseline.hits)
     # Every access dispatches on_hit or on_fill, each of which checks.
     assert sanitizer.checks >= len(addresses[:800])
@@ -65,7 +67,7 @@ def test_reference_sanitized_outcomes_identical(addresses, spec):
 
 def test_stream_sanitized_matches_oneshot(addresses):
     spec = PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4})
-    oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=3)
+    oneshot = BatchedEngine(CONFIG).simulate_stream([addresses], spec, seed=3)
     sanitizer = Sanitizer()
     chunks = np.array_split(addresses, 5)
     streamed = BatchedEngine(CONFIG, sanitizer=sanitizer).simulate_stream(
@@ -78,10 +80,11 @@ def test_hierarchy_engines_share_one_sanitizer(addresses):
     spec = PolicySpec("emissary",
                       {"hp_threshold": 2, "prob_inv": 4, "min_l1_misses": 2})
     config = HierarchyConfig(l1=CacheConfig(num_sets=4, ways=2), l2=CONFIG)
-    baseline = BatchedHierarchyEngine(config).run(addresses, spec, seed=3)
+    baseline = BatchedHierarchyEngine(config).simulate_stream([addresses],
+                                                              spec, seed=3)
     sanitizer = Sanitizer()
-    result = BatchedHierarchyEngine(config, sanitizer=sanitizer).run(
-        addresses, spec, seed=3)
+    result = BatchedHierarchyEngine(config, sanitizer=sanitizer).simulate_stream(
+        [addresses], spec, seed=3)
     assert np.array_equal(result.l1.hits, baseline.l1.hits)
     assert np.array_equal(result.l2.hits, baseline.l2.hits)
     # Both stages attach to the same instance: L1 policy plus L2 policy.
@@ -89,8 +92,9 @@ def test_hierarchy_engines_share_one_sanitizer(addresses):
     assert sanitizer.checks > 0
 
     ref_sanitizer = Sanitizer()
-    reference = HierarchyReferenceEngine(config, sanitizer=ref_sanitizer).run(
-        addresses[:800], spec, seed=3)
+    reference = HierarchyReferenceEngine(
+        config, sanitizer=ref_sanitizer).simulate_stream(
+            [addresses[:800]], spec, seed=3)
     assert np.array_equal(reference.l1.hits, baseline.l1.hits[:800])
     assert ref_sanitizer.checks > 0
 

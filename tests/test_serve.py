@@ -306,12 +306,13 @@ class TestRequestBackend:
         assert first.key == joined.key
         assert service.telemetry.counters["serve.simulations"] == 3
 
-    def test_reference_request_runs_the_oracle_one_shot(self, tmp_path):
+    def test_reference_request_streams_the_oracle(self, tmp_path):
         request = make_request(seed=4, hierarchy=True)
         progress = tmp_path / "progress.json"
         payload = run_simulation_worker(
             dict(request.to_dict(), backend="reference"), str(progress), 4096)
-        assert not progress.exists()  # one-shot: no chunk-boundary ticks
+        # Streamed like any backend: the chunk boundaries tick.
+        assert progress.exists()
         expected = simulate(request, engine="reference").to_dict()
 
         def outcomes(d):

@@ -17,7 +17,8 @@ import numpy as np
 
 from emissary import engine as engine_module
 from emissary.api import PolicySpec
-from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine
+from emissary.engine import (BatchedEngine, CacheConfig, EngineStream,
+                             ReferenceEngine)
 from emissary.hierarchy import (
     BatchedHierarchyEngine,
     HierarchyConfig,
@@ -46,8 +47,8 @@ def _streamed(spec, addresses, core, num_cores):
     Every trace below starts ``A B A``: the stream holds each chunk's
     last run back until the next line arrives, so the first A is
     dispatched with chunk one and the second A with chunk two."""
-    engine = BatchedEngine(CONFIG, telemetry=Telemetry(), num_cores=num_cores)
-    stream = engine.stream(spec, seed=0)
+    engine = BatchedEngine(CONFIG, telemetry=Telemetry())
+    stream = EngineStream(engine, spec, seed=0, num_cores=num_cores or 1)
     for lo, hi in ((0, 2), (2, len(addresses))):
         stream.feed(addresses[lo:hi],
                     core=core[lo:hi] if core is not None else None)
@@ -55,15 +56,13 @@ def _streamed(spec, addresses, core, num_cores):
 
 
 def _check_against_reference(spec, lines, expected_hits,
-                             kernel_accesses, core=None, num_cores=1):
+                             kernel_accesses, core=None, num_cores=None):
     addresses = _addresses(lines)
     core_ids = np.array(core, dtype=np.int64) if core is not None else None
-    reference = ReferenceEngine(CONFIG, telemetry=Telemetry(),
-                                num_cores=num_cores).run(
-        addresses, spec, seed=0, core=core_ids)
-    oneshot = BatchedEngine(CONFIG, telemetry=Telemetry(),
-                            num_cores=num_cores).run(
-        addresses, spec, seed=0, core=core_ids)
+    reference = ReferenceEngine(CONFIG, telemetry=Telemetry()).simulate_stream(
+        [(addresses, core_ids)], spec, num_cores=num_cores, seed=0)
+    oneshot = BatchedEngine(CONFIG, telemetry=Telemetry()).simulate_stream(
+        [(addresses, core_ids)], spec, num_cores=num_cores, seed=0)
     streamed = _streamed(spec, addresses, core_ids, num_cores)
 
     assert reference.hits.tolist() == expected_hits
@@ -145,9 +144,10 @@ def test_collapse_off_folds_nothing():
     addresses = _addresses([A, B, A, A, C, E, A])
     spec = PolicySpec("srrip")
     tel = Telemetry()
-    plain = BatchedEngine(CONFIG, collapse_runs=False, telemetry=tel).run(
-        addresses, spec)
-    folded = BatchedEngine(CONFIG, telemetry=Telemetry()).run(addresses, spec)
+    plain = BatchedEngine(CONFIG, collapse_runs=False,
+                          telemetry=tel).simulate_stream([addresses], spec)
+    folded = BatchedEngine(CONFIG, telemetry=Telemetry()).simulate_stream(
+        [addresses], spec)
     assert plain.hits.tolist() == folded.hits.tolist()
     assert tel.counters["engine.kernel_accesses"] == len(addresses)
     assert folded.telemetry["counters"]["engine.kernel_accesses"] == 5
@@ -199,22 +199,22 @@ def _two_core(monkeypatch, trace, expected_hits, lag_kept,
     spec = PolicySpec("lru")
     ref_tel = Telemetry()
     reference = HierarchyReferenceEngine(config, telemetry=ref_tel) \
-        .run_multicore(addresses, core_ids, spec, num_cores=2)
+        .simulate_stream([(addresses, core_ids)], spec, num_cores=2)
     assert reference.l1.hits.tolist() == expected_hits
 
     kept = _spy_lag_fold(monkeypatch)
-    plain = BatchedHierarchyEngine(config).run_multicore(
-        addresses, core_ids, spec, num_cores=2)
+    plain = BatchedHierarchyEngine(config).simulate_stream(
+        [(addresses, core_ids)], spec, num_cores=2)
     assert kept == [lag_kept]
     one_tel = Telemetry()
     runs = [(plain, None),
-            (BatchedHierarchyEngine(config, telemetry=one_tel).run_multicore(
-                addresses, core_ids, spec, num_cores=2), one_tel)]
+            (BatchedHierarchyEngine(config, telemetry=one_tel).simulate_stream(
+                [(addresses, core_ids)], spec, num_cores=2), one_tel)]
     chunks = [(addresses[:cut], core_ids[:cut]),
               (addresses[cut:], core_ids[cut:])]
     for tel in (None, Telemetry()):
         runs.append((BatchedHierarchyEngine(config, telemetry=tel)
-                     .simulate_stream_multicore(chunks, spec, num_cores=2),
+                     .simulate_stream(chunks, spec, num_cores=2),
                      tel))
     ref_d = ref_tel.to_dict()
     for result, tel in runs:

@@ -3,7 +3,8 @@
 The acceptance bar for ``simulate_stream``: for every policy, on both the
 flat and the two-level engine, across several chunk sizes — including one
 that splits an MRU run across a chunk boundary — the streamed hit vector,
-counts, and policy stats equal :meth:`run` on the concatenated trace.
+counts, and policy stats equal a one-chunk run of the concatenated
+trace.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from emissary.api import PolicySpec
 from emissary.compiled import CompiledUnavailableError, get_kernels
-from emissary.engine import BatchedEngine, CacheConfig
+from emissary.engine import BatchedEngine, CacheConfig, EngineStream
 from emissary.hierarchy import (BatchedHierarchyEngine, HierarchyConfig,
                                 MissCountTable)
 from emissary.policies import POLICY_NAMES
@@ -61,7 +62,8 @@ def _assert_same(streamed, oneshot):
 def test_flat_stream_bit_identical(policy, chunk):
     addresses = _trace()
     spec = _spec(policy)
-    oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=SEED)
+    oneshot = BatchedEngine(CONFIG).simulate_stream([addresses], spec,
+                                                    seed=SEED)
     streamed = BatchedEngine(CONFIG).simulate_stream(
         _chunks(addresses, chunk), spec, seed=SEED)
     _assert_same(streamed, oneshot)
@@ -78,7 +80,8 @@ def test_boundary_splits_mru_run(policy):
         np.full(10, line, dtype=np.uint64),
     ])
     spec = _spec(policy)
-    oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=SEED)
+    oneshot = BatchedEngine(CONFIG).simulate_stream([addresses], spec,
+                                                    seed=SEED)
     # Split at 4: mid-first-run.  Split at 12: mid-second-run.  Split at
     # 1: every boundary is mid-run somewhere.
     for cut in (1, 4, 12):
@@ -94,14 +97,14 @@ def test_run_spanning_many_chunks_carries_in_o1():
     addresses = np.full(5_000, np.uint64(0x400000))
     spec = _spec("srrip")
     engine = BatchedEngine(CONFIG)
-    stream = engine.stream(spec, seed=SEED)
+    stream = EngineStream(engine, spec, seed=SEED)
     for chunk in _chunks(addresses, 13):
         stream.feed(chunk)
     assert stream._pending is not None
     assert stream._pending[4] == 5_000  # whole run, one carried tuple
     assert not stream._hit_chunks  # nothing resolved yet
     result = stream.finish()
-    oneshot = engine.run(addresses, spec, seed=SEED)
+    oneshot = engine.simulate_stream([addresses], spec, seed=SEED)
     _assert_same(result, oneshot)
 
 
@@ -110,7 +113,8 @@ def test_run_spanning_many_chunks_carries_in_o1():
 def test_hierarchy_stream_bit_identical(policy, chunk):
     addresses = _trace()
     spec = _spec(policy)
-    oneshot = BatchedHierarchyEngine(HIER).run(addresses, spec, seed=SEED)
+    oneshot = BatchedHierarchyEngine(HIER).simulate_stream([addresses], spec,
+                                                           seed=SEED)
     streamed = BatchedHierarchyEngine(HIER).simulate_stream(
         _chunks(addresses, chunk), spec, seed=SEED)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
@@ -128,7 +132,8 @@ def test_hierarchy_coalescing_budgets_bit_identical(budget):
     large budget defers almost everything to the final flush."""
     addresses = _trace()
     spec = _spec("emissary")
-    oneshot = BatchedHierarchyEngine(HIER).run(addresses, spec, seed=SEED)
+    oneshot = BatchedHierarchyEngine(HIER).simulate_stream([addresses], spec,
+                                                           seed=SEED)
     streamed = BatchedHierarchyEngine(HIER).simulate_stream(
         _chunks(addresses, 997), spec, seed=SEED, chunk_bytes=budget)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
@@ -166,8 +171,8 @@ def test_feed_outcomes_concatenate_to_oneshot():
     addresses = _trace()
     spec = _spec("lru")
     engine = BatchedEngine(CONFIG)
-    oneshot = engine.run(addresses, spec, seed=SEED)
-    stream = engine.stream(spec, seed=SEED)
+    oneshot = engine.simulate_stream([addresses], spec, seed=SEED)
+    stream = EngineStream(engine, spec, seed=SEED)
     pieces, miss_pieces = [], []
     for chunk in _chunks(addresses, 101):
         hits, miss_lines = stream.feed(chunk)
@@ -188,7 +193,8 @@ def test_telemetry_parity_with_oneshot():
     addresses = _trace()
     spec = _spec("emissary")
     t_run, t_stream = Telemetry(), Telemetry()
-    BatchedEngine(CONFIG, telemetry=t_run).run(addresses, spec, seed=SEED)
+    BatchedEngine(CONFIG, telemetry=t_run).simulate_stream([addresses], spec,
+                                                           seed=SEED)
     BatchedEngine(CONFIG, telemetry=t_stream).simulate_stream(
         _chunks(addresses, 997), spec, seed=SEED)
     run_d, stream_d = t_run.to_dict(), t_stream.to_dict()
@@ -212,8 +218,9 @@ def test_cost_chunks_match_oneshot_cost():
     rng = np.random.default_rng(0)
     cost = rng.integers(0, 5, size=len(addresses)).astype(np.int64)
     spec = _spec("emissary")
-    oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=SEED, cost=cost)
-    stream = BatchedEngine(CONFIG).stream(spec, seed=SEED)
+    oneshot = BatchedEngine(CONFIG).simulate_stream([(addresses, None, cost)],
+                                                    spec, seed=SEED)
+    stream = EngineStream(BatchedEngine(CONFIG), spec, seed=SEED)
     for chunk, cost_chunk in zip(_chunks(addresses, 313), _chunks(cost, 313)):
         stream.feed(chunk, cost=cost_chunk)
     _assert_same(stream.finish(), oneshot)
@@ -222,7 +229,8 @@ def test_cost_chunks_match_oneshot_cost():
 def test_keep_hits_false_drops_vector_keeps_counts():
     addresses = _trace()
     spec = _spec("srrip")
-    oneshot = BatchedEngine(CONFIG).run(addresses, spec, seed=SEED)
+    oneshot = BatchedEngine(CONFIG).simulate_stream([addresses], spec,
+                                                    seed=SEED)
     streamed = BatchedEngine(CONFIG).simulate_stream(
         _chunks(addresses, 997), spec, seed=SEED, keep_hits=False)
     assert streamed.hits is None
@@ -233,8 +241,8 @@ def test_keep_hits_false_drops_vector_keeps_counts():
 def test_collapse_runs_false_streams_identically():
     addresses = _trace()
     spec = _spec("lru")
-    oneshot = BatchedEngine(CONFIG, collapse_runs=False).run(
-        addresses, spec, seed=SEED)
+    oneshot = BatchedEngine(CONFIG, collapse_runs=False).simulate_stream(
+        [addresses], spec, seed=SEED)
     streamed = BatchedEngine(CONFIG, collapse_runs=False).simulate_stream(
         _chunks(addresses, 251), spec, seed=SEED)
     _assert_same(streamed, oneshot)
@@ -251,12 +259,14 @@ def test_empty_chunks_are_noops():
     empty = np.zeros(0, dtype=np.uint64)
     chunks = [empty, *_chunks(addresses, 997), empty]
     streamed = BatchedEngine(CONFIG).simulate_stream(chunks, spec, seed=SEED)
-    _assert_same(streamed, BatchedEngine(CONFIG).run(addresses, spec, seed=SEED))
+    _assert_same(streamed, BatchedEngine(CONFIG).simulate_stream([addresses],
+                                                                 spec,
+                                                                 seed=SEED))
 
 
 def test_stream_lifecycle_errors():
     spec = _spec("lru")
-    stream = BatchedEngine(CONFIG).stream(spec, seed=SEED)
+    stream = EngineStream(BatchedEngine(CONFIG), spec, seed=SEED)
     stream.feed(np.full(4, np.uint64(0x400000)))
     stream.flush()
     with pytest.raises(RuntimeError, match="flushed"):
@@ -336,7 +346,7 @@ def test_miss_count_table_footprint_bounded_by_unique_keys():
 
 def test_mismatched_cost_length_rejected():
     spec = _spec("emissary")
-    stream = BatchedEngine(CONFIG).stream(spec, seed=SEED)
+    stream = EngineStream(BatchedEngine(CONFIG), spec, seed=SEED)
     with pytest.raises(ValueError, match="cost"):
         stream.feed(np.full(4, np.uint64(0x400000)),
                     cost=np.zeros(3, dtype=np.int64))
@@ -364,8 +374,8 @@ def test_feed_lines_matches_feed_addresses(policy, backend):
     results, counters = [], []
     for feed_lines in (False, True):
         tel = Telemetry()
-        stream = BatchedEngine(CONFIG, telemetry=tel, kernel_backend=backend,
-                               num_cores=2).stream(_spec(policy), seed=SEED)
+        engine = BatchedEngine(CONFIG, telemetry=tel, kernel_backend=backend)
+        stream = EngineStream(engine, _spec(policy), seed=SEED, num_cores=2)
         feed = stream.feed_lines if feed_lines else stream.feed
         source = lines if feed_lines else addresses
         outcomes = []

@@ -73,8 +73,9 @@ def _policy_payload(telemetry):
 def test_outcomes_bit_identical_with_telemetry(spec, engine_cls):
     addresses = _addresses()
     config = CacheConfig(num_sets=32, ways=4)
-    off = engine_cls(config).run(addresses, spec, seed=3)
-    on = engine_cls(config, telemetry=Telemetry()).run(addresses, spec, seed=3)
+    off = engine_cls(config).simulate_stream([addresses], spec, seed=3)
+    on = engine_cls(config, telemetry=Telemetry()).simulate_stream(
+        [addresses], spec, seed=3)
     assert np.array_equal(off.hits, on.hits)
     assert off.telemetry is None
     assert on.telemetry is not None
@@ -164,9 +165,10 @@ def test_counters_match_across_engines(spec, backend):
     addresses = _addresses()
     config = CacheConfig(num_sets=32, ways=4)
     batched = BatchedEngine(config, telemetry=Telemetry(),
-                            kernel_backend=backend).run(addresses, spec, seed=3)
-    reference = ReferenceEngine(config, telemetry=Telemetry()).run(addresses, spec,
-                                                                   seed=3)
+                            kernel_backend=backend).simulate_stream(
+                                [addresses], spec, seed=3)
+    reference = ReferenceEngine(config, telemetry=Telemetry()).simulate_stream(
+        [addresses], spec, seed=3)
     assert _policy_payload(batched.telemetry) == _policy_payload(reference.telemetry)
 
 
@@ -212,7 +214,8 @@ def _tiny_run(lines, spec, engine_cls=BatchedEngine, **config_kw):
     """2-set x 2-way cache; ``lines`` are line numbers (set = line & 1)."""
     config = CacheConfig(num_sets=2, ways=2, line_size=64, **config_kw)
     addresses = np.array([line * 64 for line in lines], dtype=np.uint64)
-    return engine_cls(config, telemetry=Telemetry()).run(addresses, spec, seed=0)
+    return engine_cls(config, telemetry=Telemetry()).simulate_stream(
+        [addresses], spec, seed=0)
 
 
 @pytest.mark.parametrize("engine_cls", [BatchedEngine, ReferenceEngine])
@@ -270,14 +273,15 @@ def test_emissary_counters_hand_computed(engine_cls):
 
 def test_engine_phase_spans_recorded():
     result = BatchedEngine(CacheConfig(num_sets=32, ways=4),
-                           telemetry=Telemetry()).run(_addresses(),
-                                                      PolicySpec("lru"), seed=0)
+                           telemetry=Telemetry()).simulate_stream(
+        [_addresses()], PolicySpec("lru"), seed=0)
     names = [s["name"] for s in result.telemetry["spans"]]
-    # A one-shot run is a one-chunk stream: the chunk's phases close
-    # inside its ``stream_chunk`` span, then the flush dispatches the
-    # trailing run.
-    assert names == ["decode", "run_collapse", "stable_sort", "kernel_loop",
-                     "stream_chunk", "stable_sort", "kernel_loop"]
+    # A one-shot run is a one-chunk stream: the chunk is pulled, its
+    # phases close inside its ``stream_chunk`` span, the next pull finds
+    # the end, then the flush dispatches the trailing run.
+    assert names == ["stream_ingest", "decode", "run_collapse",
+                     "stable_sort", "kernel_loop", "stream_chunk",
+                     "stream_ingest", "stable_sort", "kernel_loop"]
     for span in result.telemetry["spans"]:
         assert span["dur_us"] >= 0.0
 
