@@ -69,7 +69,7 @@ from emissary.compiled import (
 from emissary.policies import make_kernel, make_naive, policy_needs_rng
 from emissary.policies.base import NaivePolicy, PolicyKernel
 from emissary.telemetry import Telemetry, null_span, span_factory
-from emissary.traces import AddressArray
+from emissary.traces import DEFAULT_CHUNK_BYTES, AddressArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.analysis.sanitizer import Sanitizer
@@ -365,6 +365,47 @@ class _Batch:
     edges: int
 
 
+#: Kept accesses a stream buffers per dispatch, so a streamed run pays
+#: each dispatch's fixed costs (the set sort, LRU's closed form, the
+#: lockstep's per-step calls) once per budget of accesses that reach a
+#: kernel, not once per chunk.  A kept access buffers at least its line
+#: and its position (16 B), so this many fill one chunk budget.  A
+#: stream fed smaller chunks dispatches at half the longest one's
+#: accesses instead: its memory follows the budget it is fed in.
+_DISPATCH_BUDGET = DEFAULT_CHUNK_BYTES // 16
+
+_COLUMNS = ("lines", "u", "cost", "core", "lengths", "starts")
+
+
+def _no_outcomes() -> tuple[BoolArray, AddressArray]:
+    """``(hits, miss_lines)`` of a call that dispatched nothing."""
+    return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+
+
+def _merged(batches: list[_Batch]) -> _Batch:
+    """Consecutive batches as one, in trace order: each column
+    concatenated (a column is None in all of them or in none), each
+    batch's ``starts`` offset by the totals before it.  Empties the
+    list, and drops each column from the batches once joined, so the
+    merge holds one joined column at a time on top of the buffer."""
+    if len(batches) == 1:
+        return batches.pop()
+    offset = edges = 0
+    for batch in batches:
+        if batch.starts is not None and offset:
+            batch.starts += offset
+        offset += batch.total
+        edges += batch.edges
+    joined: dict[str, Any] = {}
+    for name in _COLUMNS:
+        cols = [getattr(batch, name) for batch in batches]
+        for batch in batches:
+            setattr(batch, name, None)
+        joined[name] = None if cols[0] is None else np.concatenate(cols)
+    batches.clear()
+    return _Batch(**joined, total=offset, edges=edges)
+
+
 def _collapse(lines: AddressArray, u: UniformArray | None,
               cost: IndexArray | None, core: IndexArray | None,
               pending: _Pending | None, want_lengths: bool,
@@ -628,10 +669,10 @@ class EngineStream:
     chunks already decoded to lines with :meth:`feed_lines`); all
     replacement state (per-set kernel state, the RNG stream, MRU run
     collapsing) carries across chunk boundaries, so the assembled result
-    is bit-identical however the trace is cut — while only one chunk
-    (plus O(1) carried state) is resident at a time.  The kept hit
-    vector (``keep_hits``) is the exception: it grows by one byte per
-    resolved access.
+    is bit-identical however the trace is cut — while only one chunk,
+    the dispatch buffer (below) and O(1) carried state are resident at a
+    time.  The kept hit vector (``keep_hits``) is the exception: it
+    grows by one byte per resolved access.
 
     The subtlety is run collapsing at chunk boundaries: an access's
     repeat flag (a fill immediately re-referenced — SRRIP inserts it at
@@ -639,18 +680,26 @@ class EngineStream:
     *ends*, which may be several chunks later.  The stream therefore
     holds back each chunk's trailing run as a compressed carry
     ``(line, u, cost, core, length)`` — O(1) memory however long the
-    run — and dispatches it the moment a different line arrives (or the
-    stream is flushed).  Consequently :meth:`feed` returns outcomes for
-    the accesses it *resolved*, which can trail the accesses fed so far
-    by one run.
+    run — and resolves it the moment a different line arrives (or the
+    stream is flushed).
 
-    The lag and set-order folds (see :class:`BatchedEngine`) work within
-    each dispatch: the carry is a single trace-order run, so a lag drop
-    never reaches back into an earlier dispatch, and a run of same-set
-    repeats cut by a chunk boundary reaches the kernel once per dispatch
-    instead of once.  Outcomes are the same either way, but the
-    ``engine.kernel_accesses`` counter depends on where chunks are cut;
-    ``engine.edge_accesses`` (counted before the lag fold) does not.
+    Each chunk's resolved accesses, once collapsed and lag-folded, are
+    buffered, and the buffer goes to the kernel in one dispatch once it
+    holds a budget of kept accesses (see :data:`_DISPATCH_BUDGET`), or
+    at the flush, together with the carried run: the dispatch's fixed
+    costs are paid per budget of kernel work, not per chunk.
+    Consequently :meth:`feed` returns outcomes for the accesses it
+    *dispatched*, which can trail the accesses fed so far by up to one
+    budget of kept accesses and the carried run.
+
+    The lag fold (see :class:`BatchedEngine`) works within each chunk's
+    collapse: the carry is a single trace-order run, so a lag drop never
+    reaches back into an earlier chunk.  The set-order fold works within
+    each dispatch, so a run of same-set repeats cut by a dispatch
+    boundary reaches the kernel once per dispatch instead of once.
+    Outcomes are the same either way, but the ``engine.kernel_accesses``
+    counter depends on where chunks are cut; ``engine.edge_accesses``
+    (counted before the lag fold) does not.
     """
 
     def __init__(self, engine: "BatchedEngine", spec: PolicySpec, seed: int = 0,
@@ -682,6 +731,15 @@ class EngineStream:
         self._chunk_index = 0
         #: Trailing unresolved MRU run, or None.
         self._pending: _Pending | None = None
+        self._want_lengths = (self.kernel.needs_repeat_flags
+                              or self.telemetry is not None)
+        #: Resolved batches awaiting a dispatch, and their kept accesses.
+        self._buffer: list[_Batch] = []
+        self._buffered = 0
+        self._longest_chunk = 0
+        #: Whether the stream's chunks carry cost and core columns, fixed
+        #: by its first chunk: buffered batches join column by column.
+        self._columns: tuple[bool, bool] | None = None
         #: Core ids of the misses returned by the latest ``feed``/``flush``
         #: (aligned with its ``miss_lines``), or None for core-blind runs.
         #: Per-chunk attribution can't be read off the *fed* cores because
@@ -697,12 +755,15 @@ class EngineStream:
         """Process the next chunk of addresses (with optional per-access
         cost and issuing-core ids).
 
-        Returns ``(hits, miss_lines)`` for the accesses *resolved* by
-        this call: ``hits`` is their hit/miss outcomes in access order
-        (cumulatively concatenating to the one-shot hit vector), and
-        ``miss_lines`` the line numbers of the missing accesses in
-        order — what a hierarchy feeds to the next level.  The chunk is
-        decoded to line numbers and handed to :meth:`feed_lines`.
+        Returns ``(hits, miss_lines)`` for the accesses *dispatched* by
+        this call, which may trail the fed accesses by up to one budget
+        of kept accesses (both empty while the buffer fills): ``hits``
+        is their hit/miss outcomes in access order (cumulatively
+        concatenating to the one-shot hit vector), and ``miss_lines``
+        the line numbers of the missing accesses in order — what a
+        hierarchy feeds to the next level.  The chunk is decoded to line
+        numbers and handed to :meth:`feed_lines`.  Every chunk of a
+        stream carries ``cost`` (and ``core``), or none does.
         """
         # A call temporary, so feed_lines' ``del`` after the collapse
         # frees the lines (CPython 3.11+ moves call arguments into the
@@ -749,7 +810,14 @@ class EngineStream:
         index = self._chunk_index
         self._chunk_index += 1
         if k_total == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+            return _no_outcomes()
+        self._longest_chunk = max(self._longest_chunk, k_total)
+        columns = (cost is not None, core is not None)
+        if self._columns is None:
+            self._columns = columns
+        elif columns != self._columns:
+            raise ValueError("cost and core ids come with every chunk of a "
+                             "stream or with none")
         span = self._span
         with span("stream_chunk", chunk=index, accesses=k_total):
             lines = np.ascontiguousarray(lines, dtype=np.uint64)
@@ -760,22 +828,34 @@ class EngineStream:
 
             if not self.collapse_runs:
                 # Every access is its own length-1 run; nothing is carried.
-                return self._dispatch(_Batch(lines, u, cost, core, None,
-                                             None, k_total, k_total))
+                return self._enqueue(_Batch(lines, u, cost, core, None,
+                                            None, k_total, k_total))
 
             # Trace-length temporaries are dropped before the dispatch: a
             # one-shot run is a single chunk holding the whole trace.
             with span("run_collapse"):
                 batch, self._pending = _collapse(
                     lines, u, cost, core, self._pending,
-                    want_lengths=(self.kernel.needs_repeat_flags
-                                  or self.telemetry is not None),
+                    want_lengths=self._want_lengths,
                     num_sets=self.config.num_sets,
                     num_cores=self.num_cores)
                 del lines, u, cost, core
             if batch is None:  # the whole chunk continues the carried run
-                return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-            return self._dispatch(batch)
+                return _no_outcomes()
+            return self._enqueue(batch)
+
+    def _enqueue(self, batch: _Batch) -> tuple[BoolArray, AddressArray]:
+        """Buffer a resolved batch; dispatch the buffer once it holds a
+        budget of kept accesses."""
+        self._buffer.append(batch)
+        self._buffered += len(batch.lines)
+        if self._buffered < min(_DISPATCH_BUDGET, self._longest_chunk // 2):
+            return _no_outcomes()
+        return self._dispatch_buffer()
+
+    def _dispatch_buffer(self) -> tuple[BoolArray, AddressArray]:
+        self._buffered = 0
+        return self._dispatch(_merged(self._buffer))
 
     def _dispatch(self, batch: _Batch) -> tuple[BoolArray, AddressArray]:
         """Run a batch's kept accesses through the kernel and expand
@@ -783,7 +863,7 @@ class EngineStream:
         if len(batch.lines) == 0:
             if batch.core is not None:
                 self.last_miss_cores = np.zeros(0, dtype=np.int64)
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+            return _no_outcomes()
         kernel = self.kernel
         run_core = batch.core
         # Core-blind kernels never see the array, but miss attribution
@@ -811,8 +891,10 @@ class EngineStream:
         return hits, batch.lines[misses]
 
     def flush(self) -> tuple[BoolArray, AddressArray]:
-        """Resolve the carried trailing run (stream end).  Returns its
-        ``(hits, miss_lines)``; :meth:`feed` is an error afterwards."""
+        """Resolve the carried trailing run (stream end) and dispatch it
+        with the buffered batches, in one dispatch.  Returns their
+        ``(hits, miss_lines)``, with ``last_miss_cores`` covering both;
+        :meth:`feed` is an error afterwards."""
         if self._flushed:
             raise RuntimeError("stream already flushed")
         self._flushed = True
@@ -820,16 +902,19 @@ class EngineStream:
             self.last_miss_cores = np.zeros(0, dtype=np.int64)
         pending = self._pending
         self._pending = None
-        if pending is None:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-        pline, pu, pcost, pcore, pcount = pending
-        return self._dispatch(_Batch(
-            np.array([pline], dtype=np.uint64),
-            np.array([pu], dtype=np.float64) if pu is not None else None,
-            np.array([pcost], dtype=np.int64) if pcost is not None else None,
-            np.array([pcore], dtype=np.int64) if pcore is not None else None,
-            np.array([pcount], dtype=np.int64), np.zeros(1, dtype=np.intp),
-            pcount, 1))
+        if pending is not None:
+            pline, pu, pcost, pcore, pcount = pending
+            self._buffer.append(_Batch(
+                np.array([pline], dtype=np.uint64),
+                np.array([pu], dtype=np.float64) if pu is not None else None,
+                np.array([pcost], dtype=np.int64) if pcost is not None else None,
+                np.array([pcore], dtype=np.int64) if pcore is not None else None,
+                (np.array([pcount], dtype=np.int64) if self._want_lengths
+                 else None),
+                np.zeros(1, dtype=np.intp), pcount, 1))
+        if not self._buffer:
+            return _no_outcomes()
+        return self._dispatch_buffer()
 
     def finish(self) -> SimResult:
         """Flush (if not already flushed) and assemble the SimResult."""

@@ -483,14 +483,14 @@ class BatchedHierarchyEngine:
         the virtual line is the line, and none of the core bookkeeping
         runs.
 
-        Each resolved L1I piece's miss lines go into the L2 stream, again
-        as lines, with their running per-``(core, line)`` L1I miss
-        counts, carried across chunks in a :class:`MissCountTable`.
-        They are buffered and forwarded once ``chunk_bytes`` of them have
+        Each L1I dispatch's miss lines go into the L2 stream, again as
+        lines, with their running per-``(core, line)`` L1I miss counts,
+        carried across chunks in a :class:`MissCountTable`.  They are
+        buffered and forwarded once ``chunk_bytes`` of them have
         accumulated (or at end of trace): the L1I filters out most
-        accesses, and forwarding each chunk's sliver separately would
-        make the L2 stage pay fixed dispatch overhead per sliver.  Pass
-        ``chunk_bytes=None`` to forward every piece's misses
+        accesses, and forwarding each sliver separately would make the
+        L2 stage's miss-count update pay its fixed costs per sliver.
+        Pass ``chunk_bytes=None`` to forward every L1I dispatch's misses
         immediately.  Either way, L1/L2 hit vectors and per-level stats
         are bit-identical for any chunk cuts: the cost computation
         depends only on the order of the miss stream, not on where it

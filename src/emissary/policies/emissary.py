@@ -187,33 +187,47 @@ class EmissaryKernel(PolicyKernel):
         assert u is not None
         ways = self.ways
         threshold = self.hp_threshold
+        pools = self.pools
         tag = self._tag.reshape(-1, ways)[lanes]
-        owner = self._owner.reshape(-1, ways)[lanes]
         # Slot keys: priority bit over last-use time (PRIO_SHIFT).
         key = self._ts.reshape(-1, ways)[lanes]
-        key |= (owner >= 0).astype(np.int64) << PRIO_SHIFT
+        key |= (self._owner.reshape(-1, ways)[lanes] >= 0).astype(
+            np.int64) << PRIO_SHIFT
         size = self._size[lanes]
-        hp = self._hp[lanes]
-        # Working owners name a pool for every line, low-priority lines
-        # included (their pool is never charged); -1 is restored on store.
-        np.maximum(owner, 0, out=owner)
-        pools = self.pools
+        # HP lines per (lane, pool).  With one pool a lane's row is its
+        # HP count; with several the count is the row's sum, taken where
+        # a victim class is chosen.
         by_pool = self._hp_by_pool.reshape(-1, pools)[lanes]
+        pool_flat = by_pool.reshape(-1)
         tag_flat = tag.reshape(-1)
         key_flat = key.reshape(-1)
-        owner_flat = owner.reshape(-1)
-        pool_flat = by_pool.reshape(-1)
-        # Each access's pool: its core when there are several pools (a
-        # core-less caller is core 0), else pool 0.  And the HP count
-        # its pool must stay under for the fill to promote: the pool's
-        # quota for a candidate (the 1/P draw and, when measured, the
-        # L1I miss count), 0 otherwise.
-        pool = (core if pools > 1 and core is not None
-                else np.zeros(len(tags), dtype=np.int64))
+        owner_flat: NDArray[np.int64] | None = None
+        if pools > 1:
+            # Each access's flat index into ``pool_flat``: its lane's row
+            # plus its pool, the issuing core (a core-less caller is core
+            # 0).  A step's accesses are lanes 0 up, so an access's lane
+            # is its offset within its step.
+            at_pool = np.arange(len(tags), dtype=np.int64)
+            at_pool -= np.repeat(np.cumsum(active) - active, active)
+            at_pool *= pools
+            if core is not None:
+                at_pool += core
+            # Working owners hold the flat pool index of every line's
+            # pool, low-priority lines included (never charged); the
+            # pool and -1 are restored on store.
+            rows = np.arange(len(lanes), dtype=np.int64)[:, None] * pools
+            owner = np.maximum(self._owner.reshape(-1, ways)[lanes], 0)
+            owner += rows
+            owner_flat = owner.reshape(-1)
+        # The HP count the access's pool must stay under for the fill to
+        # promote: the pool's quota for a candidate (the 1/P draw and,
+        # when measured, the L1I miss count), 0 otherwise.
         eligible = u < 1.0 / self.prob_inv
         if cost is not None:
             eligible &= cost >= self.min_l1_misses
-        limit = np.where(eligible, self._quota[pool], 0)
+        limit = (np.where(eligible, self._quota[core], 0)
+                 if pools > 1 and core is not None
+                 else eligible * self._quota_list[0])
         count = None
         if extra is not None:
             count = LaneHits(self, lanes)
@@ -235,23 +249,28 @@ class EmissaryKernel(PolicyKernel):
                 cold = slot < ways
                 full = miss[~cold]
                 if len(full):
-                    want = (hp[full] >= threshold).astype(np.int64) << PRIO_SHIFT
+                    first = full * pools if pools > 1 else full
+                    hp = pool_flat[first]
+                    for p in range(1, pools):  # flat gathers beat a row sum
+                        hp += pool_flat[first + p]
+                    want = (hp >= threshold).astype(np.int64) << PRIO_SHIFT
                     slot[~cold] = (key[full] ^ want[:, None]).argmin(axis=1)
                 idx = miss * ways + slot
                 # 1 where an HP line is evicted (empty slots have key 0);
                 # its pool loses it, every other victim's pool loses 0.
                 evicted = key_flat[idx] >> PRIO_SHIFT
                 evictions += int(np.count_nonzero(evicted))
-                row = miss * pools  # each lane's first pool slot
-                pool_flat[row + owner_flat[idx]] -= evicted
-                fill_pool = pool[lo:hi][miss]
-                owner_flat[idx] = fill_pool
-                at = row + fill_pool
-                held = pool_flat[at]
+                if owner_flat is None:  # one pool: a lane's row is its slot
+                    at = miss
+                    held = pool_flat[at] - evicted
+                else:
+                    at = at_pool[lo:hi][miss]
+                    pool_flat[owner_flat[idx]] -= evicted
+                    owner_flat[idx] = at
+                    held = pool_flat[at]
                 chosen = held < limit[lo:hi][miss]
                 pool_flat[at] = held + chosen
                 promotions += int(np.count_nonzero(chosen))
-                hp[miss] = hp[miss] - evicted + chosen
                 tag_flat[idx] = t[miss]
                 key_flat[idx] = (chosen.astype(np.int64) << PRIO_SHIFT) | now
                 size[miss] += cold
@@ -262,10 +281,15 @@ class EmissaryKernel(PolicyKernel):
         self._tag.reshape(-1, ways)[lanes] = tag
         self._ts.reshape(-1, ways)[lanes] = key & (_PRIO_BIT - 1)
         self._size[lanes] = size
-        self._hp[lanes] = hp
-        self._owner.reshape(-1, ways)[lanes] = np.where(key >> PRIO_SHIFT,
-                                                        owner, -1)
+        prio = key >> PRIO_SHIFT
         self._hp_by_pool.reshape(-1, pools)[lanes] = by_pool
+        if owner_flat is None:
+            self._hp[lanes] = pool_flat
+            self._owner.reshape(-1, ways)[lanes] = prio - 1  # pool 0 or -1
+        else:
+            self._hp[lanes] = by_pool.sum(axis=1)
+            self._owner.reshape(-1, ways)[lanes] = np.where(
+                prio, owner - rows, -1)
         self.hp_promotions += promotions
         self.hp_evictions += evictions
         tel = self._tel

@@ -177,13 +177,17 @@ def _call_blocks(n: int, block: int, caller_lines: int, num_callees: int,
     with callee bursts.  Each block draws ``k`` (callee, burst) pairs in
     one broadcast ``integers`` call, in the order the per-call scalar
     draws would make them, lays out the ``2k`` segment lengths (caller
-    run, burst, caller run, ...), cuts them at ``n`` and fills the
-    addresses in instruction units: one cumulative sum over the
-    per-segment jumps, one masked in-place remainder (the caller PC
-    wraps at its region) and one multiply-add.  A block that ends before
-    ``n`` has used every pair it drew; pairs drawn past ``n`` in the
-    last block are never used, so over-drawing changes no address.  The
-    caller PC carries across blocks.
+    run, burst, caller run, ...) and their origins, cuts them at ``n``
+    and fills the addresses in instruction units in one pass: each
+    segment's origin, less its start, repeated over the segment, plus
+    the position.  Caller origins are reduced into the caller region
+    per segment; a caller run no longer than the region crosses its end
+    at most once, so only the tails of the runs that cross it move back
+    by the region's size (a longer run takes a remainder pass over the
+    caller accesses).  A block that ends before ``n`` has used every
+    pair it drew; pairs drawn past ``n`` in the last block are never
+    used, so over-drawing changes no address.  The caller PC carries
+    across blocks.
     """
     rng = _rng(seed)
     instrs_per_line = LINE_BYTES // INSTR_BYTES
@@ -204,25 +208,38 @@ def _call_blocks(n: int, block: int, caller_lines: int, num_callees: int,
         lens = np.full(2 * k, call_period, dtype=np.int64)
         lens[1::2] = draws[1::2]
         origins = np.empty(2 * k, dtype=np.int64)
-        origins[0::2] = caller_pc + call_period * np.arange(k, dtype=np.int64)
+        caller = np.arange(caller_pc, caller_pc + call_period * k,
+                           call_period, dtype=np.int64)
+        np.remainder(caller, caller_span, out=origins[0::2])
         origins[1::2] = callee_origin + callee_span * draws[0::2]
         ends = np.cumsum(lens)
         starts = ends - lens  # before the cut below shortens lens[-1]
         size = min(int(ends[-1]), remaining)
         segs = int(np.searchsorted(ends, size)) + 1
         lens, origins, starts = lens[:segs], origins[:segs], starts[:segs]
-        jumps = origins.copy()
-        jumps[1:] -= origins[:-1] + lens[:-1] - 1
         lens[-1] = size - starts[-1]
-        units = np.ones(size, dtype=np.int64)
-        units[starts] = jumps
-        np.cumsum(units, out=units)
-        is_caller = np.repeat(np.arange(segs, dtype=np.int64) % 2 == 0, lens)
-        np.remainder(units, caller_span, out=units, where=is_caller)
+        units = np.repeat(origins - starts, lens)
+        units += np.arange(size, dtype=np.int64)
+        if call_period <= caller_span:
+            run_lens = lens[0::2]
+            over = origins[0::2] + run_lens - caller_span
+            crossing = np.flatnonzero(over > 0)
+            if len(crossing):
+                tail = over[crossing]
+                first = starts[0::2][crossing] + run_lens[crossing] - tail
+                first -= np.cumsum(tail) - tail
+                wrapped = np.repeat(first, tail)
+                wrapped += np.arange(len(wrapped), dtype=np.int64)
+                units[wrapped] -= caller_span
+        else:
+            is_caller = np.repeat(np.arange(segs, dtype=np.int64) % 2 == 0,
+                                  lens)
+            np.remainder(units, caller_span, out=units, where=is_caller)
         addresses = units.view(np.uint64)
         addresses *= np.uint64(INSTR_BYTES)
         addresses += np.uint64(base)
         yield addresses
+        del units, addresses  # before the next block is built
         produced += size
         caller_pc = (caller_pc + k * call_period) % caller_span
 
@@ -249,14 +266,22 @@ def call_heavy(
     builder draws those pairs in broadcast blocks, which NumPy serves
     from the same stream as one scalar call per draw; the output is
     bit-identical to a per-call loop, and the digests in
-    ``tests/test_trace_digests.py`` pin it.
+    ``tests/test_trace_digests.py`` pin it.  Blocks of one chunk budget
+    are filled into the output in turn, so the generator's temporaries
+    never grow with ``n``.
     """
     _check_params(n=n, caller_lines=caller_lines, num_callees=num_callees,
                   callee_lines=callee_lines, call_period=call_period,
                   base=base)
-    blocks = list(_call_blocks(n, n, caller_lines, num_callees, callee_lines,
-                               call_period, base, seed))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    out = np.empty(n, dtype=np.uint64)
+    lo = 0
+    for block in _call_blocks(n, _chunk_step(DEFAULT_CHUNK_BYTES),
+                              caller_lines, num_callees, callee_lines,
+                              call_period, base, seed):
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+        del block
+    return out
 
 
 GENERATORS: dict[str, Callable[..., AddressArray]] = {
@@ -303,21 +328,27 @@ def _emit_chunks(segments: Iterator[AddressArray],
         yield buf[0] if len(buf) == 1 else np.concatenate(buf)
 
 
-#: Noise uniforms drawn per block: the draws are positional, so blocks
-#: give the same bits as one draw of a chunk's, without 8 B per access.
-#: Kept small (32 KiB): in the ``multicore-2c`` benchmark 512 KiB blocks
-#: read about 7% more peak RSS than whole-chunk draws, 32 KiB blocks 2%.
-_NOISE_BLOCK = 1 << 12
+#: Noise uniforms drawn per block, into one buffer that a generator
+#: reuses for every block of every chunk: the draws are positional, so
+#: blocks give the same bits as one draw of a chunk's, without 8 B per
+#: access.  Fresh per-block allocations cost peak RSS in the
+#: ``multicore-2c`` benchmark (512 KiB blocks read about 7% over
+#: whole-chunk draws, 32 KiB blocks 2%); a reused 128 KiB buffer is
+#: allocated once.
+_NOISE_BLOCK = 1 << 14
 
 
-def _noise_positions(rng: np.random.Generator, k: int,
-                     branch_noise: float) -> NDArray[np.intp]:
+def _noise_positions(rng: np.random.Generator, k: int, branch_noise: float,
+                     u: NDArray[np.float64],
+                     below: NDArray[np.bool_]) -> NDArray[np.intp]:
     """Positions among the next ``k`` accesses whose uniform from ``rng``
-    falls below ``branch_noise``."""
+    falls below ``branch_noise``, drawn block by block into ``u`` and
+    compared into ``below`` (scratch buffers of ``_NOISE_BLOCK``)."""
     parts = []
     for lo in range(0, k, _NOISE_BLOCK):
-        at = np.flatnonzero(rng.random(min(_NOISE_BLOCK, k - lo))
-                            < branch_noise)
+        m = min(_NOISE_BLOCK, k - lo)
+        rng.random(out=u[:m])
+        at = np.flatnonzero(np.less(u[:m], branch_noise, out=below[:m]))
         at += lo
         parts.append(at)
     return np.concatenate(parts)
@@ -332,10 +363,12 @@ def _loop_chunks(n: int, step: int, footprint_lines: int,
     rng_jump = _rng(seed)
     rng_jump.bit_generator.advance(int(n))  # past the n noise uniforms
     rng_noise = _rng(seed)
+    u = np.empty(min(_NOISE_BLOCK, n), dtype=np.float64)
+    below = np.empty(len(u), dtype=bool)
     for start in range(0, n, step):
         k = min(step, n - start)
         seq = _loop_addresses(start, k, span, base)
-        at = _noise_positions(rng_noise, k, branch_noise)
+        at = _noise_positions(rng_noise, k, branch_noise, u, below)
         jumps = rng_jump.integers(0, span, size=len(at)).astype(np.uint64)
         jumps *= np.uint64(INSTR_BYTES)
         jumps += np.uint64(base)

@@ -9,7 +9,9 @@ and the engine's carried trailing run (pieces that lie inside one run),
 and the outcomes must still be those of the whole-array run, which at
 these sizes is a single piece.  An SRRIP L1I reads each run's length
 (its repeat flag), so it checks the carried run's length, and a small
-L2 coalescing budget cuts the miss stream and its carry as well.
+L2 coalescing budget cuts the miss stream and its carry as well.  A
+small dispatch budget makes the streams merge the buffered pieces into
+dispatches of a few dozen kept accesses.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import tracemalloc
 
 import pytest
 
+import emissary.engine as engine_mod
 import emissary.hierarchy as hierarchy
 import emissary.traces as traces
 from emissary.api import PolicySpec, SimRequest, simulate
@@ -60,6 +63,10 @@ MIX = InterleaveSpec(cores=(TraceSpec("loop", 4_000, 5, {"footprint_lines": 96})
 #: ``loop`` line and to the 3-access rounds.
 GEN_BYTES = 37 * 8
 PIECE = 11
+#: A stream dispatch budget of 23 kept accesses: the streams buffer the
+#: collapsed pieces and dispatch merged batches that cut the trace
+#: elsewhere again.
+DISPATCH = 23
 #: An L2 coalescing budget of 5 misses.
 L2_BYTES = 5 * 8
 
@@ -117,6 +124,7 @@ def test_small_budget_request_matches_whole_run(monkeypatch, backend,
     want = _outcomes(_whole_run(request))
     monkeypatch.setattr(traces, "DEFAULT_CHUNK_BYTES", GEN_BYTES)
     monkeypatch.setattr(hierarchy, "_PIECE", PIECE)
+    monkeypatch.setattr(engine_mod, "_DISPATCH_BUDGET", DISPATCH)
     got = simulate(request)
     assert _outcomes(got) == want
     if telemetry:
@@ -181,6 +189,46 @@ def test_lag_fold_cuts_kernel_work_on_every_backend(backend):
     counters = simulate(request).telemetry["counters"]
     edges = counters["l1.engine.edge_accesses"]
     assert counters["l1.engine.kernel_accesses"] < edges < MIX.n
+
+
+def _dispatch_sizes(monkeypatch):
+    """Record each engine dispatch as ``(num_sets, kept accesses)``."""
+    sizes = []
+    dispatch = engine_mod._dispatch
+
+    def spy(kernel, config, lines, *args, **kwargs):
+        sizes.append((config.num_sets, len(lines)))
+        return dispatch(kernel, config, lines, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_dispatch", spy)
+    return sizes
+
+
+def test_streamed_request_dispatches_once_per_budget(monkeypatch):
+    """A streamed request pays one dispatch per budget of kept accesses,
+    not one per chunk: a 1M-access flat ``loop`` request, generated in
+    eight 1 MiB chunks, and the L1 stage of a 1M-access ``loop``
+    hierarchy request each dispatch ``ceil(kept / budget)`` times (two,
+    for about 99k kept accesses), where one dispatch per chunk plus the
+    flush made nine."""
+    sizes = _dispatch_sizes(monkeypatch)
+    budget = DEFAULT_CHUNK_BYTES // 16  # kept accesses per dispatch
+    flat = SimRequest(TraceSpec("loop", 1_000_000, 7), PolicySpec("lru"),
+                      CacheConfig(num_sets=256, ways=8))
+    assert len(list(flat.trace.generate_chunks())) == 8
+    simulate(flat, keep_hits=False)
+    kept = sum(size for _, size in sizes)
+    assert kept > budget
+    assert len(sizes) == -(-kept // budget)
+    sizes.clear()
+    config = HierarchyConfig(l1=CacheConfig(num_sets=64, ways=8),
+                             l2=CacheConfig(num_sets=1024, ways=8))
+    simulate(SimRequest(TraceSpec("loop", 1_000_000, 7,
+                                  {"footprint_lines": 12288}),
+                        PolicySpec("lru"), config), keep_hits=False)
+    l1 = [size for num_sets, size in sizes if num_sets == 64]
+    assert sum(l1) > budget
+    assert len(l1) == -(-sum(l1) // budget)
 
 
 def test_request_peak_memory_bounded_by_budget_and_hits():

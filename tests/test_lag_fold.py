@@ -11,10 +11,14 @@ back with no edge to its set in between (see
   shared cache;
 - ``engine.edge_accesses`` counts the trace-order edges, and on the
   python backend ``engine.kernel_accesses`` equals a set-order fold of
-  each dispatch's edges, both computed here from the trace alone.
+  each dispatch's edges, both computed here from the trace alone.  The
+  count checks run at a zero dispatch budget, so each chunk's resolved
+  edges are a dispatch of their own, as the model below assumes.
 
 A single-core run never enters the lag pass.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,7 +103,8 @@ def _edge_counts(vlines, bounds, num_sets):
     edge is resolved by the chunk holding the start of the next run (the
     last run at the flush, a one-shot run's too: it is a one-chunk
     stream), and reaches a python kernel unless its set's previous edge
-    in that dispatch is the same line."""
+    in that dispatch is the same line.  A chunk's edges are one dispatch
+    at a zero dispatch budget (see :func:`_per_chunk_dispatches`)."""
     n = len(vlines)
     edges = [0] + [i for i in range(1, n) if vlines[i] != vlines[i - 1]]
     run_ends = edges[1:] + [n]
@@ -115,6 +120,13 @@ def _edge_counts(vlines, bounds, num_sets):
             kernel += 1
         last[s] = vlines[e]
     return len(edges), kernel
+
+
+def _per_chunk_dispatches():
+    """Dispatch each chunk's resolved batch on its own: streams buffer
+    batches up to a dispatch budget, which the count model above does
+    not follow."""
+    return mock.patch.object(engine_module, "_DISPATCH_BUDGET", 0)
 
 
 def _virtual_lines(addresses, core_ids, num_cores):
@@ -152,8 +164,9 @@ def test_hierarchy_lag_fold_matches_reference(backend, policy, l1_policy,
                                         kernel_backend=backend)
         chunks = [(addresses[lo:hi], core_ids[lo:hi])
                   for lo, hi in zip(cut[:-1], cut[1:])]
-        result = engine.simulate_stream(
-            chunks, policy, num_cores=num_cores, seed=SEED)
+        with _per_chunk_dispatches():
+            result = engine.simulate_stream(
+                chunks, policy, num_cores=num_cores, seed=SEED)
         assert np.array_equal(result.l1.hits, reference.l1.hits)
         assert np.array_equal(result.l2.hits, reference.l2.hits)
         assert result.per_core == reference.per_core
@@ -184,10 +197,11 @@ def test_flat_shared_cache_lag_fold_matches_reference(backend, policy, mc):
         tel = Telemetry()
         engine = BatchedEngine(FLAT, telemetry=tel, sanitizer=Sanitizer(),
                                kernel_backend=backend)
-        result = engine.simulate_stream(
-            [(addresses[lo:hi], core_ids[lo:hi])
-             for lo, hi in zip(cut[:-1], cut[1:])],
-            policy, num_cores=num_cores, seed=SEED)
+        with _per_chunk_dispatches():
+            result = engine.simulate_stream(
+                [(addresses[lo:hi], core_ids[lo:hi])
+                 for lo, hi in zip(cut[:-1], cut[1:])],
+                policy, num_cores=num_cores, seed=SEED)
         assert np.array_equal(result.hits, reference.hits)
         assert result.policy_stats == reference.policy_stats
         assert _observable(tel) == _observable(ref_tel)
@@ -196,9 +210,10 @@ def test_flat_shared_cache_lag_fold_matches_reference(backend, policy, mc):
         if backend == "batched":
             assert tel.counters["engine.kernel_accesses"] == kernel
     tel = Telemetry()
-    oneshot = BatchedEngine(FLAT, telemetry=tel,
-                            kernel_backend=backend).simulate_stream(
-        [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
+    with _per_chunk_dispatches():
+        oneshot = BatchedEngine(FLAT, telemetry=tel,
+                                kernel_backend=backend).simulate_stream(
+            [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     assert np.array_equal(oneshot.hits, reference.hits)
     assert oneshot.policy_stats == reference.policy_stats
     assert _observable(tel) == _observable(ref_tel)

@@ -7,8 +7,10 @@ access patterns, cache geometries, and chunk splits for divergence between
 * the batched set-major engine and the naive per-access reference
   (flat and two-level), both fed the same generated chunk cuts,
 * the streaming (chunked) path and the one-shot path, with the chunk
-  boundaries themselves generated — including ones that split MRU runs,
-  and
+  boundaries themselves generated — including ones that split MRU runs
+  — and the streams' dispatch budget cut to a few dozen kept accesses,
+  so buffered batches merge into dispatches that cut the stream
+  elsewhere, and
 * the compiled kernel backend (:mod:`emissary.compiled`) against both,
   one-shot and streamed, flat and two-level — skipped only when the C
   kernels cannot be built (no C compiler), and
@@ -33,11 +35,14 @@ every dispatch — a violated invariant surfaces as a
 counterexample, not just a diverging hit vector.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emissary.engine as engine_module
 from emissary.analysis.sanitizer import Sanitizer
 from emissary.api import PolicySpec
 from emissary.compiled import CompiledUnavailableError, get_kernels, make_compiled_kernel
@@ -116,6 +121,31 @@ def chunked_traces(draw):
                        for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+#: Dispatch budgets of a few dozen kept accesses: at these trace lengths
+#: the default budget buffers every batch until the flush, so a streamed
+#: run dispatches merged batches only under a budget cut this small.
+dispatch_budgets = st.integers(min_value=1, max_value=48)
+
+
+def _dispatch_budget(budget):
+    """Patch the streams' dispatch budget for the ``with`` block."""
+    return mock.patch.object(engine_module, "_DISPATCH_BUDGET", budget)
+
+
+#: Telemetry counters that depend on where a stream is cut or dispatched.
+CUT_COUNTERS = ("engine.kernel_accesses", "engine.stream_chunks")
+
+
+def _cut_free_telemetry(result):
+    """A flat result's telemetry counters (less the cut-dependent ones)
+    and histograms, or None without telemetry."""
+    tel = result.telemetry
+    if tel is None:
+        return None
+    return ({k: v for k, v in tel["counters"].items()
+             if k not in CUT_COUNTERS}, tel["histograms"])
+
+
 def _sanitized(engine_cls, config):
     """An engine with a fresh sanitizer attached; every kernel dispatch in
     the differential runs below is invariant-checked."""
@@ -160,28 +190,36 @@ def test_hierarchy_batched_matches_reference(policy, chunked):
 
 
 @settings(max_examples=40, deadline=None)
-@given(policy=policies, config=geometries, chunked=chunked_traces())
-def test_stream_matches_oneshot(policy, config, chunked):
+@given(policy=policies, config=geometries, chunked=chunked_traces(),
+       budget=dispatch_budgets, telemetry=st.booleans())
+def test_stream_matches_oneshot(policy, config, chunked, budget, telemetry):
+    """Chunk cuts and merged dispatches of a few dozen kept accesses
+    give the one-shot run's hits, statistics and telemetry."""
     addresses, chunks = chunked
-    oneshot = _sanitized(BatchedEngine, config).simulate_stream([addresses],
-                                                                policy,
-                                                                seed=SEED)
-    streamed = _sanitized(BatchedEngine, config).simulate_stream(
-        chunks, policy, seed=SEED)
+
+    def engine():
+        return BatchedEngine(config, sanitizer=Sanitizer(),
+                             telemetry=Telemetry() if telemetry else None)
+
+    oneshot = engine().simulate_stream([addresses], policy, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = engine().simulate_stream(chunks, policy, seed=SEED)
     assert np.array_equal(streamed.hits, oneshot.hits)
     assert streamed.policy_stats == oneshot.policy_stats
+    assert _cut_free_telemetry(streamed) == _cut_free_telemetry(oneshot)
 
 
 @settings(max_examples=25, deadline=None)
-@given(policy=policies, chunked=chunked_traces())
-def test_hierarchy_stream_matches_oneshot(policy, chunked):
+@given(policy=policies, chunked=chunked_traces(), budget=dispatch_budgets)
+def test_hierarchy_stream_matches_oneshot(policy, chunked, budget):
     addresses, chunks = chunked
     config = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                              l2=CacheConfig(num_sets=4, ways=2))
     oneshot = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
         [addresses], policy, seed=SEED)
-    streamed = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
-        chunks, policy, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = _sanitized(BatchedHierarchyEngine, config).simulate_stream(
+            chunks, policy, seed=SEED)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
     assert np.array_equal(streamed.l2.hits, oneshot.l2.hits)
     assert streamed.l2.policy_stats == oneshot.l2.policy_stats
@@ -204,14 +242,17 @@ def test_flat_compiled_matches_reference(policy, config, addresses):
 
 @needs_compiled
 @settings(max_examples=40, deadline=None)
-@given(policy=policies, config=geometries, chunked=chunked_traces())
-def test_compiled_stream_matches_python_oneshot(policy, config, chunked):
+@given(policy=policies, config=geometries, chunked=chunked_traces(),
+       budget=dispatch_budgets)
+def test_compiled_stream_matches_python_oneshot(policy, config, chunked,
+                                                budget):
     addresses, chunks = chunked
     oneshot = _sanitized(BatchedEngine, config).simulate_stream([addresses],
                                                                 policy,
                                                                 seed=SEED)
     compiled_engine = _sanitized_compiled(BatchedEngine, config)
-    streamed = compiled_engine.simulate_stream(chunks, policy, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = compiled_engine.simulate_stream(chunks, policy, seed=SEED)
     assert np.array_equal(streamed.hits, oneshot.hits)
     assert streamed.policy_stats == oneshot.policy_stats
     assert compiled_engine.sanitizer.checks > 0
@@ -219,8 +260,8 @@ def test_compiled_stream_matches_python_oneshot(policy, config, chunked):
 
 @needs_compiled
 @settings(max_examples=25, deadline=None)
-@given(policy=policies, chunked=chunked_traces())
-def test_hierarchy_compiled_matches_python(policy, chunked):
+@given(policy=policies, chunked=chunked_traces(), budget=dispatch_budgets)
+def test_hierarchy_compiled_matches_python(policy, chunked, budget):
     addresses, chunks = chunked
     config = HierarchyConfig(l1=CacheConfig(num_sets=2, ways=1),
                              l2=CacheConfig(num_sets=4, ways=2))
@@ -228,8 +269,10 @@ def test_hierarchy_compiled_matches_python(policy, chunked):
         [addresses], policy, seed=SEED)
     compiled = _sanitized_compiled(BatchedHierarchyEngine, config).simulate_stream(
         [addresses], policy, seed=SEED)
-    streamed = _sanitized_compiled(BatchedHierarchyEngine, config).simulate_stream(
-        chunks, policy, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = _sanitized_compiled(
+            BatchedHierarchyEngine, config).simulate_stream(
+            chunks, policy, seed=SEED)
     for other in (compiled, streamed):
         assert np.array_equal(other.l1.hits, oneshot.l1.hits)
         assert np.array_equal(other.l2.hits, oneshot.l2.hits)
@@ -306,14 +349,16 @@ def test_multicore_batched_matches_reference(policy, mc):
 
 
 @settings(max_examples=30, deadline=None)
-@given(policy=multicore_policies, mc=chunked_multicore())
-def test_multicore_stream_matches_oneshot(policy, mc):
+@given(policy=multicore_policies, mc=chunked_multicore(),
+       budget=dispatch_budgets)
+def test_multicore_stream_matches_oneshot(policy, mc, budget):
     num_cores, addresses, core_ids, chunks = mc
     oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
-    streamed = _sanitized(
-        BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
-        chunks, policy, num_cores=num_cores, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = _sanitized(
+            BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+            chunks, policy, num_cores=num_cores, seed=SEED)
     assert np.array_equal(streamed.l1.hits, oneshot.l1.hits)
     assert np.array_equal(streamed.l2.hits, oneshot.l2.hits)
     assert streamed.per_core == oneshot.per_core
@@ -322,17 +367,19 @@ def test_multicore_stream_matches_oneshot(policy, mc):
 
 @needs_compiled
 @settings(max_examples=25, deadline=None)
-@given(policy=multicore_policies, mc=chunked_multicore())
-def test_multicore_compiled_matches_python(policy, mc):
+@given(policy=multicore_policies, mc=chunked_multicore(),
+       budget=dispatch_budgets)
+def test_multicore_compiled_matches_python(policy, mc, budget):
     num_cores, addresses, core_ids, chunks = mc
     oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
     compiled = _sanitized_compiled(
         BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
-    streamed = _sanitized_compiled(
-        BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
-        chunks, policy, num_cores=num_cores, seed=SEED)
+    with _dispatch_budget(budget):
+        streamed = _sanitized_compiled(
+            BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
+            chunks, policy, num_cores=num_cores, seed=SEED)
     for other in (compiled, streamed):
         assert np.array_equal(other.l1.hits, oneshot.l1.hits)
         assert np.array_equal(other.l2.hits, oneshot.l2.hits)

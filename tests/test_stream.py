@@ -352,6 +352,17 @@ def test_mismatched_cost_length_rejected():
                     cost=np.zeros(3, dtype=np.int64))
 
 
+def test_cost_on_some_chunks_only_rejected():
+    """Buffered batches merge column by column, so a stream's chunks
+    carry a cost column on every chunk or on none."""
+    stream = EngineStream(BatchedEngine(CONFIG), _spec("emissary"),
+                          seed=SEED)
+    stream.feed(np.full(4, np.uint64(0x400000)),
+                cost=np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="every chunk"):
+        stream.feed(np.full(4, np.uint64(0x400040)))
+
+
 @pytest.mark.parametrize("backend", [
     # The batched backend runs the NumPy/Python kernels; its test id
     # stays "python".

@@ -276,12 +276,13 @@ def test_engine_phase_spans_recorded():
                            telemetry=Telemetry()).simulate_stream(
         [_addresses()], PolicySpec("lru"), seed=0)
     names = [s["name"] for s in result.telemetry["spans"]]
-    # A one-shot run is a one-chunk stream: the chunk is pulled, its
-    # phases close inside its ``stream_chunk`` span, the next pull finds
-    # the end, then the flush dispatches the trailing run.
+    # A one-shot run is a one-chunk stream: the chunk is pulled and
+    # collapsed inside its ``stream_chunk`` span, its kept accesses wait
+    # in the dispatch buffer, the next pull finds the end, then the
+    # flush dispatches them with the trailing run.
     assert names == ["stream_ingest", "decode", "run_collapse",
-                     "stable_sort", "kernel_loop", "stream_chunk",
-                     "stream_ingest", "stable_sort", "kernel_loop"]
+                     "stream_chunk", "stream_ingest", "stable_sort",
+                     "kernel_loop"]
     for span in result.telemetry["spans"]:
         assert span["dur_us"] >= 0.0
 

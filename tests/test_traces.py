@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from emissary.traces import (
     CHUNK_GENERATORS,
+    DEFAULT_CHUNK_BYTES,
     FILE_KIND,
     GENERATORS,
     INSTR_BYTES,
@@ -73,6 +74,34 @@ def test_loop_generation_peak_memory_bounded_by_output():
     try:
         base = tracemalloc.get_traced_memory()[0]
         trace = spec.generate()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak <= bound, (f"peak {peak / 2**20:.2f} MiB over the "
+                           f"{bound / 2**20:.2f} MiB bound")
+
+
+@pytest.mark.parametrize("n", [1_000_000, 4_000_000])
+def test_call_generation_peak_memory_bounded_by_output(n):
+    """Deterministic memory guard for the call generator (tracemalloc
+    peak of ``generate()`` above its inputs).
+
+    The one-shot trace is built in blocks of one chunk budget, each
+    filled into the output.  At its peak the generator holds the output
+    (8 B per access), one block's units and its position ramp (8 B
+    each per access of the longest block).  A block draws its pairs
+    about 5% over its budget and the burst lengths spread it a little
+    further, to 1.07 budgets at this seed, so the bound allows 1.15.
+    A trace-length temporary of even 1 B per access (such as a caller
+    mask) breaks the bound at 4M accesses."""
+    block = int(1.15 * (DEFAULT_CHUNK_BYTES // _ADDR_ITEMSIZE))
+    bound = 8 * n + 2 * 8 * block + (64 << 10)
+    TraceSpec("call", 1000, 7).generate()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = TraceSpec("call", n, 7).generate()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
