@@ -20,7 +20,8 @@ Policy for L2 Instruction Caching" (ISCA 2023).  The package provides:
 - :mod:`emissary.telemetry` — opt-in instrumentation layer: policy
   counters/histograms, engine phase spans, Chrome trace export
 - :mod:`emissary.report` — run-report CLI rendering sweep ``--out`` JSON
-- :mod:`emissary.bench` — throughput benchmark harness emitting BENCH_*.json
+- :mod:`emissary.bench` — the telemetry-off and sanitizer-off overhead
+  guards (throughput is measured by ``benchmarks/run.py``)
 - :mod:`emissary.analysis` — static analysis (the EMI determinism lint
   suite, ``python -m emissary.analysis``) and the opt-in runtime kernel
   state :class:`Sanitizer`

@@ -350,17 +350,17 @@ class _Batch:
     """Accesses resolved by one dispatch, after the trace-order collapse.
 
     ``starts`` gives each kept access's position among the ``total``
-    resolved accesses (None: every access is kept); ``lengths`` its run
-    length plus those of lag-folded accesses chained to it (None: all 1,
-    or no side channel needs it); ``edges`` counts the line transitions
-    before the lag fold."""
+    resolved accesses; ``lengths`` its run length plus those of
+    lag-folded accesses chained to it (None: all 1, or no side channel
+    needs it); ``edges`` counts the line transitions before the lag
+    fold."""
 
     lines: AddressArray
     u: UniformArray | None
     cost: IndexArray | None
     core: IndexArray | None
     lengths: IndexArray | None
-    starts: IndexArray | None
+    starts: IndexArray
     total: int
     edges: int
 
@@ -392,7 +392,7 @@ def _merged(batches: list[_Batch]) -> _Batch:
         return batches.pop()
     offset = edges = 0
     for batch in batches:
-        if batch.starts is not None and offset:
+        if offset:
             batch.starts += offset
         offset += batch.total
         edges += batch.edges
@@ -478,7 +478,7 @@ def _collapse(lines: AddressArray, u: UniformArray | None,
 def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
               lines: AddressArray, u: UniformArray | None,
               cost: IndexArray | None, core: IndexArray | None,
-              lengths: IndexArray | None, fold: bool, with_extra: bool,
+              lengths: IndexArray | None, with_extra: bool,
               span: Callable[..., Any] = null_span) -> tuple[BoolArray, int]:
     """Run accesses (in trace order) through ``kernel``; return their
     hits in trace order and how many accesses reached the kernel.
@@ -489,10 +489,9 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     :meth:`~emissary.policies.base.PolicyKernel.run_sets` call with each
     non-empty set's range (the default steps the sets in lockstep, then
     finishes long sets with the kernel's ``run_set``; LRU resolves the
-    batch in closed form); with
-    ``fold``, a run of equal lines in sorted order (one set, one tag)
-    sends only its first access — the rest re-touch the set's MRU line
-    — carrying the run's total length.
+    batch in closed form).  A run of equal lines in sorted order (one
+    set, one tag) sends only its first access — the rest re-touch the
+    set's MRU line — carrying the run's total length.
     """
     m = len(lines)
     if isinstance(kernel, CompiledKernel):
@@ -509,16 +508,13 @@ def _dispatch(kernel: "PolicyKernel | CompiledKernel", config: CacheConfig,
     with span("stable_sort"):
         set_key = _set_key(lines, num_sets)
         order = np.argsort(set_key, kind="stable")
-        if fold:
-            sorted_lines = lines[order]
-            head = np.empty(m, dtype=bool)
-            head[0] = True
-            np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=head[1:])
-            del sorted_lines
-            heads = np.flatnonzero(head)
-            del head
-        else:
-            heads = np.arange(m, dtype=np.intp)
+        sorted_lines = lines[order]
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=head[1:])
+        del sorted_lines
+        heads = np.flatnonzero(head)
+        del head
         kidx = order[heads]
         totals: IndexArray | None = None
         if kernel.needs_repeat_flags or with_extra:
@@ -607,18 +603,15 @@ class BatchedEngine:
 
     A kernel access gets its run's total length, plus those of the
     accesses folded into it (SRRIP's repeat flag, telemetry's folded
-    hits).  The compiled backend skips steps 3 and 4;
-    ``collapse_runs=False`` skips steps 1, 2 and 4.  Every run goes
+    hits).  The compiled backend skips steps 3 and 4.  Every run goes
     through :class:`EngineStream`.
     """
 
     def __init__(self, config: CacheConfig | None = None,
-                 collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
                  kernel_backend: str = DEFAULT_BACKEND) -> None:
         self.config = config or CacheConfig()
-        self.collapse_runs = collapse_runs
         #: Optional :class:`~emissary.telemetry.Telemetry` registry; when
         #: None (the default) the run takes the uninstrumented fast path.
         self.telemetry = telemetry
@@ -708,7 +701,6 @@ class EngineStream:
         self.config = config
         self.spec = spec
         self.keep_hits = keep_hits
-        self.collapse_runs = engine.collapse_runs
         #: How many front-ends feed this cache (1: a single stream).
         self.num_cores = num_cores
         self.telemetry = engine.telemetry
@@ -826,11 +818,6 @@ class EngineStream:
                 with span("decode"):  # the policy's uniforms
                     u = self._rng.random(k_total)
 
-            if not self.collapse_runs:
-                # Every access is its own length-1 run; nothing is carried.
-                return self._enqueue(_Batch(lines, u, cost, core, None,
-                                            None, k_total, k_total))
-
             # Trace-length temporaries are dropped before the dispatch: a
             # one-shot run is a single chunk holding the whole trace.
             with span("run_collapse"):
@@ -872,16 +859,12 @@ class EngineStream:
                      if getattr(kernel, "consumes_core", False) else None)
         edge_hits, k = _dispatch(kernel, self.config, batch.lines, batch.u,
                                  batch.cost, kern_core, batch.lengths,
-                                 fold=self.collapse_runs,
                                  with_extra=self.telemetry is not None,
                                  span=self._span)
         self._kernel_count += k
         self._edge_count += batch.edges
-        if batch.starts is None:
-            hits = edge_hits
-        else:
-            hits = np.ones(batch.total, dtype=bool)  # collapsed: hits
-            hits[batch.starts] = edge_hits
+        hits = np.ones(batch.total, dtype=bool)  # collapsed: hits
+        hits[batch.starts] = edge_hits
         self._hit_count += int(np.count_nonzero(hits))
         if self.keep_hits:
             self._hit_chunks.append(hits)

@@ -394,12 +394,10 @@ class BatchedHierarchyEngine:
     """
 
     def __init__(self, config: HierarchyConfig | None = None,
-                 collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
                  kernel_backend: str = DEFAULT_BACKEND) -> None:
         self.config = config or HierarchyConfig()
-        self.collapse_runs = collapse_runs
         #: Optional :class:`~emissary.telemetry.Telemetry`; each stage
         #: records into its own child registry, merged here with ``l1.``
         #: / ``l2.`` prefixes.
@@ -418,8 +416,8 @@ class BatchedHierarchyEngine:
     def _stage_stream(self, config: CacheConfig, telemetry: Telemetry | None,
                       spec: PolicySpec, seed: int, keep_hits: bool,
                       num_cores: int) -> EngineStream:
-        engine = BatchedEngine(config, collapse_runs=self.collapse_runs,
-                               telemetry=telemetry, sanitizer=self.sanitizer,
+        engine = BatchedEngine(config, telemetry=telemetry,
+                               sanitizer=self.sanitizer,
                                kernel_backend=self.kernel_backend)
         return EngineStream(engine, spec, seed=seed, keep_hits=keep_hits,
                             num_cores=num_cores)

@@ -20,8 +20,6 @@ trace-event JSON file (pid = worker process, tid = config index),
 loadable in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 
 Pointing the CLI at a benchmark report instead prints its digest:
-``BENCH_backend.json`` (compiled backend) shows per-row speedup vs
-python-batched and the aggregate bit-identity verdict;
 ``BENCH_serve.json`` (serving layer, ``python -m emissary.serve bench``)
 shows throughput, the latency distribution, the single-flight dedupe
 ratio, and the results-cache hit/eviction accounting;
@@ -246,30 +244,6 @@ def render_report(envelope: dict[str, Any]) -> str:
     return "\n".join(out)
 
 
-def render_backend_digest(report: dict[str, Any]) -> str:
-    """Digest of a ``BENCH_backend.json`` compiled-backend report: the
-    speedup range, the best row, and the bit-identity verdict."""
-    rows: list[dict[str, Any]] = report.get("policies", [])
-    lines = [f"compiled backend benchmark "
-             f"(provider={report.get('compiled_provider', '?')}, "
-             f"trace={report.get('trace', {}).get('kind', '?')} "
-             f"n={report.get('trace', {}).get('n', '?')})"]
-    best: dict[str, Any] | None = None
-    for row in rows:
-        name = row["policy"] + (" (L1I->L2)" if row.get("hierarchy") else "")
-        lines.append(f"  {name}: {row['speedup_vs_python']:.1f}x vs "
-                     f"python-batched "
-                     f"({row['compiled']['accesses_per_s'] / 1e6:.1f} Macc/s), "
-                     f"identical={row['outcomes_identical']}")
-        if best is None or row["speedup_vs_python"] > best["speedup_vs_python"]:
-            best = row
-    if best is not None:
-        lines.append(f"  best: {best['policy']} "
-                     f"{best['speedup_vs_python']:.1f}x; all outcomes "
-                     f"identical: {report.get('all_outcomes_identical')}")
-    return "\n".join(lines)
-
-
 def render_serve_digest(report: dict[str, Any]) -> str:
     """Digest of a ``BENCH_serve.json`` serving-layer load report: fleet
     shape, latency distribution, and the dedupe/cache/eviction verdict."""
@@ -339,13 +313,12 @@ def render_telemetry_overhead_digest(report: dict[str, Any]) -> str:
 
 
 _BENCH_DIGESTS = {
-    "backend_throughput": render_backend_digest,
     "serve_load": render_serve_digest,
     "telemetry_overhead": render_telemetry_overhead_digest,
 }
 
 
-def _try_backend_digest(path: str) -> str | None:
+def _try_bench_digest(path: str) -> str | None:
     """Render ``path`` as a known bench report, or None if it isn't one."""
     try:
         with open(path) as fh:
@@ -394,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         envelope = load_sweep_output(args.path)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        digest = _try_backend_digest(args.path)
+        digest = _try_bench_digest(args.path)
         if digest is not None:
             print(digest)
             return 0

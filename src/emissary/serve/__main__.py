@@ -103,7 +103,7 @@ async def _run_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _run_bench(args: argparse.Namespace) -> int:
+async def _run_load_bench(args: argparse.Namespace) -> int:
     """Boot a server *subprocess*, drive the fleet against it, tear down.
 
     A subprocess rather than in-process serving on purpose: at 10k+
@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         except KeyboardInterrupt:
             return 0
     runner = {"serve": _run_serve, "loadgen": _run_loadgen,
-              "bench": _run_bench, "smoke": _run_smoke}[args.command]
+              "bench": _run_load_bench, "smoke": _run_smoke}[args.command]
     try:
         return asyncio.run(runner(args))
     except KeyboardInterrupt:

@@ -1,123 +1,64 @@
-"""Tests for the benchmark harness (small n so the suite stays fast)."""
+"""Tests for the two overhead guards' command line (small n so the suite
+stays fast; the serve-path arm is skipped)."""
 
 import json
 
-from emissary.bench import main, run_bench, run_hierarchy_bench, run_stream_bench
-from emissary.engine import CacheConfig
-from emissary.hierarchy import HierarchyConfig
+import pytest
 
-SMALL_HIERARCHY = HierarchyConfig(l1=CacheConfig(num_sets=16, ways=4),
-                                  l2=CacheConfig(num_sets=64, ways=4))
+from emissary.bench import main
+
+GUARDS = ["--telemetry-overhead", "--sanitizer-overhead"]
+SMALL = ["--n", "4000", "--repeats", "1", "--skip-serve"]
 
 
-def test_run_bench_cross_checks_engines():
-    report = run_bench(n=5_000, policies=["lru", "emissary"], seed=3)
+def _run(tmp_path, guard, max_overhead):
+    out = tmp_path / "report.json"
+    rc = main([guard, *SMALL, "--max-overhead", max_overhead,
+               "--out", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=["telemetry", "sanitizer"])
+def test_guard_passes_under_a_loose_bound(tmp_path, capsys, guard):
+    rc, report = _run(tmp_path, guard, "100")
+    assert rc == 0
+    assert report["trace"]["n"] == 4000
+    assert report["repeats"] == 1
+    assert [row["policy"] for row in report["policies"]] \
+        == ["lru", "random", "srrip", "emissary"]
+    assert report["max_off_overhead"] \
+        == max(row["off_overhead"] for row in report["policies"])
+    assert "off overhead" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=["telemetry", "sanitizer"])
+def test_guard_fails_when_overhead_exceeds_the_bound(tmp_path, capsys, guard):
+    # off / control - 1 is always above -1, so this bound always fails.
+    rc, _ = _run(tmp_path, guard, "-1")
+    assert rc == 1
+    assert "exceeds" in capsys.readouterr().err
+
+
+def test_telemetry_report_without_serve_arm(tmp_path):
+    _, report = _run(tmp_path, "--telemetry-overhead", "100")
+    assert report["benchmark"] == "telemetry_overhead"
+    assert "serve" not in report
+
+
+def test_sanitizer_report_checks_outcomes(tmp_path):
+    _, report = _run(tmp_path, "--sanitizer-overhead", "100")
+    assert report["benchmark"] == "sanitizer_overhead"
     assert report["all_outcomes_identical"] is True
-    assert {r["policy"] for r in report["policies"]} == {"lru", "emissary"}
     for row in report["policies"]:
         assert row["outcomes_identical"] is True
-        assert row["speedup"] > 0
-        assert 0.0 <= row["hit_rate"] <= 1.0
-        assert row["batched"]["n"] == 5_000
+        assert row["checks"] > 0
 
 
-def test_run_bench_skip_reference():
-    report = run_bench(n=2_000, policies=["lru"], skip_reference=True)
-    assert "all_outcomes_identical" not in report
-    assert "speedup" not in report["policies"][0]
-
-
-def test_run_hierarchy_bench_cross_checks_engines():
-    report = run_hierarchy_bench(n=5_000, policies=["lru", "emissary"], seed=3,
-                                 config=SMALL_HIERARCHY)
-    assert report["benchmark"] == "hierarchy_throughput"
-    assert report["hierarchy"]["l1"]["num_sets"] == 16
-    assert report["all_outcomes_identical"] is True
-    for row in report["policies"]:
-        assert row["outcomes_identical"] is True
-        assert 0.0 <= row["l1_hit_rate"] <= 1.0
-        assert 0.0 <= row["l2_local_hit_rate"] <= 1.0
-        assert row["batched"]["l1"]["n"] == 5_000
-        assert row["batched"]["l2"]["n"] == row["batched"]["l1"]["miss_count"]
-
-
-def test_hierarchy_bench_multicore_arm_cross_checks_oracle():
-    report = run_hierarchy_bench(n=5_000, policies=["lru"], seed=3,
-                                 config=SMALL_HIERARCHY)
-    multicore = report["multicore"]
-    assert [c["kind"] for c in multicore["trace"]["cores"]] == ["loop", "call"]
-    names = [(row["policy"], row["params"].get("hp_budget"))
-             for row in multicore["policies"]]
-    assert names == [("lru", None), ("emissary", "partitioned")]
-    for row in multicore["policies"]:
-        assert row["outcomes_identical"] is True
-        assert row["num_cores"] == 2
-        assert [pc["core"] for pc in row["per_core"]] == [0, 1]
-        assert sum(pc["n"] for pc in row["per_core"]) \
-            == row["batched"]["l1"]["n"]
-    # The arm's identity verdicts fold into the report-wide flag.
-    assert report["all_outcomes_identical"] is True
-
-
-def test_hierarchy_bench_gates_emissary_on_measured_misses():
-    report = run_hierarchy_bench(n=5_000, policies=["emissary"], seed=3,
-                                 config=SMALL_HIERARCHY, skip_reference=True)
-    stats = report["policies"][0]["batched"]["l2"]["policy_stats"]
-    assert stats["min_l1_misses"] == 2
-    # The single-level bench must NOT apply the override: without an L1I
-    # there is no measured miss count to gate on.
-    flat = run_bench(n=2_000, policies=["emissary"], skip_reference=True)
-    flat_stats = flat["policies"][0]["batched"]["policy_stats"]
-    assert flat_stats.get("min_l1_misses", 1) == 1
-
-
-def test_cli_writes_bench_json(tmp_path, capsys):
-    out = tmp_path / "BENCH_test.json"
-    rc = main(["--n", "3000", "--policies", "lru,srrip", "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["benchmark"] == "engine_throughput"
-    assert report["all_outcomes_identical"] is True
-    assert report["trace"]["n"] == 3000
-    assert capsys.readouterr().out  # summary table printed
-
-
-def test_run_stream_bench_cross_checks_streamed_outcomes():
-    report = run_stream_bench(n=4_000, policies=["lru", "emissary"], seed=3,
-                              config=CacheConfig(num_sets=64, ways=4),
-                              chunk_sizes=[1024, 64 << 10], repeats=1)
-    assert report["benchmark"] == "stream_throughput"
-    assert report["all_outcomes_identical"] is True
-    for row in report["policies"]:
-        # Every format x chunk-budget combination ran and matched.
-        assert len(row["streams"]) == len(report["formats"]) * 2
-        assert all(s["outcomes_identical"] for s in row["streams"])
-        assert all(s["accesses_per_s"] > 0 for s in row["streams"])
-
-
-def test_cli_stream_writes_bench_json(tmp_path, capsys):
-    out = tmp_path / "BENCH_stream_test.json"
-    rc = main(["--stream", "--n", "3000", "--policies", "lru,srrip",
-               "--num-sets", "64", "--ways", "4", "--repeats", "1",
-               "--chunk-bytes", "2048,65536", "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["benchmark"] == "stream_throughput"
-    assert report["all_outcomes_identical"] is True
-    assert report["chunk_bytes"] == [2048, 65536]
-    assert "identical" in capsys.readouterr().out
-
-
-def test_cli_hierarchy_writes_bench_json(tmp_path, capsys):
-    out = tmp_path / "BENCH_hier_test.json"
-    rc = main(["--hierarchy", "--n", "3000", "--policies", "lru,emissary",
-               "--num-sets", "64", "--ways", "4", "--l1-sets", "16",
-               "--l1-ways", "4", "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["benchmark"] == "hierarchy_throughput"
-    assert report["hierarchy"] == {"l1": {"num_sets": 16, "ways": 4, "line_size": 64},
-                                   "l2": {"num_sets": 64, "ways": 4, "line_size": 64},
-                                   "l1_policy": "lru"}
-    assert report["all_outcomes_identical"] is True
-    assert "L2MPKI" in capsys.readouterr().out
+def test_cli_needs_exactly_one_guard(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--n", "4000"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(GUARDS)
+    assert exc.value.code == 2

@@ -405,31 +405,3 @@ def test_telemetry_off_runs_the_plain_kernels(policy, params):
     kernel.attach_telemetry(Telemetry())
     assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=True)
     assert kernel._args.line_hits == kernel._line_hits.ctypes.data
-
-
-# -- bench harness --------------------------------------------------------
-
-@needs_compiled
-def test_backend_bench_smoke():
-    from emissary.bench import run_backend_bench
-
-    report = run_backend_bench(n=4096, repeats=1, skip_reference=True)
-    assert report["benchmark"] == "backend_throughput"
-    assert report["compiled_provider"] == get_kernels().name == "cc"
-    assert report["all_outcomes_identical"] is True
-    rows = report["policies"]
-    assert {row["policy"] for row in rows} == \
-        {"lru", "random", "srrip", "emissary"}
-    assert any(row["hierarchy"] for row in rows)
-    for row in rows:
-        assert row["outcomes_identical"] is True
-        assert row["speedup_vs_python"] > 0
-        assert "reference" not in row
-
-
-def test_backend_bench_fails_loudly_without_provider(clean_providers):
-    from emissary.bench import run_backend_bench
-
-    clean_providers.setenv(COMPILED_ENV, "off")
-    with pytest.raises(CompiledUnavailableError):
-        run_backend_bench(n=64, repeats=1, skip_reference=True)

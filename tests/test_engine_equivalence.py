@@ -1,6 +1,7 @@
 """Cross-check: the batched set-major engine must produce bit-identical
 hit/miss sequences to the naive per-access reference implementation, for
-every policy, every trace family, and with run collapsing both on and off.
+every policy and every trace family.  Test ids keep a ``collapse-``
+prefix: every batched run collapses MRU runs.
 """
 
 import numpy as np
@@ -40,14 +41,13 @@ TRACES = trace_cases()
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-@pytest.mark.parametrize("trace_name", sorted(TRACES))
-@pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
-def test_batched_matches_reference(policy, trace_name, collapse):
+@pytest.mark.parametrize("trace_name", sorted(TRACES),
+                         ids=[f"collapse-{name}" for name in sorted(TRACES)])
+def test_batched_matches_reference(policy, trace_name):
     trace = TRACES[trace_name]
     cfg = CacheConfig(num_sets=64, ways=4)
     spec = POLICY_SPECS[policy]
-    batched = BatchedEngine(cfg, collapse_runs=collapse).simulate_stream(
-        [trace], spec, seed=SEED)
+    batched = BatchedEngine(cfg).simulate_stream([trace], spec, seed=SEED)
     reference = ReferenceEngine(cfg).simulate_stream([trace], spec, seed=SEED)
     assert batched.n == reference.n == len(trace)
     assert np.array_equal(batched.hits, reference.hits), (
@@ -58,9 +58,9 @@ def test_batched_matches_reference(policy, trace_name, collapse):
     assert batched.policy_stats == reference.policy_stats
 
 
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-@pytest.mark.parametrize("collapse", [True, False], ids=["collapse", "no-collapse"])
-def test_batched_matches_reference_with_cost(policy, collapse):
+@pytest.mark.parametrize("policy", POLICY_NAMES,
+                         ids=[f"collapse-{name}" for name in POLICY_NAMES])
+def test_batched_matches_reference_with_cost(policy):
     """A synthetic cost vector must not break equivalence — cost-blind
     policies ignore it, EMISSARY gates HP candidacy on it identically in
     both engines."""
@@ -70,7 +70,7 @@ def test_batched_matches_reference_with_cost(policy, collapse):
     spec = (PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4,
                                     "min_l1_misses": 3})
             if policy == "emissary" else POLICY_SPECS[policy])
-    batched = BatchedEngine(cfg, collapse_runs=collapse).simulate_stream(
+    batched = BatchedEngine(cfg).simulate_stream(
         [(trace, None, cost)], spec, seed=SEED)
     reference = ReferenceEngine(cfg).simulate_stream([(trace, None, cost)],
                                                      spec, seed=SEED)

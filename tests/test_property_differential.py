@@ -456,29 +456,25 @@ def test_partitioned_budget_equals_shared_on_one_core(addresses):
 @settings(max_examples=60, deadline=None)
 @given(policy=multicore_policies, mc=chunked_multicore(min_events=60))
 def test_multicore_folds_match_no_collapse(policy, mc):
-    """The trace-order collapse and the set-order fold only skip kernel
-    work: on interleaved multi-core input (where the set-order fold does
-    most of the folding) the batched backend gives the same outcomes with
-    ``collapse_runs=True`` as with both folds off, one-shot and
-    streamed.  Traces are kept long enough that sets fill and evict, so
-    a wrong repeat flag or a dropped state update changes a victim."""
+    """The trace-order collapse, the lag fold and the set-order fold only
+    skip kernel work: on interleaved multi-core input (where the
+    set-order fold does most of the folding) the batched backend gives
+    the outcomes of the per-access reference, which collapses nothing,
+    one-shot and streamed.  Traces are kept long enough that sets fill
+    and evict, so a wrong repeat flag or a dropped state update changes
+    a victim."""
     num_cores, addresses, core_ids, chunks = mc
-
-    def engine(collapse):
-        return BatchedHierarchyEngine(MC_CONFIG, collapse_runs=collapse,
-                                      sanitizer=Sanitizer())
-
-    plain = engine(False).simulate_stream(
+    reference = _sanitized(HierarchyReferenceEngine, MC_CONFIG).simulate_stream(
         [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
-    oneshot = engine(True).simulate_stream(
+    oneshot = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         [(addresses, core_ids)], policy, num_cores=num_cores, seed=SEED)
-    streamed = engine(True).simulate_stream(
+    streamed = _sanitized(BatchedHierarchyEngine, MC_CONFIG).simulate_stream(
         chunks, policy, num_cores=num_cores, seed=SEED)
     for folded in (oneshot, streamed):
-        assert np.array_equal(folded.l1.hits, plain.l1.hits)
-        assert np.array_equal(folded.l2.hits, plain.l2.hits)
-        assert folded.per_core == plain.per_core
-        assert folded.l2.policy_stats == plain.l2.policy_stats
+        assert np.array_equal(folded.l1.hits, reference.l1.hits)
+        assert np.array_equal(folded.l2.hits, reference.l2.hits)
+        assert folded.per_core == reference.per_core
+        assert folded.l2.policy_stats == reference.l2.policy_stats
 
 
 def _shared_budget_run(kernel, lines, u, cost, core, compiled):

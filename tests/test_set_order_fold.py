@@ -138,18 +138,17 @@ def test_partitioned_emissary_cross_core_hit_keeps_owner():
     assert stats["hp_lines_final_by_core"] == [1, 2]
 
 
-def test_collapse_off_folds_nothing():
-    """``collapse_runs=False`` disables both folds: every access reaches
-    the kernel, with the same outcomes."""
+def test_trace_order_run_then_set_order_fold():
+    """SRRIP ``A B A A C E A``: the trace-order collapse keeps one A of
+    the ``A A`` run, and the set-order fold then drops it as a repeat of
+    the first A, so 5 of the 7 accesses reach the kernel, with the
+    reference engine's outcomes."""
     addresses = _addresses([A, B, A, A, C, E, A])
     spec = PolicySpec("srrip")
-    tel = Telemetry()
-    plain = BatchedEngine(CONFIG, collapse_runs=False,
-                          telemetry=tel).simulate_stream([addresses], spec)
+    reference = ReferenceEngine(CONFIG).simulate_stream([addresses], spec)
     folded = BatchedEngine(CONFIG, telemetry=Telemetry()).simulate_stream(
         [addresses], spec)
-    assert plain.hits.tolist() == folded.hits.tolist()
-    assert tel.counters["engine.kernel_accesses"] == len(addresses)
+    assert folded.hits.tolist() == reference.hits.tolist()
     assert folded.telemetry["counters"]["engine.kernel_accesses"] == 5
 
 

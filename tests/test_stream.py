@@ -238,21 +238,6 @@ def test_keep_hits_false_drops_vector_keeps_counts():
     assert streamed.policy_stats == oneshot.policy_stats
 
 
-def test_collapse_runs_false_streams_identically():
-    addresses = _trace()
-    spec = _spec("lru")
-    oneshot = BatchedEngine(CONFIG, collapse_runs=False).simulate_stream(
-        [addresses], spec, seed=SEED)
-    streamed = BatchedEngine(CONFIG, collapse_runs=False).simulate_stream(
-        _chunks(addresses, 251), spec, seed=SEED)
-    _assert_same(streamed, oneshot)
-    # And collapse on/off agree with each other, streamed or not.
-    assert np.array_equal(
-        streamed.hits,
-        BatchedEngine(CONFIG).simulate_stream(
-            _chunks(addresses, 251), spec, seed=SEED).hits)
-
-
 def test_empty_chunks_are_noops():
     addresses = _trace()
     spec = _spec("lru")
