@@ -24,10 +24,11 @@ The engines attach telemetry first, then the sanitizer (which wraps
 the dispatch entry point), so instrumented and plain runs are both
 checked.  Every batched kernel resolves a whole dispatch in one call —
 ``run_sets`` for the Python kernels, ``run_batch`` for the compiled
-ones — and keeps its state in flat per-set arrays under the same names
-(``_tag``, ``_size``, ``_ts``, ``_rrpv``, ``_owner``, ``_hp``,
-``_hp_by_pool``).  The sanitizer wraps that call and runs
-one flat-state checker over every set it touched.
+ones — over one Python kernel's flat per-set arrays (``_tag``,
+``_size``, ``_ts``, ``_rrpv``, ``_owner``, ``_hp``, ``_hp_by_pool``,
+``_line_hits``): a compiled kernel steps the arrays of the Python
+kernel it wraps.  The sanitizer wraps that call and runs one
+flat-state checker over every set it touched.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class Sanitizer:
         self.attached.append(kernel.name)
         if isinstance(kernel, CompiledKernel):
             inner_batch = kernel.run_batch
+            state, name = kernel.inner, f"compiled/{kernel.name}"
 
             def run_batch(set_idx: IndexArray, tags: IndexArray,
                           u: "UniformArray | None" = None,
@@ -105,13 +107,14 @@ class Sanitizer:
                           extra: "IndexArray | None" = None,
                           core: "IndexArray | None" = None) -> BoolArray:
                 hits = inner_batch(set_idx, tags, u, rep, cost, extra, core)
-                self._check_dispatch(kernel, sorted(set(set_idx.tolist())),
-                                     len(tags))
+                self._check_dispatch(state, name,
+                                     sorted(set(set_idx.tolist())), len(tags))
                 return hits
 
             kernel.run_batch = run_batch  # type: ignore[method-assign]
             return
         inner = kernel.run_sets
+        python_kernel = kernel
 
         def run_sets(sets: IndexArray, starts: IndexArray, ends: IndexArray,
                      lines: "NDArray[np.uint64]",
@@ -121,17 +124,19 @@ class Sanitizer:
                      extra: "IndexArray | None" = None,
                      core: "IndexArray | None" = None) -> BoolArray:
             hits = inner(sets, starts, ends, lines, u, rep, cost, extra, core)
-            self._check_dispatch(kernel, sets.tolist(), len(lines))
+            self._check_dispatch(python_kernel, python_kernel.name,
+                                 sets.tolist(), len(lines))
             return hits
 
         kernel.run_sets = run_sets  # type: ignore[method-assign]
 
-    def _check_dispatch(self, kernel: "PolicyKernel | CompiledKernel",
-                 sets: list[int], accesses: int) -> None:
-        """Count one dispatch of ``accesses`` and check ``sets``."""
+    def _check_dispatch(self, kernel: PolicyKernel, name: str,
+                        sets: list[int], accesses: int) -> None:
+        """Count one dispatch of ``accesses`` and check ``sets`` of
+        ``kernel``'s state, reporting as ``name``."""
         self.accesses += accesses
         for s in sets:
-            self._check_flat(kernel, s, self.accesses)
+            self._check_flat(kernel, name, s, self.accesses)
         self.checks += 1
 
     @staticmethod
@@ -151,21 +156,16 @@ class Sanitizer:
                 f"{name}: duplicate resident tags {tags}",
                 set_index=s, access_position=pos)
 
-    def _check_flat(self, kernel: Any, s: int, pos: int) -> None:
-        """One set's flat state rows, for any batched kernel (Python or
-        compiled, which share the array names): each array the kernel
-        keeps is checked against its policy's invariants."""
-        compiled = isinstance(kernel, CompiledKernel)
-        name = f"compiled/{kernel.name}" if compiled else kernel.name
+    def _check_flat(self, kernel: Any, name: str, s: int, pos: int) -> None:
+        """One set's flat state rows: each array the kernel keeps is
+        checked against its policy's invariants."""
         ways = kernel.ways
         base = s * ways
         size = int(kernel._size[s])
         end = base + size
         tags = kernel._tag[base:end].tolist()
         self._check_slots(name, ways, size, tags, s, pos)
-        hit_counts = getattr(kernel, "_line_hits", None)
-        if hit_counts is None:
-            hit_counts = getattr(kernel, "_hits", None)
+        hit_counts = kernel._line_hits
         if hit_counts is not None:
             counts = hit_counts[base:end].tolist()
             if any(count < 0 for count in counts):

@@ -8,8 +8,11 @@ long sets (with a NumPy->list conversion per set).  The compiled backend
 removes all three: accesses stay in **trace order** (sets are
 independent, so per-set state evolution is identical; see
 :mod:`emissary.compiled.cc_backend` for the semantics contract) and one
-call into native code processes the whole batch over flat per-set state
-arrays, under the same names the Python kernels use.
+call into native code processes the whole batch.  A
+:class:`CompiledKernel` owns no policy state: it wraps the Python
+kernel that :func:`emissary.policies.make_kernel` builds and points the
+C kernel at that kernel's flat arrays, so its flags, parameters, stats
+and state checks are the Python kernel's own.
 
 The kernels are one C source (:mod:`emissary.compiled.cc_backend`),
 compiled on demand with the system C compiler and bound via ``ctypes``.
@@ -41,24 +44,14 @@ from emissary.compiled.cc_backend import (
     CTR_DEAD_ON_FILL,
     CTR_EVICTIONS,
     CTR_EVICTIONS_HP,
-    CTR_EVICTIONS_LP,
     CTR_FILLS,
     CTR_HP_PROMOTIONS,
     NUM_COUNTERS,
-    NUM_STATS,
-    STAT_HP_EVICTIONS,
-    STAT_HP_PROMOTIONS,
     CcKernels,
     KernelArgs,
 )
-from emissary.policies.emissary import (
-    DEFAULT_HP_BUDGET,
-    DEFAULT_HP_THRESHOLD,
-    DEFAULT_MIN_L1_MISSES,
-    DEFAULT_PROB_INV,
-    _check_params,
-    core_quotas,
-)
+from emissary.policies import make_kernel
+from emissary.policies.base import PolicyKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from emissary.telemetry import Telemetry
@@ -69,12 +62,15 @@ UniformArray = NDArray[np.float64]
 
 COMPILED_ENV = "EMISSARY_COMPILED"
 
-POLICY_NAMES = ("lru", "random", "srrip", "emissary")
-
-#: ``KernelArgs`` fields that point at a ``CompiledKernel``'s flat state
-#: array of the same name (``tag`` is ``_tag``).
+#: ``KernelArgs`` fields that point at the wrapped kernel's flat state
+#: array of the same name (``tag`` is ``_tag``); a field whose array the
+#: policy does not keep stays NULL.
 STATE_FIELDS = ("tag", "ts", "rrpv", "owner", "size", "hp", "hp_by_pool",
-                "quota", "clock", "stats", "line_hits", "counters")
+                "quota", "clock", "stats", "line_hits")
+
+#: ``KernelArgs`` fields copied from the wrapped kernel's attribute of
+#: the same name (0 where the policy has none).
+PARAM_FIELDS = ("pools", "hp_threshold", "prob_inv", "min_l1_misses")
 
 
 class CompiledUnavailableError(RuntimeError):
@@ -122,23 +118,22 @@ def get_kernels() -> CcKernels:
 
 
 class CompiledKernel:
-    """Batch dispatcher over the C kernels.
+    """Batch dispatcher running the C kernels over a Python kernel's state.
 
-    Mirrors the :class:`~emissary.policies.base.PolicyKernel` surface
-    the engines rely on (``needs_rng`` / ``needs_repeat_flags`` /
-    ``consumes_cost`` flags, ``attach_telemetry`` /
-    ``telemetry_finalize`` / ``extra_stats``), but replaces the
+    Wraps ``kernel`` (a :class:`~emissary.policies.base.PolicyKernel`,
+    kept as :attr:`inner`) and mirrors the surface the engines rely on:
+    the ``needs_rng`` / ``needs_repeat_flags`` / ``consumes_cost`` /
+    ``consumes_core`` flags, ``attach_telemetry`` /
+    ``telemetry_finalize`` / ``extra_stats``.  It replaces the
     set-sorted ``run_sets`` with :meth:`run_batch`: one call per engine
     dispatch, accesses in trace order, no set-major sort required.
 
-    State lives in flat preallocated int64 arrays (``num_sets * ways``
-    per channel) shared across dispatches, so streamed chunked execution
-    carries state exactly like the Python kernels do.
-
     Every dispatch passes one :class:`~emissary.compiled.cc_backend.KernelArgs`
-    block, built once: its state pointers address the flat arrays, which
-    are updated in place and never rebound, and each dispatch only fills
-    in its inputs.
+    block, built once: its state pointers address the wrapped kernel's
+    flat arrays, which both implementations update in place and never
+    rebind, so dispatches to :meth:`run_batch` and to the wrapped
+    kernel's ``run_sets`` may alternate.  Each dispatch only fills in
+    its inputs.
 
     Telemetry semantics match the instrumented Python kernels name for
     name: counter deltas accumulate in a packed int64 array inside the
@@ -147,70 +142,26 @@ class CompiledKernel:
     through a per-dispatch buffer and feed the ``line_hits`` histogram.
     """
 
-    def __init__(self, kernels: CcKernels, policy: str, num_sets: int,
-                 ways: int, **params: Any) -> None:
-        if policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {policy!r} "
-                             f"(expected one of {POLICY_NAMES})")
+    def __init__(self, kernels: CcKernels, kernel: PolicyKernel) -> None:
+        self.inner = kernel
+        self.name = kernel.name
+        self.needs_rng = kernel.needs_rng
+        self.needs_repeat_flags = kernel.needs_repeat_flags
+        self.consumes_cost = kernel.consumes_cost
+        self.consumes_core = kernel.consumes_core
         self._kernels = kernels
-        self.policy = policy
-        self.name = policy
-        self.num_sets = num_sets
-        self.ways = ways
-        self.params = dict(params)
-        self.needs_rng = policy in ("random", "emissary")
-        self.needs_repeat_flags = policy == "srrip"
-        self.consumes_cost = policy == "emissary"
-        self.consumes_core = False
         self._tel: "Telemetry" | None = None
+        self._counters: IndexArray | None = None
         self._dispatches = 0
-
-        lines = num_sets * ways
-        self._tag = np.zeros(lines, dtype=np.int64)
-        self._size = np.zeros(num_sets, dtype=np.int64)
-        if policy in ("lru", "emissary"):
-            self._ts = np.zeros(lines, dtype=np.int64)
-            # Clock starts at 1 (like the naive references) so a zero
-            # timestamp always means "never filled".
-            self._clock = np.ones(1, dtype=np.int64)
-        if policy == "srrip":
-            self._rrpv = np.zeros(lines, dtype=np.int64)
-        if policy == "emissary":
-            self.hp_threshold = int(
-                self.params.get("hp_threshold", DEFAULT_HP_THRESHOLD))
-            self.prob_inv = int(self.params.get("prob_inv", DEFAULT_PROB_INV))
-            self.min_l1_misses = int(
-                self.params.get("min_l1_misses", DEFAULT_MIN_L1_MISSES))
-            self.hp_budget = str(
-                self.params.get("hp_budget", DEFAULT_HP_BUDGET))
-            # Execution context injected by the engine, not a policy
-            # parameter (see ``_make_engine_kernel``).
-            self.num_cores = int(self.params.pop("num_cores", 1))
-            _check_params(ways, self.hp_threshold, self.prob_inv,
-                          self.min_l1_misses, self.hp_budget, self.num_cores)
-            # The HP budget's pools, as in the Python kernel.
-            self.pools = (self.num_cores if self.hp_budget == "partitioned"
-                          else 1)
-            self.consumes_core = self.pools > 1
-            self._hp = np.zeros(num_sets, dtype=np.int64)
-            self._stats = np.zeros(NUM_STATS, dtype=np.int64)
-            self._owner = np.full(lines, -1, dtype=np.int64)
-            self._hp_by_pool = np.zeros(num_sets * self.pools, dtype=np.int64)
-            self._quota = np.asarray(core_quotas(self.hp_threshold, self.pools),
-                                     dtype=np.int64)
-        self._entry = kernels.entry(policy, tel=False)
-        self._args = KernelArgs(ways=ways)
+        self._entry = kernels.entry(self.name, tel=False)
+        self._args = KernelArgs(ways=kernel.ways, **{
+            field: getattr(kernel, field, 0) for field in PARAM_FIELDS})
         self._args_ref = ctypes.pointer(self._args)
-        if policy == "emissary":
-            self._args.pools = self.pools
-            self._args.hp_threshold = self.hp_threshold
-            self._args.prob_inv = self.prob_inv
-            self._args.min_cost = self.min_l1_misses
         self._bind_state()
 
     def _bind_state(self) -> None:
         for name in STATE_FIELDS:
-            arr = getattr(self, "_" + name, None)
+            arr = getattr(self.inner, "_" + name, None)
             setattr(self._args, name, None if arr is None else arr.ctypes.data)
 
     # -- execution --------------------------------------------------------
@@ -270,7 +221,7 @@ class CompiledKernel:
         """Point ``field`` at ``arr`` as ``m`` contiguous ``dtype`` values
         (one per access); returns the array the pointer addresses."""
         if arr is None:
-            raise ValueError(f"{self.policy} kernel needs {field!r}")
+            raise ValueError(f"{self.name} kernel needs {field!r}")
         arr = np.ascontiguousarray(arr, dtype=dtype)
         if len(arr) != m:
             raise ValueError(f"{field!r} has {len(arr)} entries for {m} "
@@ -281,74 +232,46 @@ class CompiledKernel:
     # -- telemetry --------------------------------------------------------
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Enable instrumentation (must precede the first access):
-        dispatches switch to the ``*_tel`` kernels, which maintain
-        per-line hit counts and the packed counter array."""
+        """Enable instrumentation (must precede the first access): the
+        wrapped kernel allocates its per-line hit counts, and dispatches
+        switch to the ``*_tel`` kernels, which keep those counts and the
+        packed counter array."""
+        self.inner.attach_telemetry(telemetry)
         self._tel = telemetry
-        self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
         self._counters = np.zeros(NUM_COUNTERS, dtype=np.int64)
-        self._entry = self._kernels.entry(self.policy, tel=True)
+        self._args.counters = self._counters.ctypes.data
+        self._entry = self._kernels.entry(self.name, tel=True)
         self._bind_state()
 
     def telemetry_finalize(self) -> None:
-        """Fold the packed counters and end-of-run histograms into the
-        registry — same names, same values as the instrumented Python
-        kernels (the telemetry parity tests compare them)."""
+        """Fold the packed counters into the registry under the names the
+        instrumented Python kernels record per dispatch, then run the
+        wrapped kernel's end-of-run accounting."""
         tel = self._tel
         if tel is None:
             return
         ctr = self._counters
+        assert ctr is not None
         if self._dispatches:
             # The Python kernels create these counters on their first
             # dispatch; zero dispatches must leave them absent here too.
             tel.inc("fills", int(ctr[CTR_FILLS]))
             tel.inc("evictions", int(ctr[CTR_EVICTIONS]))
             tel.inc("dead_on_fill", int(ctr[CTR_DEAD_ON_FILL]))
-            if self.policy == "emissary":
-                tel.inc("evictions_hp", int(ctr[CTR_EVICTIONS_HP]))
-                tel.inc("evictions_lp", int(ctr[CTR_EVICTIONS_LP]))
-                tel.inc("hp_promotions", int(ctr[CTR_HP_PROMOTIONS]))
-                tel.inc("hp_demotions", int(ctr[CTR_EVICTIONS_HP]))
-        resident = (np.arange(self.ways, dtype=np.int64)[None, :]
-                    < self._size[:, None])
-        tel.observe_many(
-            "resident_line_hits",
-            self._line_hits.reshape(self.num_sets, self.ways)[resident].tolist())
-        if self.policy == "emissary":
-            tel.observe_many("hp_set_occupancy", self._hp.tolist())
-            tel.inc("hp_lines_final", int(self._hp.sum()))
+            self.inner.count_classes(tel, int(ctr[CTR_EVICTIONS]),
+                                     int(ctr[CTR_EVICTIONS_HP]),
+                                     int(ctr[CTR_HP_PROMOTIONS]))
+        self.inner.telemetry_finalize()
 
     def extra_stats(self) -> dict[str, Any]:
-        if self.policy != "emissary":
-            return {}
-        stats = {
-            "hp_threshold": self.hp_threshold,
-            "prob_inv": self.prob_inv,
-            "min_l1_misses": self.min_l1_misses,
-            "hp_promotions": int(self._stats[STAT_HP_PROMOTIONS]),
-            "hp_evictions": int(self._stats[STAT_HP_EVICTIONS]),
-            "hp_lines_final": int(self._hp.sum()),
-        }
-        if self.hp_budget == "partitioned":
-            stats["hp_budget"] = self.hp_budget
-            stats["hp_lines_final_by_core"] = (
-                self._hp_by_pool.reshape(self.num_sets, self.pools)
-                .sum(axis=0).tolist())
-        return stats
-
-    # -- introspection (sanitizer / tests) --------------------------------
-
-    def set_size(self, set_index: int) -> int:
-        return int(self._size[set_index])
-
-    def resident_tags(self, set_index: int) -> list[int]:
-        base = set_index * self.ways
-        return self._tag[base:base + self.set_size(set_index)].tolist()
+        return self.inner.extra_stats()
 
 
 def make_compiled_kernel(policy: str, num_sets: int, ways: int,
                          **params: Any) -> CompiledKernel:
-    """Load the C kernels and build a :class:`CompiledKernel` for
-    ``policy`` over a ``num_sets x ways`` geometry.  Raises
+    """Load the C kernels and wrap a fresh Python kernel for ``policy``
+    over a ``num_sets x ways`` geometry.  Raises
     :class:`CompiledUnavailableError` when they cannot be loaded."""
-    return CompiledKernel(get_kernels(), policy, num_sets, ways, **params)
+    kernels = get_kernels()
+    return CompiledKernel(kernels, make_kernel(policy, num_sets, ways,
+                                               **params))

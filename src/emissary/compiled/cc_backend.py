@@ -1,25 +1,34 @@
-"""The compiled kernels: one C definition of every policy's flat state.
+"""The compiled kernels: a C translation of each policy's step.
 
-The C source below is the compiled backend's single definition of the
-four policies over flat per-set state arrays (the same names the batched
-Python kernels use).  It is compiled once per toolchain into a shared
-library with ``cc -O3 -shared -fPIC`` and bound through :mod:`ctypes`,
-so the backend needs no third-party dependency, only a C compiler.
+The C source below steps the four policies over the flat per-set state
+that the batched Python kernels allocate (:mod:`emissary.policies`):
+every entry point gets pointers to one kernel's arrays (``_tag`` is
+``tag``, ``_size`` is ``size``, and so on) and updates them in place,
+so a dispatch may go to either implementation and the state stays one.
+It is compiled once per toolchain into a shared library with
+``cc -O3 -shared -fPIC`` and bound through :mod:`ctypes`, so the
+backend needs no third-party dependency, only a C compiler.
 
-Semantics contract — bit-identical to the batched Python kernels in
-:mod:`emissary.policies` and to the naive reference (the differential
-suite, the golden tables and the telemetry parity tests check it):
+Semantics contract — bit-identical to the batched Python kernels and to
+the naive reference (the differential suite, the golden tables and the
+telemetry parity tests check it):
 
 * Accesses arrive in **trace order** (``set_idx`` / ``tags`` aligned
   per access).  Sets are independent, so trace-order processing equals
   the batched engine's set-major processing access for access, and the
   compiled path skips the stable sort entirely.
-* Ways fill in physical order ``0 .. ways-1`` and never invalidate, so
-  ``size[s]`` fully describes residency (no tag sentinel needed).
-* LRU / EMISSARY recency is a per-line int64 timestamp from one global
-  monotonically increasing clock (``clock[0]``, starting at 1), exactly
-  like the naive references; timestamps are unique, so the LRU victim
-  (minimum timestamp) is totally ordered and matches dict recency order.
+* Slots fill in order ``0 .. ways-1`` and never empty, so ``size[s]``
+  fully describes residency (no tag sentinel needed).
+* LRU keeps each set's slots in recency order, LRU first, as the closed
+  form does: a hit moves its slot to the MRU end, a miss in a full set
+  evicts slot 0 and shifts the rest down, and a line's hit count moves
+  with its tag.
+* EMISSARY recency is a per-slot int64 timestamp from the kernel's
+  clock (``clock[0]``): each use takes a stamp above every resident
+  one, so a set's stamps are unique and its LRU line is the minimum.
+  Only the order within a set matters; the Python kernel stamps a
+  lockstep step's lanes alike and restamps the sets its scalar loop
+  finishes.
 * RANDOM's victim is ``(int64_t)(u_i * ways)``: physical way positions
   match the batched kernel because cold fills append at index ``size``.
 * SRRIP inserts at ``RRPV_MAX - 1`` (0 when the fill is immediately
@@ -71,6 +80,11 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+# EMISSARY's ``_stats`` slots, emitted as #defines like the CTR_ slots.
+from emissary.policies.emissary import (  # noqa: F401
+    STAT_HP_EVICTIONS,
+    STAT_HP_PROMOTIONS,
+)
 from emissary.policies.srrip import RRPV_INSERT, RRPV_MAX
 
 #: ``counters`` slot layout for the telemetry instantiations.
@@ -78,23 +92,16 @@ CTR_FILLS = 0
 CTR_EVICTIONS = 1
 CTR_DEAD_ON_FILL = 2
 CTR_EVICTIONS_HP = 3
-CTR_EVICTIONS_LP = 4
-CTR_HP_PROMOTIONS = 5
-NUM_COUNTERS = 6
-
-#: ``stats`` slot layout for EMISSARY (these two feed ``extra_stats`` and
-#: are maintained with telemetry off too).
-STAT_HP_PROMOTIONS = 0
-STAT_HP_EVICTIONS = 1
-NUM_STATS = 2
+CTR_HP_PROMOTIONS = 4
+NUM_COUNTERS = 5
 
 SRRIP_RRPV_MAX = RRPV_MAX
 SRRIP_RRPV_INSERT = RRPV_INSERT
 
 #: The one argument block every entry point takes, in C declaration
-#: order: the per-dispatch inputs and outputs, then the kernel's flat
-#: state (each named after its ``CompiledKernel`` array, ``_tag`` ->
-#: ``tag``), then the geometry and policy parameters.
+#: order: the per-dispatch inputs and outputs, then the flat state (each
+#: named after the Python kernel's array, ``_tag`` -> ``tag``), then the
+#: geometry and policy parameters (named after the kernel's attributes).
 ARG_FIELDS: tuple[tuple[str, str], ...] = (
     ("set_idx", "const int64_t *"),
     ("tags", "const int64_t *"),
@@ -123,7 +130,7 @@ ARG_FIELDS: tuple[tuple[str, str], ...] = (
     ("pools", "int64_t"),
     ("hp_threshold", "int64_t"),
     ("prob_inv", "int64_t"),
-    ("min_cost", "int64_t"),
+    ("min_l1_misses", "int64_t"),
 )
 
 #: Kernel kinds; each has a plain and a ``_tel`` entry point.
@@ -181,6 +188,11 @@ KERNEL int64_t oldest_way(const int64_t *ts_arr, int64_t base, int64_t ways) {
     return way;
 }
 
+/* Move slots `from + 1 .. last` of a row down one slot, freeing `last`. */
+KERNEL void shift_down(int64_t *row, int64_t from, int64_t last) {
+    for (int64_t w = from; w < last; w++) row[w] = row[w + 1];
+}
+
 /* One eviction: the victim's lifetime hits go to `evbuf`. */
 KERNEL void tally_eviction(Tally *t, int64_t *evbuf, int64_t victim_hits) {
     evbuf[t->nev++] = victim_hits;
@@ -196,33 +208,39 @@ KERNEL void tally_fold(const Tally *t, int64_t *counters) {
 
 KERNEL int64_t lru_body(const Args *a, const int tel) {
     const int64_t *set_idx = a->set_idx, *tags = a->tags, *extra = a->extra;
-    int64_t *tag_arr = a->tag, *ts_arr = a->ts, *size_arr = a->size;
+    int64_t *tag_arr = a->tag, *size_arr = a->size;
     int64_t *line_hits = a->line_hits, *evbuf = a->evbuf;
     uint8_t *hits = a->hits;
     const int64_t m = a->m, ways = a->ways;
-    int64_t c = a->clock[0];
     Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
         int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
         int64_t tag = tags[i], way = find_way(tag_arr, base, size, tag);
+        int64_t mru = base + size - 1;
         if (way >= 0) {
             hits[i] = 1;
-            if (tel) line_hits[base + way] += 1 + extra[i];
-        } else {
-            hits[i] = 0;
-            if (size < ways) {
-                way = size;
-                size_arr[s] = size + 1;
-            } else {
-                way = oldest_way(ts_arr, base, ways);
-                if (tel) tally_eviction(&t, evbuf, line_hits[base + way]);
+            shift_down(tag_arr, base + way, mru);
+            tag_arr[mru] = tag;
+            if (tel) {
+                int64_t h = line_hits[base + way] + 1 + extra[i];
+                shift_down(line_hits, base + way, mru);
+                line_hits[mru] = h;
             }
-            tag_arr[base + way] = tag;
-            if (tel) { line_hits[base + way] = extra[i]; t.fills += 1; }
+            continue;
         }
-        ts_arr[base + way] = c++;
+        hits[i] = 0;
+        if (size < ways) {
+            mru += 1;
+            size_arr[s] = size + 1;
+        } else {
+            /* evict the LRU slot */
+            if (tel) tally_eviction(&t, evbuf, line_hits[base]);
+            shift_down(tag_arr, base, mru);
+            if (tel) shift_down(line_hits, base, mru);
+        }
+        tag_arr[mru] = tag;
+        if (tel) { line_hits[mru] = extra[i]; t.fills += 1; }
     }
-    a->clock[0] = c;
     if (tel) tally_fold(&t, a->counters);
     return t.nev;
 }
@@ -319,10 +337,10 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
     uint8_t *hits = a->hits;
     const int64_t m = a->m, ways = a->ways, has_cost = a->has_cost;
     const int64_t pools = a->pools, hp_threshold = a->hp_threshold;
-    const int64_t min_cost = a->min_cost;
+    const int64_t min_cost = a->min_l1_misses;
     const double p_hit = 1.0 / (double)a->prob_inv;
     int64_t c = a->clock[0];
-    int64_t promotions = 0, hp_evictions = 0, lp_evictions = 0;
+    int64_t promotions = 0, hp_evictions = 0;
     Tally t = {0, 0, 0, 0};
     for (int64_t i = 0; i < m; i++) {
         int64_t s = set_idx[i], base = s * ways, size = size_arr[s];
@@ -350,8 +368,6 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
                     hp -= 1;
                     hp_evictions += 1;
                     hp_by_pool[s * pools + owner_arr[base + way]] -= 1;
-                } else if (tel) {
-                    lp_evictions += 1;
                 }
             } else {
                 way = size;
@@ -380,7 +396,6 @@ KERNEL int64_t emissary_body(const Args *a, const int tel) {
     if (tel) {
         tally_fold(&t, a->counters);
         a->counters[CTR_EVICTIONS_HP] += hp_evictions;
-        a->counters[CTR_EVICTIONS_LP] += lp_evictions;
         a->counters[CTR_HP_PROMOTIONS] += promotions;
     }
     return t.nev;

@@ -64,7 +64,7 @@ from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
 from emissary.compiled import (
     CompiledKernel,
     CompiledUnavailableError,
-    make_compiled_kernel,
+    get_kernels,
 )
 from emissary.policies import make_kernel, make_naive, policy_needs_rng
 from emissary.policies.base import NaivePolicy, PolicyKernel
@@ -79,12 +79,13 @@ def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
                         ) -> "PolicyKernel | CompiledKernel":
     """Build the policy kernel for one run.
 
-    ``kernel_backend="compiled"`` loads the C kernels; if they cannot be
-    loaded it **warns and falls back** to the batched Python kernels
-    (outcomes are bit-identical, only slower), so ``backend="compiled"``
-    requests stay portable to hosts without a C compiler.  Benchmarks
-    that must not silently time Python call
-    :func:`~emissary.compiled.get_kernels` first, which raises
+    ``kernel_backend="compiled"`` wraps the Python kernel in a
+    :class:`~emissary.compiled.CompiledKernel`, which steps the same
+    state in C.  If the C kernels cannot be loaded it **warns and falls
+    back** to that Python kernel (outcomes are bit-identical, only
+    slower), so ``backend="compiled"`` requests stay portable to hosts
+    without a C compiler.  Benchmarks that must not silently time Python
+    call :func:`~emissary.compiled.get_kernels` first, which raises
     :class:`~emissary.compiled.CompiledUnavailableError`.
 
     ``num_cores`` is the engine's execution context (how many front-ends
@@ -94,19 +95,18 @@ def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
     partitioned HP budget consumes it.
     """
     extra = {"num_cores": num_cores} if spec.name == "emissary" else {}
+    kernel = make_kernel(spec.name, config.num_sets, config.ways,
+                         **spec.params, **extra)
     if kernel_backend == "compiled":
         try:
-            return make_compiled_kernel(
-                spec.name, config.num_sets, config.ways,
-                **spec.params, **extra)
+            return CompiledKernel(get_kernels(), kernel)
         except CompiledUnavailableError as exc:
             warnings.warn(
                 f"compiled kernel backend unavailable ({exc}); falling "
                 "back to the batched Python kernels (outcomes are "
                 "bit-identical, only slower)",
                 RuntimeWarning, stacklevel=3)
-    return make_kernel(spec.name, config.num_sets, config.ways,
-                       **spec.params, **extra)
+    return kernel
 
 
 def _is_pow2(x: int) -> bool:

@@ -442,7 +442,7 @@ class BatchedHierarchyEngine:
     def simulate_stream(self, chunks: Iterable[Any], policy: PolicySpec, *,
                         num_cores: int | None = None, seed: int = 0,
                         keep_hits: bool = True,
-                        chunk_bytes: int | None = DEFAULT_CHUNK_BYTES
+                        chunk_bytes: int = DEFAULT_CHUNK_BYTES
                         ) -> HierarchyResult:
         """Run the two-level hierarchy over a chunked trace in bounded
         memory: the one execution path, both stages as incremental
@@ -488,16 +488,14 @@ class BatchedHierarchyEngine:
         accumulated (or at end of trace): the L1I filters out most
         accesses, and forwarding each sliver separately would make the
         L2 stage's miss-count update pay its fixed costs per sliver.
-        Pass ``chunk_bytes=None`` to forward every L1I dispatch's misses
-        immediately.  Either way, L1/L2 hit vectors and per-level stats
-        are bit-identical for any chunk cuts: the cost computation
-        depends only on the order of the miss stream, not on where it
-        is cut.
+        L1/L2 hit vectors and per-level stats are bit-identical for any
+        budget and any chunk cuts: the cost computation depends only on
+        the order of the miss stream, not on where it is cut.
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive or None, "
+        if chunk_bytes <= 0:
+            raise ValueError(f"chunk_bytes must be positive, "
                              f"got {chunk_bytes}")
         cores = 1 if num_cores is None else num_cores
         _check_num_cores(cores)
@@ -550,8 +548,7 @@ class BatchedHierarchyEngine:
             if len(miss_vlines):
                 pending.append(miss_vlines)
                 pending_bytes += miss_vlines.nbytes
-            if pending and (flush or chunk_bytes is None
-                            or pending_bytes >= chunk_bytes):
+            if pending and (flush or pending_bytes >= chunk_bytes):
                 batch = (pending[0] if len(pending) == 1
                          else np.concatenate(pending))
                 pending.clear()

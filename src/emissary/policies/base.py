@@ -1,16 +1,19 @@
 """Policy kernel interfaces.
 
-Every replacement policy ships two implementations with identical
-semantics:
+Every replacement policy has one state definition and two kinds of
+implementation over it:
 
-- a :class:`PolicyKernel` used by the batched set-major engine.  The
+- a :class:`PolicyKernel` used by the batched set-major engine.  Its
+  ``__init__`` allocates the policy's flat per-set NumPy arrays
+  (``ways`` slots per set), the one definition of its state.  The
   engine hands it one set-sorted dispatch through :meth:`PolicyKernel.
-  run_sets`.  State is flat per-set NumPy arrays (``ways`` slots per
-  set), and the default ``run_sets`` resolves the dispatch in two
-  phases over them: set-parallel lockstep steps while many sets are
-  active, then :meth:`PolicyKernel.run_set`, a tight per-set Python
-  loop over plain lists, for the remaining tails.  A kernel with a
-  closed form (LRU) overrides ``run_sets`` instead.
+  run_sets`, and the default ``run_sets`` resolves the dispatch in two
+  phases over those arrays: set-parallel lockstep steps while many
+  sets are active, then :meth:`PolicyKernel.run_set`, a tight per-set
+  Python loop over plain lists, for the remaining tails.  A kernel
+  with a closed form (LRU) overrides ``run_sets`` instead.  The
+  compiled backend (:class:`~emissary.compiled.CompiledKernel`) wraps a
+  kernel and steps the same arrays in C, in trace order.
 - a :class:`NaivePolicy` used by the per-access reference engine,
   mirroring the zsim-style ``update / find_victim / replaced`` API.
 
@@ -97,7 +100,9 @@ class PolicyKernel:
     #: Set by :meth:`attach_telemetry`; dispatches record into it.
     _tel: "Telemetry" | None = None
     #: Flat per-set state: ``ways`` slots per set, and the filled slots
-    #: of each set (slots fill in order and never empty).
+    #: of each set (slots fill in order and never empty).  Every state
+    #: array is updated in place and never rebound: a compiled kernel
+    #: holds pointers to them.
     _tag: NDArray[np.int64]
     _size: NDArray[np.int64]
     #: Hits since fill per slot, for kernels that count line lifetimes in
@@ -222,6 +227,11 @@ class PolicyKernel:
         """
         self._tel = telemetry
         self._line_hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
+
+    def count_classes(self, tel: "Telemetry", evictions: int,
+                      hp_evictions: int, promotions: int) -> None:
+        """Record one dispatch's eviction split by priority class and its
+        promotions; a policy without priority classes records nothing."""
 
     def telemetry_finalize(self) -> None:
         """End-of-run accounting: by default the ``resident_line_hits``

@@ -32,11 +32,12 @@ starve another's protection.  The quotas sum to the threshold, so the
 set-wide bound holds in both modes and victim selection, which reads
 only the set's total, is the same.
 
-The batched kernel keeps flat per-set arrays, named like the compiled
-backend's: ``_tag``, ``_ts`` (last-use time from a kernel clock) and
-``_owner`` (the HP line's pool, -1 for low priority, so a line's
-priority bit is ``_owner >= 0``) per slot, and ``_size``, ``_hp`` (HP
-lines) and ``_hp_by_pool`` per set.  A lockstep step (see
+The batched kernel keeps flat per-set arrays, which the compiled
+backend steps too: ``_tag``, ``_ts`` (last-use time from the kernel's
+one-element ``_clock``) and ``_owner`` (the HP line's pool, -1 for low
+priority, so a line's priority bit is ``_owner >= 0``) per slot,
+``_size``, ``_hp`` (HP lines) and ``_hp_by_pool`` per set, and the run's
+HP promotions and evictions in ``_stats``.  A lockstep step (see
 :mod:`emissary.policies.base`) stamps every hit slot with the step's
 time and picks every full set's victim with one ``argmin`` over slot
 keys that put the priority bit above the timestamp (:data:`PRIO_SHIFT`),
@@ -113,6 +114,12 @@ def core_quotas(hp_threshold: int, num_cores: int) -> list[int]:
     return [base + (1 if c < rem else 0) for c in range(num_cores)]
 
 
+#: ``_stats`` slots: the HP promotions and evictions ``extra_stats``
+#: reports, kept in an array so the compiled kernel counts into it too.
+STAT_HP_PROMOTIONS = 0
+STAT_HP_EVICTIONS = 1
+
+
 #: The priority bit's position in a lockstep slot key: above every
 #: timestamp, so one ``argmin`` over ``key ^ (want << PRIO_SHIFT)`` finds
 #: the LRU line of the preferred class, or the overall LRU line when that
@@ -150,9 +157,9 @@ class EmissaryKernel(PolicyKernel):
         #: slot carries no meaning: victims are chosen by recency.
         self._tag = np.full(lines, -1, dtype=np.int64)
         #: Last-use time per slot (unique within a set; 0 = empty) and
-        #: the ``_clock`` the next use gets.
+        #: the ``_clock[0]`` the next use gets.
         self._ts = np.zeros(lines, dtype=np.int64)
-        self._clock = 1
+        self._clock = np.ones(1, dtype=np.int64)
         #: Filled slots and resident HP lines per set.
         self._size = np.zeros(num_sets, dtype=np.int64)
         self._hp = np.zeros(num_sets, dtype=np.int64)
@@ -165,11 +172,11 @@ class EmissaryKernel(PolicyKernel):
         self._owner = np.full(lines, -1, dtype=np.int64)
         #: HP lines per (set, pool), ``pools`` slots per set.
         self._hp_by_pool = np.zeros(num_sets * self.pools, dtype=np.int64)
-        self.hp_promotions = 0
-        self.hp_evictions = 0
+        #: HP promotions and evictions so far (the ``STAT_*`` slots).
+        self._stats = np.zeros(2, dtype=np.int64)
 
-    def _count_classes(self, tel: "Telemetry", evictions: int,
-                       hp_evictions: int, promotions: int) -> None:
+    def count_classes(self, tel: "Telemetry", evictions: int,
+                      hp_evictions: int, promotions: int) -> None:
         """Record one dispatch's eviction split by priority class and its
         promotions.  A line loses HP protection only by eviction, so
         demotions are exactly the HP evictions — kept as a named counter
@@ -231,7 +238,7 @@ class EmissaryKernel(PolicyKernel):
         count = None
         if extra is not None:
             count = LaneHits(self, lanes)
-        clock = self._clock
+        clock = int(self._clock[0])
         promotions = evictions = 0
         hits = np.empty(len(tags), dtype=bool)
         lo = 0
@@ -277,7 +284,7 @@ class EmissaryKernel(PolicyKernel):
                 if count is not None:
                     count.fill(idx, ~cold, extra[lo:hi][miss])
             lo = hi
-        self._clock = clock + len(active)
+        self._clock[0] = clock + len(active)
         self._tag.reshape(-1, ways)[lanes] = tag
         self._ts.reshape(-1, ways)[lanes] = key & (_PRIO_BIT - 1)
         self._size[lanes] = size
@@ -290,11 +297,11 @@ class EmissaryKernel(PolicyKernel):
             self._hp[lanes] = by_pool.sum(axis=1)
             self._owner.reshape(-1, ways)[lanes] = np.where(
                 prio, owner - rows, -1)
-        self.hp_promotions += promotions
-        self.hp_evictions += evictions
+        self._stats[STAT_HP_PROMOTIONS] += promotions
+        self._stats[STAT_HP_EVICTIONS] += evictions
         tel = self._tel
         if count is not None and tel is not None:
-            self._count_classes(tel, count.close(), evictions, promotions)
+            self.count_classes(tel, count.close(), evictions, promotions)
         return hits
 
     def _recency(self, set_index: int,
@@ -314,11 +321,11 @@ class EmissaryKernel(PolicyKernel):
         (see :meth:`run_set`): slots in dict order, with fresh ascending
         timestamps."""
         end = base + len(d)
+        clock = int(self._clock[0])
         self._tag[base:end] = list(d)
         self._owner[base:end] = list(d.values())
-        self._ts[base:end] = np.arange(self._clock, self._clock + len(d),
-                                       dtype=np.int64)
-        self._clock += len(d)
+        self._ts[base:end] = np.arange(clock, clock + len(d), dtype=np.int64)
+        self._clock[0] = clock + len(d)
         self._size[set_index] = len(d)
         self._hp[set_index] = hp
         if hits_of is not None:
@@ -413,11 +420,11 @@ class EmissaryKernel(PolicyKernel):
         self._store(set_index, base, d, hp, hits_of if instrumented else None)
         if promotions or hp_evictions:
             self._hp_by_pool[first:first + pools] = by_pool
-        self.hp_promotions += promotions
-        self.hp_evictions += hp_evictions
+            self._stats[STAT_HP_PROMOTIONS] += promotions
+            self._stats[STAT_HP_EVICTIONS] += hp_evictions
         if tel is not None:
             record_lifetimes(tel, hits.count(False), victims)
-            self._count_classes(tel, len(victims), hp_evictions, promotions)
+            self.count_classes(tel, len(victims), hp_evictions, promotions)
         return hits
 
     def telemetry_finalize(self) -> None:
@@ -439,8 +446,8 @@ class EmissaryKernel(PolicyKernel):
             "hp_threshold": self.hp_threshold,
             "prob_inv": self.prob_inv,
             "min_l1_misses": self.min_l1_misses,
-            "hp_promotions": self.hp_promotions,
-            "hp_evictions": self.hp_evictions,
+            "hp_promotions": int(self._stats[STAT_HP_PROMOTIONS]),
+            "hp_evictions": int(self._stats[STAT_HP_EVICTIONS]),
             "hp_lines_final": int(self._hp.sum()),
         }
         if self.hp_budget == "partitioned":

@@ -42,11 +42,14 @@ Work bound
 
 State and the carry
     Flat per-set arrays hold the resident tags in LRU -> MRU order and
-    each set's occupancy.  A dispatch prepends each touched set's
-    residents, LRU first, to that set's accesses: replaying them rebuilds
-    exactly the recency stack the previous dispatches left, so state
-    carries across dispatches and stream chunks.  The new residents are
-    the last ``W`` distinct lines of each set, by last use.
+    each set's occupancy, with no timestamps: slot order is recency.  A
+    dispatch prepends each touched set's residents, LRU first, to that
+    set's accesses: replaying them rebuilds exactly the recency stack
+    the previous dispatches left, so state carries across dispatches and
+    stream chunks.  The new residents are the last ``W`` distinct lines
+    of each set, by last use.  The compiled kernel steps the same
+    arrays access by access, moving a hit's slot to the MRU end and
+    evicting slot 0.
 
 Telemetry
     Computed in the same body from line lifetimes, only when attached.
@@ -54,8 +57,9 @@ Telemetry
     (``extra``) plus ``1 + extra`` per hit until the line's next miss.
     A lifetime that ends before its line's next miss, or whose line is
     not resident at the end, was evicted.  Resident lifetimes keep their
-    count in a per-slot array (the prepended residents carry it in) and
-    report it as ``resident_line_hits`` at finalize.
+    count in the per-slot ``_line_hits`` (the prepended residents carry
+    it in), which the base class reports as ``resident_line_hits`` at
+    finalize.
 
 The naive implementation uses an explicit monotonic timestamp per line,
 exactly like the zsim ``LRUReplPolicy``.
@@ -63,15 +67,12 @@ exactly like the zsim ``LRUReplPolicy``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from emissary.policies.base import NaivePolicy, PolicyKernel, record_lifetimes, stable_argsort
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from emissary.telemetry import Telemetry
 
 #: Accesses whose reuse windows are scanned together, and the most
 #: window positions one vectorised scan step gathers: together they
@@ -173,13 +174,6 @@ class LRUKernel(PolicyKernel):
         self._tag = np.zeros(num_sets * ways, dtype=np.int64)
         #: Resident lines per set (the first ``_size[s]`` slots are live).
         self._size = np.zeros(num_sets, dtype=np.int64)
-        #: Hits since fill per slot; only allocated when instrumented.
-        self._hits: NDArray[np.int64] | None = None
-
-    def attach_telemetry(self, telemetry: "Telemetry") -> None:
-        """Enable the lifetime accounting in :meth:`run_sets`."""
-        self._tel = telemetry
-        self._hits = np.zeros(self.num_sets * self.ways, dtype=np.int64)
 
     def run_sets(self, sets: NDArray[np.int64], starts: NDArray[np.int64],
                  ends: NDArray[np.int64], lines: NDArray[np.uint64],
@@ -255,10 +249,11 @@ class LRUKernel(PolicyKernel):
         fills, evictions, dead-on-fill lines and the ``line_hits``
         histogram, plus the per-slot hit counts of the new residents."""
         tel = self._tel
-        assert tel is not None and self._hits is not None and extra is not None
+        line_hits = self._line_hits
+        assert tel is not None and line_hits is not None and extra is not None
         gained = hit.astype(np.int64)
         gained[acc_pos] += extra
-        gained[res_pos] = self._hits[res_slot]
+        gained[res_pos] = line_hits[res_slot]
         # In line-sorted order each lifetime is a run opened by a miss
         # (a prepended resident opens its carried lifetime).
         opens = np.flatnonzero(~hit[order])
@@ -268,18 +263,9 @@ class LRUKernel(PolicyKernel):
         slot_of[kept_pos] = kept_slots
         end_slot = slot_of[life_end]
         resident = end_slot >= 0
-        self._hits[end_slot[resident]] = life_hits[resident]
+        line_hits[end_slot[resident]] = life_hits[resident]
         record_lifetimes(tel, len(acc_hits) - int(np.count_nonzero(acc_hits)),
                          life_hits[~resident].tolist())
-
-    def telemetry_finalize(self) -> None:
-        tel = self._tel
-        if tel is None or self._hits is None:
-            return
-        live = np.arange(self.ways, dtype=np.int64) < self._size[:, None]
-        tel.observe_many("resident_line_hits",
-                         self._hits.reshape(self.num_sets, self.ways)[live]
-                         .tolist())
 
 
 class NaiveLRU(NaivePolicy):

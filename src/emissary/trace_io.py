@@ -317,9 +317,8 @@ class ChampSimSource(TraceSource):
     """Raw, gzip- or xz-compressed packed instruction records -> fetch
     addresses.
 
-    ``compression`` is ``"gz"``, ``"xz"``, or None (raw); by default it
-    is inferred from the file suffix.  The legacy boolean ``compressed``
-    keyword still selects gzip.
+    ``compression`` is ``"gz"``, ``"xz"``, or None (raw);
+    :func:`open_trace` reads it off the file suffix.
 
     Records are read and decoded in pieces of at most
     ``max(1, chunk_bytes // 64)`` records, each piece's ``ip`` field
@@ -329,24 +328,13 @@ class ChampSimSource(TraceSource):
     """
 
     def __init__(self, path: str | Path,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                 compression: str | None = None,
-                 compressed: bool | None = None) -> None:
+                 chunk_bytes: int = DEFAULT_CHUNK_BYTES, *,
+                 compression: str | None) -> None:
         super().__init__(path, chunk_bytes)
-        if compression is None:
-            if compressed is not None:
-                compression = "gz" if compressed else None
-            else:
-                name = str(path).lower()
-                if name.endswith(".gz"):
-                    compression = "gz"
-                elif name.endswith(".xz"):
-                    compression = "xz"
-        elif compression not in _CODECS:
+        if compression is not None and compression not in _CODECS:
             raise ValueError(f"unknown compression {compression!r}; "
                              f"known: {sorted(_CODECS)} or None")
         self.compression = compression
-        self.compressed = compression is not None
         self.format = f"champsim.{compression}" if compression else "champsim"
 
     def _open(self) -> BinaryIO | _Decompressed:
@@ -383,7 +371,7 @@ class ChampSimSource(TraceSource):
 
     def count(self) -> int:
         record_bytes = CHAMPSIM_DTYPE.itemsize
-        if not self.compressed:
+        if self.compression is None:
             size = self.path.stat().st_size
             if size % record_bytes:
                 raise ValueError(f"{self.path}: size {size} is not a multiple "
@@ -500,8 +488,7 @@ def open_trace(path: str | Path, chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     """Open a trace file as a chunked :class:`TraceSource`."""
     fmt = format or detect_format(path)
     if fmt == "champsim":
-        return ChampSimSource(path, chunk_bytes, compression=None,
-                              compressed=False)
+        return ChampSimSource(path, chunk_bytes, compression=None)
     if fmt == "champsim.gz":
         return ChampSimSource(path, chunk_bytes, compression="gz")
     if fmt == "champsim.xz":
@@ -591,6 +578,34 @@ def file_spec(path: str | Path, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Trace
     })
 
 
+class _SpecSource(TraceSource):
+    """A file spec's source held to the spec's ``n``: iterating raises
+    ``ValueError`` naming both counts as soon as the file yields more
+    than ``n`` accesses, or when it ends short of ``n``."""
+
+    def __init__(self, source: TraceSource, n: int) -> None:
+        super().__init__(source.path, source.chunk_bytes)
+        self.format = source.format
+        self._source = source
+        self.n = n
+
+    def __iter__(self) -> Iterator[AddressArray]:
+        seen = 0
+        for chunk in self._source:
+            seen += len(chunk)
+            if seen > self.n:
+                raise ValueError(
+                    f"{self.path}: holds at least {seen} accesses but the "
+                    f"spec records n={self.n}")
+            yield chunk
+        if seen < self.n:
+            raise ValueError(f"{self.path}: holds {seen} accesses but the "
+                             f"spec records n={self.n}")
+
+    def count(self) -> int:
+        return self._source.count()
+
+
 def spec_source(spec: TraceSpec,
                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                 verify: bool = True) -> TraceSource:
@@ -601,7 +616,10 @@ def spec_source(spec: TraceSpec,
     drifted from its recorded content would poison the cache.  The hash
     is memoized per process keyed on (path, size, mtime), so a sweep
     worker verifying one trace against many configs pays the full-file
-    SHA-256 pass once.
+    SHA-256 pass once.  Iterating the source checks the access count
+    against the spec's ``n`` (the other half of the cache key), so a
+    streamed run and :func:`load_spec_addresses` fail alike on a spec
+    whose ``n`` is wrong.
     """
     if spec.kind != FILE_KIND:
         raise ValueError(f"spec kind {spec.kind!r} is not {FILE_KIND!r}")
@@ -618,17 +636,14 @@ def spec_source(spec: TraceSpec,
                 f"{path}: content hash {actual[:16]}... does not match the "
                 f"spec's sha256 {spec.params['sha256'][:16]}... — the file "
                 f"changed since file_spec() recorded it")
-    return open_trace(path, chunk_bytes, format=spec.params.get("format"))
+    return _SpecSource(open_trace(path, chunk_bytes,
+                                  format=spec.params.get("format")), spec.n)
 
 
 def load_spec_addresses(spec: TraceSpec,
                         verify: bool = True) -> AddressArray:
     """Load a ``kind="file"`` spec fully into memory (TraceSpec.generate)."""
-    addresses = spec_source(spec, verify=verify).read_all()
-    if len(addresses) != spec.n:
-        raise ValueError(f"{spec.params.get('_path')}: holds {len(addresses)} "
-                         f"accesses but the spec records n={spec.n}")
-    return addresses
+    return spec_source(spec, verify=verify).read_all()
 
 
 # -- CLI -------------------------------------------------------------------

@@ -362,7 +362,7 @@ def test_sanitizer_catches_compiled_state_corruption(clean_providers):
     set_idx = np.zeros(4, dtype=np.int64)
     tags = np.arange(4, dtype=np.int64)
     kernel.run_batch(set_idx, tags)
-    kernel._size[0] = 5  # occupancy above associativity
+    kernel.inner._size[0] = 5  # occupancy above associativity
     with pytest.raises(SanitizerError):
         kernel.run_batch(set_idx, tags)
 
@@ -399,9 +399,9 @@ def test_telemetry_off_runs_the_plain_kernels(policy, params):
     telemetry buffers bound until ``attach_telemetry`` switches to the
     ``_tel`` entry point."""
     kernel = make_compiled_kernel(policy, num_sets=4, ways=4, **params)
-    kind = kernel.policy
+    kind = kernel.name
     assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=False)
     assert kernel._args.line_hits is None and kernel._args.counters is None
     kernel.attach_telemetry(Telemetry())
     assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=True)
-    assert kernel._args.line_hits == kernel._line_hits.ctypes.data
+    assert kernel._args.line_hits == kernel.inner._line_hits.ctypes.data

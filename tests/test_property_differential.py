@@ -21,7 +21,10 @@ access patterns, cache geometries, and chunk splits for divergence between
   EMISSARY HP budget, and the invariant that a one-core partitioned
   run is bit-identical to a shared one, and
 * each reference oracle against itself: any chunk cut reproduces the
-  uncut run, telemetry included.
+  uncut run, telemetry included, and
+* one kernel's dispatches alternating between the C kernels and the
+  Python kernel they wrap: the two step one state, so the mixed run
+  matches an all-Python one dispatch for dispatch.
 
 Address pools are tiny (a handful of lines, few sets) so traces constantly
 collide in sets, re-reference immediately (repeat-flag paths), and evict —
@@ -43,6 +46,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emissary.engine as engine_module
+import emissary.policies.base as kernel_base
 from emissary.analysis.sanitizer import Sanitizer
 from emissary.api import PolicySpec
 from emissary.compiled import CompiledUnavailableError, get_kernels, make_compiled_kernel
@@ -480,7 +484,7 @@ def test_multicore_folds_match_no_collapse(policy, mc):
 def _shared_budget_run(kernel, lines, u, cost, core, compiled):
     """Dispatch ``lines`` (trace order) to ``kernel`` in two halves,
     passing ``core`` as the core column; returns the hit vector."""
-    num_sets = kernel.num_sets
+    num_sets = getattr(kernel, "inner", kernel).num_sets
     hits = []
     for half in np.array_split(np.arange(len(lines)), 2):
         sets = (lines[half] & np.uint64(num_sets - 1)).astype(np.int64)
@@ -535,3 +539,112 @@ def test_shared_budget_ignores_core_ids(addresses, num_cores):
 def test_compiled_shared_budget_ignores_core_ids(addresses, num_cores):
     """The same on the compiled kernels."""
     _check_shared_budget_ignores_core_ids(addresses, num_cores, compiled=True)
+
+
+#: The mixed-backend property's kernels: every policy, and EMISSARY with
+#: a shared and a partitioned budget over two cores.
+MIXED_KERNELS = [
+    ("lru", {}),
+    ("random", {}),
+    ("srrip", {}),
+    ("emissary", {"hp_threshold": 2, "prob_inv": 2, "min_l1_misses": 2,
+                  "num_cores": 2}),
+    ("emissary", {"hp_threshold": 2, "prob_inv": 2, "min_l1_misses": 2,
+                  "hp_budget": "partitioned", "num_cores": 2}),
+]
+
+
+def _run_sets(kernel, lines, cols):
+    """One dispatch of ``lines`` (trace order) through a Python kernel's
+    ``run_sets``, every per-access column of ``cols`` (None stays None)
+    sorted by set alongside; returns the hits in trace order."""
+    sets = (lines & np.uint64(kernel.num_sets - 1)).astype(np.int64)
+    order = np.argsort(sets, kind="stable")
+    uniq, starts = np.unique(sets[order], return_index=True)
+    ends = np.append(starts[1:], len(order))
+    hits = np.empty(len(lines), dtype=bool)
+    hits[order] = kernel.run_sets(
+        uniq, starts, ends, lines[order],
+        *(None if col is None else col[order] for col in cols))
+    return hits
+
+
+def _flat_state(kernel):
+    """A Python kernel's flat state arrays.  EMISSARY's slots are read in
+    each set's timestamp order and its clock is left out: the scalar
+    loop restamps and reorders the sets it finishes, so only the order
+    of the stamps within a set is shared state."""
+    if kernel.name != "emissary":
+        return {name: getattr(kernel, name).tolist()
+                for name in ("_tag", "_size", "_rrpv", "_line_hits")
+                if getattr(kernel, name, None) is not None}
+    state = {name: getattr(kernel, name).tolist()
+             for name in ("_size", "_hp", "_hp_by_pool", "_stats")}
+    rows = [kernel._tag, kernel._owner]
+    if kernel._line_hits is not None:
+        rows.append(kernel._line_hits)
+    ways = kernel.ways
+    sets = []
+    for s, size in enumerate(kernel._size.tolist()):
+        slots = s * ways + np.argsort(kernel._ts[s * ways:s * ways + size])
+        sets.append([row[slots].tolist() for row in rows])
+    state["sets"] = sets
+    return state
+
+
+@needs_compiled
+@settings(max_examples=40, deadline=None)
+@given(kernel_spec=st.sampled_from(MIXED_KERNELS), config=geometries,
+       addresses=traces(min_events=10), dispatches=st.integers(2, 6),
+       compiled_first=st.booleans(), telemetry=st.booleans(),
+       floor=st.sampled_from([1, kernel_base.LANE_FLOOR]))
+def test_mixed_backend_dispatches_share_one_state(
+        kernel_spec, config, addresses, dispatches, compiled_first,
+        telemetry, floor):
+    """Dispatches alternating between ``CompiledKernel.run_batch`` and
+    the wrapped Python kernel's ``run_sets`` give the hits, flat state,
+    ``extra_stats`` and telemetry of an all-Python run: the C kernels
+    step the Python kernel's own arrays, in its own layout.  The drawn
+    lane floor sends the Python dispatches through the lockstep steps
+    (1) or the scalar loop alone (the default)."""
+    name, params = kernel_spec
+    mixed = make_compiled_kernel(name, config.num_sets, config.ways,
+                                 **params)
+    python = make_kernel(name, config.num_sets, config.ways, **params)
+    tels = (Telemetry(), Telemetry()) if telemetry else None
+    if tels is not None:
+        mixed.attach_telemetry(tels[0])
+        python.attach_telemetry(tels[1])
+    Sanitizer().attach_kernel(mixed)
+    Sanitizer().attach_kernel(mixed.inner)
+    Sanitizer().attach_kernel(python)
+    n = len(addresses)
+    rng = np.random.default_rng(n)
+    lines = addresses >> np.uint64(6)
+    # (u, rep, cost, extra, core), in run_sets order; extra only when
+    # instrumented.
+    cols = (rng.random(n), rng.random(n) < 0.3, rng.integers(1, 4, n),
+            rng.integers(0, 3, n) if telemetry else None,
+            rng.integers(0, 2, n))
+    set_bits = np.uint64(config.num_sets.bit_length() - 1)
+    with mock.patch.object(kernel_base, "LANE_FLOOR", floor):
+        for k, part in enumerate(np.array_split(np.arange(n), dispatches)):
+            part_cols = [None if col is None else col[part] for col in cols]
+            want = _run_sets(python, lines[part], part_cols)
+            if (k % 2 == 0) == compiled_first:
+                u, rep, cost, extra, core = part_cols
+                sets = (lines[part] & np.uint64(config.num_sets - 1))
+                got = mixed.run_batch(
+                    sets.astype(np.int64),
+                    (lines[part] >> set_bits).astype(np.int64),
+                    u, rep, cost, extra, core)
+            else:
+                got = _run_sets(mixed.inner, lines[part], part_cols)
+            assert np.array_equal(got, want)
+            assert _flat_state(mixed.inner) == _flat_state(python)
+    assert mixed.extra_stats() == python.extra_stats()
+    if tels is not None:
+        mixed.telemetry_finalize()
+        python.telemetry_finalize()
+        assert tels[0].counters == tels[1].counters
+        assert tels[0].histograms == tels[1].histograms

@@ -124,12 +124,12 @@ def test_hierarchy_stream_bit_identical(policy, chunk):
     assert streamed.l2.policy_stats == oneshot.l2.policy_stats
 
 
-@pytest.mark.parametrize("budget", [None, 1, 64, 1 << 20])
+@pytest.mark.parametrize("budget", [1, 64, 1 << 20])
 def test_hierarchy_coalescing_budgets_bit_identical(budget):
     """L1-miss coalescing (batching misses up to ``chunk_bytes`` before
-    forwarding to L2) must never change outcomes: None forwards every
-    chunk's misses immediately, 1 byte degenerates to the same, and a
-    large budget defers almost everything to the final flush."""
+    forwarding to L2) must never change outcomes: 1 byte forwards every
+    chunk's misses immediately, and a large budget defers almost
+    everything to the final flush."""
     addresses = _trace()
     spec = _spec("emissary")
     oneshot = BatchedHierarchyEngine(HIER).simulate_stream([addresses], spec,
@@ -161,7 +161,8 @@ def test_hierarchy_coalescing_reduces_l2_dispatches():
         return sum(1 for s in tel.to_dict()["spans"]
                    if s["name"] == "l2.stream_chunk")
 
-    eager, coalesced = l2_chunks(None), l2_chunks(1 << 20)
+    # A 1-byte budget forwards every L1 dispatch's misses at once.
+    eager, coalesced = l2_chunks(1), l2_chunks(1 << 20)
     assert coalesced < eager
 
 

@@ -114,10 +114,10 @@ def test_kernel_fast_path_untouched_until_attach(spec, monkeypatch):
         monkeypatch.setattr(kernel, "_account", no_recording)
         kernel.run_sets(np.array([0]), np.array([0]), np.array([3]),
                         np.array([0, 8, 16], dtype=np.uint64))
-        assert kernel._hits is None
+        assert kernel._line_hits is None
         kernel.attach_telemetry(Telemetry())
         assert "run_sets" not in kernel.__dict__
-        assert kernel._hits is not None
+        assert kernel._line_hits is not None
         return
     # At a floor of two lanes, set 1's two accesses are stepped in
     # lockstep with set 0's first two; the scalar tail finishes set 0.

@@ -1,11 +1,14 @@
 """Tests for trace file I/O: formats, chunking, specs, and the CLI."""
 
+import dataclasses
 import gzip
 
 import numpy as np
 import pytest
 
 from emissary import trace_io
+from emissary.api import PolicySpec, SimRequest, simulate
+from emissary.engine import CacheConfig
 from emissary.results_cache import config_key
 from emissary.trace_io import (
     CHAMPSIM_DTYPE,
@@ -310,6 +313,26 @@ class TestFileSpec:
         # verify=False trusts the caller, but generate() still checks n.
         with pytest.raises(ValueError, match="n="):
             load_spec_addresses(spec, verify=False)
+
+    @pytest.mark.parametrize("backend", ["batched", "compiled", "reference"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_simulate_rejects_a_wrong_n(self, tmp_path, addresses, backend,
+                                        delta):
+        """A file spec whose ``n`` is one off fails every backend's
+        streamed run, naming both counts, as ``generate()`` does: the
+        results cache would otherwise file the run under the wrong ``n``."""
+        path = _path_for(tmp_path, "npy")
+        write_trace(path, [addresses])
+        n = len(addresses) + delta
+        spec = dataclasses.replace(file_spec(path), n=n)
+        request = SimRequest(spec, PolicySpec("lru"), CacheConfig(64, 8),
+                             backend=backend)
+        counts = (rf"holds {len(addresses)} accesses" if delta > 0
+                  else rf"holds at least {len(addresses)} accesses")
+        for run in (lambda: simulate(request), spec.generate):
+            with pytest.raises(ValueError, match=f"{counts} but the spec "
+                                                 f"records n={n}"):
+                run()
 
     def test_spec_without_path_is_rejected(self):
         spec = TraceSpec(FILE_KIND, 10, params={"sha256": "0" * 64})
