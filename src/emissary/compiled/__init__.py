@@ -272,6 +272,5 @@ def make_compiled_kernel(policy: str, num_sets: int, ways: int,
     """Load the C kernels and wrap a fresh Python kernel for ``policy``
     over a ``num_sets x ways`` geometry.  Raises
     :class:`CompiledUnavailableError` when they cannot be loaded."""
-    kernels = get_kernels()
-    return CompiledKernel(kernels, make_kernel(policy, num_sets, ways,
-                                               **params))
+    return CompiledKernel(get_kernels(),
+                          make_kernel(policy, num_sets, ways, **params))
