@@ -27,7 +27,6 @@ Policy for L2 Instruction Caching" (ISCA 2023).  The package provides:
   state :class:`Sanitizer`
 """
 
-from emissary.analysis.sanitizer import Sanitizer, SanitizerError
 from emissary.api import BACKENDS, PolicySpec, SimRequest, simulate
 from emissary.compiled import CompiledUnavailableError
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine, SimResult
@@ -59,3 +58,12 @@ __all__ = [
     "simulate",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> type:
+    # Loaded on first use: :mod:`emissary.analysis` pulls in the lint
+    # framework, which no simulation needs.
+    if name in ("Sanitizer", "SanitizerError"):
+        from emissary.analysis import sanitizer
+        return getattr(sanitizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -108,7 +108,7 @@ def get_kernels() -> CcKernels:
                          "(expected 'off', 'auto' or 'cc')")
     if _loaded is None and _failure is None:
         try:
-            _loaded = cc_backend.load_kernels()
+            _loaded = cc_backend.build_library()
         except (cc_backend.CcBuildError, OSError) as exc:
             _failure = f"cc: {exc}"
     if _loaded is None:
@@ -149,11 +149,10 @@ class CompiledKernel:
         self.needs_repeat_flags = kernel.needs_repeat_flags
         self.consumes_cost = kernel.consumes_cost
         self.consumes_core = kernel.consumes_core
-        self._kernels = kernels
         self._tel: "Telemetry" | None = None
         self._counters: IndexArray | None = None
         self._dispatches = 0
-        self._entry = kernels.entry(self.name, tel=False)
+        self._entry = kernels.entry(self.name)
         self._args = KernelArgs(ways=kernel.ways, **{
             field: getattr(kernel, field, 0) for field in PARAM_FIELDS})
         self._args_ref = ctypes.pointer(self._args)
@@ -205,14 +204,12 @@ class CompiledKernel:
                 "core", np.zeros(m, dtype=np.int64) if core is None else core,
                 np.int64, m))
         tel = self._tel
-        if tel is None:
-            self._entry(self._args_ref)
-            return hits
-        keep.append(self._feed("extra", extra, np.int64, m))
-        evbuf = np.empty(m, dtype=np.int64)
-        a.evbuf = evbuf.ctypes.data
+        if tel is not None:
+            keep.append(self._feed("extra", extra, np.int64, m))
+            evbuf = np.empty(m, dtype=np.int64)
+            a.evbuf = evbuf.ctypes.data
         nev = self._entry(self._args_ref)
-        if nev:
+        if tel is not None and nev:
             tel.observe_many("line_hits", evbuf[:nev].tolist())
         return hits
 
@@ -233,14 +230,14 @@ class CompiledKernel:
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
         """Enable instrumentation (must precede the first access): the
-        wrapped kernel allocates its per-line hit counts, and dispatches
-        switch to the ``*_tel`` kernels, which keep those counts and the
+        wrapped kernel allocates its per-line hit counts, and the C
+        kernel's ``tel`` flag is set, so it keeps those counts and the
         packed counter array."""
         self.inner.attach_telemetry(telemetry)
         self._tel = telemetry
         self._counters = np.zeros(NUM_COUNTERS, dtype=np.int64)
         self._args.counters = self._counters.ctypes.data
-        self._entry = self._kernels.entry(self.name, tel=True)
+        self._args.tel = 1
         self._bind_state()
 
     def telemetry_finalize(self) -> None:

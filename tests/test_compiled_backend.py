@@ -21,6 +21,7 @@ Tests that need the C kernels (a C compiler) are skip-marked.
 import os
 import re
 import stat
+import subprocess
 
 import numpy as np
 import pytest
@@ -133,11 +134,20 @@ def test_build_library_rejects_empty_source(clean_providers, tmp_path):
 
 @needs_compiled
 def test_build_library_publishes_only_the_library(clean_providers, tmp_path):
+    """A fresh build is published alone and loaded once, to check it:
+    that binding is the one returned.  A cached library is reused, not
+    rebuilt, and loaded once too."""
     clean_providers.setenv("EMISSARY_CC_CACHE", str(tmp_path))
-    lib_path = cc_backend.build_library()
-    assert list(tmp_path.iterdir()) == [lib_path]
-    assert cc_backend.build_library() == lib_path  # reused, not rebuilt
-    assert cc_backend.CcKernels(lib_path).name == "cc"
+    loads = []
+    real_cdll = cc_backend.ctypes.CDLL
+    clean_providers.setattr(cc_backend.ctypes, "CDLL",
+                            lambda path: loads.append(path) or real_cdll(path))
+    kernels = cc_backend.build_library()
+    assert list(tmp_path.iterdir()) == [kernels.lib_path]
+    assert kernels.name == "cc" and len(loads) == 1
+    assert kernels.entry("lru").__name__ == "emissary_lru_run"
+    assert cc_backend.build_library().lib_path == kernels.lib_path
+    assert loads[1:] == [str(kernels.lib_path)]
 
 
 _NO_UIDS = pytest.mark.skipif(not hasattr(os, "getuid"),
@@ -210,11 +220,25 @@ def test_c_source_calls_only_its_own_functions():
     defined = set(re.findall(
         r"^[A-Za-z_][\w \t*]*?\b(\w+)\s*\([^;{]*\)\s*\{", source, re.M))
     defined |= set(re.findall(r"#\s*define\s+(\w+)\(", source))
+    assert len(cc_backend.KERNEL_SYMBOLS) == len(cc_backend.KINDS)
     assert {"find_way", "lru_body", "emissary_body",
             *cc_backend.KERNEL_SYMBOLS} <= defined
     syntax = {"if", "for", "while", "return", "sizeof", "__attribute__"}
     calls = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", source))
     assert calls - defined - syntax == set()
+
+
+@pytest.mark.skipif(cc_backend.find_compiler() is None,
+                    reason="no C compiler")
+def test_c_source_compiles_warning_free(tmp_path):
+    """The C source is clean C99 under ``-Wall -Wextra``: the run-time
+    ``tel`` flag leaves no unused variable or parameter behind."""
+    src = tmp_path / "kernels.c"
+    src.write_text(cc_backend.C_SOURCE)
+    proc = subprocess.run(
+        [cc_backend.find_compiler(), "-fsyntax-only", "-Wall", "-Wextra",
+         "-Werror", "-std=c99", str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- engine backend selection ---------------------------------------------
@@ -395,13 +419,25 @@ def test_run_batch_rejects_missing_or_short_inputs():
     ("emissary", {"hp_threshold": 2, "hp_budget": "partitioned",
                   "num_cores": 2})])
 def test_telemetry_off_runs_the_plain_kernels(policy, params):
-    """Telemetry off costs nothing: the plain instantiation runs with no
-    telemetry buffers bound until ``attach_telemetry`` switches to the
-    ``_tel`` entry point."""
+    """Each kind has one entry point, and telemetry is a flag in its
+    argument block: telemetry off leaves ``tel`` at 0 and every
+    telemetry buffer NULL (a dispatch binds none), and
+    ``attach_telemetry`` sets ``tel`` and binds the buffers without
+    swapping the entry."""
     kernel = make_compiled_kernel(policy, num_sets=4, ways=4, **params)
-    kind = kernel.name
-    assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=False)
-    assert kernel._args.line_hits is None and kernel._args.counters is None
+    entry = kernel._entry
+    assert entry.__name__ == cc_backend.symbol(kernel.name)
+    args = kernel._args
+    set_idx = np.arange(4, dtype=np.int64)
+    kernel.run_batch(set_idx, set_idx, u=np.zeros(4),
+                     rep=np.zeros(4, dtype=np.bool_), cost=set_idx)
+    assert args.tel == 0
+    assert (args.line_hits, args.counters, args.evbuf) == (None, None, None)
     kernel.attach_telemetry(Telemetry())
-    assert kernel._entry.__name__ == cc_backend.symbol(kind, tel=True)
-    assert kernel._args.line_hits == kernel.inner._line_hits.ctypes.data
+    assert args.tel == 1
+    assert args.line_hits == kernel.inner._line_hits.ctypes.data
+    assert args.counters == kernel._counters.ctypes.data
+    kernel.run_batch(set_idx, set_idx, u=np.zeros(4),
+                     rep=np.zeros(4, dtype=np.bool_), cost=set_idx,
+                     extra=np.zeros(4, dtype=np.int64))
+    assert kernel._entry is entry

@@ -6,9 +6,15 @@ detection for every policy checker, the whole-run counter consistency
 check, and the error payload (set index + access position).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emissary
 from emissary.analysis.sanitizer import Sanitizer, SanitizerError
 from emissary.api import PolicySpec
 from emissary.engine import BatchedEngine, CacheConfig, ReferenceEngine
@@ -28,6 +34,26 @@ SPECS = [
     PolicySpec("srrip"),
     PolicySpec("emissary", {"hp_threshold": 2, "prob_inv": 4}),
 ]
+
+
+def test_import_leaves_the_analysis_package_unloaded():
+    """``import emissary`` (and the API and hierarchy modules) loads no
+    ``emissary.analysis`` module, so no simulation pays for the lint
+    framework; ``emissary.Sanitizer`` still resolves, on first use."""
+    code = ("import sys, emissary, emissary.api, emissary.hierarchy\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('emissary.analysis')))\n"
+            "from emissary import Sanitizer, SanitizerError\n"
+            "print(Sanitizer.__module__, 'Sanitizer' in emissary.__all__)\n")
+    src = str(Path(emissary.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "emissary.analysis.sanitizer True"]
+    assert emissary.Sanitizer is Sanitizer
+    assert emissary.SanitizerError is SanitizerError
 
 
 @pytest.fixture(scope="module")
